@@ -25,7 +25,7 @@ from .data import (
     kin_analog_spec,
     save_csv,
 )
-from .experiment import ConfigError, load_config, run_experiment
+from .experiment import ConfigError, load_config, parse_seeds, run_experiment
 
 _SYNTH_SPECS = {
     "doppler_offset": doppler_offset_spec,
@@ -94,13 +94,7 @@ def _cmd_run(args) -> int:
     if args.out:
         config = replace(config, output_dir=Path(args.out))
     if args.seeds:
-        try:
-            seeds = tuple(int(s) for s in args.seeds.split(","))
-        except ValueError:
-            raise ConfigError(f"--seeds: cannot parse {args.seeds!r}") from None
-        if not seeds:
-            raise ConfigError("--seeds: empty list")
-        config = replace(config, seeds=seeds)
+        config = replace(config, seeds=parse_seeds(args.seeds.split(","), "--seeds"))
     report = run_experiment(config)
     n_rows = len(report.get("rows", []))
     n_errors = len(report.get("errors", []))

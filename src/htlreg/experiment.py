@@ -14,11 +14,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from . import __version__
@@ -32,20 +32,20 @@ from .data import (
     load_csv,
     subsample,
 )
-from .evaluation import excess_risk_mc, metric_report
+from .evaluation import excess_risk_mc, metric_report, rate_slope
 from .pipeline import (
     BandwidthRule,
+    HTLPredictor,
     KRRSpec,
     KSSpec,
     LambdaRule,
     Predictor,
     SubroutineSpec,
     construct_auxiliary,
-    htl_fit,
     select_transformation,
 )
-from .ridge import KernelShape, RKHSKernel, gram, median_heuristic
-from .smoothing import SmoothingKernel
+from .ridge import KernelShape, RKHSKernel, gram, median_heuristic, ridge_solve
+from .smoothing import SmoothingKernel, predict_from_kernel
 from .transform import (
     AuxiliaryEstimator,
     EstimatorMode,
@@ -153,7 +153,36 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _check_keys(cfg: dict, allowed, where: str) -> None:
+    unknown = sorted(set(cfg) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+
+
+def parse_seeds(values, where: str) -> tuple[int, ...]:
+    """Seeds as a nonempty tuple of nonnegative ints."""
+    try:
+        seeds = tuple(int(s) for s in values)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: cannot parse {values!r}") from None
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(f"{where}: seeds must be a nonempty list of nonnegative "
+                          f"ints, got {values!r}")
+    return seeds
+
+
 _KS_KERNELS = {k.value: k for k in SmoothingKernel}
+
+_TOP_KEYS = ("experiment_kind", "data", "sizes", "methods", "transformations",
+             "selection_family", "seeds", "output_dir")
+_SIZE_KEYS = ("n_so", "n_ta", "n_val", "n_test")
+_TRANSFORM_KEYS = ("family", "alpha", "beta", "lipschitz_L", "aux_bound_B",
+                   "estimator_mode", "sigma2", "assume_noiseless")
+# method -> (fixed value, grid, rule) keys of a subroutine section
+_HYPERPARAMETER_KEYS = {
+    "ks": ("bandwidth", "bandwidth_grid", "bandwidth_rule"),
+    "krr": ("lambda", "lambda_grid", "lambda_rule"),
+}
 
 
 def _parse_rkhs_kernel(raw, where: str) -> RKHSKernel:
@@ -178,54 +207,57 @@ def _parse_rkhs_kernel(raw, where: str) -> RKHSKernel:
 
 def parse_method(raw: dict, where: str) -> MethodConfig:
     method = _require(raw, "method", where)
+    if method not in _HYPERPARAMETER_KEYS:
+        raise ConfigError(f"{where}.method: expected 'ks' or 'krr', got {method!r}")
+    keys = _HYPERPARAMETER_KEYS[method]
+    fixed_key, grid_key, rule_key = keys
+    _check_keys(raw, ("method", "kernel", "cv_folds") + keys, where)
     cv_folds = int(raw.get("cv_folds", 10))
+    if cv_folds < 2:
+        raise ConfigError(f"{where}.cv_folds must be at least 2, got {cv_folds}")
+    choices = [k for k in keys if k in raw]
+    if len(choices) != 1:
+        raise ConfigError(
+            f"{where}: exactly one of {fixed_key}, {grid_key}, {rule_key} "
+            f"required, got {choices or 'none'}"
+        )
     if method == "ks":
         kernel = _KS_KERNELS.get(raw.get("kernel", "truncated_gaussian"))
         if kernel is None:
             raise ConfigError(f"{where}.kernel: unknown smoothing kernel "
                               f"{raw.get('kernel')!r}")
-        choices = [k for k in ("bandwidth", "bandwidth_grid", "bandwidth_rule")
-                   if k in raw]
-        if len(choices) != 1:
-            raise ConfigError(
-                f"{where}: exactly one of bandwidth, bandwidth_grid, "
-                f"bandwidth_rule required, got {choices or 'none'}"
-            )
-        if "bandwidth" in raw:
-            return MethodConfig(where, KSSpec(kernel, bandwidth=float(raw["bandwidth"])))
-        if "bandwidth_rule" in raw:
-            r = raw["bandwidth_rule"]
+        if rule_key in raw:
+            r = raw[rule_key]
             rule = BandwidthRule(alpha=float(r.get("alpha", 1.0)),
                                  c=float(r.get("c", 1.0)))
             return MethodConfig(where, KSSpec(kernel, rule=rule))
-        grid = tuple(KSSpec(kernel, bandwidth=float(h)) for h in raw["bandwidth_grid"])
-        if not grid:
-            raise ConfigError(f"{where}.bandwidth_grid: empty grid")
-        return MethodConfig(where, None, grid=grid, cv_folds=cv_folds)
-    if method == "krr":
+    else:
         kernel = _parse_rkhs_kernel(raw.get("kernel", "rbf"), where)
-        choices = [k for k in ("lambda", "lambda_grid", "lambda_rule") if k in raw]
-        if len(choices) != 1:
-            raise ConfigError(
-                f"{where}: exactly one of lambda, lambda_grid, lambda_rule "
-                f"required, got {choices or 'none'}"
-            )
-        if "lambda" in raw:
-            return MethodConfig(where, KRRSpec(kernel, lam=float(raw["lambda"])))
-        if "lambda_rule" in raw:
-            r = raw["lambda_rule"]
+        if rule_key in raw:
+            r = raw[rule_key]
             rule = LambdaRule(beta=float(r.get("beta", 1.0)),
                               p=float(r.get("p", 0.5)), c=float(r.get("c", 1.0)))
             return MethodConfig(where, KRRSpec(kernel, rule=rule))
-        grid = tuple(KRRSpec(kernel, lam=float(v)) for v in raw["lambda_grid"])
-        if not grid:
-            raise ConfigError(f"{where}.lambda_grid: empty grid")
-        return MethodConfig(where, None, grid=grid, cv_folds=cv_folds)
-    raise ConfigError(f"{where}.method: expected 'ks' or 'krr', got {method!r}")
+    key = choices[0]
+    values = [float(v) for v in (raw[key] if key == grid_key else [raw[key]])]
+    if not values:
+        raise ConfigError(f"{where}.{grid_key}: empty grid")
+    if method == "ks" and min(values) <= 0:
+        raise ConfigError(f"{where}.{key}: bandwidth must be positive, "
+                          f"got {min(values):g}")
+    if method == "krr" and min(values) < 0:
+        raise ConfigError(f"{where}.{key}: lambda must be nonnegative, "
+                          f"got {min(values):g}")
+    specs = tuple(KSSpec(kernel, bandwidth=v) if method == "ks"
+                  else KRRSpec(kernel, lam=v) for v in values)
+    if key == fixed_key:
+        return MethodConfig(where, specs[0])
+    return MethodConfig(where, None, grid=specs, cv_folds=cv_folds)
 
 
 def parse_transformation(raw: dict, where: str) -> TransformConfig:
     family = _require(raw, "family", where)
+    _check_keys(raw, _TRANSFORM_KEYS, where)
     kwargs = {}
     if "lipschitz_L" in raw:
         kwargs["lipschitz_L"] = float(raw["lipschitz_L"])
@@ -260,8 +292,10 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         raise ConfigError(
             f"config.experiment_kind: {kind!r} not one of {EXPERIMENT_KINDS}"
         )
+    _check_keys(raw, _TOP_KEYS, "config")
     data = dict(_require(raw, "data", "config"))
     sizes = dict(raw.get("sizes", {}))
+    _check_keys(sizes, _SIZE_KEYS, "config.sizes")
     n_so = int(sizes.get("n_so", 0))
     n_ta = int(sizes.get("n_ta", 0))
     n_val = int(sizes.get("n_val", 0))
@@ -271,7 +305,10 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
             raise ConfigError("config.sizes.n_so must be positive")
         if n_ta < 1 and kind != "rate_sweep":
             raise ConfigError("config.sizes.n_ta must be positive")
+    if kind == "rate_sweep" and len(data.get("n_ta_grid", [])) < 3:
+        raise ConfigError("config.data.n_ta_grid needs at least 3 sizes")
     methods = dict(_require(raw, "methods", "config"))
+    _check_keys(methods, ("source", "target", "baselines"), "config.methods")
     source_method = parse_method(
         dict(_require(methods, "source", "config.methods")), "config.methods.source"
     )
@@ -295,9 +332,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
             raise ConfigError("config.selection_family required for selection runs")
         if n_val < 1:
             raise ConfigError("config.sizes.n_val must be positive for selection")
-    seeds = tuple(int(s) for s in _require(raw, "seeds", "config"))
-    if not seeds:
-        raise ConfigError("config.seeds must be nonempty")
+    seeds = parse_seeds(_require(raw, "seeds", "config"), "config.seeds")
     output_dir = Path(raw.get("output_dir", "htlreg_out"))
     if base_dir is not None:
         for key in ("source_csv", "target_csv"):
@@ -420,16 +455,12 @@ def _grid_cv_ks(data, candidates, parts, kernel) -> np.ndarray:
                    metric="sqeuclidean")
         y_train = data.labels[train_idx]
         y_test = data.labels[test_idx]
-        nearest = np.argmin(sq, axis=1)
         for j, spec in enumerate(candidates):
+            # profile_sq stays in this loop rather than in a shared helper: a
+            # helper that also evaluated the kernel freed each (fold x train)
+            # temporary on return and measured slower from allocator effects.
             raw = kernel.profile_sq(sq / (spec.bandwidth * spec.bandwidth))
-            sums = raw.sum(axis=1)
-            live = sums > 0.0
-            preds = np.empty(len(test_idx))
-            preds[live] = (raw[live] @ y_train) / sums[live]
-            dead = ~live
-            if dead.any():
-                preds[dead] = y_train[nearest[dead]]
+            preds = predict_from_kernel(raw, sq, y_train)
             scores[j] += float(np.mean((y_test - preds) ** 2))
     return scores / len(parts)
 
@@ -447,16 +478,8 @@ def _grid_cv_krr(data, candidates, parts, kernel) -> np.ndarray:
         G_test = gram(fold_kernel, data.features[test_idx], X_train)
         y_train = data.labels[train_idx]
         y_test = data.labels[test_idx]
-        m = len(train_idx)
         for j, spec in enumerate(candidates):
-            system = K + m * spec.lam * np.eye(m)
-            try:
-                coef = cho_solve(cho_factor(system, lower=True), y_train)
-            except LinAlgError:
-                coef = np.linalg.solve(
-                    system + 1e-10 * np.trace(K) / m * np.eye(m), y_train
-                )
-            preds = G_test @ coef
+            preds = G_test @ ridge_solve(K, y_train, spec.lam)
             scores[j] += float(np.mean((y_test - preds) ** 2))
     return scores / len(parts)
 
@@ -491,9 +514,9 @@ def _synthetic_spec(config: ExperimentConfig) -> SyntheticSpec:
 class SeedData:
     source: Dataset
     target: Dataset
-    test: Dataset
+    test: Dataset | None  # None: rows are scored by excess risk alone
     validation: Dataset | None
-    spec: SyntheticSpec | None
+    spec: SyntheticSpec | None  # the truth; None for CSV data
 
 
 def _generate_seed_data(config: ExperimentConfig, seed: int, n_ta: int) -> SeedData:
@@ -510,6 +533,57 @@ def _generate_seed_data(config: ExperimentConfig, seed: int, n_ta: int) -> SeedD
                                         child_seed(seed, _VALIDATION))
     return SeedData(source=source, target=target, test=test,
                     validation=validation, spec=spec)
+
+
+def _synthetic_cells(config: ExperimentConfig, seed: int) -> list[tuple]:
+    return [(None, _generate_seed_data(config, seed, config.n_ta))]
+
+
+def _rate_sweep_cells(config: ExperimentConfig, seed: int) -> list[tuple]:
+    spec = _synthetic_spec(config)
+    source = generate_synthetic(spec, config.n_so, DomainTag.SOURCE,
+                                child_seed(seed, _SOURCE))
+    cells = []
+    for k, n_ta in enumerate(int(v) for v in config.data["n_ta_grid"]):
+        target = generate_synthetic(spec, n_ta, DomainTag.TARGET,
+                                    child_seed(seed, _RATE_BASE + k))
+        cells.append((n_ta, SeedData(source, target, None, None, spec)))
+    return cells
+
+
+def _csv_cells(config: ExperimentConfig) -> Callable[[int], list[tuple]]:
+    """Load the CSVs once. Per seed, subsample the source and permute the
+    target rows: a cell trains on the first n_ta rows, and every cell
+    tests on the rows past the largest n_ta."""
+    label_column = config.data.get("label_column", "y")
+    source_full = replace(load_csv(config.data["source_csv"], label_column),
+                          domain_tag=DomainTag.SOURCE)
+    target_full = load_csv(config.data["target_csv"], label_column)
+    n_ta_values = [int(v) for v in np.atleast_1d(config.data.get("n_ta", config.n_ta))]
+    if not n_ta_values or min(n_ta_values) < 1:
+        raise ConfigError("config.data.n_ta must list positive target sizes")
+    if max(n_ta_values) >= target_full.n:
+        raise ConfigError(
+            f"config.data.n_ta: largest size {max(n_ta_values)} leaves no "
+            f"test rows out of {target_full.n}"
+        )
+    n_so = config.n_so if config.n_so >= 1 else source_full.n
+
+    def rows(idx: np.ndarray) -> Dataset:
+        return Dataset(features=target_full.features[idx],
+                       labels=target_full.labels[idx], domain_tag=DomainTag.TARGET)
+
+    def cells(seed: int) -> list[tuple]:
+        source = (subsample(source_full, n_so, child_seed(seed, _SOURCE))
+                  if n_so < source_full.n else source_full)
+        perm = np.random.default_rng(child_seed(seed, _TARGET)).permutation(
+            target_full.n
+        )
+        test = rows(perm[max(n_ta_values):])
+        return [(n_ta, SeedData(source, rows(perm[:n_ta]), test, None, None))
+                for n_ta in n_ta_values]
+
+    return cells
 
 
 def _pooled(data: SeedData) -> Dataset:
@@ -546,71 +620,111 @@ def _method_roster(config: ExperimentConfig) -> list[tuple[str, object]]:
     return roster
 
 
-def _run_methods_for_seed(
-    config: ExperimentConfig, seed: int, data: SeedData
-) -> tuple[list[dict], list[dict], dict[str, Predictor]]:
-    """Fit and score every configured method on one seed's data."""
+def _score(pred: Predictor, data: SeedData, seed: int) -> dict[str, float]:
+    """mse and r_squared on the test set, excess risk against the truth."""
+    scores = {}
+    if data.test is not None:
+        report = metric_report(pred, data.test)
+        scores.update(mse=report.mse, r_squared=report.r_squared)
+    if data.spec is not None:
+        scores["excess_risk"] = excess_risk_mc(
+            pred, data.spec.target_fn, data.spec.input_sampler,
+            n_mc=2000, seed=child_seed(seed, _EXCESS),
+        )
+    if not all(math.isfinite(v) for v in scores.values()):
+        raise ValueError(f"non-finite metric in {scores}")
+    return scores
+
+
+def _run_cells(config: ExperimentConfig, make_cells: Callable[[int], list[tuple]]):
+    """Fit and score every method on each (n_ta, SeedData) cell of each seed.
+
+    A seed's cells share one source sample, so the source stage is resolved
+    once per seed and f_so_hat fit at most once. An HTL method builds its
+    auxiliary sample once, for both the target-stage CV and the fit.
+    Returns the rows, the failures, and the first cell's data and predictors.
+    """
     rows: list[dict] = []
     errors: list[dict] = []
-    so_spec = config.source_method.resolve(data.source, child_seed(seed, _CV_SOURCE))
-    ta_direct = config.target_method.resolve(data.target, child_seed(seed, _CV_TARGET))
-    f_so_hat: Predictor | None = None
+    first = None
+    for seed in config.seeds:
+        cells = make_cells(seed)
+        source = cells[0][1].source
+        so_spec = config.source_method.resolve(source, child_seed(seed, _CV_SOURCE))
+        f_so_hat = None
+        cv_seed = child_seed(seed, _CV_TARGET)
+        for n_ta, data in cells:
+            ta_spec = config.target_method.resolve(data.target, cv_seed)
+            predictors: dict[str, Predictor] = {}
+            for name, item in _method_roster(config):
+                cell = {"method": name, "n_ta": n_ta, "seed": seed}
+                cell = {k: v for k, v in cell.items() if v is not None}
+                try:
+                    if not isinstance(item, TransformConfig):
+                        pred = _fit_baseline(name, data, config, seed,
+                                             so_spec, ta_spec)
+                    else:
+                        if f_so_hat is None:
+                            f_so_hat = so_spec.fit(source)
+                        aux, _ = construct_auxiliary(data.target, f_so_hat,
+                                                     item.estimator())
+                        w_spec = config.target_method.resolve(aux, cv_seed)
+                        pred = HTLPredictor(f_so_hat, w_spec.fit(aux),
+                                            item.transformation)
+                    predictors[name] = pred
+                    rows.append({**cell, **_score(pred, data, seed)})
+                except Exception as exc:  # recorded, run continues
+                    errors.append({**cell, "error": str(exc)})
+            if first is None:
+                first = (data, predictors)
+    return rows, errors, first
 
-    predictors: dict[str, Predictor] = {}
-    for name, item in _method_roster(config):
-        try:
-            if not isinstance(item, TransformConfig):
-                predictors[name] = _fit_baseline(
-                    name, data, config, seed, so_spec, ta_direct
-                )
-            else:
-                if f_so_hat is None:
-                    f_so_hat = so_spec.fit(data.source)
-                est = item.estimator()
-                aux, _ = construct_auxiliary(data.target, f_so_hat, est)
-                w_spec = config.target_method.resolve(
-                    aux, child_seed(seed, _CV_TARGET)
-                )
-                predictors[name] = htl_fit(
-                    source=None,
-                    target=data.target,
-                    tf=item.transformation,
-                    est=est,
-                    so_spec=so_spec,
-                    w_spec=w_spec,
-                    f_so_hat=f_so_hat,
-                )
-        except Exception as exc:  # recorded, run continues
-            errors.append({"method": name, "seed": seed, "error": str(exc)})
-            continue
 
-    for name, _ in _method_roster(config):
-        if name not in predictors:
-            continue
-        pred = predictors[name]
-        try:
-            report = metric_report(pred, data.test)
-            row = {
-                "method": name,
-                "seed": seed,
-                "mse": report.mse,
-                "r_squared": report.r_squared,
-            }
-            if data.spec is not None:
-                row["excess_risk"] = excess_risk_mc(
-                    pred,
-                    data.spec.target_fn,
-                    data.spec.input_sampler,
-                    n_mc=2000,
-                    seed=child_seed(seed, _EXCESS),
-                )
-            if not all(math.isfinite(v) for k, v in row.items()
-                       if isinstance(v, float)):
-                raise ValueError(f"non-finite metric in {row}")
-            rows.append(row)
-        except Exception as exc:
-            errors.append({"method": name, "seed": seed, "error": str(exc)})
-    return rows, errors, predictors
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Run every configured (method, seed) cell and write the report artifacts.
+
+    Returns the report dict; ``report["errors"]`` is nonempty when some
+    method failed (the run itself continues).
+    """
+    kind = config.experiment_kind
+    report = _run_selection(config) if kind == "selection" else _run_transfer(config)
+    report["experiment_kind"] = kind
+    report["toolkit_version"] = __version__
+    report["config"] = config.raw
+    _write_artifacts(config, report)
+    return report
+
+
+def _run_transfer(config: ExperimentConfig) -> dict:
+    """Synthetic, rate-sweep and CSV runs: one cell loop, a summary per kind."""
+    kind = config.experiment_kind
+    if kind == "csv_transfer":
+        make_cells = _csv_cells(config)
+    elif kind == "rate_sweep":
+        make_cells = partial(_rate_sweep_cells, config)
+    else:
+        make_cells = partial(_synthetic_cells, config)
+    rows, errors, first = _run_cells(config, make_cells)
+    metrics = ("mse", "r_squared", "excess_risk")
+    if kind in ("synthetic_offset", "synthetic_scale"):
+        return {"rows": rows, "aggregates": _aggregate(rows, ("method",), metrics),
+                "errors": errors, "plot_series": _prediction_series(*first)}
+    agg = _aggregate(rows, ("method", "n_ta"), metrics)
+    plotted = "mean_excess_risk" if kind == "rate_sweep" else "mean_mse"
+    report = {"rows": rows, "aggregates": agg, "errors": errors,
+              "plot_series": [{"n_ta": a["n_ta"], "method": a["method"],
+                               plotted: a.get(plotted)} for a in agg]}
+    if kind == "rate_sweep":
+        report["rate_fits"] = {}
+        for name, _ in _method_roster(config):
+            points = [(a["n_ta"], a.get("mean_excess_risk", 0.0)) for a in agg
+                      if a["method"] == name and a.get("mean_excess_risk")]
+            if len(points) >= 3:
+                fit = rate_slope(points)
+                report["rate_fits"][name] = {
+                    "slope": fit.slope, "intercept": fit.intercept,
+                    "points": [[int(n), r] for n, r in fit.points]}
+    return report
 
 
 def _aggregate(rows: list[dict], keys: tuple[str, ...], value_fields) -> list[dict]:
@@ -641,46 +755,6 @@ def _aggregate(rows: list[dict], keys: tuple[str, ...], value_fields) -> list[di
     return out
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Run every configured (method, seed) cell and write the report artifacts.
-
-    Returns the report dict; ``report["errors"]`` is nonempty when some
-    method failed (the run itself continues).
-    """
-    kind = config.experiment_kind
-    if kind in ("synthetic_offset", "synthetic_scale"):
-        report = _run_synthetic(config)
-    elif kind == "rate_sweep":
-        report = _run_rate_sweep(config)
-    elif kind == "selection":
-        report = _run_selection(config)
-    else:
-        report = _run_csv_transfer(config)
-    report["experiment_kind"] = kind
-    report["toolkit_version"] = __version__
-    report["config"] = config.raw
-    _write_artifacts(config, report)
-    return report
-
-
-def _run_synthetic(config: ExperimentConfig) -> dict:
-    rows: list[dict] = []
-    errors: list[dict] = []
-    plot_rows: list[dict] = []
-    for i, seed in enumerate(config.seeds):
-        data = _generate_seed_data(config, seed, config.n_ta)
-        seed_rows, seed_errors, predictors = _run_methods_for_seed(
-            config, seed, data
-        )
-        rows.extend(seed_rows)
-        errors.extend(seed_errors)
-        if i == 0:
-            plot_rows = _prediction_series(data, predictors)
-    agg = _aggregate(rows, ("method",), ("mse", "r_squared", "excess_risk"))
-    return {"rows": rows, "aggregates": agg, "errors": errors,
-            "plot_series": plot_rows}
-
-
 def _prediction_series(data: SeedData, predictors: dict[str, Predictor]) -> list[dict]:
     """Per-method predictions on an x grid (first seed), for plotting."""
     if data.spec is None or data.source.dim != 1:
@@ -694,69 +768,6 @@ def _prediction_series(data: SeedData, predictors: dict[str, Predictor]) -> list
         {name: float(series[name][i]) for name in names}
         for i in range(len(grid))
     ]
-
-
-def _run_rate_sweep(config: ExperimentConfig) -> dict:
-    n_grid = [int(v) for v in config.data.get("n_ta_grid", [])]
-    if len(n_grid) < 3:
-        raise ConfigError("config.data.n_ta_grid needs at least 3 sizes")
-    rows: list[dict] = []
-    errors: list[dict] = []
-    for seed in config.seeds:
-        spec = _synthetic_spec(config)
-        source = generate_synthetic(spec, config.n_so, DomainTag.SOURCE,
-                                    child_seed(seed, _SOURCE))
-        so_spec = config.source_method.resolve(source, child_seed(seed, _CV_SOURCE))
-        f_so_hat = so_spec.fit(source)
-        eval_seed = child_seed(seed, _EXCESS)
-        for k, n_ta in enumerate(n_grid):
-            target = generate_synthetic(spec, n_ta, DomainTag.TARGET,
-                                        child_seed(seed, _RATE_BASE + k))
-            data = SeedData(source=source, target=target, test=target,
-                            validation=None, spec=spec)
-            ta_spec = config.target_method.resolve(
-                target, child_seed(seed, _CV_TARGET)
-            )
-            for name, item in _method_roster(config):
-                try:
-                    if not isinstance(item, TransformConfig):
-                        pred = _fit_baseline(name, data, config, seed,
-                                             so_spec, ta_spec)
-                    else:
-                        est = item.estimator()
-                        aux, _ = construct_auxiliary(target, f_so_hat, est)
-                        w_spec = config.target_method.resolve(
-                            aux, child_seed(seed, _CV_TARGET)
-                        )
-                        pred = htl_fit(
-                            source=None, target=target,
-                            tf=item.transformation, est=est,
-                            so_spec=so_spec, w_spec=w_spec, f_so_hat=f_so_hat,
-                        )
-                    risk = excess_risk_mc(pred, spec.target_fn, spec.input_sampler,
-                                          n_mc=2000, seed=eval_seed)
-                    rows.append({"method": name, "n_ta": n_ta, "seed": seed,
-                                 "excess_risk": risk})
-                except Exception as exc:
-                    errors.append({"method": name, "seed": seed, "n_ta": n_ta,
-                                   "error": str(exc)})
-    agg = _aggregate(rows, ("method", "n_ta"), ("excess_risk",))
-    rate_fits = {}
-    for name, _ in _method_roster(config):
-        points = [(a["n_ta"], a.get("mean_excess_risk", 0.0))
-                  for a in agg if a["method"] == name and a.get("mean_excess_risk")]
-        if len(points) >= 3:
-            from .evaluation import rate_slope
-
-            fit = rate_slope(points)
-            rate_fits[name] = {"slope": fit.slope, "intercept": fit.intercept,
-                               "points": [[int(n), r] for n, r in fit.points]}
-    return {"rows": rows, "aggregates": agg, "errors": errors,
-            "rate_fits": rate_fits, "plot_series": [
-                {"n_ta": a["n_ta"], "method": a["method"],
-                 "mean_excess_risk": a.get("mean_excess_risk")}
-                for a in agg
-            ]}
 
 
 def _run_selection(config: ExperimentConfig) -> dict:
@@ -811,62 +822,6 @@ def _run_selection(config: ExperimentConfig) -> dict:
             "aggregates": [{"chosen": k, "count": v}
                            for k, v in sorted(chosen_counts.items())],
             "candidate_alphas": [float(a) for a in family.alphas]}
-
-
-def _run_csv_transfer(config: ExperimentConfig) -> dict:
-    source_full = load_csv(config.data["source_csv"],
-                           config.data.get("label_column", "y"))
-    source_full = Dataset(
-        features=source_full.features, labels=source_full.labels,
-        domain_tag=DomainTag.SOURCE,
-        x_bound=source_full.x_bound, y_bound=source_full.y_bound,
-    )
-    target_full = load_csv(config.data["target_csv"],
-                           config.data.get("label_column", "y"))
-    n_ta_values = config.data.get("n_ta", config.n_ta)
-    if isinstance(n_ta_values, (int, float)):
-        n_ta_values = [int(n_ta_values)]
-    n_ta_values = [int(v) for v in n_ta_values]
-    if not n_ta_values or min(n_ta_values) < 1:
-        raise ConfigError("config.data.n_ta must list positive target sizes")
-    if max(n_ta_values) >= target_full.n:
-        raise ConfigError(
-            f"config.data.n_ta: largest size {max(n_ta_values)} leaves no "
-            f"test rows out of {target_full.n}"
-        )
-    rows: list[dict] = []
-    errors: list[dict] = []
-    for seed in config.seeds:
-        n_so = config.n_so if config.n_so >= 1 else source_full.n
-        source = (subsample(source_full, min(n_so, source_full.n),
-                            child_seed(seed, _SOURCE))
-                  if n_so < source_full.n else source_full)
-        perm = np.random.default_rng(child_seed(seed, _TARGET)).permutation(
-            target_full.n
-        )
-        for k, n_ta in enumerate(n_ta_values):
-            train_idx = perm[:n_ta]
-            test_idx = perm[max(n_ta_values):]
-            target = Dataset(features=target_full.features[train_idx],
-                             labels=target_full.labels[train_idx],
-                             domain_tag=DomainTag.TARGET)
-            test = Dataset(features=target_full.features[test_idx],
-                           labels=target_full.labels[test_idx],
-                           domain_tag=DomainTag.TARGET)
-            data = SeedData(source=source, target=target, test=test,
-                            validation=None, spec=None)
-            seed_rows, seed_errors, _ = _run_methods_for_seed(config, seed, data)
-            for row in seed_rows:
-                row["n_ta"] = n_ta
-            for err in seed_errors:
-                err["n_ta"] = n_ta
-            rows.extend(seed_rows)
-            errors.extend(seed_errors)
-    agg = _aggregate(rows, ("method", "n_ta"), ("mse", "r_squared"))
-    plot = [{"n_ta": a["n_ta"], "method": a["method"],
-             "mean_mse": a.get("mean_mse")} for a in agg]
-    return {"rows": rows, "aggregates": agg, "errors": errors,
-            "plot_series": plot}
 
 
 # ---------------------------------------------------------------------------

@@ -135,8 +135,8 @@ class KRRPredictor:
         return self.train_features.shape[0]
 
 
-def krr_fit(train: Dataset, kernel: RKHSKernel, lam: float) -> KRRPredictor:
-    """Solve the ridge system for the training sample.
+def ridge_solve(K: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """Coefficients c solving (K + n*lam*I + jitter*I) c = y.
 
     jitter starts at 0 for lam > 0 (the system is already positive
     definite) and at 1e-10 * trace(K)/n for lam = 0; on factorization
@@ -144,19 +144,11 @@ def krr_fit(train: Dataset, kernel: RKHSKernel, lam: float) -> KRRPredictor:
     ConditioningError. The solution must satisfy the linear system to
     relative residual 1e-8.
     """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    X = train.features
-    y = train.labels
-    n = train.n
-    if kernel.shape is KernelShape.RBF and kernel.lengthscale is None:
-        kernel = replace(kernel, lengthscale=median_heuristic(X))
-    K = gram(kernel, X, X)
+    n = len(y)
     base = K + n * lam * np.eye(n)
     base_jitter = 1e-10 * np.trace(K) / n
     jitter = 0.0 if lam > 0 else base_jitter
     y_scale = max(np.linalg.norm(y), 1e-300)
-    coef = None
     for _ in range(4):
         system = base if jitter == 0.0 else base + jitter * np.eye(n)
         try:
@@ -166,14 +158,23 @@ def krr_fit(train: Dataset, kernel: RKHSKernel, lam: float) -> KRRPredictor:
             jitter = base_jitter if jitter == 0.0 else jitter * 10.0
             continue
         if np.linalg.norm(system @ candidate - y) <= 1e-8 * y_scale:
-            coef = candidate
-            break
+            return candidate
         jitter = base_jitter if jitter == 0.0 else jitter * 10.0
-    if coef is None:
-        raise ConditioningError(
-            f"Gram system not solvable to 1e-8 relative residual after jitter "
-            f"escalation (n={n}, lambda={lam:g}, last jitter={jitter:g})"
-        )
+    raise ConditioningError(
+        f"Gram system not solvable to 1e-8 relative residual after jitter "
+        f"escalation (n={n}, lambda={lam:g}, last jitter={jitter:g})"
+    )
+
+
+def krr_fit(train: Dataset, kernel: RKHSKernel, lam: float) -> KRRPredictor:
+    """Solve the ridge system for the training sample (see ``ridge_solve``)."""
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    X = train.features
+    if kernel.shape is KernelShape.RBF and kernel.lengthscale is None:
+        kernel = replace(kernel, lengthscale=median_heuristic(X))
+    K = gram(kernel, X, X)
+    coef = ridge_solve(K, train.labels, lam)
     k_bound = kernel.k_bound
     if k_bound is None:
         k_bound = float(np.max(np.diag(K)))

@@ -53,6 +53,21 @@ class SmoothingKernel(Enum):
         return np.exp(-0.5 * s)
 
 
+def predict_from_kernel(
+    raw: np.ndarray, sq: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Predictions from (m, n) kernel values and squared query-train
+    distances; a query with no kernel mass takes its nearest label."""
+    sums = raw.sum(axis=1)
+    out = np.empty(len(raw))
+    live = sums > 0.0
+    out[live] = (raw[live] @ labels) / sums[live]
+    if not live.all():
+        dead = ~live
+        out[dead] = labels[np.argmin(sq[dead], axis=1)]
+    return out
+
+
 @dataclass(frozen=True)
 class KSPredictor:
     """A fitted kernel smoother: the training sample plus (kernel, h).
@@ -100,15 +115,7 @@ class KSPredictor:
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         raw, sq = self._raw(X)
-        sums = raw.sum(axis=1)
-        out = np.empty(len(X))
-        live = sums > 0.0
-        out[live] = (raw[live] @ self.train.labels) / sums[live]
-        if not live.all():
-            dead = ~live
-            nearest = np.argmin(sq[dead], axis=1)
-            out[dead] = self.train.labels[nearest]
-        return out
+        return predict_from_kernel(raw, sq, self.train.labels)
 
     def predict_one(self, x) -> float:
         return float(self.predict(np.atleast_2d(np.asarray(x, dtype=float)))[0])

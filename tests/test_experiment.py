@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from htlreg import experiment, pipeline
 from htlreg.cli import main as cli_main
 from htlreg.data import Dataset, DomainTag, load_csv
 from htlreg.experiment import (
@@ -16,7 +17,7 @@ from htlreg.experiment import (
     register_baseline,
     run_experiment,
 )
-from htlreg.pipeline import KRRSpec, KSSpec
+from htlreg.pipeline import KRRSpec, KSSpec, construct_auxiliary
 from htlreg.ridge import rbf_kernel
 from htlreg.smoothing import SmoothingKernel
 
@@ -97,6 +98,43 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="no such file"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("edit, argv, key", [
+        (lambda c: c.update(outputdir="x"), [], "outputdir"),
+        (lambda c: c["sizes"].update(n_tset=100), [], "n_tset"),
+        (lambda c: c["methods"].update(baseline=["combined"]), [], "baseline"),
+        (lambda c: c["methods"]["source"].update(cv_fold=5), [], "cv_fold"),
+        (lambda c: c["methods"]["target"].update(lambda_=0.1), [], "lambda_"),
+        (lambda c: c["transformations"][0].update(aux_bound=3.0), [],
+         "aux_bound"),
+        (lambda c: c["methods"].update(target={
+            "method": "ks", "bandwidth_grid": [0.1, 0.2], "cv_folds": 1}),
+         [], "cv_folds"),
+        (lambda c: c["methods"]["target"].update(bandwidth=0.0), [],
+         "bandwidth"),
+        (lambda c: c["methods"].update(target={
+            "method": "ks", "bandwidth_grid": [0.1, -0.2]}), [],
+         "bandwidth_grid"),
+        (lambda c: c["methods"].update(target={
+            "method": "krr", "lambda": -1.0}), [], "lambda"),
+        (lambda c: c["methods"].update(target={
+            "method": "krr", "lambda_grid": [0.1, -0.1]}), [], "lambda_grid"),
+        (lambda c: c.update(seeds=[0, -1]), [], "seeds"),
+        (lambda c: None, ["--seeds", "-1"], "--seeds"),
+    ])
+    def test_invalid_config_fails_at_parse_time_naming_the_key(
+        self, tmp_path, capsys, edit, argv, key
+    ):
+        cfg = base_config()
+        edit(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = cli_main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out"), *argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCvFolds:
     def test_partition_property(self):
@@ -146,11 +184,17 @@ class TestGridSearchCv:
 
     def test_krr_fast_path_matches_generic(self):
         data = _noisy_linear_data(n=40, noise=0.1)
-        candidates = [KRRSpec(rbf_kernel(0.4), lam=v) for v in (0.01, 0.1, 1.0)]
-        parts = cv_folds_indices(data.n, 4, seed=4)
-        fast = _grid_cv_fast(data, candidates, parts)
-        generic = _grid_cv_generic(data, candidates, parts)
-        np.testing.assert_allclose(fast, generic, rtol=1e-9)
+        # duplicated rows make the lambda = 0 Gram system singular, so the
+        # fast path must take krr_fit's jittered, residual-checked solve
+        duplicated = Dataset(features=np.vstack([data.features] * 2),
+                             labels=np.concatenate([data.labels] * 2),
+                             domain_tag=DomainTag.TARGET)
+        for data, lams in ((data, (0.01, 0.1, 1.0)), (duplicated, (0.0,))):
+            candidates = [KRRSpec(rbf_kernel(0.4), lam=v) for v in lams]
+            parts = cv_folds_indices(data.n, 4, seed=4)
+            fast = _grid_cv_fast(data, candidates, parts)
+            generic = _grid_cv_generic(data, candidates, parts)
+            np.testing.assert_allclose(fast, generic, rtol=1e-9)
 
     def test_mixed_grid_uses_generic_path(self):
         data = _noisy_linear_data(n=30)
@@ -229,28 +273,59 @@ class TestRunExperiment:
         assert any(r["method"] == "only_target" for r in report["rows"])
 
     def test_csv_transfer_shape(self, tmp_path):
-        rng = np.random.default_rng(0)
-        for name, rows in (("src.csv", 120), ("ta.csv", 80)):
-            xs = rng.uniform(size=(rows, 2))
-            ys = xs[:, 0] + 0.1 * rng.normal(size=rows)
-            lines = ["x0,x1,y"] + [f"{a},{b},{c}" for (a, b), c in zip(xs, ys)]
-            (tmp_path / name).write_text("\n".join(lines) + "\n")
-        cfg = base_config(
-            experiment_kind="csv_transfer",
-            data={"source_csv": str(tmp_path / "src.csv"),
-                  "target_csv": str(tmp_path / "ta.csv"),
-                  "label_column": "y", "n_ta": [20, 40]},
-            sizes={"n_so": 100},
-            seeds=[0, 1],
-            output_dir=str(tmp_path / "out"),
-        )
-        report = run_experiment(parse_config(cfg))
+        report = run_experiment(parse_config(_csv_transfer_config(tmp_path)))
         assert not report["errors"]
         # methods x n_ta x seeds rows; aggregates per (method, n_ta)
         assert len(report["rows"]) == 2 * 2 * 2
         assert len(report["aggregates"]) == 2 * 2
         for agg in report["aggregates"]:
             assert "mean_mse" in agg and "std_mse" in agg
+
+    def test_cells_of_a_seed_share_the_source_and_auxiliary_fits(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = _csv_transfer_config(tmp_path)
+        cfg["methods"]["source"] = {"method": "ks", "kernel": "epanechnikov",
+                                    "bandwidth_grid": [0.1, 0.3], "cv_folds": 3}
+        cfg["transformations"] = [{"family": "offset", "alpha": 1.0},
+                                  {"family": "offset", "alpha": 0.5}]
+        source_cvs, aux_builds = [], []
+
+        def counting_cv(data, *args):
+            source_cvs.append(data.domain_tag is DomainTag.SOURCE)
+            return grid_search_cv(data, *args)
+
+        def counting_aux(*args):
+            aux_builds.append(1)
+            return construct_auxiliary(*args)
+
+        monkeypatch.setattr(experiment, "grid_search_cv", counting_cv)
+        for module in (experiment, pipeline):
+            monkeypatch.setattr(module, "construct_auxiliary", counting_aux)
+        report = run_experiment(parse_config(cfg))
+        assert not report["errors"]
+        seeds, n_ta_values, htl_methods = 2, 2, 2
+        assert sum(source_cvs) == seeds
+        assert len(aux_builds) == htl_methods * n_ta_values * seeds
+
+
+def _csv_transfer_config(tmp_path):
+    """A csv_transfer config over two generated 2-d CSVs, n_ta 20 and 40."""
+    rng = np.random.default_rng(0)
+    for name, rows in (("src.csv", 120), ("ta.csv", 80)):
+        xs = rng.uniform(size=(rows, 2))
+        ys = xs[:, 0] + 0.1 * rng.normal(size=rows)
+        lines = ["x0,x1,y"] + [f"{a},{b},{c}" for (a, b), c in zip(xs, ys)]
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    return base_config(
+        experiment_kind="csv_transfer",
+        data={"source_csv": str(tmp_path / "src.csv"),
+              "target_csv": str(tmp_path / "ta.csv"),
+              "label_column": "y", "n_ta": [20, 40]},
+        sizes={"n_so": 100},
+        seeds=[0, 1],
+        output_dir=str(tmp_path / "out"),
+    )
 
 
 class TestCli:
