@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -49,11 +50,10 @@ from .smoothing import SmoothingKernel, predict_from_kernel
 from .transform import (
     AuxiliaryEstimator,
     EstimatorMode,
-    TransformationFunction,
+    QuantizedFamily,
     loglinear,
     non_transfer,
     offset,
-    quantize_offset_family,
     scale,
 )
 
@@ -61,14 +61,6 @@ from .transform import (
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the bad key."""
 
-
-EXPERIMENT_KINDS = (
-    "synthetic_offset",
-    "synthetic_scale",
-    "csv_transfer",
-    "rate_sweep",
-    "selection",
-)
 
 BUILTIN_BASELINES = ("only_target", "only_source", "combined")
 
@@ -95,16 +87,24 @@ _RATE_BASE = 100  # + index of n_ta in the sweep grid
 
 # ---------------------------------------------------------------------------
 # configuration
+#
+# The parser builds the pipeline's own objects; their constructors hold the
+# validity rules, and _section reports what they reject as a ConfigError.
 
 
 @dataclass(frozen=True)
 class MethodConfig:
     """One subroutine stage: a spec, or a grid of specs resolved by CV."""
 
-    name: str
     spec: SubroutineSpec | None
     grid: tuple[SubroutineSpec, ...] = ()
     cv_folds: int = 10
+
+    def __post_init__(self):
+        if (self.spec is None) == (not self.grid):
+            raise ValueError("exactly one of a spec or a nonempty grid must be given")
+        if self.cv_folds < 2:
+            raise ValueError(f"cv_folds must be at least 2, got {self.cv_folds}")
 
     def resolve(self, train: Dataset, seed: int) -> SubroutineSpec:
         if self.spec is not None:
@@ -114,25 +114,10 @@ class MethodConfig:
 
 
 @dataclass(frozen=True)
-class TransformConfig:
-    transformation: TransformationFunction
-    estimator_mode: EstimatorMode = EstimatorMode.DIRECT_INVERSE
-    sigma2: float = 0.0
-    assume_noiseless: bool = False
-
-    def estimator(self) -> AuxiliaryEstimator:
-        return AuxiliaryEstimator(
-            transformation=self.transformation,
-            mode=self.estimator_mode,
-            sigma2=self.sigma2,
-            assume_noiseless=self.assume_noiseless,
-        )
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     experiment_kind: str
     data: dict
+    synthetic: SyntheticSpec | None  # the truth; None for CSV data
     n_so: int
     n_ta: int
     n_val: int
@@ -140,11 +125,22 @@ class ExperimentConfig:
     source_method: MethodConfig
     target_method: MethodConfig
     baselines: tuple[str, ...]
-    transformations: tuple[TransformConfig, ...]
-    selection_family: dict | None
+    transformations: tuple[AuxiliaryEstimator, ...]
+    selection_family: QuantizedFamily | None
     seeds: tuple[int, ...]
     output_dir: Path
     raw: dict = field(repr=False, default_factory=dict)
+
+
+@contextmanager
+def _section(where: str):
+    """Report a constructor's TypeError or ValueError as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _require(cfg: dict, key: str, where: str):
@@ -171,119 +167,117 @@ def parse_seeds(values, where: str) -> tuple[int, ...]:
     return seeds
 
 
-_KS_KERNELS = {k.value: k for k in SmoothingKernel}
-
 _TOP_KEYS = ("experiment_kind", "data", "sizes", "methods", "transformations",
              "selection_family", "seeds", "output_dir")
-_SIZE_KEYS = ("n_so", "n_ta", "n_val", "n_test")
-_TRANSFORM_KEYS = ("family", "alpha", "beta", "lipschitz_L", "aux_bound_B",
-                   "estimator_mode", "sigma2", "assume_noiseless")
-# method -> (fixed value, grid, rule) keys of a subroutine section
-_HYPERPARAMETER_KEYS = {
-    "ks": ("bandwidth", "bandwidth_grid", "bandwidth_rule"),
-    "krr": ("lambda", "lambda_grid", "lambda_rule"),
+# experiment kind -> keys of its data section
+_DATA_KEYS = {
+    "synthetic_offset": ("noise_variance", "slope"),
+    "synthetic_scale": ("noise_variance", "factor"),
+    "csv_transfer": ("source_csv", "target_csv", "label_column", "n_ta"),
+    "rate_sweep": ("noise_variance", "slope", "n_ta_grid"),
+    "selection": ("noise_variance", "true_alpha"),
 }
+EXPERIMENT_KINDS = tuple(_DATA_KEYS)
+_SIZE_KEYS = ("n_so", "n_ta", "n_val", "n_test")
+# method -> (spec type, hyperparameter field, rule type, (fixed, grid, rule) keys)
+_SUBROUTINES = {
+    "ks": (KSSpec, "bandwidth", BandwidthRule,
+           ("bandwidth", "bandwidth_grid", "bandwidth_rule")),
+    "krr": (KRRSpec, "lam", LambdaRule, ("lambda", "lambda_grid", "lambda_rule")),
+}
+# KRR kernel shape -> the keys its section may set besides "shape"
+_RKHS_KEYS = {KernelShape.RBF: ("lengthscale",), KernelShape.LINEAR: (),
+              KernelShape.POLYNOMIAL: ("degree", "offset")}
+_FAMILIES = {"offset": offset, "scale": scale, "non_transfer": non_transfer,
+             "loglinear": loglinear}
+_ESTIMATOR_KEYS = ("estimator_mode", "sigma2", "assume_noiseless")
 
 
-def _parse_rkhs_kernel(raw, where: str) -> RKHSKernel:
-    if isinstance(raw, str):
-        raw = {"shape": raw}
-    shape = raw.get("shape", "rbf")
-    if shape == "rbf":
-        return RKHSKernel(
-            shape=KernelShape.RBF, lengthscale=raw.get("lengthscale")
-        )
-    if shape == "linear":
-        return RKHSKernel(shape=KernelShape.LINEAR, lengthscale=None)
-    if shape == "polynomial":
-        return RKHSKernel(
-            shape=KernelShape.POLYNOMIAL,
-            lengthscale=None,
-            degree=int(raw.get("degree", 2)),
-            offset=float(raw.get("offset", 1.0)),
-        )
-    raise ConfigError(f"{where}.kernel: unknown shape {shape!r}")
+def _parse_kernel(method: str, raw: dict, where: str):
+    if method == "ks":
+        return SmoothingKernel(raw.get("kernel", "truncated_gaussian"))
+    section = raw.get("kernel", "rbf")
+    params = {"shape": section} if isinstance(section, str) else dict(section)
+    shape = KernelShape(params.pop("shape", "rbf"))
+    _check_keys(params, _RKHS_KEYS[shape], where)
+    return RKHSKernel(shape, **{"lengthscale": None, **params})
 
 
 def parse_method(raw: dict, where: str) -> MethodConfig:
     method = _require(raw, "method", where)
-    if method not in _HYPERPARAMETER_KEYS:
+    if method not in _SUBROUTINES:
         raise ConfigError(f"{where}.method: expected 'ks' or 'krr', got {method!r}")
-    keys = _HYPERPARAMETER_KEYS[method]
-    fixed_key, grid_key, rule_key = keys
+    spec_type, field_name, rule_type, keys = _SUBROUTINES[method]
     _check_keys(raw, ("method", "kernel", "cv_folds") + keys, where)
-    cv_folds = int(raw.get("cv_folds", 10))
-    if cv_folds < 2:
-        raise ConfigError(f"{where}.cv_folds must be at least 2, got {cv_folds}")
     choices = [k for k in keys if k in raw]
     if len(choices) != 1:
-        raise ConfigError(
-            f"{where}: exactly one of {fixed_key}, {grid_key}, {rule_key} "
-            f"required, got {choices or 'none'}"
-        )
-    if method == "ks":
-        kernel = _KS_KERNELS.get(raw.get("kernel", "truncated_gaussian"))
-        if kernel is None:
-            raise ConfigError(f"{where}.kernel: unknown smoothing kernel "
-                              f"{raw.get('kernel')!r}")
-        if rule_key in raw:
-            r = raw[rule_key]
-            rule = BandwidthRule(alpha=float(r.get("alpha", 1.0)),
-                                 c=float(r.get("c", 1.0)))
-            return MethodConfig(where, KSSpec(kernel, rule=rule))
-    else:
-        kernel = _parse_rkhs_kernel(raw.get("kernel", "rbf"), where)
-        if rule_key in raw:
-            r = raw[rule_key]
-            rule = LambdaRule(beta=float(r.get("beta", 1.0)),
-                              p=float(r.get("p", 0.5)), c=float(r.get("c", 1.0)))
-            return MethodConfig(where, KRRSpec(kernel, rule=rule))
+        raise ConfigError(f"{where}: exactly one of {', '.join(keys)} required, "
+                          f"got {choices or 'none'}")
     key = choices[0]
-    values = [float(v) for v in (raw[key] if key == grid_key else [raw[key]])]
-    if not values:
-        raise ConfigError(f"{where}.{grid_key}: empty grid")
-    if method == "ks" and min(values) <= 0:
-        raise ConfigError(f"{where}.{key}: bandwidth must be positive, "
-                          f"got {min(values):g}")
-    if method == "krr" and min(values) < 0:
-        raise ConfigError(f"{where}.{key}: lambda must be nonnegative, "
-                          f"got {min(values):g}")
-    specs = tuple(KSSpec(kernel, bandwidth=v) if method == "ks"
-                  else KRRSpec(kernel, lam=v) for v in values)
-    if key == fixed_key:
-        return MethodConfig(where, specs[0])
-    return MethodConfig(where, None, grid=specs, cv_folds=cv_folds)
+    _, grid_key, rule_key = keys
+    with _section(f"{where}.kernel"):
+        kernel = _parse_kernel(method, raw, f"{where}.kernel")
+    with _section(f"{where}.{key}"):
+        if key == rule_key:
+            specs = (spec_type(kernel, rule=rule_type(**raw[key])),)
+        else:
+            values = raw[key] if key == grid_key else [raw[key]]
+            specs = tuple(spec_type(kernel, **{field_name: float(v)}) for v in values)
+    with _section(where):
+        cv_folds = int(raw.get("cv_folds", 10))
+        if key == grid_key:
+            return MethodConfig(None, specs, cv_folds)
+        return MethodConfig(specs[0], cv_folds=cv_folds)
 
 
-def parse_transformation(raw: dict, where: str) -> TransformConfig:
+def parse_transformation(raw: dict, where: str) -> AuxiliaryEstimator:
     family = _require(raw, "family", where)
-    _check_keys(raw, _TRANSFORM_KEYS, where)
-    kwargs = {}
-    if "lipschitz_L" in raw:
-        kwargs["lipschitz_L"] = float(raw["lipschitz_L"])
-    if "aux_bound_B" in raw:
-        kwargs["aux_bound_B"] = float(raw["aux_bound_B"])
-    if family == "offset":
-        tf = offset(float(_require(raw, "alpha", where)), **kwargs)
-    elif family == "scale":
-        tf = scale(float(_require(raw, "alpha", where)), **kwargs)
-    elif family == "non_transfer":
-        tf = non_transfer()
-    elif family == "loglinear":
-        tf = loglinear(float(_require(raw, "beta", where)), **kwargs)
-    else:
+    if family not in _FAMILIES:
         raise ConfigError(f"{where}.family: unknown family {family!r}")
-    mode = raw.get("estimator_mode", "direct_inverse")
-    try:
-        mode = EstimatorMode(mode)
-    except ValueError:
-        raise ConfigError(f"{where}.estimator_mode: unknown mode {mode!r}") from None
-    return TransformConfig(
-        transformation=tf,
-        estimator_mode=mode,
-        sigma2=float(raw.get("sigma2", 0.0)),
-        assume_noiseless=bool(raw.get("assume_noiseless", False)),
-    )
+    with _section(where):
+        tf = _FAMILIES[family](**{k: float(v) for k, v in raw.items()
+                                  if k != "family" and k not in _ESTIMATOR_KEYS})
+        return AuxiliaryEstimator(
+            tf,
+            mode=EstimatorMode(raw.get("estimator_mode", "direct_inverse")),
+            sigma2=float(raw.get("sigma2", 0.0)),
+            assume_noiseless=bool(raw.get("assume_noiseless", False)),
+        )
+
+
+def _synthetic_spec(kind: str, data: dict) -> SyntheticSpec | None:
+    noise = float(data.get("noise_variance", 0.01))
+    if kind in ("synthetic_offset", "rate_sweep"):
+        return doppler_offset_spec(noise, slope=float(data.get("slope", 1.0)))
+    if kind == "synthetic_scale":
+        return doppler_scale_spec(noise, factor=float(data.get("factor", 5.0)))
+    if kind == "selection":
+        true_alpha = float(data.get("true_alpha", 1.0))
+        base = doppler_offset_spec(noise)
+        return SyntheticSpec(
+            source_fn=base.source_fn,
+            target_fn=lambda X: true_alpha * base.source_fn(X)
+            + np.asarray(X)[:, 0],
+            input_sampler=base.input_sampler,
+            noise_variance_source=noise,
+            noise_variance_target=noise,
+        )
+    return None
+
+
+def _target_sizes(kind: str, data: dict, n_ta: int) -> tuple[str, list[int]]:
+    """The key that sets a run's target sample sizes, and the sizes."""
+    if kind == "rate_sweep":
+        return "config.data.n_ta_grid", [int(v) for v in data.get("n_ta_grid", [])]
+    if kind == "csv_transfer" and "n_ta" in data:
+        return "config.data.n_ta", [int(v) for v in np.atleast_1d(data["n_ta"])]
+    return "config.sizes.n_ta", [n_ta]
+
+
+def _check_fold_sizes(method: MethodConfig, n: int, where: str) -> None:
+    if method.grid and n < method.cv_folds:
+        raise ConfigError(f"{where}.cv_folds: {method.cv_folds} folds need a "
+                          f"sample of at least {method.cv_folds} rows, got {n}")
 
 
 def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
@@ -294,19 +288,23 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         )
     _check_keys(raw, _TOP_KEYS, "config")
     data = dict(_require(raw, "data", "config"))
+    _check_keys(data, _DATA_KEYS[kind], "config.data")
     sizes = dict(raw.get("sizes", {}))
     _check_keys(sizes, _SIZE_KEYS, "config.sizes")
-    n_so = int(sizes.get("n_so", 0))
-    n_ta = int(sizes.get("n_ta", 0))
-    n_val = int(sizes.get("n_val", 0))
-    n_test = int(sizes.get("n_test", 1000))
-    if kind != "csv_transfer":
-        if n_so < 1:
-            raise ConfigError("config.sizes.n_so must be positive")
-        if n_ta < 1 and kind != "rate_sweep":
-            raise ConfigError("config.sizes.n_ta must be positive")
-    if kind == "rate_sweep" and len(data.get("n_ta_grid", [])) < 3:
+    with _section("config.sizes"):
+        n_so = int(sizes.get("n_so", 0))
+        n_ta = int(sizes.get("n_ta", 0))
+        n_val = int(sizes.get("n_val", 0))
+        n_test = int(sizes.get("n_test", 1000))
+    if kind != "csv_transfer" and min(n_so, n_test) < 1:
+        raise ConfigError("config.sizes: n_so and n_test must be positive")
+    with _section("config.data"):
+        synthetic = _synthetic_spec(kind, data)
+        ta_key, n_ta_values = _target_sizes(kind, data, n_ta)
+    if kind == "rate_sweep" and len(n_ta_values) < 3:
         raise ConfigError("config.data.n_ta_grid needs at least 3 sizes")
+    if not n_ta_values or min(n_ta_values) < 1:
+        raise ConfigError(f"{ta_key} must be positive, got {n_ta_values}")
     methods = dict(_require(raw, "methods", "config"))
     _check_keys(methods, ("source", "target", "baselines"), "config.methods")
     source_method = parse_method(
@@ -315,6 +313,9 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     target_method = parse_method(
         dict(_require(methods, "target", "config.methods")), "config.methods.target"
     )
+    if n_so >= 1:  # an unset csv_transfer n_so is checked once the CSV is loaded
+        _check_fold_sizes(source_method, n_so, "config.methods.source")
+    _check_fold_sizes(target_method, min(n_ta_values), "config.methods.target")
     baselines = tuple(methods.get("baselines", ["only_target"]))
     for b in baselines:
         if b not in BUILTIN_BASELINES and b not in _BASELINE_REGISTRY:
@@ -326,7 +327,11 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         parse_transformation(dict(t), f"config.transformations[{i}]")
         for i, t in enumerate(raw.get("transformations", []))
     )
-    selection_family = raw.get("selection_family")
+    selection_family = None
+    if raw.get("selection_family") is not None:
+        with _section("config.selection_family"):
+            selection_family = QuantizedFamily(**{"L_a": 1.0,
+                                                  **raw["selection_family"]})
     if kind == "selection":
         if selection_family is None:
             raise ConfigError("config.selection_family required for selection runs")
@@ -334,20 +339,20 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
             raise ConfigError("config.sizes.n_val must be positive for selection")
     seeds = parse_seeds(_require(raw, "seeds", "config"), "config.seeds")
     output_dir = Path(raw.get("output_dir", "htlreg_out"))
-    if base_dir is not None:
-        for key in ("source_csv", "target_csv"):
-            if key in data and not Path(data[key]).is_absolute():
-                data[key] = str(base_dir / data[key])
-        if not output_dir.is_absolute():
-            output_dir = base_dir / output_dir
+    if base_dir is not None and not output_dir.is_absolute():
+        output_dir = base_dir / output_dir
     if kind == "csv_transfer":
         for key in ("source_csv", "target_csv"):
             p = Path(_require(data, key, "config.data"))
+            if base_dir is not None and not p.is_absolute():
+                p = base_dir / p
+                data[key] = str(p)
             if not p.exists():
                 raise ConfigError(f"config.data.{key}: no such file: {p}")
     return ExperimentConfig(
         experiment_kind=kind,
         data=data,
+        synthetic=synthetic,
         n_so=n_so,
         n_ta=n_ta,
         n_val=n_val,
@@ -488,28 +493,6 @@ def _grid_cv_krr(data, candidates, parts, kernel) -> np.ndarray:
 # experiment execution
 
 
-def _synthetic_spec(config: ExperimentConfig) -> SyntheticSpec:
-    d = config.data
-    noise = float(d.get("noise_variance", 0.01))
-    kind = config.experiment_kind
-    if kind in ("synthetic_offset", "rate_sweep"):
-        return doppler_offset_spec(noise, slope=float(d.get("slope", 1.0)))
-    if kind == "synthetic_scale":
-        return doppler_scale_spec(noise, factor=float(d.get("factor", 5.0)))
-    if kind == "selection":
-        true_alpha = float(d.get("true_alpha", 1.0))
-        base = doppler_offset_spec(noise)
-        return SyntheticSpec(
-            source_fn=base.source_fn,
-            target_fn=lambda X: true_alpha * base.source_fn(X)
-            + np.asarray(X)[:, 0],
-            input_sampler=base.input_sampler,
-            noise_variance_source=noise,
-            noise_variance_target=noise,
-        )
-    raise ConfigError(f"no synthetic generator for kind {kind!r}")
-
-
 @dataclass
 class SeedData:
     source: Dataset
@@ -520,7 +503,7 @@ class SeedData:
 
 
 def _generate_seed_data(config: ExperimentConfig, seed: int, n_ta: int) -> SeedData:
-    spec = _synthetic_spec(config)
+    spec = config.synthetic
     source = generate_synthetic(spec, config.n_so, DomainTag.SOURCE,
                                 child_seed(seed, _SOURCE))
     target = generate_synthetic(spec, n_ta, DomainTag.TARGET,
@@ -540,7 +523,7 @@ def _synthetic_cells(config: ExperimentConfig, seed: int) -> list[tuple]:
 
 
 def _rate_sweep_cells(config: ExperimentConfig, seed: int) -> list[tuple]:
-    spec = _synthetic_spec(config)
+    spec = config.synthetic
     source = generate_synthetic(spec, config.n_so, DomainTag.SOURCE,
                                 child_seed(seed, _SOURCE))
     cells = []
@@ -559,15 +542,15 @@ def _csv_cells(config: ExperimentConfig) -> Callable[[int], list[tuple]]:
     source_full = replace(load_csv(config.data["source_csv"], label_column),
                           domain_tag=DomainTag.SOURCE)
     target_full = load_csv(config.data["target_csv"], label_column)
-    n_ta_values = [int(v) for v in np.atleast_1d(config.data.get("n_ta", config.n_ta))]
-    if not n_ta_values or min(n_ta_values) < 1:
-        raise ConfigError("config.data.n_ta must list positive target sizes")
+    _, n_ta_values = _target_sizes("csv_transfer", config.data, config.n_ta)
     if max(n_ta_values) >= target_full.n:
         raise ConfigError(
             f"config.data.n_ta: largest size {max(n_ta_values)} leaves no "
             f"test rows out of {target_full.n}"
         )
     n_so = config.n_so if config.n_so >= 1 else source_full.n
+    _check_fold_sizes(config.source_method, min(n_so, source_full.n),
+                      "config.methods.source")
 
     def rows(idx: np.ndarray) -> Dataset:
         return Dataset(features=target_full.features[idx],
@@ -604,8 +587,6 @@ def _fit_baseline(
 ) -> Predictor:
     if name == "only_target":
         return ta_spec.fit(data.target)
-    if name == "only_source":
-        return so_spec.fit(data.source)
     if name == "combined":
         pooled = _pooled(data)
         spec = config.target_method.resolve(pooled, child_seed(seed, _CV_TARGET))
@@ -615,8 +596,8 @@ def _fit_baseline(
 
 def _method_roster(config: ExperimentConfig) -> list[tuple[str, object]]:
     roster: list[tuple[str, object]] = [(b, b) for b in config.baselines]
-    for tcfg in config.transformations:
-        roster.append((f"htl_{tcfg.transformation.label}", tcfg))
+    for est in config.transformations:
+        roster.append((f"htl_{est.transformation.label}", est))
     return roster
 
 
@@ -640,7 +621,8 @@ def _run_cells(config: ExperimentConfig, make_cells: Callable[[int], list[tuple]
     """Fit and score every method on each (n_ta, SeedData) cell of each seed.
 
     A seed's cells share one source sample, so the source stage is resolved
-    once per seed and f_so_hat fit at most once. An HTL method builds its
+    once per seed and f_so_hat fit at most once, for only_source and every
+    HTL method. An HTL method builds its
     auxiliary sample once, for both the target-stage CV and the fit.
     Returns the rows, the failures, and the first cell's data and predictors.
     """
@@ -660,17 +642,19 @@ def _run_cells(config: ExperimentConfig, make_cells: Callable[[int], list[tuple]
                 cell = {"method": name, "n_ta": n_ta, "seed": seed}
                 cell = {k: v for k, v in cell.items() if v is not None}
                 try:
-                    if not isinstance(item, TransformConfig):
-                        pred = _fit_baseline(name, data, config, seed,
-                                             so_spec, ta_spec)
-                    else:
-                        if f_so_hat is None:
-                            f_so_hat = so_spec.fit(source)
-                        aux, _ = construct_auxiliary(data.target, f_so_hat,
-                                                     item.estimator())
+                    htl = isinstance(item, AuxiliaryEstimator)
+                    if f_so_hat is None and (htl or name == "only_source"):
+                        f_so_hat = so_spec.fit(source)
+                    if htl:
+                        aux, _ = construct_auxiliary(data.target, f_so_hat, item)
                         w_spec = config.target_method.resolve(aux, cv_seed)
                         pred = HTLPredictor(f_so_hat, w_spec.fit(aux),
                                             item.transformation)
+                    elif name == "only_source":
+                        pred = f_so_hat
+                    else:
+                        pred = _fit_baseline(name, data, config, seed,
+                                             so_spec, ta_spec)
                     predictors[name] = pred
                     rows.append({**cell, **_score(pred, data, seed)})
                 except Exception as exc:  # recorded, run continues
@@ -690,7 +674,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     report = _run_selection(config) if kind == "selection" else _run_transfer(config)
     report["experiment_kind"] = kind
     report["toolkit_version"] = __version__
-    report["config"] = config.raw
+    report["config"] = {**config.raw, "seeds": list(config.seeds)}
     _write_artifacts(config, report)
     return report
 
@@ -771,12 +755,7 @@ def _prediction_series(data: SeedData, predictors: dict[str, Predictor]) -> list
 
 
 def _run_selection(config: ExperimentConfig) -> dict:
-    fam_cfg = config.selection_family
-    family = quantize_offset_family(
-        L_alpha=float(_require(fam_cfg, "L_alpha", "config.selection_family")),
-        L_a=float(fam_cfg.get("L_a", 1.0)),
-        K=int(_require(fam_cfg, "K", "config.selection_family")),
-    )
+    family = config.selection_family
     rows: list[dict] = []
     errors: list[dict] = []
     candidate_mses: dict[str, list[float]] = {m.label: [] for m in family.members}

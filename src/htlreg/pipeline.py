@@ -45,6 +45,9 @@ class BandwidthRule:
     alpha: float = 1.0
     c: float = 1.0
 
+    def __post_init__(self):
+        ks_bandwidth_rule(1, 1, self.alpha, self.c)  # raises on a bad alpha or c
+
 
 @dataclass(frozen=True)
 class LambdaRule:
@@ -53,6 +56,9 @@ class LambdaRule:
     beta: float = 1.0
     p: float = 0.5
     c: float = 1.0
+
+    def __post_init__(self):
+        krr_lambda_rule(1, self.beta, self.p, self.c)  # raises on a bad beta, p or c
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,8 @@ class KSSpec:
     def __post_init__(self):
         if (self.bandwidth is None) == (self.rule is None):
             raise ValueError("exactly one of bandwidth or rule must be given")
+        if self.bandwidth is not None and not self.bandwidth > 0:
+            raise ValueError(f"bandwidth must be positive, got {self.bandwidth:g}")
 
     def resolve_bandwidth(self, train: Dataset) -> float:
         if self.bandwidth is not None:
@@ -87,6 +95,8 @@ class KRRSpec:
     def __post_init__(self):
         if (self.lam is None) == (self.rule is None):
             raise ValueError("exactly one of lam or rule must be given")
+        if self.lam is not None and not self.lam >= 0:
+            raise ValueError(f"lambda must be nonnegative, got {self.lam:g}")
 
     def resolve_lambda(self, train: Dataset) -> float:
         if self.lam is not None:

@@ -55,8 +55,8 @@ class RKHSKernel:
             if self.lengthscale is not None and self.lengthscale <= 0:
                 raise ValueError("rbf lengthscale must be positive")
         if self.shape is KernelShape.POLYNOMIAL:
-            if self.degree < 1:
-                raise ValueError("polynomial degree must be >= 1")
+            if self.degree < 1 or self.degree != int(self.degree):
+                raise ValueError("polynomial degree must be an integer >= 1")
             if self.offset < 0:
                 raise ValueError("polynomial offset must be >= 0")
 
@@ -209,4 +209,6 @@ def krr_lambda_rule(n: int, beta: float, p: float, c: float = 1.0) -> float:
         raise ValueError("beta must be > 0")
     if not 0 < p < 1:
         raise ValueError(f"p must lie in (0, 1), got {p}")
+    if not c > 0:
+        raise ValueError(f"c must be > 0, got {c}")
     return c * float(n) ** (-1.0 / (beta + p))

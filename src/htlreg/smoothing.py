@@ -142,4 +142,6 @@ def ks_bandwidth_rule(n: int, d: int, alpha: float, c: float = 1.0) -> float:
         raise ValueError("d must be >= 1")
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if not c > 0:
+        raise ValueError(f"c must be > 0, got {c}")
     return c * float(n) ** (-1.0 / (2.0 * alpha + d))

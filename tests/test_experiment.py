@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from htlreg.pipeline import KRRSpec, KSSpec, construct_auxiliary
 from htlreg.ridge import rbf_kernel
 from htlreg.smoothing import SmoothingKernel
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 def base_config(**overrides):
     cfg = {
@@ -40,6 +43,17 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def _selection(cfg, **family):
+    """Turn a base config into a selection run over the given family section."""
+    cfg.update(experiment_kind="selection", data={"noise_variance": 0.01},
+               selection_family=family)
+    cfg["sizes"]["n_val"] = 20
+
+
+def _target(cfg, section):
+    cfg["methods"]["target"] = section
 
 
 class TestConfigParsing:
@@ -120,6 +134,37 @@ class TestConfigParsing:
             "method": "krr", "lambda_grid": [0.1, -0.1]}), [], "lambda_grid"),
         (lambda c: c.update(seeds=[0, -1]), [], "seeds"),
         (lambda c: None, ["--seeds", "-1"], "--seeds"),
+        (lambda c: c.update(transformations=[{"family": "loglinear", "beta": 1.0}]),
+         [], "transformations[0]"),
+        (lambda c: c["transformations"][0].update(estimator_mode="calibrated"),
+         [], "transformations[0]"),
+        (lambda c: c.update(transformations=[{
+            "family": "loglinear", "beta": 1.0, "estimator_mode": "calibrated",
+            "sigma2": -1}]), [], "sigma2"),
+        (lambda c: _target(c, {"method": "ks", "bandwidth_rule": {"alpha": 2.0}}),
+         [], "bandwidth_rule"),
+        (lambda c: _target(c, {"method": "krr", "lambda_rule": {"p": 1.5}}),
+         [], "lambda_rule"),
+        (lambda c: c["transformations"][0].update(aux_bound_B=0), [],
+         "aux_bound_B"),
+        (lambda c: c["transformations"][0].update(lipschitz_L=-1), [],
+         "lipschitz_L"),
+        (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": {
+            "shape": "rbf", "lengthscale": -1}}), [], "lengthscale"),
+        (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": {
+            "shape": "polynomial", "degree": 0}}), [], "degree"),
+        (lambda c: c["sizes"].update(n_so="abc"), [], "config.sizes"),
+        (lambda c: _selection(c, L_alpha=2.0, K=0), [], "selection_family"),
+        (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": {
+            "shape": "rbf", "lenghtscale": 0.5}}), [], "lenghtscale"),
+        (lambda c: _target(c, {"method": "ks", "bandwidth_rule": {"alpah": 0.5}}),
+         [], "alpah"),
+        (lambda c: _selection(c, L_alpha=2.0, Kk=3), [], "Kk"),
+        (lambda c: (c["sizes"].update(n_ta=5), _target(
+            c, {"method": "ks", "bandwidth_grid": [0.1, 0.2], "cv_folds": 10})), [],
+         "cv_folds"),
+        (lambda c: c["data"].update(slop=3), [], "slop"),
+        (lambda c: c["data"].update(noise_variance=-1), [], "config.data"),
     ])
     def test_invalid_config_fails_at_parse_time_naming_the_key(
         self, tmp_path, capsys, edit, argv, key
@@ -287,9 +332,15 @@ class TestRunExperiment:
         cfg = _csv_transfer_config(tmp_path)
         cfg["methods"]["source"] = {"method": "ks", "kernel": "epanechnikov",
                                     "bandwidth_grid": [0.1, 0.3], "cv_folds": 3}
+        cfg["methods"]["baselines"] = ["only_target", "only_source"]
         cfg["transformations"] = [{"family": "offset", "alpha": 1.0},
                                   {"family": "offset", "alpha": 0.5}]
-        source_cvs, aux_builds = [], []
+        source_cvs, aux_builds, source_fits = [], [], []
+        fit = KSSpec.fit
+
+        def counting_fit(spec, train):
+            source_fits.append(train.domain_tag is DomainTag.SOURCE)
+            return fit(spec, train)
 
         def counting_cv(data, *args):
             source_cvs.append(data.domain_tag is DomainTag.SOURCE)
@@ -300,12 +351,14 @@ class TestRunExperiment:
             return construct_auxiliary(*args)
 
         monkeypatch.setattr(experiment, "grid_search_cv", counting_cv)
+        monkeypatch.setattr(KSSpec, "fit", counting_fit)
         for module in (experiment, pipeline):
             monkeypatch.setattr(module, "construct_auxiliary", counting_aux)
         report = run_experiment(parse_config(cfg))
         assert not report["errors"]
         seeds, n_ta_values, htl_methods = 2, 2, 2
         assert sum(source_cvs) == seeds
+        assert sum(source_fits) == seeds
         assert len(aux_builds) == htl_methods * n_ta_values * seeds
 
 
@@ -355,6 +408,21 @@ class TestCli:
         assert code == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert sorted({r["seed"] for r in report["rows"]}) == [5, 6]
+        assert report["config"]["seeds"] == [5, 6]
+
+    def test_shipped_configs_parse(self, tmp_path):
+        for domain, n, seed in (("source", 1000, 0), ("target", 500, 1)):
+            assert cli_main(["synth", "--dataset", "kin_analog", "--n", str(n),
+                             "--domain", domain, "--seed", str(seed),
+                             "--out", str(tmp_path / f"kin_{domain}.csv")]) == 0
+        paths = sorted(CONFIGS.glob("*.json"))
+        assert len(paths) == 5
+        for path in paths:
+            copy = tmp_path / path.name
+            copy.write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+            config = load_config(copy)
+            raw = json.loads(copy.read_text(encoding="utf-8"))
+            assert len(config.transformations) == len(raw.get("transformations", []))
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
