@@ -63,8 +63,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_seeds_value(argv: list[str]) -> list[str]:
+    """Spell ``--seeds V`` as ``--seeds=V``: argparse reads a value such as
+    ``-1,2`` as an option and would exit before parse_seeds names the key."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--seeds":
+            out[-1] = f"--seeds={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_seeds_value(argv))
     try:
         if args.verb == "synth":
             return _cmd_synth(args)

@@ -52,6 +52,8 @@ class Dataset:
             )
         if features.shape[0] < 1:
             raise ValueError("dataset must contain at least one row")
+        if not (np.isfinite(features).all() and np.isfinite(labels).all()):
+            raise ValueError("features and labels must be finite")
         if self.x_bound < 0 or self.y_bound < 0:
             raise ValueError("bounds must be nonnegative")
         if self.x_bound > 0:

@@ -46,7 +46,7 @@ from .pipeline import (
     select_transformation,
 )
 from .ridge import KernelShape, RKHSKernel, gram, median_heuristic, ridge_solve
-from .smoothing import SmoothingKernel, predict_from_kernel
+from .smoothing import SmoothingKernel, predict_from_kernel, predict_sorted_1d
 from .transform import (
     AuxiliaryEstimator,
     EstimatorMode,
@@ -155,12 +155,25 @@ def _check_keys(cfg: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
 
 
+def _integer(value, where: str) -> int:
+    """``value`` as an int. Integral floats such as 100.0 and integer strings
+    pass; fractions, booleans and other values are a ConfigError."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}") from None
+
+
 def parse_seeds(values, where: str) -> tuple[int, ...]:
     """Seeds as a nonempty tuple of nonnegative ints."""
     try:
-        seeds = tuple(int(s) for s in values)
-    except (TypeError, ValueError):
+        values = list(values)
+    except TypeError:
         raise ConfigError(f"{where}: cannot parse {values!r}") from None
+    seeds = tuple(_integer(s, where) for s in values)
     if not seeds or min(seeds) < 0:
         raise ConfigError(f"{where}: seeds must be a nonempty list of nonnegative "
                           f"ints, got {values!r}")
@@ -224,7 +237,7 @@ def parse_method(raw: dict, where: str) -> MethodConfig:
             values = raw[key] if key == grid_key else [raw[key]]
             specs = tuple(spec_type(kernel, **{field_name: float(v)}) for v in values)
     with _section(where):
-        cv_folds = int(raw.get("cv_folds", 10))
+        cv_folds = _integer(raw.get("cv_folds", 10), f"{where}.cv_folds")
         if key == grid_key:
             return MethodConfig(None, specs, cv_folds)
         return MethodConfig(specs[0], cv_folds=cv_folds)
@@ -268,10 +281,14 @@ def _synthetic_spec(kind: str, data: dict) -> SyntheticSpec | None:
 def _target_sizes(kind: str, data: dict, n_ta: int) -> tuple[str, list[int]]:
     """The key that sets a run's target sample sizes, and the sizes."""
     if kind == "rate_sweep":
-        return "config.data.n_ta_grid", [int(v) for v in data.get("n_ta_grid", [])]
-    if kind == "csv_transfer" and "n_ta" in data:
-        return "config.data.n_ta", [int(v) for v in np.atleast_1d(data["n_ta"])]
-    return "config.sizes.n_ta", [n_ta]
+        key, values = "config.data.n_ta_grid", data.get("n_ta_grid", [])
+    elif kind == "csv_transfer" and "n_ta" in data:
+        key, values = "config.data.n_ta", data["n_ta"]
+        if not isinstance(values, list):
+            values = [values]
+    else:
+        return "config.sizes.n_ta", [n_ta]
+    return key, [_integer(v, key) for v in values]
 
 
 def _check_fold_sizes(method: MethodConfig, n: int, where: str) -> None:
@@ -291,11 +308,10 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     _check_keys(data, _DATA_KEYS[kind], "config.data")
     sizes = dict(raw.get("sizes", {}))
     _check_keys(sizes, _SIZE_KEYS, "config.sizes")
-    with _section("config.sizes"):
-        n_so = int(sizes.get("n_so", 0))
-        n_ta = int(sizes.get("n_ta", 0))
-        n_val = int(sizes.get("n_val", 0))
-        n_test = int(sizes.get("n_test", 1000))
+    n_so, n_ta, n_val, n_test = (
+        _integer(sizes.get(key, default), f"config.sizes.{key}")
+        for key, default in zip(_SIZE_KEYS, (0, 0, 0, 1000))
+    )
     if kind != "csv_transfer" and min(n_so, n_test) < 1:
         raise ConfigError("config.sizes: n_so and n_test must be positive")
     with _section("config.data"):
@@ -452,6 +468,8 @@ def _grid_cv_fast(data, candidates, parts) -> np.ndarray | None:
 
 
 def _grid_cv_ks(data, candidates, parts, kernel) -> np.ndarray:
+    if data.dim == 1 and kernel.compact:
+        return _grid_cv_ks_sorted(data, candidates, parts, kernel)
     all_idx = np.arange(data.n)
     scores = np.zeros(len(candidates))
     for test_idx in parts:
@@ -466,6 +484,25 @@ def _grid_cv_ks(data, candidates, parts, kernel) -> np.ndarray:
             # temporary on return and measured slower from allocator effects.
             raw = kernel.profile_sq(sq / (spec.bandwidth * spec.bandwidth))
             preds = predict_from_kernel(raw, sq, y_train)
+            scores[j] += float(np.mean((y_test - preds) ** 2))
+    return scores / len(parts)
+
+
+def _grid_cv_ks_sorted(data, candidates, parts, kernel) -> np.ndarray:
+    """Windowed 1-D CV: one stable sort of the sample serves every fold and
+    bandwidth; a fold's training points keep their sorted order."""
+    x = data.features[:, 0]
+    order = np.argsort(x, kind="stable")
+    scores = np.zeros(len(candidates))
+    for test_idx in parts:
+        in_train = np.ones(data.n, dtype=bool)
+        in_train[test_idx] = False
+        train_order = order[in_train[order]]
+        xs, y_train = x[train_order], data.labels[train_order]
+        queries, y_test = x[test_idx], data.labels[test_idx]
+        for j, spec in enumerate(candidates):
+            preds = predict_sorted_1d(xs, y_train, train_order, queries, kernel,
+                                      spec.bandwidth)
             scores[j] += float(np.mean((y_test - preds) ** 2))
     return scores / len(parts)
 

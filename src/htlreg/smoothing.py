@@ -9,12 +9,18 @@ positive at 0, nonincreasing, and (except for the plain gaussian shape)
 supported on [0, 1]; all shapes have finite second moment. When a query
 falls outside every kernel window, the prediction falls back to the nearest
 training point's label, ties going to the lowest index.
+
+For 1-D data and a compact-support kernel, predictions only visit the
+training points inside each query's window [q - h, q + h], found by binary
+search in the sorted features (windowed Nadaraya-Watson evaluation, Fan &
+Marron 1994); everything else evaluates the dense (m, n) kernel matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -29,6 +35,11 @@ class SmoothingKernel(Enum):
     EPANECHNIKOV = "epanechnikov"
     TRUNCATED_GAUSSIAN = "truncated_gaussian"
     GAUSSIAN = "gaussian"
+
+    @property
+    def compact(self) -> bool:
+        """True when K vanishes beyond u = 1."""
+        return self is not SmoothingKernel.GAUSSIAN
 
     def profile(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -68,11 +79,111 @@ def predict_from_kernel(
     return out
 
 
+# Window pairs are evaluated in blocks of consecutive queries holding about
+# this many pairs, so the 512 KB temporaries are reused from the heap.
+# Temporaries spanning every pair of a call are mapped afresh each time, and
+# their page faults cost about as much as the arithmetic.
+_BLOCK_PAIRS = 1 << 16
+
+
+def predict_sorted_1d(
+    xs: np.ndarray,
+    labels: np.ndarray,
+    ranks: np.ndarray,
+    queries: np.ndarray,
+    kernel: SmoothingKernel,
+    h: float,
+) -> np.ndarray:
+    """Predictions at 1-D ``queries`` from training points ``xs`` sorted
+    ascending by a stable sort, for a compact-support ``kernel``.
+
+    ``labels`` are in the same order as ``xs``; ``ranks`` are the training
+    points' original indices, which break nearest-neighbour ties. Only the
+    pairs inside each query's window are evaluated, on the same
+    (q - x)^2 / (h * h) values as the dense path, so results differ from
+    ``predict_from_kernel`` by float summation order only.
+    """
+    m = len(queries)
+    lo, counts = _windows(xs, queries, h)
+    sums, weighted = np.zeros(m), np.zeros(m)
+    for block in _blocks(counts):
+        runs = counts[block]
+        cols = _pair_columns(lo[block], runs)
+        sq = np.repeat(queries[block], runs)
+        sq -= xs[cols]
+        sq *= sq
+        sq /= h * h
+        raw = kernel.profile_sq(sq)
+        sums[block] = _segment_sums(raw, runs)
+        raw *= labels[cols]
+        weighted[block] = _segment_sums(raw, runs)
+    out = np.empty(m)
+    live = sums > 0.0
+    out[live] = weighted[live] / sums[live]
+    if not live.all():
+        dead = ~live
+        out[dead] = labels[_nearest_sorted_1d(xs, ranks, queries[dead])]
+    return out
+
+
+def _windows(xs, queries, radius):
+    """Start and length of each query's run of sorted ``xs`` within
+    ``radius``. The window is padded so that no point whose rounded distance
+    meets the radius is missed; the extra points are evaluated like any
+    other."""
+    reach = radius + 1e-9 * (radius + np.abs(queries))
+    lo = np.searchsorted(xs, queries - reach, side="left")
+    return lo, np.searchsorted(xs, queries + reach, side="right") - lo
+
+
+def _blocks(counts) -> list[slice]:
+    """Slices of consecutive queries holding about _BLOCK_PAIRS pairs each."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    cuts = np.searchsorted(ends, np.arange(_BLOCK_PAIRS, total, _BLOCK_PAIRS))
+    bounds = [0, *cuts.tolist(), len(counts)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+def _pair_columns(lo, counts) -> np.ndarray:
+    """Training positions of the flattened window pairs, query by query."""
+    cols = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    cols += np.arange(len(cols))
+    return cols
+
+
+def _segment_sums(values, counts) -> np.ndarray:
+    """Sums of the consecutive runs of ``values`` with the given lengths."""
+    out = np.zeros(len(counts))
+    filled = counts > 0
+    if filled.any():
+        out[filled] = np.add.reduceat(values, (np.cumsum(counts) - counts)[filled])
+    return out
+
+
+def _nearest_sorted_1d(xs, ranks, queries) -> np.ndarray:
+    """Positions in sorted ``xs`` of each query's nearest training point by
+    rounded squared distance, ties going to the lowest rank: the point that
+    ``argmin`` over the dense row picks."""
+    right = np.minimum(np.searchsorted(xs, queries), len(xs) - 1)
+    left = np.maximum(right - 1, 0)
+    near = np.minimum(np.abs(queries - xs[left]), np.abs(queries - xs[right]))
+    # every point whose rounded squared distance equals the nearest one's
+    lo, counts = _windows(xs, queries, near)
+    cols = _pair_columns(lo, counts)
+    rows = np.repeat(np.arange(len(queries)), counts)
+    diff = queries[rows] - xs[cols]
+    by_distance = np.lexsort((ranks[cols], diff * diff, rows))
+    return cols[by_distance[np.cumsum(counts) - counts]]
+
+
 @dataclass(frozen=True)
 class KSPredictor:
     """A fitted kernel smoother: the training sample plus (kernel, h).
 
-    Immutable; prediction at distinct queries is safe to run concurrently.
+    Immutable apart from a sort of the training points cached on first use
+    (recomputing it is harmless); prediction at distinct queries is safe to
+    run concurrently.
     """
 
     train: Dataset
@@ -83,12 +194,24 @@ class KSPredictor:
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
 
-    def _raw(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unnormalized kernel values and squared query-train distances."""
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """1-D training features in stable sorted order, their labels and
+        original indices; computed on first use."""
+        order = np.argsort(self.train.features[:, 0], kind="stable")
+        return self.train.features[order, 0], self.train.labels[order], order
+
+    def _check_queries(self, X: np.ndarray) -> None:
         if X.shape[1] != self.train.dim:
             raise ValueError(
                 f"query dim {X.shape[1]} != training dim {self.train.dim}"
             )
+        if not np.isfinite(X).all():
+            raise ValueError("queries must be finite")
+
+    def _raw(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unnormalized kernel values and squared query-train distances."""
+        self._check_queries(X)
         sq = cdist(X, self.train.features, metric="sqeuclidean")
         raw = self.kernel.profile_sq(sq / (self.bandwidth * self.bandwidth))
         return raw, sq
@@ -114,6 +237,11 @@ class KSPredictor:
 
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.train.dim == 1 and self.kernel.compact:
+            self._check_queries(X)
+            xs, labels, order = self._sorted
+            return predict_sorted_1d(xs, labels, order, X[:, 0], self.kernel,
+                                     self.bandwidth)
         raw, sq = self._raw(X)
         return predict_from_kernel(raw, sq, self.train.labels)
 

@@ -55,6 +55,13 @@ class TestDataset:
         with pytest.raises(ValueError, match="y_bound"):
             Dataset(features=[[0.5]], labels=[3.0], y_bound=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(features=[[0.0], [bad]], labels=[0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(features=[[0.0], [1.0]], labels=[bad, 1.0])
+
     def test_immutable_arrays(self):
         ds = Dataset(features=[[1.0], [2.0]], labels=[1.0, 2.0])
         with pytest.raises(ValueError):
@@ -141,6 +148,12 @@ class TestLoadCsv:
         path = tmp_path / "t.csv"
         path.write_text("x,y\n0,1\nfoo,3\n")
         with pytest.raises(CsvError, match=r"line 3.*column 'x'"):
+            load_csv(path, "y")
+
+    def test_non_finite_cell_names_row_and_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("x,y\n0,1\n2,nan\n")
+        with pytest.raises(CsvError, match=r"non-finite.*line 3.*column 'y'"):
             load_csv(path, "y")
 
     def test_missing_file(self, tmp_path):

@@ -56,6 +56,10 @@ def _target(cfg, section):
     cfg["methods"]["target"] = section
 
 
+def _kind(cfg, kind, **data):
+    cfg.update(experiment_kind=kind, data=data)
+
+
 class TestConfigParsing:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="experiment_kind"):
@@ -102,6 +106,16 @@ class TestConfigParsing:
         path.write_text(json.dumps(cfg))
         parsed = load_config(path)
         assert parsed.data["source_csv"] == str(tmp_path / "src.csv")
+
+    def test_integral_floats_parse_as_ints(self):
+        cfg = base_config(seeds=[1.0])
+        cfg["sizes"]["n_ta"] = 40.0
+        _target(cfg, {"method": "ks", "bandwidth_grid": [0.1, 0.2],
+                      "cv_folds": 5.0})
+        parsed = parse_config(cfg)
+        assert (parsed.n_ta, parsed.target_method.cv_folds, parsed.seeds) == (
+            40, 5, (1,))
+        assert type(parsed.n_ta) is int
 
     def test_missing_csv_rejected_at_parse_time(self, tmp_path):
         cfg = base_config(
@@ -165,6 +179,18 @@ class TestConfigParsing:
          "cv_folds"),
         (lambda c: c["data"].update(slop=3), [], "slop"),
         (lambda c: c["data"].update(noise_variance=-1), [], "config.data"),
+        (lambda c: None, ["--seeds", "-1,2"], "--seeds"),
+        (lambda c: c["sizes"].update(n_ta=40.9), [], "config.sizes.n_ta"),
+        (lambda c: c["sizes"].update(n_test=True), [], "config.sizes.n_test"),
+        (lambda c: _target(c, {"method": "ks", "bandwidth_grid": [0.1, 0.2],
+                               "cv_folds": 3.9}), [], "target.cv_folds"),
+        (lambda c: c.update(seeds=[1.7]), [], "config.seeds"),
+        (lambda c: c.update(seeds=[0, True]), [], "config.seeds"),
+        (lambda c: _kind(c, "rate_sweep", n_ta_grid=[25, 50.5, 100]), [],
+         "config.data.n_ta_grid"),
+        (lambda c: _kind(c, "csv_transfer", source_csv="s.csv",
+                         target_csv="t.csv", n_ta=[20, 40.9]), [],
+         "config.data.n_ta"),
     ])
     def test_invalid_config_fails_at_parse_time_naming_the_key(
         self, tmp_path, capsys, edit, argv, key
@@ -220,12 +246,24 @@ class TestGridSearchCv:
 
     def test_ks_fast_path_matches_generic(self):
         data = _noisy_linear_data(n=50, noise=0.1)
-        candidates = [KSSpec(SmoothingKernel.EPANECHNIKOV, bandwidth=h)
-                      for h in (0.02, 0.1, 0.5)]
-        parts = cv_folds_indices(data.n, 5, seed=3)
-        fast = _grid_cv_fast(data, candidates, parts)
-        generic = _grid_cv_generic(data, candidates, parts)
-        np.testing.assert_allclose(fast, generic, atol=1e-12)
+        # a shuffled dyadic grid with every third point repeated: below the
+        # 1/32 spacing, a query without a training twin takes the nearest
+        # label, mostly on an exact tie between its left and right neighbours
+        rng = np.random.default_rng(6)
+        xs = rng.permutation(np.r_[np.arange(33), np.arange(0, 33, 3)]) / 32
+        repeated = Dataset(features=xs.reshape(-1, 1),
+                           labels=rng.normal(size=len(xs)))
+        parts = cv_folds_indices(repeated.n, 5, seed=3)
+        for test_idx in parts:
+            train_x = np.delete(xs, test_idx)
+            assert not np.isin(xs[test_idx], train_x).all()
+        for data, hs in ((data, (0.02, 0.1, 0.5)), (repeated, (0.01, 0.05, 0.2))):
+            candidates = [KSSpec(SmoothingKernel.EPANECHNIKOV, bandwidth=h)
+                          for h in hs]
+            parts = cv_folds_indices(data.n, 5, seed=3)
+            fast = _grid_cv_fast(data, candidates, parts)
+            generic = _grid_cv_generic(data, candidates, parts)
+            np.testing.assert_allclose(fast, generic, atol=1e-12)
 
     def test_krr_fast_path_matches_generic(self):
         data = _noisy_linear_data(n=40, noise=0.1)

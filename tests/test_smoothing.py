@@ -2,9 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from htlreg import smoothing
 from htlreg.data import Dataset
-from htlreg.smoothing import KSPredictor, SmoothingKernel, ks_bandwidth_rule, ks_fit
+from htlreg.smoothing import (
+    KSPredictor,
+    SmoothingKernel,
+    ks_bandwidth_rule,
+    ks_fit,
+    predict_from_kernel,
+)
+
+COMPACT = [k for k in SmoothingKernel if k.compact]
+# dyadic training points repeat and put query midpoints at exact ties
+TRAIN_X = st.integers(0, 32).map(lambda k: k / 32) | st.floats(0.0, 1.0)
+QUERY_X = st.integers(-16, 80).map(lambda k: k / 64) | st.floats(-1.0, 2.0)
+BANDWIDTH = st.sampled_from([1 / 128, 1 / 64, 1 / 32, 0.1]) | st.floats(1e-3, 2.0)
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None)
 
 
 def make(xs, ys):
@@ -101,6 +118,69 @@ class TestPredict:
     def test_fallback_tie_lowest_index(self):
         p = ks_fit(make([0.0, 4.0], [1.0, 2.0]), SmoothingKernel.BOXCAR, 0.5)
         assert p.predict_one([2.0]) == 1.0
+
+    @pytest.mark.parametrize("kernel, dim", [
+        (SmoothingKernel.EPANECHNIKOV, 1),  # window path
+        (SmoothingKernel.GAUSSIAN, 1),
+        (SmoothingKernel.BOXCAR, 2),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_query_rejected(self, kernel, dim, bad):
+        ds = Dataset(features=np.zeros((2, dim)) + [[0.0], [1.0]],
+                     labels=[1.0, 2.0])
+        query = np.zeros((2, dim))
+        query[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ks_fit(ds, kernel, 0.5).predict(query)
+
+
+class TestWindowPath:
+    """1-D compact-support prediction against the dense (m, n) path."""
+
+    @PROPERTY
+    @given(st.lists(TRAIN_X, min_size=1, max_size=25),
+           st.lists(QUERY_X, min_size=1, max_size=20),
+           st.sampled_from(COMPACT), BANDWIDTH, st.randoms(use_true_random=False))
+    @example([0.25, 0.5, 0.25, 0.75, 0.5], [0.375, 0.625, 2.0, -1.0, 0.25],
+             SmoothingKernel.EPANECHNIKOV, 1 / 64, None)
+    # distinct points whose rounded squared distances to the query are equal
+    @example([0.0, 1e-300], [1 / 64], SmoothingKernel.BOXCAR, 1 / 128, None)
+    def test_matches_dense(self, xs, queries, kernel, h, rnd):
+        labels = list(range(len(xs)))  # distinct, so a wrong tie-break shows
+        if rnd is not None:
+            rnd.shuffle(labels)
+        p = ks_fit(make(xs, labels), kernel, h)
+        Q = np.asarray(queries).reshape(-1, 1)
+        dense = predict_from_kernel(*p._raw(Q), p.train.labels)
+        np.testing.assert_allclose(p.predict(Q), dense, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("block_pairs", [1, 7, 1 << 16])
+    def test_blocks_match_dense(self, monkeypatch, block_pairs):
+        monkeypatch.setattr(smoothing, "_BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(11)
+        xs = rng.integers(0, 40, size=60) / 40
+        p = ks_fit(make(xs, rng.normal(size=60)),
+                   SmoothingKernel.TRUNCATED_GAUSSIAN, 0.06)
+        # queries past either end have empty windows and take the nearest label
+        Q = np.r_[rng.uniform(-0.5, 1.5, size=50), np.arange(81) / 80]
+        Q = Q.reshape(-1, 1)
+        dense = predict_from_kernel(*p._raw(Q), p.train.labels)
+        np.testing.assert_allclose(p.predict(Q), dense, rtol=0, atol=1e-12)
+
+    @PROPERTY
+    @given(st.integers(1, 2), st.integers(1, 20), st.sampled_from(list(SmoothingKernel)),
+           BANDWIDTH, st.data())
+    def test_predictions_stay_inside_label_range(self, d, n, kernel, h, data):
+        coords = st.floats(-1.0, 2.0)
+        X = np.array(data.draw(st.lists(coords, min_size=n * d, max_size=n * d)))
+        y = np.array(data.draw(st.lists(st.floats(-100.0, 100.0), min_size=n,
+                                        max_size=n)))
+        m = data.draw(st.integers(1, 10))
+        Q = np.array(data.draw(st.lists(coords, min_size=m * d, max_size=m * d)))
+        preds = ks_fit(Dataset(features=X.reshape(n, d), labels=y), kernel,
+                       h).predict(Q.reshape(-1, d))
+        tol = 1e-12 * max(1.0, np.abs(y).max())
+        assert np.all(preds >= y.min() - tol) and np.all(preds <= y.max() + tol)
 
 
 class TestStability:
