@@ -45,7 +45,14 @@ from .pipeline import (
     construct_auxiliary,
     select_transformation,
 )
-from .ridge import KernelShape, RKHSKernel, gram, median_heuristic, ridge_solve
+from .ridge import (
+    ConditioningError,
+    KernelShape,
+    RKHSKernel,
+    gram,
+    median_heuristic,
+    ridge_solve,
+)
 from .smoothing import SmoothingKernel, predict_from_kernel, predict_sorted_1d
 from .transform import (
     AuxiliaryEstimator,
@@ -654,6 +661,16 @@ def _score(pred: Predictor, data: SeedData, seed: int) -> dict[str, float]:
     return scores
 
 
+# What a method's fit or scoring may raise on bad data or a bad setting; the
+# run records it and goes on. Anything else is a defect and propagates.
+_METHOD_ERRORS = (ValueError, ConditioningError)
+
+
+def _error(where: dict, exc: Exception) -> dict:
+    """An ``errors`` entry: where it happened, the message and its type."""
+    return {**where, "error": str(exc), "type": type(exc).__name__}
+
+
 def _run_cells(config: ExperimentConfig, make_cells: Callable[[int], list[tuple]]):
     """Fit and score every method on each (n_ta, SeedData) cell of each seed.
 
@@ -694,8 +711,8 @@ def _run_cells(config: ExperimentConfig, make_cells: Callable[[int], list[tuple]
                                              so_spec, ta_spec)
                     predictors[name] = pred
                     rows.append({**cell, **_score(pred, data, seed)})
-                except Exception as exc:  # recorded, run continues
-                    errors.append({**cell, "error": str(exc)})
+                except _METHOD_ERRORS as exc:  # recorded, run continues
+                    errors.append(_error(cell, exc))
             if first is None:
                 first = (data, predictors)
     return rows, errors, first
@@ -738,10 +755,16 @@ def _run_transfer(config: ExperimentConfig) -> dict:
     if kind == "rate_sweep":
         report["rate_fits"] = {}
         for name, _ in _method_roster(config):
-            points = [(a["n_ta"], a.get("mean_excess_risk", 0.0)) for a in agg
-                      if a["method"] == name and a.get("mean_excess_risk")]
-            if len(points) >= 3:
+            points = [(a["n_ta"], a["mean_excess_risk"]) for a in agg
+                      if a["method"] == name
+                      and a.get("mean_excess_risk") is not None]
+            if len(points) < 3:
+                continue
+            try:
                 fit = rate_slope(points)
+            except ValueError as exc:  # e.g. a zero risk has no logarithm
+                errors.append(_error({"method": name, "stage": "rate_fit"}, exc))
+            else:
                 report["rate_fits"][name] = {
                     "slope": fit.slope, "intercept": fit.intercept,
                     "points": [[int(n), r] for n, r in fit.points]}
@@ -824,8 +847,8 @@ def _run_selection(config: ExperimentConfig) -> dict:
             rows.append(row)
             for label, value in result.per_candidate_validation_mse:
                 candidate_mses[label].append(value)
-        except Exception as exc:
-            errors.append({"seed": seed, "error": str(exc)})
+        except _METHOD_ERRORS as exc:
+            errors.append(_error({"seed": seed}, exc))
     plot = [
         {"candidate": label, "mean_validation_mse":
          float(np.mean(vals)) if vals else None}

@@ -135,7 +135,8 @@ def construct_auxiliary(
 
     Features are unchanged; label i becomes H(f_so_hat(X_i), Y_i), clamped
     to +-aux_bound_B. Returns the relabeled dataset and the count of
-    clamped rows. A singular inverse raises with the offending row index.
+    clamped rows. A singular inverse or a non-finite auxiliary label (an
+    overflowing loglinear ``exp``) raises with the offending row index.
     """
     if target.domain_tag is not DomainTag.TARGET:
         raise ValueError(f"expected target-domain data, got {target.domain_tag}")
@@ -156,6 +157,13 @@ def construct_auxiliary(
         clipped = np.clip(labels, -bound, bound)
         n_clipped = int(np.sum(clipped != labels))
         labels = clipped
+    bad = np.flatnonzero(~np.isfinite(labels))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(
+            f"row {i}: auxiliary label {labels[i]} is not finite "
+            f"(a_hat = {a_hat[i]:g}, y = {target.labels[i]:g})"
+        )
     y_bound = bound if np.isfinite(bound) else float(np.abs(labels).max())
     aux = Dataset(
         features=target.features,

@@ -14,6 +14,25 @@ For 1-D data and a compact-support kernel, predictions only visit the
 training points inside each query's window [q - h, q + h], found by binary
 search in the sorted features (windowed Nadaraya-Watson evaluation, Fan &
 Marron 1994); everything else evaluates the dense (m, n) kernel matrix.
+
+Inside the window, boxcar and epanechnikov are polynomials in (q - x)^2, so
+a call whose windows hold at least ``_MOMENT_MIN_PAIRS`` pairs takes their
+sums from prefix sums of x-moments in O(log n) per query, whatever h is (the
+updating scheme of Seifert, Brockmann, Engel & Gasser 1994, Fast algorithms
+for nonparametric curve estimation, JCGS 3). Smaller calls and the truncated
+gaussian evaluate each window pair. The moment path keeps results within
+float summation order of the pair path:
+
+- moments are taken about the centre of a 2h-wide bin of queries, so their
+  terms stay O(h^2) and cancel by about 10x, not by (1/h)^2;
+- they cover only the inner window |q - x| < h (1 - 1e-7); the points
+  between it and the padded window are evaluated pair by pair, so the
+  boxcar edge s <= 1 and the epanechnikov clamp at 0 round as on the dense
+  path;
+- a query whose error bound 64 eps (span + 1) (max|y| + |pred|) / sums,
+  with span the length of the prefix it read, exceeds 1e-13 max(1, max|y|)
+  is redone pair by pair. These queries have little kernel mass, typically
+  beyond the ends of the data, and so few pairs.
 """
 
 from __future__ import annotations
@@ -85,6 +104,14 @@ def predict_from_kernel(
 # their page faults cost about as much as the arithmetic.
 _BLOCK_PAIRS = 1 << 16
 
+# Calls with at least this many window pairs sum boxcar and epanechnikov
+# windows from prefix moments; below it the moments' set-up costs more than
+# the pairs they save.
+_MOMENT_MIN_PAIRS = _BLOCK_PAIRS
+
+# Kernels that are polynomial in s = (q - x)^2 / h^2 inside the window.
+_POLYNOMIAL = (SmoothingKernel.BOXCAR, SmoothingKernel.EPANECHNIKOV)
+
 
 def predict_sorted_1d(
     xs: np.ndarray,
@@ -98,13 +125,31 @@ def predict_sorted_1d(
     ascending by a stable sort, for a compact-support ``kernel``.
 
     ``labels`` are in the same order as ``xs``; ``ranks`` are the training
-    points' original indices, which break nearest-neighbour ties. Only the
-    pairs inside each query's window are evaluated, on the same
-    (q - x)^2 / (h * h) values as the dense path, so results differ from
-    ``predict_from_kernel`` by float summation order only.
+    points' original indices, which break nearest-neighbour ties. Results
+    differ from ``predict_from_kernel`` by float summation order only: small
+    calls and the truncated gaussian evaluate each window pair on the same
+    (q - x)^2 / (h * h) values as the dense path; large boxcar and
+    epanechnikov calls take their window sums from prefix moments (see the
+    module docstring).
     """
-    m = len(queries)
     lo, counts = _windows(xs, queries, h)
+    if kernel in _POLYNOMIAL and counts.sum() >= _MOMENT_MIN_PAIRS:
+        sums, weighted = _moment_sums(xs, labels, queries, kernel, h, lo, counts)
+    else:
+        sums, weighted = _pair_sums(xs, labels, queries, kernel, h, lo, counts)
+    out = np.empty(len(queries))
+    live = sums > 0.0
+    out[live] = weighted[live] / sums[live]
+    if not live.all():
+        dead = ~live
+        out[dead] = labels[_nearest_sorted_1d(xs, ranks, queries[dead])]
+    return out
+
+
+def _pair_sums(xs, labels, queries, kernel, h, lo, counts):
+    """Kernel sums and label-weighted sums over each query's run of sorted
+    ``xs`` (start ``lo``, length ``counts``), evaluated pair by pair."""
+    m = len(queries)
     sums, weighted = np.zeros(m), np.zeros(m)
     for block in _blocks(counts):
         runs = counts[block]
@@ -117,13 +162,121 @@ def predict_sorted_1d(
         sums[block] = _segment_sums(raw, runs)
         raw *= labels[cols]
         weighted[block] = _segment_sums(raw, runs)
-    out = np.empty(m)
-    live = sums > 0.0
-    out[live] = weighted[live] / sums[live]
-    if not live.all():
-        dead = ~live
-        out[dead] = labels[_nearest_sorted_1d(xs, ranks, queries[dead])]
-    return out
+    return sums, weighted
+
+
+def _moment_sums(xs, labels, queries, kernel, h, lo, counts):
+    """The sums of ``_pair_sums`` for a polynomial kernel, from prefix
+    moments over each query's inner window, pairs on the window's rim, and
+    pairs again for every query whose moment error bound is too loose."""
+    # inner window |q - x| < h (1 - 1e-7), shrunk by the rounding of q -+ h;
+    # every point in it has s < 1 in any rounding, so K is the polynomial
+    reach = h * (1.0 - 1e-7) - 1e-9 * (h + np.abs(queries))
+    lo_in = np.searchsorted(xs, queries - reach, side="right")
+    hi_in = np.maximum(np.searchsorted(xs, queries + reach, side="left"), lo_in)
+    n_inner = hi_in - lo_in
+    sums, weighted, span = _inner_moments(xs, labels, queries, kernel, h,
+                                          lo_in, n_inner)
+    # the rim between the inner window and the padded one, pair by pair
+    left, right = lo_in - lo, lo + counts - hi_in
+    rim = np.flatnonzero(left + right)
+    if len(rim):
+        both = np.r_[rim, rim]
+        rim_sums, rim_weighted = _pair_sums(
+            xs, labels, queries[both], kernel, h, np.r_[lo[rim], hi_in[rim]],
+            np.r_[left[rim], right[rim]])
+        np.add.at(sums, both, rim_sums)
+        np.add.at(weighted, both, rim_weighted)
+    # cumulative sums over ``span`` points carry an absolute error of about
+    # eps * span in units of one kernel value; redo the queries where that
+    # can move the prediction by more than 1e-13 of the label scale
+    y_max = float(np.abs(labels).max())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pred = np.abs(weighted / sums)
+        bound = 64 * np.finfo(float).eps * (span + 1) * (y_max + pred) / sums
+    redo = np.flatnonzero((n_inner > 0) & ~(bound <= 1e-13 * max(1.0, y_max)))
+    if len(redo):
+        sums[redo], weighted[redo] = _pair_sums(
+            xs, labels, queries[redo], kernel, h, lo[redo], counts[redo])
+    return sums, weighted
+
+
+def _inner_moments(xs, labels, queries, kernel, h, lo, counts):
+    """Kernel and label-weighted sums over each query's run of sorted ``xs``
+    from prefix moments, with the length of the prefix each came from.
+
+    Queries are grouped in bins of width 2h anchored at their centres a;
+    a bin's prefix sums of d, d^2, y, y d and y d^2, d = x - a, run over the
+    union of its queries' runs. With q' = q - a and N the run's length, a
+    query's epanechnikov sums are N - (S2 - 2 q' S1 + q'^2 N) / h^2 and
+    Y0 - (Y2 - 2 q' Y1 + q'^2 Y0) / h^2 (boxcar: N and Y0). Anchoring keeps
+    d and q' within 2h, so the expansion loses about a factor of 10 to
+    cancellation. Prefix arrays are built a group of bins at a time, padded
+    to the group's longest prefix (see ``_bin_blocks``).
+    """
+    m = len(queries)
+    sums, weighted, span = np.zeros(m), np.zeros(m), np.zeros(m)
+    filled = np.flatnonzero(counts > 0)
+    lo, counts, q = lo[filled], counts[filled], queries[filled]
+    keys, bin_of = np.unique(np.floor(q / (2.0 * h)), return_inverse=True)
+    anchor = (keys + 0.5) * (2.0 * h)
+    first = np.full(len(keys), len(xs))
+    np.minimum.at(first, bin_of, lo)
+    last = np.zeros(len(keys), dtype=first.dtype)
+    np.maximum.at(last, bin_of, lo + counts)
+    lengths = last - first
+    span[filled] = lengths[bin_of]
+    epanechnikov = kernel is SmoothingKernel.EPANECHNIKOV
+    hh = h * h
+    row = np.empty_like(lengths)
+    for bins in _bin_blocks(lengths):
+        row[bins] = np.arange(len(bins))
+        in_block = np.zeros(len(keys), dtype=bool)
+        in_block[bins] = True
+        at = np.flatnonzero(in_block[bin_of])
+        offsets = np.arange(lengths[bins].max())
+        valid = offsets < lengths[bins][:, None]
+        cols = np.minimum(first[bins][:, None] + offsets, len(xs) - 1)
+        # prefix[k, row, i]: moment k (d, d^2, y d, y d^2, y; boxcar: y)
+        # summed over the bin's first i points
+        prefix = np.zeros((5 if epanechnikov else 1, len(bins), len(offsets) + 1))
+        y = prefix[-1, :, 1:]
+        np.multiply(labels[cols], valid, out=y)
+        if epanechnikov:
+            d, d2, yd, yd2 = prefix[:4, :, 1:]
+            np.subtract(xs[cols], anchor[bins][:, None], out=d)
+            d *= valid
+            np.multiply(d, d, out=d2)
+            np.multiply(y, d, out=yd)
+            np.multiply(yd, d, out=yd2)
+        np.cumsum(prefix, axis=2, out=prefix)
+        r, start = row[bin_of[at]], lo[at] - first[bin_of[at]]
+        windowed = prefix[:, r, start + counts[at]] - prefix[:, r, start]
+        n = counts[at].astype(float)
+        if epanechnikov:
+            s1, s2, y1, y2, y0 = windowed
+            qd = q[at] - anchor[bin_of[at]]
+            sums[filled[at]] = n - (s2 - 2.0 * qd * s1 + qd * qd * n) / hh
+            weighted[filled[at]] = y0 - (y2 - 2.0 * qd * y1 + qd * qd * y0) / hh
+        else:
+            sums[filled[at]], weighted[filled[at]] = n, windowed[0]
+    return sums, weighted, span
+
+
+def _bin_blocks(lengths) -> list[np.ndarray]:
+    """Groups of bins whose padded (bins x longest prefix) arrays hold about
+    _BLOCK_PAIRS values each, at least one bin per group. Bins are grouped
+    by prefix length, so little padding is wasted on clustered data."""
+    order = np.argsort(lengths, kind="stable")
+    ranked = lengths[order]
+    groups, start = [], 0
+    while start < len(order):
+        padded = np.arange(1, len(order) - start + 1) * ranked[start:]
+        stop = start + max(1, int(np.searchsorted(padded, _BLOCK_PAIRS,
+                                                  side="right")))
+        groups.append(order[start:stop])
+        start = stop
+    return groups
 
 
 def _windows(xs, queries, radius):

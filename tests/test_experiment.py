@@ -18,7 +18,8 @@ from htlreg.experiment import (
     register_baseline,
     run_experiment,
 )
-from htlreg.pipeline import KRRSpec, KSSpec, construct_auxiliary
+from htlreg.pipeline import KRRSpec, KSSpec, HTLPredictor, construct_auxiliary
+from htlreg.ridge import ConditioningError
 from htlreg.ridge import rbf_kernel
 from htlreg.smoothing import SmoothingKernel
 
@@ -341,19 +342,63 @@ class TestRunExperiment:
                 "htl_offset(alpha=1)"} <= methods
         assert not report["errors"]
 
-    def test_partial_failure_recorded(self, tmp_path):
+    @pytest.mark.parametrize("error", [ValueError, ConditioningError])
+    def test_partial_failure_recorded(self, tmp_path, error):
         def exploding(source, target, so_spec, ta_spec):
-            raise RuntimeError("synthetic failure")
+            raise error("synthetic failure")
 
         register_baseline("exploding", exploding)
         cfg = base_config(output_dir=str(tmp_path / "out"))
         cfg["methods"]["baselines"] = ["only_target", "exploding"]
         report = run_experiment(parse_config(cfg))
-        assert len(report["errors"]) == 1
-        assert report["errors"][0]["method"] == "exploding"
-        assert "synthetic failure" in report["errors"][0]["error"]
+        assert report["errors"] == [{"method": "exploding", "seed": 0,
+                                     "error": "synthetic failure",
+                                     "type": error.__name__}]
         # the healthy method still produced its row
         assert any(r["method"] == "only_target" for r in report["rows"])
+
+    @pytest.mark.parametrize("selection", [False, True])
+    def test_programming_error_propagates(self, tmp_path, monkeypatch,
+                                          selection):
+        def broken_fit(spec, train):
+            raise TypeError("a defect, not a method failure")
+
+        monkeypatch.setattr(KSSpec, "fit", broken_fit)
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        if selection:
+            _selection(cfg, L_alpha=2.0, K=2)
+        with pytest.raises(TypeError, match="a defect"):
+            run_experiment(parse_config(cfg))
+
+    def test_selection_failure_recorded(self, tmp_path, monkeypatch):
+        def failing_fit(spec, train):
+            raise ValueError("fit failed")
+
+        monkeypatch.setattr(KSSpec, "fit", failing_fit)
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        _selection(cfg, L_alpha=2.0, K=2)
+        report = run_experiment(parse_config(cfg))
+        assert report["errors"] == [{"seed": 0, "error": "fit failed",
+                                     "type": "ValueError"}]
+
+    def test_zero_risk_rejects_the_rate_fit(self, tmp_path, monkeypatch):
+        excess_risk = experiment.excess_risk_mc
+
+        def exact_only_target(pred, *args, **kwargs):
+            if isinstance(pred, HTLPredictor):
+                return excess_risk(pred, *args, **kwargs)
+            return 0.0
+
+        monkeypatch.setattr(experiment, "excess_risk_mc", exact_only_target)
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        _kind(cfg, "rate_sweep", noise_variance=0.01, slope=1.0,
+              n_ta_grid=[20, 40, 80])
+        report = run_experiment(parse_config(cfg))
+        assert list(report["rate_fits"]) == ["htl_offset(alpha=1)"]
+        assert report["errors"] == [{
+            "method": "only_target", "stage": "rate_fit",
+            "error": "risks must be positive for a log-log fit",
+            "type": "ValueError"}]
 
     def test_csv_transfer_shape(self, tmp_path):
         report = run_experiment(parse_config(_csv_transfer_config(tmp_path)))
@@ -477,7 +522,7 @@ class TestCli:
 
     def test_partial_failure_exit_code(self, tmp_path):
         def exploding2(source, target, so_spec, ta_spec):
-            raise RuntimeError("boom")
+            raise ValueError("boom")
 
         register_baseline("exploding2", exploding2)
         cfg = base_config(seeds=[0])

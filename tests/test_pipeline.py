@@ -18,6 +18,7 @@ from htlreg.transform import (
     AuxiliaryEstimator,
     SingularityError,
     eval_G,
+    loglinear,
     non_transfer,
     offset,
     scale,
@@ -94,6 +95,14 @@ class TestConstructAuxiliary:
                 Lookup([1.0, 0.0]),
                 AuxiliaryEstimator(scale(0.0)),
             )
+
+    def test_overflowing_label_names_row(self):
+        # exp(y / (beta * a_hat)) = exp(5e6) overflows to inf
+        target = target_data([0.1, 0.2, 0.3], [0.0, 5.0, 6.0])
+        est = AuxiliaryEstimator(loglinear(1.0), assume_noiseless=True)
+        with pytest.raises(ValueError, match=r"row 1: .*a_hat = 1e-06, y = 5"):
+            with np.errstate(over="ignore"):
+                construct_auxiliary(target, Constant(1e-6), est)
 
     def test_requires_target_tag(self):
         source = Dataset(features=[[0.1]], labels=[1.0],

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -135,37 +136,77 @@ class TestPredict:
 
 
 class TestWindowPath:
-    """1-D compact-support prediction against the dense (m, n) path."""
+    """1-D compact-support prediction against the dense (m, n) path. The
+    moment floor 0 sends every boxcar and epanechnikov call through the
+    prefix-moment sums."""
 
+    @pytest.mark.parametrize("moment_floor", [smoothing._MOMENT_MIN_PAIRS, 0])
     @PROPERTY
-    @given(st.lists(TRAIN_X, min_size=1, max_size=25),
-           st.lists(QUERY_X, min_size=1, max_size=20),
-           st.sampled_from(COMPACT), BANDWIDTH, st.randoms(use_true_random=False))
-    @example([0.25, 0.5, 0.25, 0.75, 0.5], [0.375, 0.625, 2.0, -1.0, 0.25],
-             SmoothingKernel.EPANECHNIKOV, 1 / 64, None)
+    @given(xs=st.lists(TRAIN_X, min_size=1, max_size=25),
+           queries=st.lists(QUERY_X, min_size=1, max_size=20),
+           kernel=st.sampled_from(COMPACT), h=BANDWIDTH,
+           rnd=st.randoms(use_true_random=False))
+    @example(xs=[0.25, 0.5, 0.25, 0.75, 0.5], queries=[0.375, 0.625, 2.0, -1.0, 0.25],
+             kernel=SmoothingKernel.EPANECHNIKOV, h=1 / 64, rnd=None)
     # distinct points whose rounded squared distances to the query are equal
-    @example([0.0, 1e-300], [1 / 64], SmoothingKernel.BOXCAR, 1 / 128, None)
-    def test_matches_dense(self, xs, queries, kernel, h, rnd):
+    @example(xs=[0.0, 1e-300], queries=[1 / 64], kernel=SmoothingKernel.BOXCAR,
+             h=1 / 128, rnd=None)
+    def test_matches_dense(self, moment_floor, xs, queries, kernel, h, rnd):
         labels = list(range(len(xs)))  # distinct, so a wrong tie-break shows
         if rnd is not None:
             rnd.shuffle(labels)
         p = ks_fit(make(xs, labels), kernel, h)
         Q = np.asarray(queries).reshape(-1, 1)
         dense = predict_from_kernel(*p._raw(Q), p.train.labels)
-        np.testing.assert_allclose(p.predict(Q), dense, rtol=0, atol=1e-12)
+        with mock.patch.object(smoothing, "_MOMENT_MIN_PAIRS", moment_floor):
+            got = p.predict(Q)
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("moment_floor", [smoothing._MOMENT_MIN_PAIRS, 0])
+    @pytest.mark.parametrize("kernel", COMPACT)
     @pytest.mark.parametrize("block_pairs", [1, 7, 1 << 16])
-    def test_blocks_match_dense(self, monkeypatch, block_pairs):
+    def test_blocks_match_dense(self, monkeypatch, block_pairs, kernel,
+                                moment_floor):
         monkeypatch.setattr(smoothing, "_BLOCK_PAIRS", block_pairs)
+        monkeypatch.setattr(smoothing, "_MOMENT_MIN_PAIRS", moment_floor)
         rng = np.random.default_rng(11)
         xs = rng.integers(0, 40, size=60) / 40
-        p = ks_fit(make(xs, rng.normal(size=60)),
-                   SmoothingKernel.TRUNCATED_GAUSSIAN, 0.06)
+        p = ks_fit(make(xs, rng.normal(size=60)), kernel, 0.06)
         # queries past either end have empty windows and take the nearest label
         Q = np.r_[rng.uniform(-0.5, 1.5, size=50), np.arange(81) / 80]
         Q = Q.reshape(-1, 1)
         dense = predict_from_kernel(*p._raw(Q), p.train.labels)
         np.testing.assert_allclose(p.predict(Q), dense, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", [SmoothingKernel.EPANECHNIKOV,
+                                        SmoothingKernel.BOXCAR])
+    def test_moment_path_edges(self, monkeypatch, kernel):
+        rng = np.random.default_rng(1)
+        h = 1 / 16
+        # dyadic points repeat, and a query on their grid has points at
+        # exactly +-h: boxcar counts them, epanechnikov gives them 0
+        x = np.r_[rng.integers(0, 256, 1500) / 256, rng.uniform(0, 1, 500)]
+        p = ks_fit(make(x, 10.0 + rng.normal(size=len(x))), kernel, h)
+        grid = rng.integers(0, 256, 300) / 256
+        u = rng.uniform(0.5, 1.0, size=(2, 50)) * h
+        below, above = x.min() - u[0], x.max() + u[1]
+        Q = np.r_[grid, below, above].reshape(-1, 1)
+        paired = []  # queries whose whole window was summed pair by pair
+        pair_sums = smoothing._pair_sums
+
+        def spy(xs, labels, queries, kernel, h, lo, counts):
+            whole = counts == smoothing._windows(xs, queries, h)[1]
+            paired.extend(queries[whole & (counts > 0)])
+            return pair_sums(xs, labels, queries, kernel, h, lo, counts)
+
+        monkeypatch.setattr(smoothing, "_pair_sums", spy)
+        monkeypatch.setattr(smoothing, "_MOMENT_MIN_PAIRS", 0)
+        dense = predict_from_kernel(*p._raw(Q), p.train.labels)
+        np.testing.assert_allclose(p.predict(Q), dense, rtol=0, atol=1e-12)
+        # sparse kernel mass beyond the data's ends fails the moment error
+        # bound, and those queries are re-predicted on the pair path
+        assert np.isin(below, paired).any() and np.isin(above, paired).any()
+        assert not np.isin(grid, paired).all()  # the moments did serve
 
     @PROPERTY
     @given(st.integers(1, 2), st.integers(1, 20), st.sampled_from(list(SmoothingKernel)),
