@@ -50,8 +50,8 @@ from .ridge import (
     KernelShape,
     RKHSKernel,
     gram,
-    median_heuristic,
-    ridge_solve,
+    median_heuristic_sq,
+    ridge_path,
 )
 from .smoothing import SmoothingKernel, predict_from_kernel, predict_sorted_1d
 from .transform import (
@@ -515,20 +515,34 @@ def _grid_cv_ks_sorted(data, candidates, parts, kernel) -> np.ndarray:
 
 
 def _grid_cv_krr(data, candidates, parts, kernel) -> np.ndarray:
-    all_idx = np.arange(data.n)
+    """Every lambda of a fold goes through one ``ridge_path``. For rbf, one
+    squared-distance matrix serves every fold: a fold slices its blocks,
+    takes its median-heuristic lengthscale from the training block and
+    exponentiates both blocks in place."""
+    lams = [spec.lam for spec in candidates]
+    rbf = kernel.shape is KernelShape.RBF
+    if rbf:
+        sq = cdist(data.features, data.features, metric="sqeuclidean")
     scores = np.zeros(len(candidates))
     for test_idx in parts:
-        train_idx = np.setdiff1d(all_idx, test_idx)
-        X_train = data.features[train_idx]
-        fold_kernel = kernel
-        if kernel.shape is KernelShape.RBF and kernel.lengthscale is None:
-            fold_kernel = replace(kernel, lengthscale=median_heuristic(X_train))
-        K = gram(fold_kernel, X_train, X_train)
-        G_test = gram(fold_kernel, data.features[test_idx], X_train)
-        y_train = data.labels[train_idx]
+        in_train = np.ones(data.n, dtype=bool)
+        in_train[test_idx] = False
+        train_idx = np.flatnonzero(in_train)
+        if rbf:
+            K = sq[np.ix_(train_idx, train_idx)]
+            G_test = sq[np.ix_(test_idx, train_idx)]
+            lengthscale = kernel.lengthscale or median_heuristic_sq(K)
+            for block in (K, G_test):
+                # exp(-sq / (2 l^2)) as gram rounds it
+                np.divide(block, -(2.0 * lengthscale**2), out=block)
+                np.exp(block, out=block)
+        else:
+            X_train = data.features[train_idx]
+            K = gram(kernel, X_train, X_train)
+            G_test = gram(kernel, data.features[test_idx], X_train)
         y_test = data.labels[test_idx]
-        for j, spec in enumerate(candidates):
-            preds = G_test @ ridge_solve(K, y_train, spec.lam)
+        for j, coef in enumerate(ridge_path(K, data.labels[train_idx], lams)):
+            preds = G_test @ coef
             scores[j] += float(np.mean((y_test - preds) ** 2))
     return scores / len(parts)
 

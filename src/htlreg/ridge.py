@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
-from scipy.spatial.distance import cdist, pdist
+from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.spatial.distance import cdist
 
 from .data import Dataset
 
@@ -83,13 +84,22 @@ def polynomial_kernel(degree: int, offset: float = 1.0) -> RKHSKernel:
 def median_heuristic(X: np.ndarray) -> float:
     """Median of the positive pairwise distances (1.0 if there are none)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] < 2:
+    return median_heuristic_sq(cdist(X, X, metric="sqeuclidean"))
+
+
+def median_heuristic_sq(sq: np.ndarray) -> float:
+    """``median_heuristic`` from a symmetric matrix of squared distances.
+
+    Each positive pair appears twice, so entries m - 1 and m of the 2m
+    sorted positive entries are the middle pair values; the median is the
+    mean of their square roots, as ``np.median`` of the distances rounds it.
+    """
+    positive = sq[sq > 0]
+    m = positive.size // 2
+    if m == 0:
         return 1.0
-    d = pdist(X)
-    d = d[d > 0]
-    if d.size == 0:
-        return 1.0
-    return float(np.median(d))
+    positive.partition(m - 1)
+    return float((np.sqrt(positive[m - 1]) + np.sqrt(positive[m:].min())) / 2)
 
 
 def gram(kernel: RKHSKernel, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -136,34 +146,63 @@ class KRRPredictor:
 
 
 def ridge_solve(K: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Coefficients c solving (K + n*lam*I + jitter*I) c = y.
+    """Coefficients c solving (K + n*lam*I + jitter*I) c = y (see ``ridge_path``)."""
+    return ridge_path(K, y, (lam,))[0]
 
+
+def ridge_path(K: np.ndarray, y: np.ndarray, lams: Sequence[float]) -> np.ndarray:
+    """Row i solves (K + n*lams[i]*I + jitter*I) c = y.
+
+    K must be symmetric: the Cholesky factorization reads one triangle.
     jitter starts at 0 for lam > 0 (the system is already positive
     definite) and at 1e-10 * trace(K)/n for lam = 0; on factorization
     failure it escalates x10 up to 3 retries before raising
-    ConditioningError. The solution must satisfy the linear system to
-    relative residual 1e-8.
+    ConditioningError. Each solution must satisfy its linear system to
+    relative residual 1e-8. Non-finite K or y raise ValueError.
+
+    The finiteness check, trace and label norm are taken once, and every
+    lam reuses one n x n buffer that LAPACK factorizes in place: the same
+    potrf/potrs calls as scipy's cho_factor/cho_solve, so the coefficients
+    are the same bits.
     """
+    K = np.asarray(K, dtype=float)
+    y = np.asarray(y, dtype=float)
     n = len(y)
-    base = K + n * lam * np.eye(n)
+    if K.shape != (n, n):
+        raise ValueError(f"Gram matrix shape {K.shape} does not match {n} labels")
+    if not (np.isfinite(K).all() and np.isfinite(y).all()):
+        raise ValueError("Gram matrix and labels must be finite")
     base_jitter = 1e-10 * np.trace(K) / n
-    jitter = 0.0 if lam > 0 else base_jitter
     y_scale = max(np.linalg.norm(y), 1e-300)
-    for _ in range(4):
-        system = base if jitter == 0.0 else base + jitter * np.eye(n)
-        try:
-            factor = cho_factor(system, lower=True)
-            candidate = cho_solve(factor, y)
-        except LinAlgError:
+    system = np.empty((n, n))
+    diagonal = system.reshape(-1)[:: n + 1]
+
+    def fill(lam, jitter):
+        # rounds as K + n*lam*I, then + jitter*I
+        np.copyto(system, K)
+        np.add(diagonal, n * lam, out=diagonal)
+        if jitter != 0.0:
+            np.add(diagonal, jitter, out=diagonal)
+
+    coefs = np.empty((len(lams), n))
+    for i, lam in enumerate(lams):
+        jitter = 0.0 if lam > 0 else base_jitter
+        for _ in range(4):
+            fill(lam, jitter)
+            # system.T is the Fortran-order view LAPACK overwrites in place
+            factor, info = dpotrf(system.T, lower=1, clean=0, overwrite_a=1)
+            if info == 0:
+                coefs[i], _ = dpotrs(factor, y, lower=1)
+                fill(lam, jitter)  # the factor overwrote the system
+                if np.linalg.norm(system @ coefs[i] - y) <= 1e-8 * y_scale:
+                    break
             jitter = base_jitter if jitter == 0.0 else jitter * 10.0
-            continue
-        if np.linalg.norm(system @ candidate - y) <= 1e-8 * y_scale:
-            return candidate
-        jitter = base_jitter if jitter == 0.0 else jitter * 10.0
-    raise ConditioningError(
-        f"Gram system not solvable to 1e-8 relative residual after jitter "
-        f"escalation (n={n}, lambda={lam:g}, last jitter={jitter:g})"
-    )
+        else:
+            raise ConditioningError(
+                f"Gram system not solvable to 1e-8 relative residual after "
+                f"jitter escalation (n={n}, lambda={lam:g}, last jitter={jitter:g})"
+            )
+    return coefs
 
 
 def krr_fit(train: Dataset, kernel: RKHSKernel, lam: float) -> KRRPredictor:

@@ -176,7 +176,9 @@ def inverse_G(tf: TransformationFunction, a, c):
                 f"loglinear inverse undefined: beta * a = 0 at a = "
                 f"{_first_offender(a, np.asarray(denom == 0.0)):g}"
             )
-        out = np.exp(c / denom)
+        # an overflow stays inf for the caller to report, without a warning
+        with np.errstate(over="ignore"):
+            out = np.exp(c / denom)
     return float(out) if out.ndim == 0 else out
 
 
@@ -244,7 +246,8 @@ def apply_H(est: AuxiliaryEstimator, a_hat, y):
             f"loglinear calibration undefined: beta * a = 0 at a = "
             f"{_first_offender(a_hat, np.asarray(denom == 0.0)):g}"
         )
-    out = np.exp(y / denom + est.sigma2 * a_hat**2)
+    with np.errstate(over="ignore"):
+        out = np.exp(y / denom + est.sigma2 * a_hat**2)
     return float(out) if out.ndim == 0 else out
 
 

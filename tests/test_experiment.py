@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from htlreg import experiment, pipeline
 from htlreg.cli import main as cli_main
@@ -19,8 +20,14 @@ from htlreg.experiment import (
     run_experiment,
 )
 from htlreg.pipeline import KRRSpec, KSSpec, HTLPredictor, construct_auxiliary
-from htlreg.ridge import ConditioningError
-from htlreg.ridge import rbf_kernel
+from htlreg.ridge import (
+    ConditioningError,
+    linear_kernel,
+    median_heuristic,
+    median_heuristic_sq,
+    polynomial_kernel,
+    rbf_kernel,
+)
 from htlreg.smoothing import SmoothingKernel
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -266,19 +273,64 @@ class TestGridSearchCv:
             generic = _grid_cv_generic(data, candidates, parts)
             np.testing.assert_allclose(fast, generic, atol=1e-12)
 
-    def test_krr_fast_path_matches_generic(self):
+    def test_krr_fast_path_matches_generic(self, monkeypatch):
         data = _noisy_linear_data(n=40, noise=0.1)
         # duplicated rows make the lambda = 0 Gram system singular, so the
-        # fast path must take krr_fit's jittered, residual-checked solve
+        # fast path must take krr_fit's jittered, residual-checked solve;
+        # their zero distances must drop out of the median heuristic
         duplicated = Dataset(features=np.vstack([data.features] * 2),
                              labels=np.concatenate([data.labels] * 2),
                              domain_tag=DomainTag.TARGET)
-        for data, lams in ((data, (0.01, 0.1, 1.0)), (duplicated, (0.0,))):
-            candidates = [KRRSpec(rbf_kernel(0.4), lam=v) for v in lams]
+        # folds of 27 and 28 distinct rows hold an odd and an even number of
+        # pairs, i.e. one middle distance or two different ones
+        distinct = Dataset(features=data.features[:37], labels=data.labels[:37],
+                           domain_tag=DomainTag.TARGET)
+        # half the rows repeated: zero distances of either parity drop out
+        half_duplicated = Dataset(
+            features=np.vstack([data.features, data.features[:20]]),
+            labels=np.concatenate([data.labels, data.labels[:20]]),
+            domain_tag=DomainTag.TARGET)
+        # the first fold trains on equal rows: no positive distance, so the
+        # median heuristic falls back to 1.0
+        flat_features = np.zeros((20, 1))
+        flat_features[cv_folds_indices(20, 4, seed=4)[0], 0] = [0.2, 0.5, 0.9, 1.4, 2.0]
+        flat = Dataset(features=flat_features, labels=data.labels[:20],
+                       domain_tag=DomainTag.TARGET)
+        lengthscales = []
+
+        def recording(sq):
+            lengthscales.append(median_heuristic_sq(sq))
+            return lengthscales[-1]
+
+        monkeypatch.setattr(experiment, "median_heuristic_sq", recording)
+        cases = (
+            (data, rbf_kernel(0.4), (0.01, 0.1, 1.0)),
+            (duplicated, rbf_kernel(0.4), (0.0,)),
+            (distinct, rbf_kernel(None), (0.01, 1.0)),
+            (half_duplicated, rbf_kernel(None), (0.0, 0.1)),
+            (flat, rbf_kernel(None), (0.01, 1.0)),
+            (data, linear_kernel(), (0.01, 1.0)),
+            (data, polynomial_kernel(2, 1.0), (0.01, 1.0)),
+        )
+        pair_parities = set()
+        for data, kernel, lams in cases:
+            candidates = [KRRSpec(kernel, lam=v) for v in lams]
             parts = cv_folds_indices(data.n, 4, seed=4)
+            lengthscales.clear()
             fast = _grid_cv_fast(data, candidates, parts)
             generic = _grid_cv_generic(data, candidates, parts)
             np.testing.assert_allclose(fast, generic, rtol=1e-9)
+            if kernel != rbf_kernel(None):
+                assert lengthscales == []
+                continue
+            X_trains = [np.delete(data.features, test_idx, axis=0)
+                        for test_idx in parts]
+            assert lengthscales == [median_heuristic(X) for X in X_trains]
+            if data is flat:
+                assert lengthscales[0] == 1.0
+            else:
+                pair_parities |= {np.count_nonzero(pdist(X)) % 2 for X in X_trains}
+        assert pair_parities == {0, 1}
 
     def test_mixed_grid_uses_generic_path(self):
         data = _noisy_linear_data(n=30)

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htlreg.data import Dataset, DomainTag, SyntheticSpec, generate_synthetic, uniform_sampler
 from htlreg.pipeline import (
@@ -12,10 +16,11 @@ from htlreg.pipeline import (
     htl_predict,
     select_transformation,
 )
-from htlreg.ridge import rbf_kernel
+from htlreg.ridge import linear_kernel, polynomial_kernel, rbf_kernel
 from htlreg.smoothing import SmoothingKernel
 from htlreg.transform import (
     AuxiliaryEstimator,
+    EstimatorMode,
     SingularityError,
     eval_G,
     loglinear,
@@ -104,6 +109,16 @@ class TestConstructAuxiliary:
             with np.errstate(over="ignore"):
                 construct_auxiliary(target, Constant(1e-6), est)
 
+    @pytest.mark.parametrize("mode", list(EstimatorMode))
+    def test_overflowing_label_raises_without_warning(self, mode):
+        target = target_data([0.1, 0.2, 0.3], [0.0, 5.0, 6.0])
+        est = AuxiliaryEstimator(loglinear(1.0), mode=mode, sigma2=0.01,
+                                 assume_noiseless=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"row 1: .*a_hat = 1e-06, y = 5"):
+                construct_auxiliary(target, Constant(1e-6), est)
+
     def test_requires_target_tag(self):
         source = Dataset(features=[[0.1]], labels=[1.0],
                          domain_tag=DomainTag.SOURCE)
@@ -166,6 +181,31 @@ class TestHtlFit:
         grid = np.linspace(0, 1, 64).reshape(-1, 1)
         np.testing.assert_allclose(p.predict(grid), direct.predict(grid),
                                    atol=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(1, 2), n=st.integers(1, 15), data=st.data(),
+           spec=st.builds(KSSpec, kernel=st.sampled_from(list(SmoothingKernel)),
+                          bandwidth=st.floats(1e-3, 2.0))
+           | st.builds(KRRSpec,
+                       kernel=st.sampled_from([rbf_kernel(None), rbf_kernel(0.3),
+                                               linear_kernel(),
+                                               polynomial_kernel(2, 1.0)]),
+                       lam=st.sampled_from([0.0, 1e-3, 0.1, 1.0])))
+    def test_non_transfer_equals_only_target_bitwise(self, d, n, data, spec):
+        # dyadic coordinates repeat, so Gram systems can be singular
+        coord = st.integers(-8, 16).map(lambda k: k / 8) | st.floats(-1.0, 2.0)
+        points = st.lists(st.lists(coord, min_size=d, max_size=d),
+                          min_size=n, max_size=n)
+        target = Dataset(features=np.array(data.draw(points)),
+                         labels=np.array(data.draw(st.lists(st.floats(-5.0, 5.0),
+                                                            min_size=n, max_size=n))),
+                         domain_tag=DomainTag.TARGET)
+        queries = np.vstack([target.features, np.array(data.draw(points))])
+        a_hat = data.draw(st.floats(-3.0, 3.0))
+        tf = non_transfer()
+        htl = htl_fit(None, target, tf, AuxiliaryEstimator(tf), spec, spec,
+                      f_so_hat=Constant(a_hat))
+        assert np.array_equal(htl.predict(queries), spec.fit(target).predict(queries))
 
     def test_predict_composition_examples(self):
         p_off = htl_fit(None, target_data([0.0], [0.0]), offset(1.0),

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.spatial.distance import pdist
 
 from htlreg.data import Dataset
 from htlreg.ridge import (
+    ConditioningError,
     StabilityUndefinedError,
     gram,
     krr_fit,
@@ -12,6 +15,8 @@ from htlreg.ridge import (
     median_heuristic,
     polynomial_kernel,
     rbf_kernel,
+    ridge_path,
+    ridge_solve,
 )
 
 
@@ -126,9 +131,99 @@ class TestFitPredict:
         p = krr_fit(ds, rbf_kernel(None), 0.1)
         assert p.kernel.lengthscale == pytest.approx(median_heuristic(ds.features))
 
+    @pytest.mark.parametrize("X", [
+        np.random.default_rng(11).normal(size=(9, 3)),   # 36 pairs: two middles
+        np.random.default_rng(12).normal(size=(10, 2)),  # 45 pairs: one middle
+        np.repeat(np.arange(6.0), 2).reshape(-1, 1),     # zero distances drop out
+        np.ones((4, 2)),                                 # no positive distance
+        np.zeros((1, 3)),
+    ])
+    def test_median_heuristic_is_the_median_positive_distance(self, X):
+        d = pdist(X)
+        d = d[d > 0]
+        expected = float(np.median(d)) if d.size else 1.0
+        assert median_heuristic(X) == expected
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             krr_fit(make([1.0], [1.0]), rbf_kernel(1.0), -0.1)
+
+
+def reference_ridge_solve(K, y, lam):
+    """One-lambda ridge solve through scipy's cho_factor/cho_solve with the
+    jitter and residual contract of ridge_path, which must match it bitwise."""
+    n = len(y)
+    base = K + n * lam * np.eye(n)
+    base_jitter = 1e-10 * np.trace(K) / n
+    jitter = 0.0 if lam > 0 else base_jitter
+    y_scale = max(np.linalg.norm(y), 1e-300)
+    for _ in range(4):
+        system = base if jitter == 0.0 else base + jitter * np.eye(n)
+        try:
+            factor = cho_factor(system, lower=True)
+            candidate = cho_solve(factor, y)
+        except LinAlgError:
+            jitter = base_jitter if jitter == 0.0 else jitter * 10.0
+            continue
+        if np.linalg.norm(system @ candidate - y) <= 1e-8 * y_scale:
+            return candidate
+        jitter = base_jitter if jitter == 0.0 else jitter * 10.0
+    raise ConditioningError(
+        f"Gram system not solvable to 1e-8 relative residual after jitter "
+        f"escalation (n={n}, lambda={lam:g}, last jitter={jitter:g})"
+    )
+
+
+class TestRidgePath:
+    rng = np.random.default_rng(10)
+    X = rng.normal(size=(60, 3))
+    y = rng.normal(size=60)
+    LAMS = (1e-4, 1e-2, 1.0)
+
+    @pytest.mark.parametrize("kernel", [rbf_kernel(0.8), polynomial_kernel(2, 1.0)],
+                             ids=["rbf", "polynomial"])
+    def test_matches_cholesky_reference_bitwise(self, kernel):
+        K = gram(kernel, self.X, self.X)
+        path = ridge_path(K, self.y, self.LAMS)
+        assert path.shape == (len(self.LAMS), 60)
+        for lam, coef in zip(self.LAMS, path):
+            expected = reference_ridge_solve(K, self.y, lam)
+            assert np.array_equal(coef, expected)
+            assert np.array_equal(ridge_solve(K, self.y, lam), expected)
+
+    def test_zero_lambda_jitter_escalation_bitwise(self):
+        # duplicated rows: K is singular, so lambda = 0 needs jitter
+        X = np.vstack([self.X[:20]] * 2)
+        y = np.concatenate([self.y[:20]] * 2)
+        K = gram(rbf_kernel(0.8), X, X)
+        with pytest.raises(LinAlgError):
+            cho_factor(K, lower=True)
+        expected = reference_ridge_solve(K, y, 0.0)
+        assert np.array_equal(ridge_solve(K, y, 0.0), expected)
+        assert np.array_equal(ridge_path(K, y, (0.0, 0.1))[0], expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        K = gram(rbf_kernel(0.8), self.X, self.X)
+        K[3, 5] = K[5, 3] = bad
+        with pytest.raises(ValueError):
+            ridge_path(K, self.y, self.LAMS)
+        y = self.y.copy()
+        y[7] = bad
+        with pytest.raises(ValueError):
+            ridge_solve(np.eye(60), y, 0.1)
+
+    def test_unsolvable_system_raises_conditioning_error(self):
+        # an indefinite K fails every jittered factorization; the path
+        # stops at its first unsolvable lambda
+        K = np.diag([1.0, -1.0, 1.0])
+        y = np.ones(3)
+        for lams in ((0.0,), (0.1, 0.0)):
+            with pytest.raises(ConditioningError) as expected:
+                reference_ridge_solve(K, y, lams[0])
+            with pytest.raises(ConditioningError) as raised:
+                ridge_path(K, y, lams)
+            assert str(raised.value) == str(expected.value)
 
 
 class TestStabilityCoeffs:
