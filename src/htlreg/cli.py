@@ -106,7 +106,7 @@ def _cmd_run(args) -> int:
         )
     if args.out:
         config = replace(config, output_dir=Path(args.out))
-    if args.seeds:
+    if args.seeds is not None:
         config = replace(config, seeds=parse_seeds(args.seeds.split(","), "--seeds"))
     report = run_experiment(config)
     n_rows = len(report.get("rows", []))

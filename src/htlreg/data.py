@@ -1,4 +1,5 @@
-"""Datasets, synthetic benchmark generation, CSV ingestion, and splitting.
+"""Datasets, synthetic benchmark generation, CSV ingestion, splitting, and
+the pairwise squared distances the kernel subroutines share.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64). Every
 randomized operation takes an explicit 64-bit seed and is a pure function of
@@ -78,6 +79,17 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
+
+
+def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of A (m, d) and B (n, d).
+
+    scipy is imported here, on first use, so a run that never needs a dense
+    distance matrix (1-D compact-kernel smoothing) never loads it.
+    """
+    from scipy.spatial.distance import cdist
+
+    return cdist(A, B, metric="sqeuclidean")
 
 
 # Truth functions map a feature matrix (n, d) to labels (n,).

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import __version__
 from .data import (
@@ -31,6 +30,7 @@ from .data import (
     doppler_scale_spec,
     generate_synthetic,
     load_csv,
+    sq_distances,
     subsample,
 )
 from .evaluation import excess_risk_mc, metric_report, rate_slope
@@ -51,6 +51,7 @@ from .ridge import (
     RKHSKernel,
     gram,
     median_heuristic_sq,
+    rbf_from_sq,
     ridge_path,
 )
 from .smoothing import SmoothingKernel, predict_from_kernel, predict_sorted_1d
@@ -481,8 +482,7 @@ def _grid_cv_ks(data, candidates, parts, kernel) -> np.ndarray:
     scores = np.zeros(len(candidates))
     for test_idx in parts:
         train_idx = np.setdiff1d(all_idx, test_idx)
-        sq = cdist(data.features[test_idx], data.features[train_idx],
-                   metric="sqeuclidean")
+        sq = sq_distances(data.features[test_idx], data.features[train_idx])
         y_train = data.labels[train_idx]
         y_test = data.labels[test_idx]
         for j, spec in enumerate(candidates):
@@ -522,7 +522,7 @@ def _grid_cv_krr(data, candidates, parts, kernel) -> np.ndarray:
     lams = [spec.lam for spec in candidates]
     rbf = kernel.shape is KernelShape.RBF
     if rbf:
-        sq = cdist(data.features, data.features, metric="sqeuclidean")
+        sq = sq_distances(data.features, data.features)
     scores = np.zeros(len(candidates))
     for test_idx in parts:
         in_train = np.ones(data.n, dtype=bool)
@@ -532,10 +532,8 @@ def _grid_cv_krr(data, candidates, parts, kernel) -> np.ndarray:
             K = sq[np.ix_(train_idx, train_idx)]
             G_test = sq[np.ix_(test_idx, train_idx)]
             lengthscale = kernel.lengthscale or median_heuristic_sq(K)
-            for block in (K, G_test):
-                # exp(-sq / (2 l^2)) as gram rounds it
-                np.divide(block, -(2.0 * lengthscale**2), out=block)
-                np.exp(block, out=block)
+            rbf_from_sq(K, lengthscale)
+            rbf_from_sq(G_test, lengthscale)
         else:
             X_train = data.features[train_idx]
             K = gram(kernel, X_train, X_train)

@@ -8,6 +8,10 @@ semidefinite kernel; the closed form is
 The linear system is solved by a Cholesky factorization with escalating
 jitter (jitter only when lambda = 0). Fitted predictors are immutable and
 may be queried concurrently; independent fits share no mutable state.
+
+scipy supplies the squared distances (``data.sq_distances``) and the LAPACK
+Cholesky routines (``ridge_path``); both import it on first use, so loading
+this module does not load scipy.
 """
 
 from __future__ import annotations
@@ -17,10 +21,8 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.spatial.distance import cdist
 
-from .data import Dataset
+from .data import Dataset, sq_distances
 
 
 class ConditioningError(RuntimeError):
@@ -84,7 +86,7 @@ def polynomial_kernel(degree: int, offset: float = 1.0) -> RKHSKernel:
 def median_heuristic(X: np.ndarray) -> float:
     """Median of the positive pairwise distances (1.0 if there are none)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return median_heuristic_sq(cdist(X, X, metric="sqeuclidean"))
+    return median_heuristic_sq(sq_distances(X, X))
 
 
 def median_heuristic_sq(sq: np.ndarray) -> float:
@@ -102,6 +104,12 @@ def median_heuristic_sq(sq: np.ndarray) -> float:
     return float((np.sqrt(positive[m - 1]) + np.sqrt(positive[m:].min())) / 2)
 
 
+def rbf_from_sq(sq: np.ndarray, lengthscale: float) -> np.ndarray:
+    """exp(-sq / (2 l^2)), computed in place in ``sq``, which it returns."""
+    np.divide(sq, -(2.0 * lengthscale**2), out=sq)
+    return np.exp(sq, out=sq)
+
+
 def gram(kernel: RKHSKernel, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kernel matrix with entries K(A_i, B_j)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -111,8 +119,7 @@ def gram(kernel: RKHSKernel, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if kernel.shape is KernelShape.RBF:
         if kernel.lengthscale is None:
             raise ValueError("rbf lengthscale unresolved; fit resolves it")
-        sq = cdist(A, B, metric="sqeuclidean")
-        return np.exp(-sq / (2.0 * kernel.lengthscale**2))
+        return rbf_from_sq(sq_distances(A, B), kernel.lengthscale)
     if kernel.shape is KernelShape.LINEAR:
         return A @ B.T
     return (A @ B.T + kernel.offset) ** kernel.degree
@@ -165,6 +172,8 @@ def ridge_path(K: np.ndarray, y: np.ndarray, lams: Sequence[float]) -> np.ndarra
     potrf/potrs calls as scipy's cho_factor/cho_solve, so the coefficients
     are the same bits.
     """
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(y)
@@ -211,8 +220,12 @@ def krr_fit(train: Dataset, kernel: RKHSKernel, lam: float) -> KRRPredictor:
         raise ValueError("lambda must be >= 0")
     X = train.features
     if kernel.shape is KernelShape.RBF and kernel.lengthscale is None:
-        kernel = replace(kernel, lengthscale=median_heuristic(X))
-    K = gram(kernel, X, X)
+        # one distance matrix serves the heuristic and the Gram matrix
+        sq = sq_distances(X, X)
+        kernel = replace(kernel, lengthscale=median_heuristic_sq(sq))
+        K = rbf_from_sq(sq, kernel.lengthscale)
+    else:
+        K = gram(kernel, X, X)
     coef = ridge_solve(K, train.labels, lam)
     k_bound = kernel.k_bound
     if k_bound is None:

@@ -13,7 +13,10 @@ training point's label, ties going to the lowest index.
 For 1-D data and a compact-support kernel, predictions only visit the
 training points inside each query's window [q - h, q + h], found by binary
 search in the sorted features (windowed Nadaraya-Watson evaluation, Fan &
-Marron 1994); everything else evaluates the dense (m, n) kernel matrix.
+Marron 1994); everything else evaluates the dense (m, n) kernel matrix. The
+windowed path needs only numpy. The dense path takes its distances from
+``data.sq_distances``, which imports scipy on first use, so a 1-D
+compact-kernel run never loads scipy.
 
 Inside the window, boxcar and epanechnikov are polynomials in (q - x)^2, so
 a call whose windows hold at least ``_MOMENT_MIN_PAIRS`` pairs takes their
@@ -42,9 +45,8 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .data import Dataset
+from .data import Dataset, sq_distances
 
 
 class SmoothingKernel(Enum):
@@ -365,7 +367,7 @@ class KSPredictor:
     def _raw(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unnormalized kernel values and squared query-train distances."""
         self._check_queries(X)
-        sq = cdist(X, self.train.features, metric="sqeuclidean")
+        sq = sq_distances(X, self.train.features)
         raw = self.kernel.profile_sq(sq / (self.bandwidth * self.bandwidth))
         return raw, sq
 

@@ -199,6 +199,8 @@ class TestConfigParsing:
         (lambda c: _kind(c, "csv_transfer", source_csv="s.csv",
                          target_csv="t.csv", n_ta=[20, 40.9]), [],
          "config.data.n_ta"),
+        (lambda c: None, ["--seeds="], "--seeds"),
+        (lambda c: None, ["--seeds", ""], "--seeds"),
     ])
     def test_invalid_config_fails_at_parse_time_naming_the_key(
         self, tmp_path, capsys, edit, argv, key

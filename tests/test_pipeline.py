@@ -21,6 +21,7 @@ from htlreg.smoothing import SmoothingKernel
 from htlreg.transform import (
     AuxiliaryEstimator,
     EstimatorMode,
+    QuantizedFamily,
     SingularityError,
     eval_G,
     loglinear,
@@ -337,6 +338,38 @@ class TestSelectTransformation:
             KSSpec(bandwidth=0.1), KSSpec(bandwidth=0.1),
         )
         assert result.chosen.alpha == 0.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), K=st.integers(1, 3), L_alpha=st.floats(0.1, 4.0),
+           zero_source=st.booleans(),
+           spec=st.builds(KSSpec, kernel=st.sampled_from(list(SmoothingKernel)),
+                          bandwidth=st.floats(0.02, 1.0)))
+    def test_chosen_mse_never_exceeds_alpha_zero(self, data, K, L_alpha,
+                                                 zero_source, spec):
+        # an all-zero source makes every member's predictions the same bits,
+        # so the whole family ties and the tie-break decides
+        def sample(tag, n, zero=False):
+            xs = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+            ys = [0.0] * n if zero else data.draw(
+                st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+            return Dataset(features=np.reshape(xs, (-1, 1)), labels=ys,
+                           domain_tag=tag)
+
+        source = sample(DomainTag.SOURCE, data.draw(st.integers(1, 20)), zero_source)
+        target = sample(DomainTag.TARGET, data.draw(st.integers(1, 15)))
+        validation = sample(DomainTag.VALIDATION, data.draw(st.integers(1, 10)))
+        family = QuantizedFamily(L_alpha=L_alpha, L_a=1.0, K=K)
+        result = select_transformation(source, target, validation, family,
+                                       spec, spec)
+        mses = [mse for _, mse in result.per_candidate_validation_mse]
+        chosen_mse = mses[result.chosen_index]
+        assert family.members[K].alpha == 0.0
+        assert chosen_mse <= mses[K]
+        tied = [abs(m.alpha) for m, mse in zip(family.members, mses)
+                if mse == chosen_mse]
+        assert abs(result.chosen.alpha) == min(tied)
+        if zero_source:
+            assert result.chosen.alpha == 0.0
 
     def test_validation_tag_enforced(self):
         source, target, _ = _selection_setup(3)

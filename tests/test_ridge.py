@@ -131,6 +131,20 @@ class TestFitPredict:
         p = krr_fit(ds, rbf_kernel(None), 0.1)
         assert p.kernel.lengthscale == pytest.approx(median_heuristic(ds.features))
 
+    @pytest.mark.parametrize("seed,shape,lam", [
+        (8, (20, 1), 0.1), (9, (40, 8), 1e-3), (10, (15, 3), 0.0),
+    ])
+    def test_median_heuristic_fit_matches_two_pass_bitwise(self, seed, shape, lam):
+        """One distance matrix serves the heuristic and the Gram matrix; the
+        fit is the same bits as taking median_heuristic(X), then gram."""
+        rng = np.random.default_rng(seed)
+        ds = Dataset(features=rng.uniform(size=shape), labels=rng.normal(size=shape[0]))
+        p = krr_fit(ds, rbf_kernel(None), lam)
+        kernel = rbf_kernel(median_heuristic(ds.features))
+        expected = ridge_solve(gram(kernel, ds.features, ds.features), ds.labels, lam)
+        assert p.kernel == kernel
+        assert np.array_equal(p.coefficients, expected)
+
     @pytest.mark.parametrize("X", [
         np.random.default_rng(11).normal(size=(9, 3)),   # 36 pairs: two middles
         np.random.default_rng(12).normal(size=(10, 2)),  # 45 pairs: one middle
