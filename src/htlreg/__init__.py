@@ -46,7 +46,6 @@ from .experiment import (
     grid_search_cv,
     load_config,
     parse_config,
-    register_baseline,
     run_experiment,
 )
 from .pipeline import (
@@ -57,9 +56,7 @@ from .pipeline import (
     LambdaRule,
     SelectionResult,
     construct_auxiliary,
-    direct_estimator_factory,
     htl_fit,
-    htl_predict,
     select_transformation,
 )
 from .ridge import (
@@ -76,7 +73,7 @@ from .ridge import (
     polynomial_kernel,
     rbf_kernel,
 )
-from .smoothing import KSPredictor, SmoothingKernel, ks_bandwidth_rule, ks_fit
+from .smoothing import KSPredictor, SmoothingKernel, ks_bandwidth_rule
 from .transform import (
     AuxiliaryEstimator,
     EstimatorConfigError,
@@ -94,6 +91,5 @@ from .transform import (
     loglinear,
     non_transfer,
     offset,
-    quantize_offset_family,
     scale,
 )

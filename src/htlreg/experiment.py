@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -41,6 +42,7 @@ from .pipeline import (
     KSSpec,
     LambdaRule,
     Predictor,
+    SelectionResult,
     SubroutineSpec,
     construct_auxiliary,
     select_transformation,
@@ -71,16 +73,6 @@ class ConfigError(ValueError):
 
 
 BUILTIN_BASELINES = ("only_target", "only_source", "combined")
-
-# Custom baselines (external algorithms) can be registered here by name:
-# fit_fn(source, target_train, source_spec, target_spec) -> Predictor.
-_BASELINE_REGISTRY: dict[str, Callable] = {}
-
-
-def register_baseline(name: str, fit_fn: Callable) -> None:
-    if name in BUILTIN_BASELINES:
-        raise ValueError(f"{name!r} is a built-in baseline")
-    _BASELINE_REGISTRY[name] = fit_fn
 
 
 def child_seed(seed: int, stream: int) -> int:
@@ -176,7 +168,7 @@ def _integer(value, where: str) -> int:
 
 
 def parse_seeds(values, where: str) -> tuple[int, ...]:
-    """Seeds as a nonempty tuple of nonnegative ints."""
+    """Seeds as a nonempty tuple of distinct nonnegative ints."""
     try:
         values = list(values)
     except TypeError:
@@ -185,6 +177,10 @@ def parse_seeds(values, where: str) -> tuple[int, ...]:
     if not seeds or min(seeds) < 0:
         raise ConfigError(f"{where}: seeds must be a nonempty list of nonnegative "
                           f"ints, got {values!r}")
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise ConfigError(f"{where}: seed {repeated[0]} appears more than once "
+                          f"in {values!r}")
     return seeds
 
 
@@ -340,25 +336,33 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if n_so >= 1:  # an unset csv_transfer n_so is checked once the CSV is loaded
         _check_fold_sizes(source_method, n_so, "config.methods.source")
     _check_fold_sizes(target_method, min(n_ta_values), "config.methods.target")
-    baselines = tuple(methods.get("baselines", ["only_target"]))
+    # a selection run is its family alone; the other kinds take no family
+    selection = kind == "selection"
+    baselines = tuple(methods.get("baselines", [] if selection else ["only_target"]))
     for b in baselines:
-        if b not in BUILTIN_BASELINES and b not in _BASELINE_REGISTRY:
+        if b not in BUILTIN_BASELINES:
             raise ConfigError(
                 f"config.methods.baselines: unknown baseline {b!r} "
                 f"(built-ins: {BUILTIN_BASELINES})"
             )
+    if selection and baselines:
+        raise ConfigError("config.methods.baselines: a selection run takes none, "
+                          f"got {list(baselines)}")
+    if selection and "transformations" in raw:
+        raise ConfigError("config.transformations: a selection run takes none; "
+                          "its candidates come from config.selection_family")
+    if not selection and "selection_family" in raw:
+        raise ConfigError(f"config.selection_family: only selection runs take "
+                          f"one, not {kind!r}")
     transformations = tuple(
         parse_transformation(dict(t), f"config.transformations[{i}]")
         for i, t in enumerate(raw.get("transformations", []))
     )
     selection_family = None
-    if raw.get("selection_family") is not None:
+    if selection:
         with _section("config.selection_family"):
-            selection_family = QuantizedFamily(**{"L_a": 1.0,
-                                                  **raw["selection_family"]})
-    if kind == "selection":
-        if selection_family is None:
-            raise ConfigError("config.selection_family required for selection runs")
+            selection_family = QuantizedFamily(
+                **{"L_a": 1.0, **_require(raw, "selection_family", "config")})
         if n_val < 1:
             raise ConfigError("config.sizes.n_val must be positive for selection")
     seeds = parse_seeds(_require(raw, "seeds", "config"), "config.seeds")
@@ -633,27 +637,14 @@ def _pooled(data: SeedData) -> Dataset:
     )
 
 
-def _fit_baseline(
-    name: str,
-    data: SeedData,
-    config: ExperimentConfig,
-    seed: int,
-    so_spec: SubroutineSpec,
-    ta_spec: SubroutineSpec,
-) -> Predictor:
-    if name == "only_target":
-        return ta_spec.fit(data.target)
-    if name == "combined":
-        pooled = _pooled(data)
-        spec = config.target_method.resolve(pooled, child_seed(seed, _CV_TARGET))
-        return spec.fit(pooled)
-    return _BASELINE_REGISTRY[name](data.source, data.target, so_spec, ta_spec)
-
-
-def _method_roster(config: ExperimentConfig) -> list[tuple[str, object]]:
-    roster: list[tuple[str, object]] = [(b, b) for b in config.baselines]
+def _method_roster(config: ExperimentConfig) -> list[tuple[str | None, object]]:
+    """(name, item) per method: baselines by name, HTL methods by estimator,
+    and the selection family, whose rows carry no method name."""
+    roster: list[tuple[str | None, object]] = [(b, b) for b in config.baselines]
     for est in config.transformations:
         roster.append((f"htl_{est.transformation.label}", est))
+    if config.selection_family is not None:
+        roster.append((None, config.selection_family))
     return roster
 
 
@@ -683,51 +674,87 @@ def _error(where: dict, exc: Exception) -> dict:
     return {**where, "error": str(exc), "type": type(exc).__name__}
 
 
+def _once(fn: Callable[[], object]) -> Callable[[], object]:
+    """``fn`` called on first use only; later calls return its value or
+    raise its method error again."""
+    @cache
+    def outcome():
+        try:
+            return fn(), None
+        except _METHOD_ERRORS as exc:
+            return None, exc
+
+    def call():
+        value, exc = outcome()
+        if exc is not None:
+            raise exc
+        return value
+    return call
+
+
 def _run_cells(config: ExperimentConfig, make_cells: Callable[[int], list[tuple]]):
     """Fit and score every method on each (n_ta, SeedData) cell of each seed.
 
     A seed's cells share one source sample, so the source stage is resolved
-    once per seed and f_so_hat fit at most once, for only_source and every
-    HTL method. An HTL method builds its
-    auxiliary sample once, for both the target-stage CV and the fit.
-    Returns the rows, the failures, and the first cell's data and predictors.
+    at most once per seed and f_so_hat fit at most once, for only_source,
+    every HTL method and selection; the target spec is resolved at most once
+    per cell. Each is computed on first use inside the per-method ``try``,
+    so its failure is recorded against every method that needs it. An HTL
+    method builds its auxiliary sample once, for both the target-stage CV
+    and the fit.
+    Returns the rows, the failures, the first cell's data and predictors,
+    and the selection results in row order.
     """
     rows: list[dict] = []
     errors: list[dict] = []
+    selections: list[SelectionResult] = []
     first = None
+    roster = _method_roster(config)
     for seed in config.seeds:
         cells = make_cells(seed)
         source = cells[0][1].source
-        so_spec = config.source_method.resolve(source, child_seed(seed, _CV_SOURCE))
-        f_so_hat = None
+        so_spec = _once(partial(config.source_method.resolve, source,
+                                child_seed(seed, _CV_SOURCE)))
+        f_so_hat = _once(lambda: so_spec().fit(source))
         cv_seed = child_seed(seed, _CV_TARGET)
         for n_ta, data in cells:
-            ta_spec = config.target_method.resolve(data.target, cv_seed)
+            ta_spec = _once(partial(config.target_method.resolve, data.target,
+                                    cv_seed))
             predictors: dict[str, Predictor] = {}
-            for name, item in _method_roster(config):
+            for name, item in roster:
                 cell = {"method": name, "n_ta": n_ta, "seed": seed}
                 cell = {k: v for k, v in cell.items() if v is not None}
                 try:
-                    htl = isinstance(item, AuxiliaryEstimator)
-                    if f_so_hat is None and (htl or name == "only_source"):
-                        f_so_hat = so_spec.fit(source)
-                    if htl:
-                        aux, _ = construct_auxiliary(data.target, f_so_hat, item)
+                    if isinstance(item, QuantizedFamily):
+                        result = select_transformation(
+                            f_so_hat(), data.target, data.validation, item, ta_spec()
+                        )
+                        selections.append(result)
+                        _, chosen_mse = result.per_candidate_validation_mse[
+                            result.chosen_index]
+                        rows.append({**cell, "chosen": result.chosen.label,
+                                     "chosen_alpha": result.chosen.alpha,
+                                     "chosen_validation_mse": chosen_mse})
+                        continue
+                    if isinstance(item, AuxiliaryEstimator):
+                        aux, _ = construct_auxiliary(data.target, f_so_hat(), item)
                         w_spec = config.target_method.resolve(aux, cv_seed)
-                        pred = HTLPredictor(f_so_hat, w_spec.fit(aux),
+                        pred = HTLPredictor(f_so_hat(), w_spec.fit(aux),
                                             item.transformation)
                     elif name == "only_source":
-                        pred = f_so_hat
-                    else:
-                        pred = _fit_baseline(name, data, config, seed,
-                                             so_spec, ta_spec)
+                        pred = f_so_hat()
+                    elif name == "only_target":
+                        pred = ta_spec().fit(data.target)
+                    else:  # combined: the target method on the pooled sample
+                        pooled = _pooled(data)
+                        pred = config.target_method.resolve(pooled, cv_seed).fit(pooled)
                     predictors[name] = pred
                     rows.append({**cell, **_score(pred, data, seed)})
                 except _METHOD_ERRORS as exc:  # recorded, run continues
                     errors.append(_error(cell, exc))
             if first is None:
                 first = (data, predictors)
-    return rows, errors, first
+    return rows, errors, first, selections
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -736,17 +763,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
     Returns the report dict; ``report["errors"]`` is nonempty when some
     method failed (the run itself continues).
     """
-    kind = config.experiment_kind
-    report = _run_selection(config) if kind == "selection" else _run_transfer(config)
-    report["experiment_kind"] = kind
+    report = _run_report(config)
+    report["experiment_kind"] = config.experiment_kind
     report["toolkit_version"] = __version__
     report["config"] = {**config.raw, "seeds": list(config.seeds)}
     _write_artifacts(config, report)
     return report
 
 
-def _run_transfer(config: ExperimentConfig) -> dict:
-    """Synthetic, rate-sweep and CSV runs: one cell loop, a summary per kind."""
+def _run_report(config: ExperimentConfig) -> dict:
+    """Every kind: one cell loop, then a summary per kind."""
     kind = config.experiment_kind
     if kind == "csv_transfer":
         make_cells = _csv_cells(config)
@@ -754,7 +780,21 @@ def _run_transfer(config: ExperimentConfig) -> dict:
         make_cells = partial(_rate_sweep_cells, config)
     else:
         make_cells = partial(_synthetic_cells, config)
-    rows, errors, first = _run_cells(config, make_cells)
+    rows, errors, first, selections = _run_cells(config, make_cells)
+    if kind == "selection":  # mean validation MSE per candidate, choice counts
+        family = config.selection_family
+        mses: dict[str, list[float]] = {m.label: [] for m in family.members}
+        for result in selections:
+            for label, value in result.per_candidate_validation_mse:
+                mses[label].append(value)
+        counts = Counter(row["chosen"] for row in rows)
+        return {"rows": rows, "errors": errors,
+                "plot_series": [{"candidate": label, "mean_validation_mse":
+                                 float(np.mean(vals)) if vals else None}
+                                for label, vals in mses.items()],
+                "aggregates": [{"chosen": k, "count": v}
+                               for k, v in sorted(counts.items())],
+                "candidate_alphas": [float(a) for a in family.alphas]}
     metrics = ("mse", "r_squared", "excess_risk")
     if kind in ("synthetic_offset", "synthetic_scale"):
         return {"rows": rows, "aggregates": _aggregate(rows, ("method",), metrics),
@@ -824,55 +864,6 @@ def _prediction_series(data: SeedData, predictors: dict[str, Predictor]) -> list
         {name: float(series[name][i]) for name in names}
         for i in range(len(grid))
     ]
-
-
-def _run_selection(config: ExperimentConfig) -> dict:
-    family = config.selection_family
-    rows: list[dict] = []
-    errors: list[dict] = []
-    candidate_mses: dict[str, list[float]] = {m.label: [] for m in family.members}
-    for seed in config.seeds:
-        data = _generate_seed_data(config, seed, config.n_ta)
-        try:
-            so_spec = config.source_method.resolve(
-                data.source, child_seed(seed, _CV_SOURCE)
-            )
-            ta_spec = config.target_method.resolve(
-                data.target, child_seed(seed, _CV_TARGET)
-            )
-            result = select_transformation(
-                source=data.source,
-                target=data.target,
-                validation=data.validation,
-                family=family,
-                so_spec=so_spec,
-                w_spec=ta_spec,
-            )
-            row = {
-                "seed": seed,
-                "chosen": result.chosen.label,
-                "chosen_alpha": result.chosen.alpha,
-                "chosen_validation_mse": result.per_candidate_validation_mse[
-                    result.chosen_index
-                ][1],
-            }
-            rows.append(row)
-            for label, value in result.per_candidate_validation_mse:
-                candidate_mses[label].append(value)
-        except _METHOD_ERRORS as exc:
-            errors.append(_error({"seed": seed}, exc))
-    plot = [
-        {"candidate": label, "mean_validation_mse":
-         float(np.mean(vals)) if vals else None}
-        for label, vals in candidate_mses.items()
-    ]
-    chosen_counts: dict[str, int] = {}
-    for row in rows:
-        chosen_counts[row["chosen"]] = chosen_counts.get(row["chosen"], 0) + 1
-    return {"rows": rows, "errors": errors, "plot_series": plot,
-            "aggregates": [{"chosen": k, "count": v}
-                           for k, v in sorted(chosen_counts.items())],
-            "candidate_alphas": [float(a) for a in family.alphas]}
 
 
 # ---------------------------------------------------------------------------

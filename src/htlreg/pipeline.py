@@ -2,31 +2,31 @@
 
 Given source data, target data, and a transformation G:
 
-    1. fit f_so_hat on the source sample,
+    1. fit f_so_hat on the source sample (``spec.fit(source)``),
     2. relabel the target sample with auxiliary labels
        W_i = H(f_so_hat(X_i), Y_i),
     3. fit w_hat on the relabeled sample,
     4. predict G(f_so_hat(x), w_hat(x)).
 
 With the non-transfer G this reduces bit-for-bit to fitting the target
-stage directly on the target sample. Selection over a finite roster of
-candidate transformations fits the source stage once, shares it, and keeps
-the candidate with the lowest validation MSE.
+stage directly on the target sample. ``htl_fit`` runs steps 2-4 on a prefit
+source stage, and selection over a finite roster of candidate
+transformations shares that prefit stage across candidates and keeps the
+one with the lowest validation MSE.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, Union
+from typing import Protocol, Sequence, Union
 
 import numpy as np
 
 from .data import Dataset, DomainTag
 from .ridge import RKHSKernel, KRRPredictor, krr_fit, krr_lambda_rule
-from .smoothing import KSPredictor, SmoothingKernel, ks_bandwidth_rule, ks_fit
+from .smoothing import KSPredictor, SmoothingKernel, ks_bandwidth_rule
 from .transform import (
     AuxiliaryEstimator,
-    EstimatorMode,
     QuantizedFamily,
     TransformationFunction,
     apply_H,
@@ -81,7 +81,7 @@ class KSSpec:
         return ks_bandwidth_rule(train.n, train.dim, self.rule.alpha, self.rule.c)
 
     def fit(self, train: Dataset) -> KSPredictor:
-        return ks_fit(train, self.kernel, self.resolve_bandwidth(train))
+        return KSPredictor(train, self.kernel, self.resolve_bandwidth(train))
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,6 @@ class HTLPredictor:
         return eval_G(
             self.transformation, self.f_so_hat.predict(X), self.w_hat.predict(X)
         )
-
-    def predict_one(self, x) -> float:
-        return float(self.predict(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
 
 def construct_auxiliary(
@@ -176,48 +173,15 @@ def construct_auxiliary(
 
 
 def htl_fit(
-    source: Dataset | None,
+    f_so_hat: Predictor,
     target: Dataset,
-    tf: TransformationFunction,
     est: AuxiliaryEstimator,
-    so_spec: SubroutineSpec,
     w_spec: SubroutineSpec,
-    f_so_hat: Predictor | None = None,
 ) -> HTLPredictor:
-    """Run the full transfer pipeline and return the composed predictor.
-
-    ``tf`` is authoritative: if ``est`` was built for a different
-    transformation it is rebound (and revalidated) against ``tf``. A prefit
-    ``f_so_hat`` skips the source stage (used by selection to fit the
-    source exactly once across candidates).
-    """
-    if est.transformation is not tf:
-        est = AuxiliaryEstimator(
-            transformation=tf,
-            mode=est.mode,
-            sigma2=est.sigma2,
-            assume_noiseless=est.assume_noiseless,
-        )
-    if f_so_hat is None:
-        if source is None:
-            raise ValueError("either source data or a prefit f_so_hat is required")
-        if source.domain_tag is not DomainTag.SOURCE:
-            raise ValueError(f"expected source-domain data, got {source.domain_tag}")
-        f_so_hat = so_spec.fit(source)
+    """Relabel the target through the prefit source stage ``f_so_hat``, fit
+    the auxiliary stage, and return the composed predictor."""
     aux, _ = construct_auxiliary(target, f_so_hat, est)
-    w_hat = w_spec.fit(aux)
-    return HTLPredictor(f_so_hat=f_so_hat, w_hat=w_hat, transformation=tf)
-
-
-def htl_predict(p: HTLPredictor, x) -> float:
-    return p.predict_one(x)
-
-
-EstimatorFactory = Callable[[TransformationFunction], AuxiliaryEstimator]
-
-
-def direct_estimator_factory(tf: TransformationFunction) -> AuxiliaryEstimator:
-    return AuxiliaryEstimator(transformation=tf, mode=EstimatorMode.DIRECT_INVERSE)
+    return HTLPredictor(f_so_hat, w_spec.fit(aux), est.transformation)
 
 
 @dataclass(frozen=True)
@@ -231,19 +195,18 @@ class SelectionResult:
 
 
 def select_transformation(
-    source: Dataset,
+    f_so_hat: Predictor,
     target: Dataset,
     validation: Dataset,
     family: QuantizedFamily | Sequence[TransformationFunction],
-    so_spec: SubroutineSpec,
     w_spec: SubroutineSpec,
-    est_factory: EstimatorFactory = direct_estimator_factory,
 ) -> SelectionResult:
     """Pick the candidate whose pipeline has the lowest validation MSE.
 
-    The source stage is fit once and shared by every candidate (it does not
-    depend on G). Ties go to the candidate closest to non-transfer
-    (smallest |alpha|), then to the lowest index.
+    Every candidate shares the prefit source stage ``f_so_hat`` (it does not
+    depend on G) and relabels through its direct inverse. Ties go to the
+    candidate closest to non-transfer (smallest |alpha|), then to the lowest
+    index.
     """
     if validation.domain_tag is not DomainTag.VALIDATION:
         raise ValueError(
@@ -254,21 +217,10 @@ def select_transformation(
     candidates = list(family.members if isinstance(family, QuantizedFamily) else family)
     if not candidates:
         raise ValueError("no candidate transformations")
-    if source.domain_tag is not DomainTag.SOURCE:
-        raise ValueError(f"expected source-domain data, got {source.domain_tag}")
-    f_so_hat = so_spec.fit(source)
 
     rows: list[tuple[str, float]] = []
     for tf in candidates:
-        predictor = htl_fit(
-            source=None,
-            target=target,
-            tf=tf,
-            est=est_factory(tf),
-            so_spec=so_spec,
-            w_spec=w_spec,
-            f_so_hat=f_so_hat,
-        )
+        predictor = htl_fit(f_so_hat, target, AuxiliaryEstimator(tf), w_spec)
         residuals = validation.labels - predictor.predict(validation.features)
         rows.append((tf.label, float(np.mean(residuals**2))))
 

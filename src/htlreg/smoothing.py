@@ -404,14 +404,6 @@ class KSPredictor:
         return float(self.predict(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
 
-def ks_fit(
-    train: Dataset,
-    kernel: SmoothingKernel = SmoothingKernel.TRUNCATED_GAUSSIAN,
-    bandwidth: float = 0.1,
-) -> KSPredictor:
-    return KSPredictor(train=train, kernel=kernel, bandwidth=bandwidth)
-
-
 def ks_bandwidth_rule(n: int, d: int, alpha: float, c: float = 1.0) -> float:
     """Rate-driven default bandwidth c * n^(-1 / (2*alpha + d)).
 

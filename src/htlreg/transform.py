@@ -305,7 +305,3 @@ class QuantizedFamily:
     @property
     def alphas(self) -> np.ndarray:
         return np.array([m.alpha for m in self.members])
-
-
-def quantize_offset_family(L_alpha: float, L_a: float, K: int) -> QuantizedFamily:
-    return QuantizedFamily(L_alpha=L_alpha, L_a=L_a, K=K)

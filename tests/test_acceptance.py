@@ -29,17 +29,17 @@ from htlreg.ridge import (
     polynomial_kernel,
     rbf_kernel,
 )
-from htlreg.smoothing import SmoothingKernel, ks_fit
+from htlreg.smoothing import KSPredictor, SmoothingKernel
 from htlreg.transform import (
     AuxiliaryEstimator,
     EstimatorMode,
+    QuantizedFamily,
     apply_H,
     estimate_sigma2,
     eval_G,
     loglinear,
     non_transfer,
     offset,
-    quantize_offset_family,
     scale,
 )
 
@@ -149,7 +149,7 @@ def test_criterion_04_stability_bound_never_violated():
         kernel = kernels[case % len(kernels)]
         h = float(rng.uniform(0.05, 0.5))
         delta = rng.normal(size=n) * float(rng.uniform(0.1, 2.0))
-        fit_fn = lambda ds: ks_fit(ds, kernel, h)
+        fit_fn = lambda ds: KSPredictor(ds, kernel, h)
         weights = fit_fn(base).weights
         grid = default_query_grid([0.0], [1.0], seed=case)
         observed, bound = stability_probe(fit_fn, base, delta, weights, grid)
@@ -207,7 +207,7 @@ def test_criterion_05_unbiased_auxiliary_estimators():
 
 def test_criterion_06_selection_correctness():
     true_alpha = 1.0
-    family = quantize_offset_family(L_alpha=2.0, L_a=1.0, K=4)
+    family = QuantizedFamily(L_alpha=2.0, L_a=1.0, K=4)
     nearest = family.alphas[np.argmin(np.abs(family.alphas - true_alpha))]
     hits = 0
     dominance = 0
@@ -231,12 +231,12 @@ def test_criterion_06_selection_correctness():
         from htlreg.experiment import _generate_seed_data
 
         data = _generate_seed_data(config, seed, config.n_ta)
+        so_spec = KSSpec(SmoothingKernel.EPANECHNIKOV, bandwidth=0.005)
         result = select_transformation(
-            source=data.source,
+            f_so_hat=so_spec.fit(data.source),
             target=data.target,
             validation=data.validation,
             family=family,
-            so_spec=KSSpec(SmoothingKernel.EPANECHNIKOV, bandwidth=0.005),
             w_spec=KSSpec(SmoothingKernel.EPANECHNIKOV, bandwidth=0.215),
         )
         hits += abs(result.chosen.alpha - nearest) < 1e-12
@@ -304,7 +304,7 @@ def test_criterion_07_oracle_equivalence():
         ys = rng.normal(size=n)
         kernel = kernels[case % len(kernels)]
         h = float(rng.uniform(0.05, 1.0))
-        p = ks_fit(Dataset(features=xs, labels=ys), kernel, h)
+        p = KSPredictor(Dataset(features=xs, labels=ys), kernel, h)
         for _ in range(3):
             q = rng.uniform(size=d)
             expected = _brute_force_ks(xs, ys, kernel, h, q)
@@ -340,8 +340,8 @@ def test_criterion_08_identity_reductions():
     target = generate_synthetic(spec, 60, DomainTag.TARGET, seed=1)
     tf = non_transfer()
     w_spec = KSSpec(SmoothingKernel.TRUNCATED_GAUSSIAN, bandwidth=0.8)
-    pipeline = htl_fit(source, target, tf, AuxiliaryEstimator(tf),
-                       KSSpec(bandwidth=0.8), w_spec)
+    pipeline = htl_fit(KSSpec(bandwidth=0.8).fit(source), target,
+                       AuxiliaryEstimator(tf), w_spec)
     direct = w_spec.fit(target)
     queries = rng.uniform(size=(100, 8))
     reduction_gap = float(np.abs(pipeline.predict(queries)

@@ -14,7 +14,7 @@ from htlreg.evaluation import (
     stability_probe,
 )
 from htlreg.ridge import krr_fit, krr_stability_coeffs, rbf_kernel
-from htlreg.smoothing import SmoothingKernel, ks_fit
+from htlreg.smoothing import KSPredictor, SmoothingKernel
 
 
 class Exact:
@@ -151,7 +151,7 @@ class TestStabilityProbe:
     def test_zero_perturbation(self):
         base = self._base()
         grid = default_query_grid([0.0], [1.0])
-        fit_fn = lambda ds: ks_fit(ds, SmoothingKernel.EPANECHNIKOV, 0.2)
+        fit_fn = lambda ds: KSPredictor(ds, SmoothingKernel.EPANECHNIKOV, 0.2)
         coeffs = fit_fn(base).weights
         observed, bound = stability_probe(fit_fn, base, np.zeros(base.n),
                                           coeffs, grid)
@@ -159,7 +159,7 @@ class TestStabilityProbe:
 
     def test_ks_single_point_perturbation(self):
         base = self._base(seed=1)
-        fit_fn = lambda ds: ks_fit(ds, SmoothingKernel.TRUNCATED_GAUSSIAN, 0.15)
+        fit_fn = lambda ds: KSPredictor(ds, SmoothingKernel.TRUNCATED_GAUSSIAN, 0.15)
         weights = fit_fn(base).weights
         delta = np.zeros(base.n)
         delta[7] = 0.9
@@ -196,7 +196,7 @@ class TestStabilityProbe:
     def test_perturbation_shape_checked(self):
         base = self._base()
         with pytest.raises(ValueError, match="shape"):
-            stability_probe(lambda ds: ks_fit(ds), base, np.zeros(3),
+            stability_probe(lambda ds: KSPredictor(ds), base, np.zeros(3),
                             np.zeros(base.n), default_query_grid([0.0], [1.0]))
 
 

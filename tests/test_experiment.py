@@ -16,7 +16,6 @@ from htlreg.experiment import (
     grid_search_cv,
     load_config,
     parse_config,
-    register_baseline,
     run_experiment,
 )
 from htlreg.pipeline import KRRSpec, KSSpec, HTLPredictor, construct_auxiliary
@@ -54,9 +53,11 @@ def base_config(**overrides):
 
 
 def _selection(cfg, **family):
-    """Turn a base config into a selection run over the given family section."""
+    """Turn a base config into a selection run over the given family section,
+    without the transformations and baselines a selection run rejects."""
     cfg.update(experiment_kind="selection", data={"noise_variance": 0.01},
                selection_family=family)
+    del cfg["transformations"], cfg["methods"]["baselines"]
     cfg["sizes"]["n_val"] = 20
 
 
@@ -201,6 +202,18 @@ class TestConfigParsing:
          "config.data.n_ta"),
         (lambda c: None, ["--seeds="], "--seeds"),
         (lambda c: None, ["--seeds", ""], "--seeds"),
+        (lambda c: (_selection(c, L_alpha=2.0, K=2), c.update(
+            transformations=[{"family": "offset", "alpha": 1.0}])), [],
+         "config.transformations"),
+        (lambda c: (_selection(c, L_alpha=2.0, K=2), c["methods"].update(
+            baselines=["only_target", "combined"])), [],
+         "config.methods.baselines"),
+        (lambda c: c.update(selection_family={"L_alpha": 2.0, "K": 4}), [],
+         "config.selection_family"),
+        (lambda c: c.update(seeds=[0, 3, 3]), [],
+         "config.seeds: seed 3 appears more than once"),
+        (lambda c: None, ["--seeds", "0,0"],
+         "--seeds: seed 0 appears more than once"),
     ])
     def test_invalid_config_fails_at_parse_time_naming_the_key(
         self, tmp_path, capsys, edit, argv, key
@@ -397,15 +410,14 @@ class TestRunExperiment:
         assert not report["errors"]
 
     @pytest.mark.parametrize("error", [ValueError, ConditioningError])
-    def test_partial_failure_recorded(self, tmp_path, error):
-        def exploding(source, target, so_spec, ta_spec):
+    def test_partial_failure_recorded(self, tmp_path, monkeypatch, error):
+        def exploding(*args):
             raise error("synthetic failure")
 
-        register_baseline("exploding", exploding)
+        monkeypatch.setattr(experiment, "construct_auxiliary", exploding)
         cfg = base_config(output_dir=str(tmp_path / "out"))
-        cfg["methods"]["baselines"] = ["only_target", "exploding"]
         report = run_experiment(parse_config(cfg))
-        assert report["errors"] == [{"method": "exploding", "seed": 0,
+        assert report["errors"] == [{"method": "htl_offset(alpha=1)", "seed": 0,
                                      "error": "synthetic failure",
                                      "type": error.__name__}]
         # the healthy method still produced its row
@@ -435,6 +447,39 @@ class TestRunExperiment:
         assert report["errors"] == [{"seed": 0, "error": "fit failed",
                                      "type": "ValueError"}]
 
+    def test_selection_source_cv_failure_recorded(self, tmp_path, monkeypatch):
+        def failing_cv(*args):
+            raise ValueError("cv failed")
+
+        monkeypatch.setattr(experiment, "grid_search_cv", failing_cv)
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        _selection(cfg, L_alpha=2.0, K=2)
+        cfg["methods"]["source"] = {"method": "ks", "kernel": "epanechnikov",
+                                    "bandwidth_grid": [0.1, 0.3], "cv_folds": 3}
+        report = run_experiment(parse_config(cfg))
+        assert report["errors"] == [{"seed": 0, "error": "cv failed",
+                                     "type": "ValueError"}]
+        assert report["rows"] == []
+
+    def test_failed_source_cv_runs_once_and_fails_each_user(self, tmp_path,
+                                                            monkeypatch):
+        calls = []
+
+        def failing_cv(data, *args):
+            calls.append(data.domain_tag)
+            raise ValueError("cv failed")
+
+        monkeypatch.setattr(experiment, "grid_search_cv", failing_cv)
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        cfg["methods"]["baselines"] = ["only_target", "only_source"]
+        cfg["methods"]["source"] = {"method": "ks", "kernel": "epanechnikov",
+                                    "bandwidth_grid": [0.1, 0.3], "cv_folds": 3}
+        report = run_experiment(parse_config(cfg))
+        assert calls == [DomainTag.SOURCE]
+        assert [r["method"] for r in report["rows"]] == ["only_target"]
+        assert [e["method"] for e in report["errors"]] == [
+            "only_source", "htl_offset(alpha=1)"]
+
     def test_zero_risk_rejects_the_rate_fit(self, tmp_path, monkeypatch):
         excess_risk = experiment.excess_risk_mc
 
@@ -463,15 +508,22 @@ class TestRunExperiment:
         for agg in report["aggregates"]:
             assert "mean_mse" in agg and "std_mse" in agg
 
+    @pytest.mark.parametrize("kind", ["csv_transfer", "selection"])
     def test_cells_of_a_seed_share_the_source_and_auxiliary_fits(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, kind
     ):
-        cfg = _csv_transfer_config(tmp_path)
+        if kind == "csv_transfer":
+            cfg = _csv_transfer_config(tmp_path)
+            cfg["methods"]["baselines"] = ["only_target", "only_source"]
+            cfg["transformations"] = [{"family": "offset", "alpha": 1.0},
+                                      {"family": "offset", "alpha": 0.5}]
+            aux_per_seed = 2 * 2  # HTL methods x n_ta values
+        else:
+            cfg = base_config(output_dir=str(tmp_path / "out"), seeds=[0, 1])
+            _selection(cfg, L_alpha=2.0, K=2)
+            aux_per_seed = 5  # family members
         cfg["methods"]["source"] = {"method": "ks", "kernel": "epanechnikov",
                                     "bandwidth_grid": [0.1, 0.3], "cv_folds": 3}
-        cfg["methods"]["baselines"] = ["only_target", "only_source"]
-        cfg["transformations"] = [{"family": "offset", "alpha": 1.0},
-                                  {"family": "offset", "alpha": 0.5}]
         source_cvs, aux_builds, source_fits = [], [], []
         fit = KSSpec.fit
 
@@ -493,10 +545,10 @@ class TestRunExperiment:
             monkeypatch.setattr(module, "construct_auxiliary", counting_aux)
         report = run_experiment(parse_config(cfg))
         assert not report["errors"]
-        seeds, n_ta_values, htl_methods = 2, 2, 2
+        seeds = 2
         assert sum(source_cvs) == seeds
         assert sum(source_fits) == seeds
-        assert len(aux_builds) == htl_methods * n_ta_values * seeds
+        assert len(aux_builds) == aux_per_seed * seeds
 
 
 def _csv_transfer_config(tmp_path):
@@ -574,13 +626,12 @@ class TestCli:
         code = cli_main(["rate", "--config", str(cfg_path)])
         assert code == 1
 
-    def test_partial_failure_exit_code(self, tmp_path):
-        def exploding2(source, target, so_spec, ta_spec):
+    def test_partial_failure_exit_code(self, tmp_path, monkeypatch):
+        def exploding(*args):
             raise ValueError("boom")
 
-        register_baseline("exploding2", exploding2)
+        monkeypatch.setattr(experiment, "construct_auxiliary", exploding)
         cfg = base_config(seeds=[0])
-        cfg["methods"]["baselines"] = ["only_target", "exploding2"]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         code = cli_main(["run", "--config", str(cfg_path),

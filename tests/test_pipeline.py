@@ -13,7 +13,6 @@ from htlreg.pipeline import (
     LambdaRule,
     construct_auxiliary,
     htl_fit,
-    htl_predict,
     select_transformation,
 )
 from htlreg.ridge import linear_kernel, polynomial_kernel, rbf_kernel
@@ -166,8 +165,8 @@ class TestHtlFit:
         # f_so(x) = x, f_ta(x) = x + 1, offset(alpha=1): w(x) = 1 - ... = 1
         spec, source, target = _noiseless_linear_pair()
         tf = offset(1.0)
-        p = htl_fit(source, target, tf, AuxiliaryEstimator(tf),
-                    KSSpec(bandwidth=0.05), KSSpec(bandwidth=0.05))
+        p = htl_fit(KSSpec(bandwidth=0.05).fit(source), target,
+                    AuxiliaryEstimator(tf), KSSpec(bandwidth=0.05))
         grid = np.linspace(0, 1, 101).reshape(-1, 1)
         err = np.abs(p.predict(grid) - spec.target_fn(grid))
         assert err.max() <= 0.05
@@ -176,8 +175,8 @@ class TestHtlFit:
         spec, source, target = _noiseless_linear_pair(50, 60)
         tf = non_transfer()
         w_spec = KSSpec(kernel=SmoothingKernel.TRUNCATED_GAUSSIAN, bandwidth=0.15)
-        p = htl_fit(source, target, tf, AuxiliaryEstimator(tf),
-                    KSSpec(bandwidth=0.1), w_spec)
+        p = htl_fit(KSSpec(bandwidth=0.1).fit(source), target,
+                    AuxiliaryEstimator(tf), w_spec)
         direct = w_spec.fit(target)
         grid = np.linspace(0, 1, 64).reshape(-1, 1)
         np.testing.assert_allclose(p.predict(grid), direct.predict(grid),
@@ -204,45 +203,23 @@ class TestHtlFit:
         queries = np.vstack([target.features, np.array(data.draw(points))])
         a_hat = data.draw(st.floats(-3.0, 3.0))
         tf = non_transfer()
-        htl = htl_fit(None, target, tf, AuxiliaryEstimator(tf), spec, spec,
-                      f_so_hat=Constant(a_hat))
+        htl = htl_fit(Constant(a_hat), target, AuxiliaryEstimator(tf), spec)
         assert np.array_equal(htl.predict(queries), spec.fit(target).predict(queries))
 
     def test_predict_composition_examples(self):
-        p_off = htl_fit(None, target_data([0.0], [0.0]), offset(1.0),
-                        AuxiliaryEstimator(offset(1.0)),
-                        KSSpec(bandwidth=1.0), KSSpec(bandwidth=1.0),
-                        f_so_hat=Constant(2.0))
+        p_off = htl_fit(Constant(2.0), target_data([0.0], [0.0]),
+                        AuxiliaryEstimator(offset(1.0)), KSSpec(bandwidth=1.0))
         # w label = 0 - 2 = -2 everywhere -> G(2, -2) = 0; rebuild by hand:
-        assert htl_predict(p_off, [0.5]) == eval_G(offset(1.0), 2.0, -2.0)
+        assert p_off.predict([0.5])[0] == eval_G(offset(1.0), 2.0, -2.0)
 
     def test_composition_identity_property(self):
         spec, source, target = _noiseless_linear_pair(40, 40)
         tf = offset(0.5)
-        p = htl_fit(source, target, tf, AuxiliaryEstimator(tf),
-                    KSSpec(bandwidth=0.1), KRRSpec(rbf_kernel(0.3), lam=0.01))
+        p = htl_fit(KSSpec(bandwidth=0.1).fit(source), target,
+                    AuxiliaryEstimator(tf), KRRSpec(rbf_kernel(0.3), lam=0.01))
         X = np.random.default_rng(3).uniform(size=(25, 1))
         composed = eval_G(tf, p.f_so_hat.predict(X), p.w_hat.predict(X))
         np.testing.assert_array_equal(p.predict(X), composed)
-
-    def test_source_tag_enforced(self):
-        _, source, target = _noiseless_linear_pair(20, 20)
-        with pytest.raises(ValueError, match="source"):
-            htl_fit(target, target, offset(1.0),
-                    AuxiliaryEstimator(offset(1.0)),
-                    KSSpec(bandwidth=0.1), KSSpec(bandwidth=0.1))
-
-
-class CountingSpec:
-    """Wraps a subroutine spec and counts fit calls."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.fits = 0
-
-    def fit(self, train):
-        self.fits += 1
-        return self.inner.fit(train)
 
 
 def _selection_setup(seed, noise=0.0, true_alpha=1.0):
@@ -264,8 +241,8 @@ class TestSelectTransformation:
     def test_single_candidate(self):
         source, target, validation = _selection_setup(0)
         result = select_transformation(
-            source, target, validation, [offset(1.0)],
-            KSSpec(bandwidth=0.02), KSSpec(bandwidth=0.1),
+            KSSpec(bandwidth=0.02).fit(source), target, validation, [offset(1.0)],
+            KSSpec(bandwidth=0.1),
         )
         assert result.chosen.alpha == 1.0
         assert len(result.per_candidate_validation_mse) == 1
@@ -276,8 +253,9 @@ class TestSelectTransformation:
         for seed in range(5):
             source, target, validation = _selection_setup(seed)
             result = select_transformation(
-                source, target, validation, [offset(1.0), non_transfer()],
-                KSSpec(bandwidth=0.02), KSSpec(bandwidth=0.1),
+                KSSpec(bandwidth=0.02).fit(source), target, validation,
+                [offset(1.0), non_transfer()],
+                KSSpec(bandwidth=0.1),
             )
             wins += result.chosen.family is offset(1.0).family
         assert wins == 5
@@ -285,23 +263,13 @@ class TestSelectTransformation:
     def test_argmin_dominance(self):
         source, target, validation = _selection_setup(1)
         result = select_transformation(
-            source, target, validation,
+            KSSpec(bandwidth=0.02).fit(source), target, validation,
             [offset(a) for a in (-1.0, 0.0, 0.5, 1.0)],
-            KSSpec(bandwidth=0.02), KSSpec(bandwidth=0.1),
+            KSSpec(bandwidth=0.1),
         )
         chosen_mse = result.per_candidate_validation_mse[result.chosen_index][1]
         for _, candidate_mse in result.per_candidate_validation_mse:
             assert chosen_mse <= candidate_mse
-
-    def test_source_fit_exactly_once(self):
-        source, target, validation = _selection_setup(2)
-        so_spec = CountingSpec(KSSpec(bandwidth=0.02))
-        select_transformation(
-            source, target, validation,
-            [offset(a) for a in (-0.5, 0.0, 0.5, 1.0)],
-            so_spec, KSSpec(bandwidth=0.1),
-        )
-        assert so_spec.fits == 1
 
     def test_irrelevant_source_never_beats_non_transfer(self):
         # the argmin's validation MSE is <= the non-transfer candidate's
@@ -317,8 +285,8 @@ class TestSelectTransformation:
         validation = generate_synthetic(spec, 40, DomainTag.VALIDATION, seed=12)
         candidates = [offset(1.0), offset(0.5), non_transfer()]
         result = select_transformation(
-            source, target, validation, candidates,
-            KSSpec(bandwidth=0.05), KSSpec(bandwidth=0.15),
+            KSSpec(bandwidth=0.05).fit(source), target, validation, candidates,
+            KSSpec(bandwidth=0.15),
         )
         mses = dict(result.per_candidate_validation_mse)
         chosen_mse = result.per_candidate_validation_mse[result.chosen_index][1]
@@ -333,9 +301,9 @@ class TestSelectTransformation:
         target = generate_synthetic(spec, 20, DomainTag.TARGET, seed=2)
         validation = generate_synthetic(spec, 10, DomainTag.VALIDATION, seed=3)
         result = select_transformation(
-            source, target, validation,
+            KSSpec(bandwidth=0.1).fit(source), target, validation,
             [offset(1.0), offset(-0.5), offset(0.0)],
-            KSSpec(bandwidth=0.1), KSSpec(bandwidth=0.1),
+            KSSpec(bandwidth=0.1),
         )
         assert result.chosen.alpha == 0.0
 
@@ -359,8 +327,8 @@ class TestSelectTransformation:
         target = sample(DomainTag.TARGET, data.draw(st.integers(1, 15)))
         validation = sample(DomainTag.VALIDATION, data.draw(st.integers(1, 10)))
         family = QuantizedFamily(L_alpha=L_alpha, L_a=1.0, K=K)
-        result = select_transformation(source, target, validation, family,
-                                       spec, spec)
+        result = select_transformation(spec.fit(source), target, validation,
+                                       family, spec)
         mses = [mse for _, mse in result.per_candidate_validation_mse]
         chosen_mse = mses[result.chosen_index]
         assert family.members[K].alpha == 0.0
@@ -374,8 +342,8 @@ class TestSelectTransformation:
     def test_validation_tag_enforced(self):
         source, target, _ = _selection_setup(3)
         with pytest.raises(ValueError, match="validation"):
-            select_transformation(source, target, target, [offset(1.0)],
-                                  KSSpec(bandwidth=0.1), KSSpec(bandwidth=0.1))
+            select_transformation(KSSpec(bandwidth=0.1).fit(source), target,
+                                  target, [offset(1.0)], KSSpec(bandwidth=0.1))
 
 
 class TestErrorPropagation:
@@ -399,9 +367,8 @@ class TestErrorPropagation:
                 def predict(self, X):
                     return spec.source_fn(np.atleast_2d(X))
 
-            p_hat = htl_fit(source, target, tf, est, so_spec, w_spec)
-            p_true = htl_fit(source, target, tf, est, so_spec, w_spec,
-                             f_so_hat=Truth())
+            p_hat = htl_fit(so_spec.fit(source), target, est, w_spec)
+            p_true = htl_fit(Truth(), target, est, w_spec)
             grid = rng.uniform(size=(200, 1))
             truth_vals = spec.target_fn(grid)
             rms_hat = np.sqrt(np.mean((p_hat.predict(grid) - truth_vals) ** 2))

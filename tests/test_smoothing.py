@@ -12,7 +12,6 @@ from htlreg.smoothing import (
     KSPredictor,
     SmoothingKernel,
     ks_bandwidth_rule,
-    ks_fit,
     predict_from_kernel,
 )
 
@@ -53,16 +52,16 @@ def brute_force_ks(train_x, train_y, kernel, h, x):
 
 class TestWeights:
     def test_boxcar_one_point_in_window(self):
-        p = ks_fit(make([0.0, 1.0], [0.0, 0.0]), SmoothingKernel.BOXCAR, 0.5)
+        p = KSPredictor(make([0.0, 1.0], [0.0, 0.0]), SmoothingKernel.BOXCAR, 0.5)
         np.testing.assert_allclose(p.weights([0.0]), [1.0, 0.0])
 
     def test_boxcar_symmetric(self):
-        p = ks_fit(make([0.0, 1.0], [0.0, 0.0]), SmoothingKernel.BOXCAR, 2.0)
+        p = KSPredictor(make([0.0, 1.0], [0.0, 0.0]), SmoothingKernel.BOXCAR, 2.0)
         np.testing.assert_allclose(p.weights([0.5]), [0.5, 0.5])
 
     def test_epanechnikov_hand_values(self):
         # K(0.25)=0.9375, K(0.5)=0.75, K(2.25)=0 -> normalized [5/9, 4/9, 0]
-        p = ks_fit(make([0.0, 0.3, 1.0], [0, 0, 0]),
+        p = KSPredictor(make([0.0, 0.3, 1.0], [0, 0, 0]),
                    SmoothingKernel.EPANECHNIKOV, 0.4)
         np.testing.assert_allclose(
             p.weights([0.1]), [5.0 / 9.0, 4.0 / 9.0, 0.0], atol=1e-14
@@ -74,13 +73,13 @@ class TestWeights:
         for _ in range(25):
             n, d = int(rng.integers(2, 15)), int(rng.integers(1, 4))
             ds = Dataset(features=rng.normal(size=(n, d)), labels=rng.normal(size=n))
-            p = ks_fit(ds, kernel, float(rng.uniform(0.05, 2.0)))
+            p = KSPredictor(ds, kernel, float(rng.uniform(0.05, 2.0)))
             W = p.weights_many(rng.normal(size=(6, d)))
             assert np.all(W >= 0) and np.all(W <= 1)
             np.testing.assert_allclose(W.sum(axis=1), 1.0, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        p = ks_fit(make([0.0], [1.0]))
+        p = KSPredictor(make([0.0], [1.0]))
         with pytest.raises(ValueError, match="dim"):
             p.weights_many(np.zeros((2, 3)))
 
@@ -88,17 +87,17 @@ class TestWeights:
 class TestPredict:
     def test_single_training_point(self):
         for kernel in SmoothingKernel:
-            p = ks_fit(make([0.2], [5.0]), kernel, 0.3)
+            p = KSPredictor(make([0.2], [5.0]), kernel, 0.3)
             assert p.predict_one([0.9]) == 5.0
 
     def test_boxcar_mean(self):
-        p = ks_fit(make([0.0, 1.0], [1.0, 3.0]), SmoothingKernel.BOXCAR, 2.0)
+        p = KSPredictor(make([0.0, 1.0], [1.0, 3.0]), SmoothingKernel.BOXCAR, 2.0)
         assert p.predict_one([0.5]) == pytest.approx(2.0, abs=1e-15)
 
     def test_matches_brute_force_on_squared_curve(self):
         xs = np.linspace(0, 1, 50)
         ys = xs**2
-        p = ks_fit(make(xs, ys), SmoothingKernel.EPANECHNIKOV, 0.1)
+        p = KSPredictor(make(xs, ys), SmoothingKernel.EPANECHNIKOV, 0.1)
         for q in np.linspace(0, 1, 30):
             expected = brute_force_ks(xs, ys, SmoothingKernel.EPANECHNIKOV, 0.1, q)
             assert p.predict_one([q]) == pytest.approx(expected, abs=1e-12)
@@ -106,18 +105,18 @@ class TestPredict:
     def test_bounded_by_label_range(self):
         rng = np.random.default_rng(3)
         ds = Dataset(features=rng.uniform(size=(40, 2)), labels=rng.normal(size=40))
-        p = ks_fit(ds, SmoothingKernel.TRUNCATED_GAUSSIAN, 0.2)
+        p = KSPredictor(ds, SmoothingKernel.TRUNCATED_GAUSSIAN, 0.2)
         preds = p.predict(rng.uniform(size=(80, 2)))
         assert preds.min() >= ds.labels.min() - 1e-12
         assert preds.max() <= ds.labels.max() + 1e-12
 
     def test_fallback_nearest_neighbor(self):
-        p = ks_fit(make([0.0, 10.0], [1.0, 2.0]), SmoothingKernel.BOXCAR, 0.5)
+        p = KSPredictor(make([0.0, 10.0], [1.0, 2.0]), SmoothingKernel.BOXCAR, 0.5)
         # query far from both, nearer to the second point
         assert p.predict_one([7.0]) == 2.0
 
     def test_fallback_tie_lowest_index(self):
-        p = ks_fit(make([0.0, 4.0], [1.0, 2.0]), SmoothingKernel.BOXCAR, 0.5)
+        p = KSPredictor(make([0.0, 4.0], [1.0, 2.0]), SmoothingKernel.BOXCAR, 0.5)
         assert p.predict_one([2.0]) == 1.0
 
     @pytest.mark.parametrize("kernel, dim", [
@@ -132,7 +131,7 @@ class TestPredict:
         query = np.zeros((2, dim))
         query[1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
-            ks_fit(ds, kernel, 0.5).predict(query)
+            KSPredictor(ds, kernel, 0.5).predict(query)
 
 
 class TestWindowPath:
@@ -155,7 +154,7 @@ class TestWindowPath:
         labels = list(range(len(xs)))  # distinct, so a wrong tie-break shows
         if rnd is not None:
             rnd.shuffle(labels)
-        p = ks_fit(make(xs, labels), kernel, h)
+        p = KSPredictor(make(xs, labels), kernel, h)
         Q = np.asarray(queries).reshape(-1, 1)
         dense = predict_from_kernel(*p._raw(Q), p.train.labels)
         with mock.patch.object(smoothing, "_MOMENT_MIN_PAIRS", moment_floor):
@@ -171,7 +170,7 @@ class TestWindowPath:
         monkeypatch.setattr(smoothing, "_MOMENT_MIN_PAIRS", moment_floor)
         rng = np.random.default_rng(11)
         xs = rng.integers(0, 40, size=60) / 40
-        p = ks_fit(make(xs, rng.normal(size=60)), kernel, 0.06)
+        p = KSPredictor(make(xs, rng.normal(size=60)), kernel, 0.06)
         # queries past either end have empty windows and take the nearest label
         Q = np.r_[rng.uniform(-0.5, 1.5, size=50), np.arange(81) / 80]
         Q = Q.reshape(-1, 1)
@@ -186,7 +185,7 @@ class TestWindowPath:
         # dyadic points repeat, and a query on their grid has points at
         # exactly +-h: boxcar counts them, epanechnikov gives them 0
         x = np.r_[rng.integers(0, 256, 1500) / 256, rng.uniform(0, 1, 500)]
-        p = ks_fit(make(x, 10.0 + rng.normal(size=len(x))), kernel, h)
+        p = KSPredictor(make(x, 10.0 + rng.normal(size=len(x))), kernel, h)
         grid = rng.integers(0, 256, 300) / 256
         u = rng.uniform(0.5, 1.0, size=(2, 50)) * h
         below, above = x.min() - u[0], x.max() + u[1]
@@ -218,7 +217,7 @@ class TestWindowPath:
                                         max_size=n)))
         m = data.draw(st.integers(1, 10))
         Q = np.array(data.draw(st.lists(coords, min_size=m * d, max_size=m * d)))
-        preds = ks_fit(Dataset(features=X.reshape(n, d), labels=y), kernel,
+        preds = KSPredictor(Dataset(features=X.reshape(n, d), labels=y), kernel,
                        h).predict(Q.reshape(-1, d))
         tol = 1e-12 * max(1.0, np.abs(y).max())
         assert np.all(preds >= y.min() - tol) and np.all(preds <= y.max() + tol)
@@ -237,7 +236,7 @@ class TestStability:
             h = float(rng.uniform(0.05, 1.0))
             base = Dataset(features=xs, labels=ys)
             pert = Dataset(features=xs, labels=ys + delta)
-            p0, p1 = ks_fit(base, kernel, h), ks_fit(pert, kernel, h)
+            p0, p1 = KSPredictor(base, kernel, h), KSPredictor(pert, kernel, h)
             queries = rng.uniform(size=(20, 1))
             gap = np.abs(p0.predict(queries) - p1.predict(queries))
             bound = p0.weights_many(queries) @ np.abs(delta)
