@@ -41,6 +41,7 @@ from .pipeline import (
     KRRSpec,
     KSSpec,
     LambdaRule,
+    MemoPredictor,
     Predictor,
     SelectionResult,
     SubroutineSpec,
@@ -167,6 +168,14 @@ def _integer(value, where: str) -> int:
         raise ConfigError(f"{where}: expected an integer, got {value!r}") from None
 
 
+def _distinct(values: Sequence[int], raw, what: str, where: str) -> None:
+    """Reject the first value of ``values`` that repeats an earlier one."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigError(f"{where}: {what} {repeated[0]} appears more than once "
+                          f"in {raw!r}")
+
+
 def parse_seeds(values, where: str) -> tuple[int, ...]:
     """Seeds as a nonempty tuple of distinct nonnegative ints."""
     try:
@@ -177,10 +186,7 @@ def parse_seeds(values, where: str) -> tuple[int, ...]:
     if not seeds or min(seeds) < 0:
         raise ConfigError(f"{where}: seeds must be a nonempty list of nonnegative "
                           f"ints, got {values!r}")
-    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
-    if repeated:
-        raise ConfigError(f"{where}: seed {repeated[0]} appears more than once "
-                          f"in {values!r}")
+    _distinct(seeds, values, "seed", where)
     return seeds
 
 
@@ -283,7 +289,8 @@ def _synthetic_spec(kind: str, data: dict) -> SyntheticSpec | None:
 
 
 def _target_sizes(kind: str, data: dict, n_ta: int) -> tuple[str, list[int]]:
-    """The key that sets a run's target sample sizes, and the sizes."""
+    """The key that sets a run's target sample sizes, and the sizes, which
+    must be distinct."""
     if kind == "rate_sweep":
         key, values = "config.data.n_ta_grid", data.get("n_ta_grid", [])
     elif kind == "csv_transfer" and "n_ta" in data:
@@ -292,7 +299,9 @@ def _target_sizes(kind: str, data: dict, n_ta: int) -> tuple[str, list[int]]:
             values = [values]
     else:
         return "config.sizes.n_ta", [n_ta]
-    return key, [_integer(v, key) for v in values]
+    sizes = [_integer(v, key) for v in values]
+    _distinct(sizes, values, "size", key)
+    return key, sizes
 
 
 def _check_fold_sizes(method: MethodConfig, n: int, where: str) -> None:
@@ -365,6 +374,9 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
                 **{"L_a": 1.0, **_require(raw, "selection_family", "config")})
         if n_val < 1:
             raise ConfigError("config.sizes.n_val must be positive for selection")
+    elif n_val != 0:
+        raise ConfigError(f"config.sizes.n_val: only selection runs draw a "
+                          f"validation sample, got {n_val} for {kind!r}")
     seeds = parse_seeds(_require(raw, "seeds", "config"), "config.seeds")
     output_dir = Path(raw.get("output_dir", "htlreg_out"))
     if base_dir is not None and not output_dir.is_absolute():
@@ -697,11 +709,13 @@ def _run_cells(config: ExperimentConfig, make_cells: Callable[[int], list[tuple]
 
     A seed's cells share one source sample, so the source stage is resolved
     at most once per seed and f_so_hat fit at most once, for only_source,
-    every HTL method and selection; the target spec is resolved at most once
-    per cell. Each is computed on first use inside the per-method ``try``,
-    so its failure is recorded against every method that needs it. An HTL
-    method builds its auxiliary sample once, for both the target-stage CV
-    and the fit.
+    every HTL method and selection. A ``MemoPredictor`` around it computes
+    its predictions once per distinct query array of the seed (the Monte
+    Carlo sample, test, validation and target rows, the plot grid). The
+    target spec is resolved at most once per cell. Each is computed on
+    first use inside the per-method ``try``, so its failure is recorded
+    against every method that needs it. An HTL method builds its auxiliary
+    sample once, for both the target-stage CV and the fit.
     Returns the rows, the failures, the first cell's data and predictors,
     and the selection results in row order.
     """
@@ -715,7 +729,7 @@ def _run_cells(config: ExperimentConfig, make_cells: Callable[[int], list[tuple]
         source = cells[0][1].source
         so_spec = _once(partial(config.source_method.resolve, source,
                                 child_seed(seed, _CV_SOURCE)))
-        f_so_hat = _once(lambda: so_spec().fit(source))
+        f_so_hat = _once(lambda: MemoPredictor(so_spec().fit(source)))
         cv_seed = child_seed(seed, _CV_TARGET)
         for n_ta, data in cells:
             ta_spec = _once(partial(config.target_method.resolve, data.target,

@@ -13,11 +13,16 @@ stage directly on the target sample. ``htl_fit`` runs steps 2-4 on a prefit
 source stage, and selection over a finite roster of candidate
 transformations shares that prefit stage across candidates and keeps the
 one with the lowest validation MSE.
+
+f_so_hat(x) does not depend on G, the target sample or the method, so a
+``MemoPredictor`` around the source stage computes it once per distinct
+query array: selection shares it across candidates, and the experiment
+runner shares it per seed across every method and target size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence, Union
 
 import numpy as np
@@ -36,6 +41,33 @@ from .transform import (
 
 class Predictor(Protocol):
     def predict(self, X) -> np.ndarray: ...
+
+
+@dataclass(frozen=True, eq=False)
+class MemoPredictor:
+    """``inner.predict`` computed once per distinct query array.
+
+    A query with the shape and the bytes of an earlier one gets the stored
+    result back. Bytes rather than ``==``, so queries that differ in one ulp
+    or in the sign of a zero are predicted separately. The key is a copy of
+    the query's bytes: a query array changed after a call is predicted
+    afresh. Stored results are read-only. The memo keeps every distinct
+    query for as long as the wrapper lives; the experiment runner keeps one
+    per seed.
+    """
+
+    inner: Predictor
+    _results: dict = field(default_factory=dict, init=False, repr=False)
+
+    def predict(self, X) -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        key = (X.shape, X.tobytes())
+        result = self._results.get(key)
+        if result is None:
+            result = np.array(self.inner.predict(X))
+            result.flags.writeable = False
+            self._results[key] = result
+        return result
 
 
 @dataclass(frozen=True)
@@ -204,9 +236,9 @@ def select_transformation(
     """Pick the candidate whose pipeline has the lowest validation MSE.
 
     Every candidate shares the prefit source stage ``f_so_hat`` (it does not
-    depend on G) and relabels through its direct inverse. Ties go to the
-    candidate closest to non-transfer (smallest |alpha|), then to the lowest
-    index.
+    depend on G), and its predictions on the target and validation rows,
+    and relabels through its direct inverse. Ties go to the candidate
+    closest to non-transfer (smallest |alpha|), then to the lowest index.
     """
     if validation.domain_tag is not DomainTag.VALIDATION:
         raise ValueError(
@@ -217,6 +249,8 @@ def select_transformation(
     candidates = list(family.members if isinstance(family, QuantizedFamily) else family)
     if not candidates:
         raise ValueError("no candidate transformations")
+    if not isinstance(f_so_hat, MemoPredictor):
+        f_so_hat = MemoPredictor(f_so_hat)
 
     rows: list[tuple[str, float]] = []
     for tf in candidates:

@@ -27,7 +27,7 @@ from htlreg.ridge import (
     polynomial_kernel,
     rbf_kernel,
 )
-from htlreg.smoothing import SmoothingKernel
+from htlreg.smoothing import KSPredictor, SmoothingKernel
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -214,6 +214,12 @@ class TestConfigParsing:
          "config.seeds: seed 3 appears more than once"),
         (lambda c: None, ["--seeds", "0,0"],
          "--seeds: seed 0 appears more than once"),
+        (lambda c: _kind(c, "rate_sweep", n_ta_grid=[25, 50, 50, 100]), [],
+         "config.data.n_ta_grid: size 50 appears more than once"),
+        (lambda c: _kind(c, "csv_transfer", source_csv="s.csv",
+                         target_csv="t.csv", n_ta=[10, 20, 20]), [],
+         "config.data.n_ta: size 20 appears more than once"),
+        (lambda c: c["sizes"].update(n_val=30), [], "config.sizes.n_val"),
     ])
     def test_invalid_config_fails_at_parse_time_naming_the_key(
         self, tmp_path, capsys, edit, argv, key
@@ -549,6 +555,39 @@ class TestRunExperiment:
         assert sum(source_cvs) == seeds
         assert sum(source_fits) == seeds
         assert len(aux_builds) == aux_per_seed * seeds
+
+    @pytest.mark.parametrize("kind", ["rate_sweep", "selection"])
+    def test_a_seed_predicts_the_source_once_per_distinct_query(
+        self, tmp_path, monkeypatch, kind
+    ):
+        cfg = base_config(output_dir=str(tmp_path / "out"), seeds=[0, 1])
+        if kind == "rate_sweep":
+            _kind(cfg, "rate_sweep", noise_variance=0.01, slope=1.0,
+                  n_ta_grid=[20, 40, 80])
+            cfg["methods"]["baselines"] = ["only_target", "only_source"]
+            cfg["transformations"] = [{"family": "offset", "alpha": 1.0},
+                                      {"family": "offset", "alpha": 0.5}]
+            per_seed = 3 + 1  # target rows of each cell, the Monte Carlo sample
+        else:
+            _selection(cfg, L_alpha=2.0, K=3)
+            per_seed = 2  # target rows, validation rows
+        # id(source fit) -> (the fit, kept alive so its id stays unique; queries)
+        queries: dict[int, tuple[KSPredictor, list[np.ndarray]]] = {}
+        predict = KSPredictor.predict
+
+        def recording_predict(self, X):
+            if self.train.domain_tag is DomainTag.SOURCE:
+                queries.setdefault(id(self), (self, []))[1].append(np.array(X))
+            return predict(self, X)
+
+        monkeypatch.setattr(KSPredictor, "predict", recording_predict)
+        report = run_experiment(parse_config(cfg))
+        assert not report["errors"]
+        assert len(queries) == 2  # one source fit per seed
+        for _, seen in queries.values():
+            keys = [(q.shape, q.tobytes()) for q in seen]
+            assert len(keys) == per_seed
+            assert len(set(keys)) == per_seed
 
 
 def _csv_transfer_config(tmp_path):

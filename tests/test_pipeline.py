@@ -11,6 +11,7 @@ from htlreg.pipeline import (
     KRRSpec,
     KSSpec,
     LambdaRule,
+    MemoPredictor,
     construct_auxiliary,
     htl_fit,
     select_transformation,
@@ -344,6 +345,88 @@ class TestSelectTransformation:
         with pytest.raises(ValueError, match="validation"):
             select_transformation(KSSpec(bandwidth=0.1).fit(source), target,
                                   target, [offset(1.0)], KSSpec(bandwidth=0.1))
+
+
+class Recording:
+    """Answers through ``inner`` and keeps a copy of every query."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.queries = []
+
+    def predict(self, X):
+        self.queries.append(np.array(X))
+        return self.inner.predict(X)
+
+
+def distinct_queries(queries) -> bool:
+    keys = [(q.shape, q.tobytes()) for q in queries]
+    return len(set(keys)) == len(keys)
+
+
+class TestMemoPredictor:
+    def _source(self):
+        source, _, _ = _selection_setup(0)
+        return KSSpec(bandwidth=0.02).fit(source)
+
+    def test_matches_the_inner_predictor_and_predicts_a_query_once(self):
+        inner = self._source()
+        recording = Recording(inner)
+        memo = MemoPredictor(recording)
+        X = np.random.default_rng(1).uniform(size=(40, 1))
+        first = memo.predict(X)
+        assert np.array_equal(first, inner.predict(X))
+        assert memo.predict(X.copy()) is first
+        assert memo.predict(X.tolist()) is first
+        assert len(recording.queries) == 1
+
+    def test_one_ulp_and_the_sign_of_a_zero_are_predicted_separately(self):
+        recording = Recording(self._source())
+        memo = MemoPredictor(recording)
+        X = np.array([[0.0], [0.25], [0.5]])
+        ulp = X.copy()
+        ulp[1, 0] = np.nextafter(0.25, 1.0)
+        signed = X.copy()
+        signed[0, 0] = -0.0
+        assert np.array_equal(signed, X)  # == cannot tell them apart
+        for query in (X, ulp, signed, X, ulp, signed):
+            memo.predict(query)
+        assert len(recording.queries) == 3
+        assert distinct_queries(recording.queries)
+
+    def test_a_query_changed_after_a_call_is_predicted_afresh(self):
+        inner = self._source()
+        memo = MemoPredictor(inner)
+        X = np.linspace(0.0, 1.0, 11).reshape(-1, 1)
+        before = memo.predict(X)
+        X[3, 0] = 0.123
+        after = memo.predict(X)
+        assert np.array_equal(after, inner.predict(X))
+        assert not np.array_equal(after, before)
+
+    def test_stored_results_are_read_only(self):
+        memo = MemoPredictor(Lookup([1.0, 2.0, 3.0]))
+        result = memo.predict(np.zeros((3, 1)))
+        assert not result.flags.writeable
+        with pytest.raises(ValueError):
+            result[0] = 0.0
+        # a copy: the inner predictor's own array stays as it was
+        assert not np.shares_memory(result, memo.inner.values)
+        assert memo.inner.values.flags.writeable
+
+    @pytest.mark.parametrize("family", [[offset(1.0)],
+                                        QuantizedFamily(L_alpha=2.0, L_a=1.0, K=2),
+                                        QuantizedFamily(L_alpha=2.0, L_a=1.0, K=4)])
+    def test_selection_predicts_the_source_twice_for_any_family(self, family):
+        source, target, validation = _selection_setup(2)
+        inner = KSSpec(bandwidth=0.02).fit(source)
+        recording = Recording(inner)
+        result = select_transformation(recording, target, validation, family,
+                                       KSSpec(bandwidth=0.1))
+        assert len(recording.queries) == 2  # target rows, validation rows
+        assert distinct_queries(recording.queries)
+        assert result == select_transformation(inner, target, validation,
+                                               family, KSSpec(bandwidth=0.1))
 
 
 class TestErrorPropagation:
