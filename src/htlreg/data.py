@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -36,6 +37,9 @@ class Dataset:
     ``x_bound`` and ``y_bound`` record the radii of the compact sets the
     rows are known to live in (max row 2-norm and max absolute label when
     derived from data). A bound of 0 means "not asserted".
+
+    Immutable apart from the stable sort of the first feature column,
+    ``sorted_1d``, cached on first use (recomputing it is harmless).
     """
 
     features: np.ndarray
@@ -79,6 +83,34 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def sorted_1d(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first feature column in stable ascending order, with the
+        labels and the row indices in the same order."""
+        order = np.argsort(self.features[:, 0], kind="stable")
+        return self.features[order, 0], self.labels[order], order
+
+    def without(self, rows: np.ndarray) -> Dataset:
+        """The sample less ``rows``, the rest in row order, with this
+        sample's domain tag and no asserted bounds: a CV fold's training
+        sample.
+
+        A 1-D sample's fold takes ``sorted_1d`` from this sample's in O(n)
+        instead of sorting: removing rows keeps the others' order, so the
+        filtered sort, renumbered, is the fold's own stable sort.
+        """
+        keep = np.ones(self.n, dtype=bool)
+        keep[rows] = False
+        idx = np.flatnonzero(keep)
+        fold = Dataset(features=self.features[idx], labels=self.labels[idx],
+                       domain_tag=self.domain_tag)
+        if self.dim == 1:
+            xs, ys, order = self.sorted_1d
+            kept = keep[order]
+            renumber = np.cumsum(keep) - 1
+            fold.__dict__["sorted_1d"] = xs[kept], ys[kept], renumber[order[kept]]
+        return fold
 
 
 def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -127,7 +159,7 @@ class SyntheticSpec:
     y_bound: float | None = None
 
     def __post_init__(self):
-        if self.noise_variance_source < 0 or self.noise_variance_target < 0:
+        if not (self.noise_variance_source >= 0 and self.noise_variance_target >= 0):
             raise ValueError("noise variances must be nonnegative")
         if not 0 < self.holder_exponent <= 1:
             raise ValueError("holder_exponent must lie in (0, 1]")

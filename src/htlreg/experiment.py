@@ -31,7 +31,6 @@ from .data import (
     doppler_scale_spec,
     generate_synthetic,
     load_csv,
-    sq_distances,
     subsample,
 )
 from .evaluation import excess_risk_mc, metric_report, rate_slope
@@ -48,16 +47,8 @@ from .pipeline import (
     construct_auxiliary,
     select_transformation,
 )
-from .ridge import (
-    ConditioningError,
-    KernelShape,
-    RKHSKernel,
-    gram,
-    median_heuristic_sq,
-    rbf_from_sq,
-    ridge_path,
-)
-from .smoothing import SmoothingKernel, predict_from_kernel, predict_sorted_1d
+from .ridge import ConditioningError, KernelShape, RKHSKernel, krr_path, predict_path
+from .smoothing import SmoothingKernel, ks_predict
 from .transform import (
     AuxiliaryEstimator,
     EstimatorMode,
@@ -174,6 +165,20 @@ def _distinct(values: Sequence[int], raw, what: str, where: str) -> None:
     if repeated:
         raise ConfigError(f"{where}: {what} {repeated[0]} appears more than once "
                           f"in {raw!r}")
+
+
+def _check_finite(value, where: str) -> None:
+    """Reject the first NaN or infinite number in a raw config section.
+    JSON parsing accepts NaN, Infinity and overflowing literals such as
+    1e999; no config key takes one."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{where}[{i}]")
 
 
 def parse_seeds(values, where: str) -> tuple[int, ...]:
@@ -311,6 +316,7 @@ def _check_fold_sizes(method: MethodConfig, n: int, where: str) -> None:
 
 
 def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
+    _check_finite(raw, "config")
     kind = _require(raw, "experiment_kind", "config")
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(
@@ -445,120 +451,41 @@ def grid_search_cv(
     """Pick the candidate with the lowest mean across-fold validation MSE.
 
     Ties go to the first candidate in declared order. Returns the winner
-    and the per-candidate mean CV errors. When every candidate shares one
-    kernel and varies only its scalar hyperparameter, per-fold distance or
-    Gram matrices are computed once and reused.
+    and the per-candidate mean CV errors. Each fold trains on
+    ``data.without(test_idx)``, so a 1-D sample is sorted once per call, not
+    per fold. A grid that varies only one kernel's bandwidth or lambda is fit
+    once per fold (``ks_predict``, ``krr_path``), with the same predictions,
+    bit for bit, as fitting each candidate; any other grid fits each
+    candidate.
     """
     candidates = list(candidates)
     if not candidates:
         raise ValueError("empty candidate grid")
+    predict = _grid_predictor(candidates)
     parts = cv_folds_indices(data.n, folds, seed)
-    scores = _grid_cv_fast(data, candidates, parts)
-    if scores is None:
-        scores = _grid_cv_generic(data, candidates, parts)
+    scores = np.zeros(len(candidates))
+    for test_idx in parts:
+        y_test = data.labels[test_idx]
+        preds = predict(data.without(test_idx), data.features[test_idx])
+        for j, pred in enumerate(preds):
+            scores[j] += float(np.mean((y_test - pred) ** 2))
+    scores /= len(parts)
     best = int(np.argmin(scores))
     return candidates[best], [float(s) for s in scores]
 
 
-def _grid_cv_generic(data, candidates, parts) -> np.ndarray:
-    all_idx = np.arange(data.n)
-    scores = np.zeros(len(candidates))
-    for test_idx in parts:
-        train_idx = np.setdiff1d(all_idx, test_idx)
-        train = Dataset(
-            features=data.features[train_idx],
-            labels=data.labels[train_idx],
-            domain_tag=data.domain_tag,
-        )
-        X_test = data.features[test_idx]
-        y_test = data.labels[test_idx]
-        for j, spec in enumerate(candidates):
-            pred = spec.fit(train).predict(X_test)
-            scores[j] += float(np.mean((y_test - pred) ** 2))
-    return scores / len(parts)
-
-
-def _grid_cv_fast(data, candidates, parts) -> np.ndarray | None:
-    """Shared-kernel fast paths; None when the grid is heterogeneous."""
-    if all(isinstance(c, KSSpec) and c.bandwidth is not None for c in candidates):
-        kernels = {c.kernel for c in candidates}
-        if len(kernels) == 1:
-            return _grid_cv_ks(data, candidates, parts, kernels.pop())
-    if all(isinstance(c, KRRSpec) and c.lam is not None for c in candidates):
-        kernels = {c.kernel for c in candidates}
-        if len(kernels) == 1:
-            return _grid_cv_krr(data, candidates, parts, kernels.pop())
-    return None
-
-
-def _grid_cv_ks(data, candidates, parts, kernel) -> np.ndarray:
-    if data.dim == 1 and kernel.compact:
-        return _grid_cv_ks_sorted(data, candidates, parts, kernel)
-    all_idx = np.arange(data.n)
-    scores = np.zeros(len(candidates))
-    for test_idx in parts:
-        train_idx = np.setdiff1d(all_idx, test_idx)
-        sq = sq_distances(data.features[test_idx], data.features[train_idx])
-        y_train = data.labels[train_idx]
-        y_test = data.labels[test_idx]
-        for j, spec in enumerate(candidates):
-            # profile_sq stays in this loop rather than in a shared helper: a
-            # helper that also evaluated the kernel freed each (fold x train)
-            # temporary on return and measured slower from allocator effects.
-            raw = kernel.profile_sq(sq / (spec.bandwidth * spec.bandwidth))
-            preds = predict_from_kernel(raw, sq, y_train)
-            scores[j] += float(np.mean((y_test - preds) ** 2))
-    return scores / len(parts)
-
-
-def _grid_cv_ks_sorted(data, candidates, parts, kernel) -> np.ndarray:
-    """Windowed 1-D CV: one stable sort of the sample serves every fold and
-    bandwidth; a fold's training points keep their sorted order."""
-    x = data.features[:, 0]
-    order = np.argsort(x, kind="stable")
-    scores = np.zeros(len(candidates))
-    for test_idx in parts:
-        in_train = np.ones(data.n, dtype=bool)
-        in_train[test_idx] = False
-        train_order = order[in_train[order]]
-        xs, y_train = x[train_order], data.labels[train_order]
-        queries, y_test = x[test_idx], data.labels[test_idx]
-        for j, spec in enumerate(candidates):
-            preds = predict_sorted_1d(xs, y_train, train_order, queries, kernel,
-                                      spec.bandwidth)
-            scores[j] += float(np.mean((y_test - preds) ** 2))
-    return scores / len(parts)
-
-
-def _grid_cv_krr(data, candidates, parts, kernel) -> np.ndarray:
-    """Every lambda of a fold goes through one ``ridge_path``. For rbf, one
-    squared-distance matrix serves every fold: a fold slices its blocks,
-    takes its median-heuristic lengthscale from the training block and
-    exponentiates both blocks in place."""
-    lams = [spec.lam for spec in candidates]
-    rbf = kernel.shape is KernelShape.RBF
-    if rbf:
-        sq = sq_distances(data.features, data.features)
-    scores = np.zeros(len(candidates))
-    for test_idx in parts:
-        in_train = np.ones(data.n, dtype=bool)
-        in_train[test_idx] = False
-        train_idx = np.flatnonzero(in_train)
-        if rbf:
-            K = sq[np.ix_(train_idx, train_idx)]
-            G_test = sq[np.ix_(test_idx, train_idx)]
-            lengthscale = kernel.lengthscale or median_heuristic_sq(K)
-            rbf_from_sq(K, lengthscale)
-            rbf_from_sq(G_test, lengthscale)
-        else:
-            X_train = data.features[train_idx]
-            K = gram(kernel, X_train, X_train)
-            G_test = gram(kernel, data.features[test_idx], X_train)
-        y_test = data.labels[test_idx]
-        for j, coef in enumerate(ridge_path(K, data.labels[train_idx], lams)):
-            preds = G_test @ coef
-            scores[j] += float(np.mean((y_test - preds) ** 2))
-    return scores / len(parts)
+def _grid_predictor(candidates) -> Callable[[Dataset, np.ndarray], list]:
+    """(train, X) -> every candidate's predictions at X when fit on train."""
+    if len({c.kernel for c in candidates}) == 1:
+        kernel = candidates[0].kernel
+        if all(isinstance(c, KSSpec) and c.bandwidth is not None
+               for c in candidates):
+            bandwidths = [c.bandwidth for c in candidates]
+            return lambda train, X: ks_predict(train, X, kernel, bandwidths)
+        if all(isinstance(c, KRRSpec) and c.lam is not None for c in candidates):
+            lams = [c.lam for c in candidates]
+            return lambda train, X: predict_path(krr_path(train, kernel, lams), X)
+    return lambda train, X: [c.fit(train).predict(X) for c in candidates]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ semidefinite kernel; the closed form is
     f_hat(x) = K(X, x)^T (K(X, X) + n * lambda * I)^(-1) Y.
 
 The linear system is solved by a Cholesky factorization with escalating
-jitter (jitter only when lambda = 0). Fitted predictors are immutable and
-may be queried concurrently; independent fits share no mutable state.
+jitter (jitter only when lambda = 0). ``krr_path`` fits a grid of lambdas
+from one Gram matrix and one ``ridge_path`` call, and ``predict_path``
+predicts all of them from one Gram block of the queries; ``krr_fit`` is the
+one-lambda path. Fitted predictors are immutable and may be queried
+concurrently; independent fits share no mutable state.
 
 scipy supplies the squared distances (``data.sq_distances``) and the LAPACK
 Cholesky routines (``ridge_path``); both import it on first use, so loading
@@ -55,12 +58,12 @@ class RKHSKernel:
 
     def __post_init__(self):
         if self.shape is KernelShape.RBF:
-            if self.lengthscale is not None and self.lengthscale <= 0:
+            if self.lengthscale is not None and not self.lengthscale > 0:
                 raise ValueError("rbf lengthscale must be positive")
         if self.shape is KernelShape.POLYNOMIAL:
             if self.degree < 1 or self.degree != int(self.degree):
                 raise ValueError("polynomial degree must be an integer >= 1")
-            if self.offset < 0:
+            if not self.offset >= 0:
                 raise ValueError("polynomial offset must be >= 0")
 
     @property
@@ -152,11 +155,6 @@ class KRRPredictor:
         return self.train_features.shape[0]
 
 
-def ridge_solve(K: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Coefficients c solving (K + n*lam*I + jitter*I) c = y (see ``ridge_path``)."""
-    return ridge_path(K, y, (lam,))[0]
-
-
 def ridge_path(K: np.ndarray, y: np.ndarray, lams: Sequence[float]) -> np.ndarray:
     """Row i solves (K + n*lams[i]*I + jitter*I) c = y.
 
@@ -214,9 +212,16 @@ def ridge_path(K: np.ndarray, y: np.ndarray, lams: Sequence[float]) -> np.ndarra
     return coefs
 
 
-def krr_fit(train: Dataset, kernel: RKHSKernel, lam: float) -> KRRPredictor:
-    """Solve the ridge system for the training sample (see ``ridge_solve``)."""
-    if lam < 0:
+def krr_path(
+    train: Dataset, kernel: RKHSKernel, lams: Sequence[float]
+) -> list[KRRPredictor]:
+    """One fit per lambda, from one Gram matrix and one ``ridge_path`` call.
+
+    An rbf kernel without a lengthscale takes the median heuristic of the
+    training rows; every fit shares the resolved kernel and the training
+    features.
+    """
+    if not all(lam >= 0 for lam in lams):
         raise ValueError("lambda must be >= 0")
     X = train.features
     if kernel.shape is KernelShape.RBF and kernel.lengthscale is None:
@@ -226,13 +231,25 @@ def krr_fit(train: Dataset, kernel: RKHSKernel, lam: float) -> KRRPredictor:
         K = rbf_from_sq(sq, kernel.lengthscale)
     else:
         K = gram(kernel, X, X)
-    coef = ridge_solve(K, train.labels, lam)
     k_bound = kernel.k_bound
     if k_bound is None:
         k_bound = float(np.max(np.diag(K)))
-    return KRRPredictor(
-        train_features=X, kernel=kernel, lam=lam, coefficients=coef, k_bound=k_bound
-    )
+    return [KRRPredictor(train_features=X, kernel=kernel, lam=lam,
+                         coefficients=coef, k_bound=k_bound)
+            for lam, coef in zip(lams, ridge_path(K, train.labels, lams))]
+
+
+def predict_path(path: Sequence[KRRPredictor], X) -> list[np.ndarray]:
+    """Predictions at ``X`` of every fit of one ``krr_path``, from one Gram
+    block; each equals that fit's ``predict``."""
+    G = gram(path[0].kernel, X, path[0].train_features)
+    return [G @ p.coefficients for p in path]
+
+
+def krr_fit(train: Dataset, kernel: RKHSKernel, lam: float) -> KRRPredictor:
+    """Solve the ridge system for the training sample: ``krr_path`` with one
+    lambda (see ``ridge_path`` for the solve)."""
+    return krr_path(train, kernel, (lam,))[0]
 
 
 def krr_stability_coeffs(p: KRRPredictor) -> np.ndarray:

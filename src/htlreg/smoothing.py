@@ -10,13 +10,15 @@ supported on [0, 1]; all shapes have finite second moment. When a query
 falls outside every kernel window, the prediction falls back to the nearest
 training point's label, ties going to the lowest index.
 
-For 1-D data and a compact-support kernel, predictions only visit the
-training points inside each query's window [q - h, q + h], found by binary
-search in the sorted features (windowed Nadaraya-Watson evaluation, Fan &
-Marron 1994); everything else evaluates the dense (m, n) kernel matrix. The
-windowed path needs only numpy. The dense path takes its distances from
-``data.sq_distances``, which imports scipy on first use, so a 1-D
-compact-kernel run never loads scipy.
+``ks_predict`` predicts a grid of bandwidths from one training sample, and
+is the one place that picks how. For 1-D data and a compact-support kernel,
+predictions only visit the training points inside each query's window
+[q - h, q + h], found by binary search in the sample's cached stable sort
+(``Dataset.sorted_1d``; windowed Nadaraya-Watson evaluation, Fan & Marron
+1994); everything else evaluates the dense (m, n) kernel matrix from one
+distance matrix shared by every bandwidth. The windowed path needs only
+numpy. The dense path takes its distances from ``data.sq_distances``, which
+imports scipy on first use, so a 1-D compact-kernel run never loads scipy.
 
 Inside the window, boxcar and epanechnikov are polynomials in (q - x)^2, so
 a call whose windows hold at least ``_MOMENT_MIN_PAIRS`` pairs takes their
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -83,6 +85,37 @@ class SmoothingKernel(Enum):
             out[inside] = np.exp(-0.5 * s[inside])
             return out
         return np.exp(-0.5 * s)
+
+
+def ks_predict(
+    train: Dataset, X, kernel: SmoothingKernel, bandwidths: Sequence[float]
+) -> list[np.ndarray]:
+    """Predictions at the queries ``X`` of the smoother fit on ``train``,
+    one array per bandwidth.
+
+    1-D data with a compact-support kernel takes each query's window in
+    ``train.sorted_1d`` (``predict_sorted_1d``); anything else evaluates the
+    dense kernel matrix from one (m, n) squared-distance matrix
+    (``predict_from_kernel``).
+    """
+    X = _queries(train, X)
+    if train.dim == 1 and kernel.compact:
+        xs, labels, order = train.sorted_1d
+        return [predict_sorted_1d(xs, labels, order, X[:, 0], kernel, h)
+                for h in bandwidths]
+    sq = sq_distances(X, train.features)
+    return [predict_from_kernel(kernel.profile_sq(sq / (h * h)), sq, train.labels)
+            for h in bandwidths]
+
+
+def _queries(train: Dataset, X) -> np.ndarray:
+    """``X`` as a 2-D float array of finite queries in the sample's dimension."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != train.dim:
+        raise ValueError(f"query dim {X.shape[1]} != training dim {train.dim}")
+    if not np.isfinite(X).all():
+        raise ValueError("queries must be finite")
+    return X
 
 
 def predict_from_kernel(
@@ -336,9 +369,7 @@ def _nearest_sorted_1d(xs, ranks, queries) -> np.ndarray:
 class KSPredictor:
     """A fitted kernel smoother: the training sample plus (kernel, h).
 
-    Immutable apart from a sort of the training points cached on first use
-    (recomputing it is harmless); prediction at distinct queries is safe to
-    run concurrently.
+    Immutable; prediction at distinct queries is safe to run concurrently.
     """
 
     train: Dataset
@@ -346,28 +377,12 @@ class KSPredictor:
     bandwidth: float = 0.1
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
-
-    @cached_property
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """1-D training features in stable sorted order, their labels and
-        original indices; computed on first use."""
-        order = np.argsort(self.train.features[:, 0], kind="stable")
-        return self.train.features[order, 0], self.train.labels[order], order
-
-    def _check_queries(self, X: np.ndarray) -> None:
-        if X.shape[1] != self.train.dim:
-            raise ValueError(
-                f"query dim {X.shape[1]} != training dim {self.train.dim}"
-            )
-        if not np.isfinite(X).all():
-            raise ValueError("queries must be finite")
 
     def _raw(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unnormalized kernel values and squared query-train distances."""
-        self._check_queries(X)
-        sq = sq_distances(X, self.train.features)
+        sq = sq_distances(_queries(self.train, X), self.train.features)
         raw = self.kernel.profile_sq(sq / (self.bandwidth * self.bandwidth))
         return raw, sq
 
@@ -377,7 +392,6 @@ class KSPredictor:
 
     def weights_many(self, X: np.ndarray) -> np.ndarray:
         """Row-stochastic (m, n) weight matrix for m query points."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         raw, sq = self._raw(X)
         sums = raw.sum(axis=1)
         dead = sums == 0.0
@@ -391,14 +405,7 @@ class KSPredictor:
         return raw / sums[:, None]
 
     def predict(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.train.dim == 1 and self.kernel.compact:
-            self._check_queries(X)
-            xs, labels, order = self._sorted
-            return predict_sorted_1d(xs, labels, order, X[:, 0], self.kernel,
-                                     self.bandwidth)
-        raw, sq = self._raw(X)
-        return predict_from_kernel(raw, sq, self.train.labels)
+        return ks_predict(self.train, X, self.kernel, (self.bandwidth,))[0]
 
     def predict_one(self, x) -> float:
         return float(self.predict(np.atleast_2d(np.asarray(x, dtype=float)))[0])

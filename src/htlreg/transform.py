@@ -75,9 +75,9 @@ class TransformationFunction:
     aux_bound_B: float = math.inf
 
     def __post_init__(self):
-        if self.lipschitz_L <= 0:
+        if not self.lipschitz_L > 0:
             raise ValueError("lipschitz_L must be positive")
-        if self.aux_bound_B <= 0:
+        if not self.aux_bound_B > 0:
             raise ValueError("aux_bound_B must be positive")
         if self.family is Family.LOGLINEAR and self.beta == 0:
             raise ValueError("loglinear requires beta != 0")
@@ -217,7 +217,7 @@ class AuxiliaryEstimator:
     assume_noiseless: bool = False
 
     def __post_init__(self):
-        if self.sigma2 < 0:
+        if not self.sigma2 >= 0:
             raise ValueError("sigma2 must be >= 0")
         tf = self.transformation
         if self.mode is EstimatorMode.DIRECT_INVERSE:
@@ -290,8 +290,10 @@ class QuantizedFamily:
     members: tuple[TransformationFunction, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.L_alpha <= 0 or self.L_a <= 0:
+        if not (self.L_alpha > 0 and self.L_a > 0):
             raise ValueError("L_alpha and L_a must be positive")
+        if math.isinf(self.L_alpha):  # the grid step L_alpha / (2K) must be finite
+            raise ValueError("L_alpha must be finite")
         if self.K < 1:
             raise ValueError("K must be >= 1")
         eps = self.L_alpha / (2 * self.K)

@@ -69,6 +69,25 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.labels[0] = 9.0
 
+    def test_fold_sort_is_derived_and_equals_a_fresh_stable_sort(self):
+        # a shuffled dyadic grid with every third point repeated, so the
+        # stable sort's row-index tie rule shows
+        rng = np.random.default_rng(6)
+        xs = rng.permutation(np.r_[np.arange(33), np.arange(0, 33, 3)]) / 32
+        data = Dataset(features=xs.reshape(-1, 1), labels=rng.normal(size=len(xs)),
+                       domain_tag=DomainTag.SOURCE)
+        for test_idx in np.array_split(np.random.default_rng(3).permutation(data.n), 5):
+            fold = data.without(test_idx)
+            assert "sorted_1d" in vars(fold)  # set by ``without``, not sorted
+            fresh = Dataset(features=np.delete(data.features, test_idx, axis=0),
+                            labels=np.delete(data.labels, test_idx))
+            assert fold.domain_tag is DomainTag.SOURCE
+            assert np.array_equal(fold.features, fresh.features)
+            assert np.array_equal(fold.labels, fresh.labels)
+            for derived, sort in zip(fold.sorted_1d, fresh.sorted_1d):
+                assert derived.dtype == sort.dtype
+                assert np.array_equal(derived, sort)
+
 
 class TestGenerateSynthetic:
     def test_zero_noise_identity_labels(self):

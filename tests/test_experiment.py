@@ -1,24 +1,29 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from htlreg import experiment, pipeline
+from htlreg import experiment, pipeline, ridge
 from htlreg.cli import main as cli_main
 from htlreg.data import Dataset, DomainTag, load_csv
 from htlreg.experiment import (
     ConfigError,
-    _grid_cv_generic,
-    _grid_cv_fast,
     cv_folds_indices,
     grid_search_cv,
     load_config,
     parse_config,
     run_experiment,
 )
-from htlreg.pipeline import KRRSpec, KSSpec, HTLPredictor, construct_auxiliary
+from htlreg.pipeline import (
+    BandwidthRule,
+    KRRSpec,
+    KSSpec,
+    HTLPredictor,
+    construct_auxiliary,
+)
 from htlreg.ridge import (
     ConditioningError,
     linear_kernel,
@@ -101,6 +106,15 @@ class TestConfigParsing:
         path = tmp_path / "bad.json"
         path.write_text('{\n  "experiment_kind": oops\n}\n')
         with pytest.raises(ConfigError, match="line 2"):
+            load_config(path)
+
+    @pytest.mark.parametrize("literal, got", [("NaN", "nan"), ("1e999", "inf")])
+    def test_non_finite_literal_names_key(self, tmp_path, literal, got):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config()).replace(
+            '"noise_variance": 0.01', f'"noise_variance": {literal}'))
+        with pytest.raises(ConfigError, match=f"^config.data.noise_variance: "
+                                              f"expected a finite number, got {got}$"):
             load_config(path)
 
     def test_relative_paths_resolved_against_config(self, tmp_path):
@@ -220,6 +234,20 @@ class TestConfigParsing:
                          target_csv="t.csv", n_ta=[10, 20, 20]), [],
          "config.data.n_ta: size 20 appears more than once"),
         (lambda c: c["sizes"].update(n_val=30), [], "config.sizes.n_val"),
+        (lambda c: c["data"].update(noise_variance=math.nan), [],
+         "config.data.noise_variance: expected a finite number, got nan"),
+        (lambda c: c["data"].update(slope=math.nan), [], "config.data.slope"),
+        (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": {
+            "shape": "rbf", "lengthscale": math.nan}}), [],
+         "config.methods.target.kernel.lengthscale"),
+        (lambda c: c["transformations"][0].update(alpha=math.nan), [],
+         "config.transformations[0].alpha"),
+        (lambda c: _selection(c, L_alpha=math.nan, K=2), [],
+         "config.selection_family.L_alpha"),
+        (lambda c: c["methods"]["source"].update(bandwidth=math.inf), [],
+         "config.methods.source.bandwidth: expected a finite number, got inf"),
+        (lambda c: _target(c, {"method": "ks", "bandwidth_grid": [0.1, -math.inf]}),
+         [], "config.methods.target.bandwidth_grid[1]"),
     ])
     def test_invalid_config_fails_at_parse_time_naming_the_key(
         self, tmp_path, capsys, edit, argv, key
@@ -259,6 +287,22 @@ def _noisy_linear_data(n=60, seed=0, noise=0.0):
     return Dataset(features=xs, labels=ys, domain_tag=DomainTag.TARGET)
 
 
+def _reference_cv_scores(data, candidates, folds, seed):
+    """Mean fold MSEs from one ``spec.fit(train).predict`` per candidate and
+    fold, on training rows taken by ``np.delete``."""
+    parts = cv_folds_indices(data.n, folds, seed)
+    scores = np.zeros(len(candidates))
+    for test_idx in parts:
+        train = Dataset(features=np.delete(data.features, test_idx, axis=0),
+                        labels=np.delete(data.labels, test_idx),
+                        domain_tag=data.domain_tag)
+        y_test = data.labels[test_idx]
+        for j, spec in enumerate(candidates):
+            pred = spec.fit(train).predict(data.features[test_idx])
+            scores[j] += float(np.mean((y_test - pred) ** 2))
+    return scores / len(parts)
+
+
 class TestGridSearchCv:
     def test_single_candidate(self):
         data = _noisy_linear_data()
@@ -286,13 +330,13 @@ class TestGridSearchCv:
         for test_idx in parts:
             train_x = np.delete(xs, test_idx)
             assert not np.isin(xs[test_idx], train_x).all()
-        for data, hs in ((data, (0.02, 0.1, 0.5)), (repeated, (0.01, 0.05, 0.2))):
-            candidates = [KSSpec(SmoothingKernel.EPANECHNIKOV, bandwidth=h)
-                          for h in hs]
-            parts = cv_folds_indices(data.n, 5, seed=3)
-            fast = _grid_cv_fast(data, candidates, parts)
-            generic = _grid_cv_generic(data, candidates, parts)
-            np.testing.assert_allclose(fast, generic, atol=1e-12)
+        for kernel in SmoothingKernel:
+            for sample, hs in ((data, (0.02, 0.1, 0.5)),
+                               (repeated, (0.01, 0.05, 0.2))):
+                candidates = [KSSpec(kernel, bandwidth=h) for h in hs]
+                _, fast = grid_search_cv(sample, candidates, folds=5, seed=3)
+                generic = _reference_cv_scores(sample, candidates, 5, seed=3)
+                assert np.array_equal(fast, generic)
 
     def test_krr_fast_path_matches_generic(self, monkeypatch):
         data = _noisy_linear_data(n=40, noise=0.1)
@@ -323,7 +367,7 @@ class TestGridSearchCv:
             lengthscales.append(median_heuristic_sq(sq))
             return lengthscales[-1]
 
-        monkeypatch.setattr(experiment, "median_heuristic_sq", recording)
+        monkeypatch.setattr(ridge, "median_heuristic_sq", recording)
         cases = (
             (data, rbf_kernel(0.4), (0.01, 0.1, 1.0)),
             (duplicated, rbf_kernel(0.4), (0.0,)),
@@ -337,29 +381,41 @@ class TestGridSearchCv:
         for data, kernel, lams in cases:
             candidates = [KRRSpec(kernel, lam=v) for v in lams]
             parts = cv_folds_indices(data.n, 4, seed=4)
+            generic = _reference_cv_scores(data, candidates, 4, seed=4)
             lengthscales.clear()
-            fast = _grid_cv_fast(data, candidates, parts)
-            generic = _grid_cv_generic(data, candidates, parts)
-            np.testing.assert_allclose(fast, generic, rtol=1e-9)
+            _, fast = grid_search_cv(data, candidates, folds=4, seed=4)
+            shared_fit = lengthscales.copy()
+            assert np.array_equal(fast, generic)
             if kernel != rbf_kernel(None):
-                assert lengthscales == []
+                assert shared_fit == []
                 continue
+            # one heuristic per fold, shared by every lambda
             X_trains = [np.delete(data.features, test_idx, axis=0)
                         for test_idx in parts]
-            assert lengthscales == [median_heuristic(X) for X in X_trains]
+            assert shared_fit == [median_heuristic(X) for X in X_trains]
             if data is flat:
-                assert lengthscales[0] == 1.0
+                assert shared_fit[0] == 1.0
             else:
                 pair_parities |= {np.count_nonzero(pdist(X)) % 2 for X in X_trains}
         assert pair_parities == {0, 1}
 
-    def test_mixed_grid_uses_generic_path(self):
+    @pytest.mark.parametrize("candidates", [
+        [KSSpec(bandwidth=0.1), KRRSpec(rbf_kernel(0.4), lam=0.1)],
+        [KSSpec(bandwidth=0.1), KSSpec(rule=BandwidthRule())],
+        [KSSpec(SmoothingKernel.BOXCAR, bandwidth=0.1),
+         KSSpec(SmoothingKernel.EPANECHNIKOV, bandwidth=0.1)],
+        [KRRSpec(rbf_kernel(0.4), lam=0.1), KRRSpec(rbf_kernel(0.5), lam=0.1)],
+    ], ids=["ks_and_krr", "fixed_and_rule", "two_ks_kernels", "two_rbf_kernels"])
+    def test_mixed_grid_uses_generic_path(self, monkeypatch, candidates):
+        def shared_fit(*args):
+            raise AssertionError("a grid over more than one value was shared")
+
+        monkeypatch.setattr(experiment, "ks_predict", shared_fit)
+        monkeypatch.setattr(experiment, "krr_path", shared_fit)
         data = _noisy_linear_data(n=30)
-        candidates = [KSSpec(bandwidth=0.1), KRRSpec(rbf_kernel(0.4), lam=0.1)]
-        parts = cv_folds_indices(data.n, 3, seed=5)
-        assert _grid_cv_fast(data, candidates, parts) is None
-        best, _ = grid_search_cv(data, candidates, folds=3, seed=5)
+        best, scores = grid_search_cv(data, candidates, folds=3, seed=5)
         assert best in candidates
+        assert np.array_equal(scores, _reference_cv_scores(data, candidates, 3, 5))
 
 
 class TestRunExperiment:

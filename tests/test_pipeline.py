@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -16,8 +17,14 @@ from htlreg.pipeline import (
     htl_fit,
     select_transformation,
 )
-from htlreg.ridge import linear_kernel, polynomial_kernel, rbf_kernel
-from htlreg.smoothing import SmoothingKernel
+from htlreg.ridge import (
+    KernelShape,
+    RKHSKernel,
+    linear_kernel,
+    polynomial_kernel,
+    rbf_kernel,
+)
+from htlreg.smoothing import KSPredictor, SmoothingKernel
 from htlreg.transform import (
     AuxiliaryEstimator,
     EstimatorMode,
@@ -148,6 +155,35 @@ class TestSubroutineSpecs:
         ds256 = Dataset(features=np.linspace(0, 1, 256).reshape(-1, 1),
                         labels=np.zeros(256))
         assert kspec.resolve_lambda(ds256) == pytest.approx(0.0625, rel=1e-12)
+
+
+    @pytest.mark.parametrize("build, inf_valid", [
+        (lambda v: KSPredictor(Dataset(features=[[0.0]], labels=[0.0]),
+                               bandwidth=v), True),
+        (lambda v: RKHSKernel(KernelShape.RBF, lengthscale=v), True),
+        (lambda v: RKHSKernel(KernelShape.POLYNOMIAL, lengthscale=None,
+                              offset=v), True),
+        (lambda v: offset(1.0, lipschitz_L=v), True),
+        (lambda v: offset(1.0, aux_bound_B=v), True),
+        (lambda v: SyntheticSpec(lambda X: X[:, 0], lambda X: X[:, 0],
+                                 noise_variance_source=v), True),
+        (lambda v: SyntheticSpec(lambda X: X[:, 0], lambda X: X[:, 0],
+                                 noise_variance_target=v), True),
+        (lambda v: AuxiliaryEstimator(offset(1.0), sigma2=v), True),
+        # an infinite grid step L_alpha / (2K) made the alpha = 0 member NaN
+        (lambda v: QuantizedFamily(L_alpha=v, L_a=1.0, K=2), False),
+        (lambda v: QuantizedFamily(L_alpha=1.0, L_a=v, K=2), True),
+    ], ids=["ks_bandwidth", "rbf_lengthscale", "polynomial_offset", "lipschitz_L",
+            "aux_bound_B", "noise_variance_source", "noise_variance_target",
+            "sigma2", "L_alpha", "L_a"])
+    def test_nan_parameter_rejected(self, build, inf_valid):
+        if inf_valid:
+            build(math.inf)
+        else:
+            with pytest.raises(ValueError, match="finite"):
+                build(math.inf)
+        with pytest.raises(ValueError):
+            build(math.nan)
 
 
 def _noiseless_linear_pair(n_so=200, n_ta=200):

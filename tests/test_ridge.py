@@ -16,7 +16,6 @@ from htlreg.ridge import (
     polynomial_kernel,
     rbf_kernel,
     ridge_path,
-    ridge_solve,
 )
 
 
@@ -141,7 +140,8 @@ class TestFitPredict:
         ds = Dataset(features=rng.uniform(size=shape), labels=rng.normal(size=shape[0]))
         p = krr_fit(ds, rbf_kernel(None), lam)
         kernel = rbf_kernel(median_heuristic(ds.features))
-        expected = ridge_solve(gram(kernel, ds.features, ds.features), ds.labels, lam)
+        K = gram(kernel, ds.features, ds.features)
+        expected = ridge_path(K, ds.labels, (lam,))[0]
         assert p.kernel == kernel
         assert np.array_equal(p.coefficients, expected)
 
@@ -203,7 +203,7 @@ class TestRidgePath:
         for lam, coef in zip(self.LAMS, path):
             expected = reference_ridge_solve(K, self.y, lam)
             assert np.array_equal(coef, expected)
-            assert np.array_equal(ridge_solve(K, self.y, lam), expected)
+            assert np.array_equal(ridge_path(K, self.y, (lam,))[0], expected)
 
     def test_zero_lambda_jitter_escalation_bitwise(self):
         # duplicated rows: K is singular, so lambda = 0 needs jitter
@@ -213,7 +213,7 @@ class TestRidgePath:
         with pytest.raises(LinAlgError):
             cho_factor(K, lower=True)
         expected = reference_ridge_solve(K, y, 0.0)
-        assert np.array_equal(ridge_solve(K, y, 0.0), expected)
+        assert np.array_equal(ridge_path(K, y, (0.0,))[0], expected)
         assert np.array_equal(ridge_path(K, y, (0.0, 0.1))[0], expected)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -225,7 +225,7 @@ class TestRidgePath:
         y = self.y.copy()
         y[7] = bad
         with pytest.raises(ValueError):
-            ridge_solve(np.eye(60), y, 0.1)
+            ridge_path(np.eye(60), y, (0.1,))
 
     def test_unsolvable_system_raises_conditioning_error(self):
         # an indefinite K fails every jittered factorization; the path
