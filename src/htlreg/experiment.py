@@ -86,22 +86,23 @@ _RATE_BASE = 100  # + index of n_ta in the sweep grid
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """One subroutine stage: a spec, or a grid of specs resolved by CV."""
+    """One subroutine stage: its candidate specs. A fixed value or a rule is
+    one candidate; two or more are resolved by k-fold CV."""
 
-    spec: SubroutineSpec | None
-    grid: tuple[SubroutineSpec, ...] = ()
+    candidates: tuple[SubroutineSpec, ...]
     cv_folds: int = 10
 
     def __post_init__(self):
-        if (self.spec is None) == (not self.grid):
-            raise ValueError("exactly one of a spec or a nonempty grid must be given")
+        if not self.candidates:
+            raise ValueError("a stage needs at least one candidate")
         if self.cv_folds < 2:
             raise ValueError(f"cv_folds must be at least 2, got {self.cv_folds}")
 
     def resolve(self, train: Dataset, seed: int) -> SubroutineSpec:
-        if self.spec is not None:
-            return self.spec
-        best, _ = grid_search_cv(train, list(self.grid), self.cv_folds, seed)
+        """The lone candidate, or the CV winner on ``train``."""
+        if len(self.candidates) == 1:
+            return self.candidates[0]
+        best, _ = grid_search_cv(train, self.candidates, self.cv_folds, seed)
         return best
 
 
@@ -111,7 +112,8 @@ class ExperimentConfig:
     data: dict
     synthetic: SyntheticSpec | None  # the truth; None for CSV data
     n_so: int
-    n_ta: int
+    n_ta_sizes: tuple[int, ...]  # one per cell of a seed
+    n_ta_key: str  # the config key that set n_ta_sizes
     n_val: int
     n_test: int
     source_method: MethodConfig
@@ -122,6 +124,11 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     output_dir: Path
     raw: dict = field(repr=False, default_factory=dict)
+
+    @property
+    def n_ta(self) -> int:
+        """The first target sample size; ``bench/run.py`` reads it."""
+        return self.n_ta_sizes[0]
 
 
 @contextmanager
@@ -157,6 +164,17 @@ def _integer(value, where: str) -> int:
         return int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: expected an integer, got {value!r}") from None
+
+
+def _real(value, where: str) -> float:
+    """``value`` as a float. JSON ints and floats pass; strings, booleans
+    and other values are a ConfigError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ConfigError(f"{where}: expected a number, got {value!r}")
 
 
 def _distinct(values: Sequence[int], raw, what: str, where: str) -> None:
@@ -247,40 +265,47 @@ def parse_method(raw: dict, where: str) -> MethodConfig:
         kernel = _parse_kernel(method, raw, f"{where}.kernel")
     with _section(f"{where}.{key}"):
         if key == rule_key:
-            specs = (spec_type(kernel, rule=rule_type(**raw[key])),)
+            candidates = (spec_type(kernel, rule=rule_type(**raw[key])),)
         else:
             values = raw[key] if key == grid_key else [raw[key]]
-            specs = tuple(spec_type(kernel, **{field_name: float(v)}) for v in values)
+            candidates = tuple(
+                spec_type(kernel, **{field_name: _real(v, f"{where}.{key}")})
+                for v in values)
     with _section(where):
-        cv_folds = _integer(raw.get("cv_folds", 10), f"{where}.cv_folds")
-        if key == grid_key:
-            return MethodConfig(None, specs, cv_folds)
-        return MethodConfig(specs[0], cv_folds=cv_folds)
+        return MethodConfig(candidates,
+                            _integer(raw.get("cv_folds", 10), f"{where}.cv_folds"))
 
 
 def parse_transformation(raw: dict, where: str) -> AuxiliaryEstimator:
     family = _require(raw, "family", where)
     if family not in _FAMILIES:
         raise ConfigError(f"{where}.family: unknown family {family!r}")
+    params = {k: _real(v, f"{where}.{k}") for k, v in raw.items()
+              if k != "family" and k not in _ESTIMATOR_KEYS}
+    noiseless = raw.get("assume_noiseless", False)
+    if not isinstance(noiseless, bool):
+        raise ConfigError(f"{where}.assume_noiseless: expected true or false, "
+                          f"got {noiseless!r}")
     with _section(where):
-        tf = _FAMILIES[family](**{k: float(v) for k, v in raw.items()
-                                  if k != "family" and k not in _ESTIMATOR_KEYS})
         return AuxiliaryEstimator(
-            tf,
+            _FAMILIES[family](**params),
             mode=EstimatorMode(raw.get("estimator_mode", "direct_inverse")),
-            sigma2=float(raw.get("sigma2", 0.0)),
-            assume_noiseless=bool(raw.get("assume_noiseless", False)),
+            sigma2=_real(raw.get("sigma2", 0.0), f"{where}.sigma2"),
+            assume_noiseless=noiseless,
         )
 
 
 def _synthetic_spec(kind: str, data: dict) -> SyntheticSpec | None:
-    noise = float(data.get("noise_variance", 0.01))
+    def number(key: str, default: float) -> float:
+        return _real(data.get(key, default), f"config.data.{key}")
+
+    noise = number("noise_variance", 0.01)
     if kind in ("synthetic_offset", "rate_sweep"):
-        return doppler_offset_spec(noise, slope=float(data.get("slope", 1.0)))
+        return doppler_offset_spec(noise, slope=number("slope", 1.0))
     if kind == "synthetic_scale":
-        return doppler_scale_spec(noise, factor=float(data.get("factor", 5.0)))
+        return doppler_scale_spec(noise, factor=number("factor", 5.0))
     if kind == "selection":
-        true_alpha = float(data.get("true_alpha", 1.0))
+        true_alpha = number("true_alpha", 1.0)
         base = doppler_offset_spec(noise)
         return SyntheticSpec(
             source_fn=base.source_fn,
@@ -310,7 +335,9 @@ def _target_sizes(kind: str, data: dict, n_ta: int) -> tuple[str, list[int]]:
 
 
 def _check_fold_sizes(method: MethodConfig, n: int, where: str) -> None:
-    if method.grid and n < method.cv_folds:
+    """Reject a sample of ``n`` rows too small for the stage's CV folds; a
+    lone candidate is never cross-validated."""
+    if len(method.candidates) > 1 and n < method.cv_folds:
         raise ConfigError(f"{where}.cv_folds: {method.cv_folds} folds need a "
                           f"sample of at least {method.cv_folds} rows, got {n}")
 
@@ -400,7 +427,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         data=data,
         synthetic=synthetic,
         n_so=n_so,
-        n_ta=n_ta,
+        n_ta_sizes=tuple(n_ta_values),
+        n_ta_key=ta_key,
         n_val=n_val,
         n_test=n_test,
         source_method=source_method,
@@ -498,38 +526,30 @@ class SeedData:
     target: Dataset
     test: Dataset | None  # None: rows are scored by excess risk alone
     validation: Dataset | None
-    spec: SyntheticSpec | None  # the truth; None for CSV data
-
-
-def _generate_seed_data(config: ExperimentConfig, seed: int, n_ta: int) -> SeedData:
-    spec = config.synthetic
-    source = generate_synthetic(spec, config.n_so, DomainTag.SOURCE,
-                                child_seed(seed, _SOURCE))
-    target = generate_synthetic(spec, n_ta, DomainTag.TARGET,
-                                child_seed(seed, _TARGET))
-    test = generate_synthetic(spec, config.n_test, DomainTag.TARGET,
-                              child_seed(seed, _TEST))
-    validation = None
-    if config.n_val > 0:
-        validation = generate_synthetic(spec, config.n_val, DomainTag.VALIDATION,
-                                        child_seed(seed, _VALIDATION))
-    return SeedData(source=source, target=target, test=test,
-                    validation=validation, spec=spec)
 
 
 def _synthetic_cells(config: ExperimentConfig, seed: int) -> list[tuple]:
-    return [(None, _generate_seed_data(config, seed, config.n_ta))]
+    """One seed's (n_ta, SeedData) cells, each sample from its own substream.
 
+    A rate sweep has a cell per target size, labelled by it and scored by
+    excess risk alone. Any other kind has one unlabelled cell, with a test
+    sample unless it is a selection run, which scores no row on one.
+    """
+    def draw(n: int, tag: DomainTag, stream: int) -> Dataset:
+        return generate_synthetic(config.synthetic, n, tag, child_seed(seed, stream))
 
-def _rate_sweep_cells(config: ExperimentConfig, seed: int) -> list[tuple]:
-    spec = config.synthetic
-    source = generate_synthetic(spec, config.n_so, DomainTag.SOURCE,
-                                child_seed(seed, _SOURCE))
+    sweep = config.experiment_kind == "rate_sweep"
+    source = draw(config.n_so, DomainTag.SOURCE, _SOURCE)
+    test = validation = None
+    if not sweep and config.selection_family is None:
+        test = draw(config.n_test, DomainTag.TARGET, _TEST)
+    if config.n_val > 0:
+        validation = draw(config.n_val, DomainTag.VALIDATION, _VALIDATION)
     cells = []
-    for k, n_ta in enumerate(int(v) for v in config.data["n_ta_grid"]):
-        target = generate_synthetic(spec, n_ta, DomainTag.TARGET,
-                                    child_seed(seed, _RATE_BASE + k))
-        cells.append((n_ta, SeedData(source, target, None, None, spec)))
+    for k, n_ta in enumerate(config.n_ta_sizes):
+        target = draw(n_ta, DomainTag.TARGET, _RATE_BASE + k if sweep else _TARGET)
+        cells.append((n_ta if sweep else None,
+                      SeedData(source, target, test, validation)))
     return cells
 
 
@@ -541,12 +561,10 @@ def _csv_cells(config: ExperimentConfig) -> Callable[[int], list[tuple]]:
     source_full = replace(load_csv(config.data["source_csv"], label_column),
                           domain_tag=DomainTag.SOURCE)
     target_full = load_csv(config.data["target_csv"], label_column)
-    _, n_ta_values = _target_sizes("csv_transfer", config.data, config.n_ta)
-    if max(n_ta_values) >= target_full.n:
-        raise ConfigError(
-            f"config.data.n_ta: largest size {max(n_ta_values)} leaves no "
-            f"test rows out of {target_full.n}"
-        )
+    largest = max(config.n_ta_sizes)
+    if largest >= target_full.n:
+        raise ConfigError(f"{config.n_ta_key}: largest size {largest} leaves no "
+                          f"test rows out of {target_full.n}")
     n_so = config.n_so if config.n_so >= 1 else source_full.n
     _check_fold_sizes(config.source_method, min(n_so, source_full.n),
                       "config.methods.source")
@@ -561,9 +579,9 @@ def _csv_cells(config: ExperimentConfig) -> Callable[[int], list[tuple]]:
         perm = np.random.default_rng(child_seed(seed, _TARGET)).permutation(
             target_full.n
         )
-        test = rows(perm[max(n_ta_values):])
-        return [(n_ta, SeedData(source, rows(perm[:n_ta]), test, None, None))
-                for n_ta in n_ta_values]
+        test = rows(perm[largest:])
+        return [(n_ta, SeedData(source, rows(perm[:n_ta]), test, None))
+                for n_ta in config.n_ta_sizes]
 
     return cells
 
@@ -587,15 +605,16 @@ def _method_roster(config: ExperimentConfig) -> list[tuple[str | None, object]]:
     return roster
 
 
-def _score(pred: Predictor, data: SeedData, seed: int) -> dict[str, float]:
+def _score(pred: Predictor, data: SeedData, seed: int,
+           truth: SyntheticSpec | None) -> dict[str, float]:
     """mse and r_squared on the test set, excess risk against the truth."""
     scores = {}
     if data.test is not None:
         report = metric_report(pred, data.test)
         scores.update(mse=report.mse, r_squared=report.r_squared)
-    if data.spec is not None:
+    if truth is not None:
         scores["excess_risk"] = excess_risk_mc(
-            pred, data.spec.target_fn, data.spec.input_sampler,
+            pred, truth.target_fn, truth.input_sampler,
             n_mc=2000, seed=child_seed(seed, _EXCESS),
         )
     if not all(math.isfinite(v) for v in scores.values()):
@@ -654,9 +673,9 @@ def _run_cells(config: ExperimentConfig, make_cells: Callable[[int], list[tuple]
     for seed in config.seeds:
         cells = make_cells(seed)
         source = cells[0][1].source
-        so_spec = _once(partial(config.source_method.resolve, source,
-                                child_seed(seed, _CV_SOURCE)))
-        f_so_hat = _once(lambda: MemoPredictor(so_spec().fit(source)))
+        so_seed = child_seed(seed, _CV_SOURCE)
+        f_so_hat = _once(lambda: MemoPredictor(
+            config.source_method.resolve(source, so_seed).fit(source)))
         cv_seed = child_seed(seed, _CV_TARGET)
         for n_ta, data in cells:
             ta_spec = _once(partial(config.target_method.resolve, data.target,
@@ -690,7 +709,8 @@ def _run_cells(config: ExperimentConfig, make_cells: Callable[[int], list[tuple]
                         pooled = _pooled(data)
                         pred = config.target_method.resolve(pooled, cv_seed).fit(pooled)
                     predictors[name] = pred
-                    rows.append({**cell, **_score(pred, data, seed)})
+                    rows.append({**cell, **_score(pred, data, seed,
+                                                  config.synthetic)})
                 except _METHOD_ERRORS as exc:  # recorded, run continues
                     errors.append(_error(cell, exc))
             if first is None:
@@ -715,12 +735,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
 def _run_report(config: ExperimentConfig) -> dict:
     """Every kind: one cell loop, then a summary per kind."""
     kind = config.experiment_kind
-    if kind == "csv_transfer":
-        make_cells = _csv_cells(config)
-    elif kind == "rate_sweep":
-        make_cells = partial(_rate_sweep_cells, config)
-    else:
-        make_cells = partial(_synthetic_cells, config)
+    make_cells = (_csv_cells(config) if kind == "csv_transfer"
+                  else partial(_synthetic_cells, config))
     rows, errors, first, selections = _run_cells(config, make_cells)
     if kind == "selection":  # mean validation MSE per candidate, choice counts
         family = config.selection_family
@@ -739,7 +755,8 @@ def _run_report(config: ExperimentConfig) -> dict:
     metrics = ("mse", "r_squared", "excess_risk")
     if kind in ("synthetic_offset", "synthetic_scale"):
         return {"rows": rows, "aggregates": _aggregate(rows, ("method",), metrics),
-                "errors": errors, "plot_series": _prediction_series(*first)}
+                "errors": errors,
+                "plot_series": _prediction_series(config.synthetic, *first)}
     agg = _aggregate(rows, ("method", "n_ta"), metrics)
     plotted = "mean_excess_risk" if kind == "rate_sweep" else "mean_mse"
     report = {"rows": rows, "aggregates": agg, "errors": errors,
@@ -767,16 +784,10 @@ def _run_report(config: ExperimentConfig) -> dict:
 def _aggregate(rows: list[dict], keys: tuple[str, ...], value_fields) -> list[dict]:
     """Mean and sample standard deviation per key group, in first-seen order."""
     groups: dict[tuple, list[dict]] = {}
-    order: list[tuple] = []
     for row in rows:
-        key = tuple(row.get(k) for k in keys)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault(tuple(row.get(k) for k in keys), []).append(row)
     out = []
-    for key in order:
-        member_rows = groups[key]
+    for key, member_rows in groups.items():
         agg = dict(zip(keys, key))
         agg["n_rows"] = len(member_rows)
         for field_name in value_fields:
@@ -792,12 +803,13 @@ def _aggregate(rows: list[dict], keys: tuple[str, ...], value_fields) -> list[di
     return out
 
 
-def _prediction_series(data: SeedData, predictors: dict[str, Predictor]) -> list[dict]:
+def _prediction_series(truth: SyntheticSpec | None, data: SeedData,
+                       predictors: dict[str, Predictor]) -> list[dict]:
     """Per-method predictions on an x grid (first seed), for plotting."""
-    if data.spec is None or data.source.dim != 1:
+    if truth is None or data.source.dim != 1:
         return []
     grid = np.linspace(0.0, 1.0, 200).reshape(-1, 1)
-    series = {"x": grid[:, 0], "truth": np.asarray(data.spec.target_fn(grid))}
+    series = {"x": grid[:, 0], "truth": np.asarray(truth.target_fn(grid))}
     for name, pred in predictors.items():
         series[name] = np.asarray(pred.predict(grid))
     names = list(series)

@@ -228,9 +228,9 @@ def test_criterion_06_selection_correctness():
             "seeds": [seed],
             "output_dir": "/tmp/htlreg_acc6_unused",
         })
-        from htlreg.experiment import _generate_seed_data
+        from htlreg.experiment import _synthetic_cells
 
-        data = _generate_seed_data(config, seed, config.n_ta)
+        [(_, data)] = _synthetic_cells(config, seed)
         so_spec = KSSpec(SmoothingKernel.EPANECHNIKOV, bandwidth=0.005)
         result = select_transformation(
             f_so_hat=so_spec.fit(data.source),

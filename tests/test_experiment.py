@@ -136,9 +136,16 @@ class TestConfigParsing:
         _target(cfg, {"method": "ks", "bandwidth_grid": [0.1, 0.2],
                       "cv_folds": 5.0})
         parsed = parse_config(cfg)
-        assert (parsed.n_ta, parsed.target_method.cv_folds, parsed.seeds) == (
-            40, 5, (1,))
-        assert type(parsed.n_ta) is int
+        assert (parsed.n_ta_sizes, parsed.target_method.cv_folds, parsed.seeds) == (
+            (40,), 5, (1,))
+        assert all(type(n) is int for n in parsed.n_ta_sizes)
+
+    def test_one_candidate_grid_needs_no_folds(self):
+        cfg = base_config()
+        cfg["sizes"]["n_ta"] = 5
+        _target(cfg, {"method": "ks", "bandwidth_grid": [0.1], "cv_folds": 10})
+        assert parse_config(cfg).target_method.candidates == (KSSpec(
+            SmoothingKernel.TRUNCATED_GAUSSIAN, bandwidth=0.1),)
 
     def test_missing_csv_rejected_at_parse_time(self, tmp_path):
         cfg = base_config(
@@ -248,6 +255,25 @@ class TestConfigParsing:
          "config.methods.source.bandwidth: expected a finite number, got inf"),
         (lambda c: _target(c, {"method": "ks", "bandwidth_grid": [0.1, -math.inf]}),
          [], "config.methods.target.bandwidth_grid[1]"),
+        (lambda c: c["data"].update(slope="nan"), [],
+         "config.data.slope: expected a number, got 'nan'"),
+        (lambda c: c["data"].update(slope=10 ** 400), [],
+         "config.data.slope: expected a number"),
+        (lambda c: c["transformations"][0].update(alpha="nan"), [],
+         "config.transformations[0].alpha: expected a number, got 'nan'"),
+        (lambda c: _target(c, {"method": "ks", "bandwidth_grid": ["inf", 0.1]}),
+         [], "config.methods.target.bandwidth_grid: expected a number, got 'inf'"),
+        (lambda c: _target(c, {"method": "ks", "bandwidth_grid": [True, 0.1]}),
+         [], "config.methods.target.bandwidth_grid: expected a number, got True"),
+        (lambda c: c["methods"]["source"].update(bandwidth="0.02"), [],
+         "config.methods.source.bandwidth: expected a number, got '0.02'"),
+        (lambda c: c.update(transformations=[{
+            "family": "loglinear", "beta": 1.0, "estimator_mode": "calibrated",
+            "sigma2": "0.01"}]), [],
+         "config.transformations[0].sigma2: expected a number, got '0.01'"),
+        (lambda c: c["transformations"][0].update(assume_noiseless="false"), [],
+         "config.transformations[0].assume_noiseless: expected true or false, "
+         "got 'false'"),
     ])
     def test_invalid_config_fails_at_parse_time_naming_the_key(
         self, tmp_path, capsys, edit, argv, key
@@ -560,6 +586,58 @@ class TestRunExperiment:
             "method": "only_target", "stage": "rate_fit",
             "error": "risks must be positive for a log-log fit",
             "type": "ValueError"}]
+
+    def test_one_candidate_grid_runs_as_the_fixed_value(self, tmp_path,
+                                                        monkeypatch):
+        calls = []
+
+        def counting_cv(*args):
+            calls.append(1)
+            return grid_search_cv(*args)
+
+        monkeypatch.setattr(experiment, "grid_search_cv", counting_cv)
+        reports = []
+        for grid in (False, True):
+            cfg = base_config(output_dir=str(tmp_path / f"out{grid}"), seeds=[0, 1])
+            cfg["methods"]["baselines"] = ["only_target", "only_source", "combined"]
+            for stage in ("source", "target"):
+                section = cfg["methods"][stage]
+                if grid:
+                    section["bandwidth_grid"] = [section.pop("bandwidth")]
+            reports.append(run_experiment(parse_config(cfg)))
+        assert calls == []
+        assert reports[0]["rows"] == reports[1]["rows"]
+        assert len(reports[0]["rows"]) == 4 * 2 and not reports[0]["errors"]
+
+    def test_a_selection_seed_draws_no_test_sample(self, tmp_path, monkeypatch):
+        tags = []
+        generate = experiment.generate_synthetic
+
+        def recording(spec, n, tag, seed):
+            tags.append(tag)
+            return generate(spec, n, tag, seed)
+
+        monkeypatch.setattr(experiment, "generate_synthetic", recording)
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        _selection(cfg, L_alpha=2.0, K=2)
+        report = run_experiment(parse_config(cfg))
+        assert not report["errors"] and len(report["rows"]) == 1
+        assert len(tags) == 3
+        assert set(tags) == {DomainTag.SOURCE, DomainTag.TARGET, DomainTag.VALIDATION}
+
+    @pytest.mark.parametrize("data_sizes, key", [
+        (None, "config.sizes.n_ta"), ([20, 80], "config.data.n_ta")])
+    def test_csv_size_error_names_the_key_set(self, tmp_path, data_sizes, key):
+        cfg = _csv_transfer_config(tmp_path)
+        del cfg["data"]["n_ta"]
+        if data_sizes is None:
+            cfg["sizes"]["n_ta"] = 80
+        else:
+            cfg["data"]["n_ta"] = data_sizes
+        with pytest.raises(ConfigError, match=rf"^{key}: largest size 80 leaves "
+                                              r"no test rows out of 80$"):
+            run_experiment(parse_config(cfg))
+        assert not (tmp_path / "out").exists()
 
     def test_csv_transfer_shape(self, tmp_path):
         report = run_experiment(parse_config(_csv_transfer_config(tmp_path)))
