@@ -23,7 +23,6 @@ from .data import (
     kin_analog_spec,
     load_csv,
     save_csv,
-    split,
     subsample,
     uniform_sampler,
 )
@@ -35,8 +34,6 @@ from .evaluation import (
     default_query_grid,
     excess_risk_mc,
     metric_report,
-    mse,
-    r_squared,
     rate_slope,
     stability_probe,
 )

@@ -97,6 +97,14 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _seed_list(text: str) -> list[int]:
+    try:
+        return [int(token) for token in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--seeds: expected comma-separated integers, "
+                          f"got {text!r}") from None
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.required_kind and config.experiment_kind != args.required_kind:
@@ -107,7 +115,7 @@ def _cmd_run(args) -> int:
     if args.out:
         config = replace(config, output_dir=Path(args.out))
     if args.seeds is not None:
-        config = replace(config, seeds=parse_seeds(args.seeds.split(","), "--seeds"))
+        config = replace(config, seeds=parse_seeds(_seed_list(args.seeds), "--seeds"))
     report = run_experiment(config)
     n_rows = len(report.get("rows", []))
     n_errors = len(report.get("errors", []))

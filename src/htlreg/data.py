@@ -1,5 +1,5 @@
-"""Datasets, synthetic benchmark generation, CSV ingestion, splitting, and
-the pairwise squared distances the kernel subroutines share.
+"""Datasets, synthetic benchmark generation, CSV ingestion, subsampling,
+and the pairwise squared distances the kernel subroutines share.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64). Every
 randomized operation takes an explicit 64-bit seed and is a pure function of
@@ -32,11 +32,8 @@ class CsvError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """An immutable regression sample: features (n, d), labels (n,).
-
-    ``x_bound`` and ``y_bound`` record the radii of the compact sets the
-    rows are known to live in (max row 2-norm and max absolute label when
-    derived from data). A bound of 0 means "not asserted".
+    """An immutable regression sample of finite features (n, d) and labels
+    (n,).
 
     Immutable apart from the stable sort of the first feature column,
     ``sorted_1d``, cached on first use (recomputing it is harmless).
@@ -45,8 +42,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     domain_tag: DomainTag = DomainTag.TARGET
-    x_bound: float = 0.0
-    y_bound: float = 0.0
 
     def __post_init__(self):
         features = np.atleast_2d(np.asarray(self.features, dtype=float))
@@ -59,18 +54,6 @@ class Dataset:
             raise ValueError("dataset must contain at least one row")
         if not (np.isfinite(features).all() and np.isfinite(labels).all()):
             raise ValueError("features and labels must be finite")
-        if self.x_bound < 0 or self.y_bound < 0:
-            raise ValueError("bounds must be nonnegative")
-        if self.x_bound > 0:
-            norms = np.linalg.norm(features, axis=1)
-            if norms.max() > self.x_bound * (1 + 1e-12):
-                raise ValueError(
-                    f"row norm {norms.max():g} exceeds x_bound {self.x_bound:g}"
-                )
-        if self.y_bound > 0 and np.abs(labels).max() > self.y_bound * (1 + 1e-12):
-            raise ValueError(
-                f"|label| {np.abs(labels).max():g} exceeds y_bound {self.y_bound:g}"
-            )
         features.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", features)
@@ -93,8 +76,7 @@ class Dataset:
 
     def without(self, rows: np.ndarray) -> Dataset:
         """The sample less ``rows``, the rest in row order, with this
-        sample's domain tag and no asserted bounds: a CV fold's training
-        sample.
+        sample's domain tag: a CV fold's training sample.
 
         A 1-D sample's fold takes ``sorted_1d`` from this sample's in O(n)
         instead of sorting: removing rows keeps the others' order, so the
@@ -141,28 +123,17 @@ def uniform_sampler(dim: int, low: float = 0.0, high: float = 1.0) -> InputSampl
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """A source/target pair of regression truths with Gaussian label noise.
-
-    ``holder_constant`` and ``holder_exponent`` document the smoothness class
-    the truths are taken to lie in; they are metadata only. If ``y_bound`` is
-    set, generated labels are clipped to +-y_bound; otherwise labels are left
-    as drawn and the dataset's bound is computed from the sample.
-    """
+    """A source/target pair of regression truths with Gaussian label noise."""
 
     source_fn: TruthFn
     target_fn: TruthFn
     input_sampler: InputSampler = field(default_factory=lambda: uniform_sampler(1))
     noise_variance_source: float = 0.0
     noise_variance_target: float = 0.0
-    holder_constant: float = 1.0
-    holder_exponent: float = 1.0
-    y_bound: float | None = None
 
     def __post_init__(self):
         if not (self.noise_variance_source >= 0 and self.noise_variance_target >= 0):
             raise ValueError("noise variances must be nonnegative")
-        if not 0 < self.holder_exponent <= 1:
-            raise ValueError("holder_exponent must lie in (0, 1]")
 
     def truth(self, tag: DomainTag) -> TruthFn:
         return self.source_fn if tag is DomainTag.SOURCE else self.target_fn
@@ -254,27 +225,16 @@ def generate_synthetic(
     labels = np.asarray(truth(X), dtype=float).ravel()
     if sigma2 > 0:
         labels = labels + rng.normal(0.0, math.sqrt(sigma2), size=n)
-    if spec.y_bound is not None:
-        labels = np.clip(labels, -spec.y_bound, spec.y_bound)
-        y_bound = spec.y_bound
-    else:
-        y_bound = float(np.abs(labels).max())
-    return Dataset(
-        features=X,
-        labels=labels,
-        domain_tag=domain_tag,
-        x_bound=float(np.linalg.norm(X, axis=1).max()),
-        y_bound=y_bound,
-    )
+    return Dataset(features=X, labels=labels, domain_tag=domain_tag)
 
 
 def load_csv(path, label_column) -> Dataset:
     """Load a numeric CSV (one header line, comma-delimited) as a Dataset.
 
     ``label_column`` selects the label by header name or 0-based index; the
-    remaining columns become features in file order. Bounds are computed
-    from the data. Raises FileNotFoundError for a missing file and CsvError
-    (naming the offending row/column) for structural problems.
+    remaining columns become features in file order. Raises
+    FileNotFoundError for a missing file and CsvError (naming the offending
+    row/column) for structural problems.
     """
     path = Path(path)
     if not path.exists():
@@ -331,13 +291,7 @@ def load_csv(path, label_column) -> Dataset:
     features = np.delete(table, label_idx, axis=1)
     if features.shape[1] == 0:
         raise CsvError(f"{path}: no feature columns besides the label")
-    return Dataset(
-        features=features,
-        labels=labels,
-        domain_tag=DomainTag.TARGET,
-        x_bound=float(np.linalg.norm(features, axis=1).max()),
-        y_bound=float(np.abs(labels).max()),
-    )
+    return Dataset(features=features, labels=labels, domain_tag=DomainTag.TARGET)
 
 
 def save_csv(data: Dataset, path, label_name: str = "y") -> None:
@@ -350,60 +304,11 @@ def save_csv(data: Dataset, path, label_name: str = "y") -> None:
             writer.writerow([repr(float(v)) for v in row] + [repr(float(label))])
 
 
-def split(
-    data: Dataset, fractions: tuple[float, float], seed: int
-) -> tuple[Dataset, Dataset, Dataset]:
-    """Disjoint shuffled (train, validation, rest) partition of the rows.
-
-    Part sizes are floor(f * n) for train and validation; the remainder makes
-    the three parts sum to n. The validation part is tagged VALIDATION;
-    train and rest keep the input's domain tag.
-    """
-    f_train, f_val = fractions
-    if f_train < 0 or f_val < 0 or f_train + f_val > 1 + 1e-12:
-        raise ValueError("fractions must be nonnegative and sum to at most 1")
-    n = data.n
-    # tiny epsilon guards float representation of f*n (e.g. 0.7*10 = 6.999...)
-    n_train = math.floor(f_train * n + 1e-9)
-    n_val = math.floor(f_val * n + 1e-9)
-    if n_train < 1:
-        raise ValueError(
-            f"training part would be empty: floor({f_train} * {n}) = {n_train}"
-        )
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    idx_train = perm[:n_train]
-    idx_val = perm[n_train : n_train + n_val]
-    idx_rest = perm[n_train + n_val :]
-
-    def take(idx: np.ndarray, tag: DomainTag) -> Dataset | None:
-        if len(idx) == 0:
-            return None
-        return Dataset(
-            features=data.features[idx],
-            labels=data.labels[idx],
-            domain_tag=tag,
-            x_bound=data.x_bound,
-            y_bound=data.y_bound,
-        )
-
-    return (
-        take(idx_train, data.domain_tag),
-        take(idx_val, DomainTag.VALIDATION),
-        take(idx_rest, data.domain_tag),
-    )
-
-
 def subsample(data: Dataset, n: int, seed: int) -> Dataset:
     """A uniform random subset of n rows, without replacement."""
     if not 1 <= n <= data.n:
         raise ValueError(f"cannot take {n} rows from {data.n}")
     rng = np.random.default_rng(seed)
     idx = rng.choice(data.n, size=n, replace=False)
-    return Dataset(
-        features=data.features[idx],
-        labels=data.labels[idx],
-        domain_tag=data.domain_tag,
-        x_bound=data.x_bound,
-        y_bound=data.y_bound,
-    )
+    return Dataset(features=data.features[idx], labels=data.labels[idx],
+                   domain_tag=data.domain_tag)

@@ -34,27 +34,16 @@ class MetricReport:
     n_eval: int
 
 
-def mse(pred: Predictor, data: Dataset) -> float:
-    residuals = data.labels - pred.predict(data.features)
-    return float(np.mean(residuals**2))
+def metric_report(pred: Predictor, data: Dataset) -> MetricReport:
+    """Mean squared error and R-squared, 1 - SS_res / SS_tot about the
+    evaluation-set label mean, of ``pred`` on ``data``.
 
-
-def r_squared(pred: Predictor, data: Dataset) -> float:
-    """1 - SS_res / SS_tot about the evaluation-set label mean.
-
-    Negative values are expected when predicting unseen samples worse than
+    R-squared is negative when ``pred`` predicts unseen samples worse than
     the mean would.
     """
-    if data.n < 2:
-        raise ValueError("r_squared needs at least 2 evaluation rows")
-    ss_res, ss_tot = _sums_of_squares(pred, data)
-    if ss_tot == 0.0:
-        raise DegenerateLabelsError("all evaluation labels identical")
-    return 1.0 - ss_res / ss_tot
-
-
-def metric_report(pred: Predictor, data: Dataset) -> MetricReport:
-    ss_res, ss_tot = _sums_of_squares(pred, data)
+    residuals = data.labels - pred.predict(data.features)
+    ss_res = float(np.sum(residuals**2))
+    ss_tot = float(np.sum((data.labels - data.labels.mean()) ** 2))
     if ss_tot == 0.0:
         raise DegenerateLabelsError("all evaluation labels identical")
     return MetricReport(
@@ -64,13 +53,6 @@ def metric_report(pred: Predictor, data: Dataset) -> MetricReport:
         ss_tot=ss_tot,
         n_eval=data.n,
     )
-
-
-def _sums_of_squares(pred: Predictor, data: Dataset) -> tuple[float, float]:
-    residuals = data.labels - pred.predict(data.features)
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((data.labels - data.labels.mean()) ** 2))
-    return ss_res, ss_tot
 
 
 def excess_risk_mc(
@@ -140,7 +122,6 @@ def stability_probe(
         features=base.features,
         labels=base.labels + perturbation,
         domain_tag=base.domain_tag,
-        x_bound=base.x_bound,
     )
     f_base = fit_fn(base)
     f_pert = fit_fn(perturbed)

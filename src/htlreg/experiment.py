@@ -15,7 +15,7 @@ import json
 import math
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Sequence
@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    CsvError,
     Dataset,
     DomainTag,
     SyntheticSpec,
@@ -154,16 +155,23 @@ def _check_keys(cfg: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
 
 
+def _typed(value, json_type: type, where: str):
+    """``value`` if it is a JSON object, list or string as ``json_type``
+    (dict, list or str) asks, else a ConfigError."""
+    if not isinstance(value, json_type):
+        name = {dict: "an object", list: "a list", str: "a string"}[json_type]
+        raise ConfigError(f"{where}: expected {name}, got {value!r}")
+    return value
+
+
 def _integer(value, where: str) -> int:
-    """``value`` as an int. Integral floats such as 100.0 and integer strings
-    pass; fractions, booleans and other values are a ConfigError."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    try:
+    """``value`` as an int. JSON ints and integral floats such as 100.0
+    pass; fractions, strings, booleans and other values are a ConfigError."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}") from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where}: expected an integer, got {value!r}")
 
 
 def _real(value, where: str) -> float:
@@ -175,6 +183,14 @@ def _real(value, where: str) -> float:
         except OverflowError:  # an int beyond the float range
             pass
     raise ConfigError(f"{where}: expected a number, got {value!r}")
+
+
+def _numbers(section, allowed, where: str, integers=()) -> dict:
+    """A config object of numbers under the ``allowed`` keys, each read by
+    type and named by its key: ``integers`` as ints, the others as reals."""
+    _check_keys(_typed(section, dict, where), allowed, where)
+    return {k: (_integer if k in integers else _real)(v, f"{where}.{k}")
+            for k, v in section.items()}
 
 
 def _distinct(values: Sequence[int], raw, what: str, where: str) -> None:
@@ -201,11 +217,7 @@ def _check_finite(value, where: str) -> None:
 
 def parse_seeds(values, where: str) -> tuple[int, ...]:
     """Seeds as a nonempty tuple of distinct nonnegative ints."""
-    try:
-        values = list(values)
-    except TypeError:
-        raise ConfigError(f"{where}: cannot parse {values!r}") from None
-    seeds = tuple(_integer(s, where) for s in values)
+    seeds = tuple(_integer(s, where) for s in _typed(values, list, where))
     if not seeds or min(seeds) < 0:
         raise ConfigError(f"{where}: seeds must be a nonempty list of nonnegative "
                           f"ints, got {values!r}")
@@ -243,15 +255,18 @@ def _parse_kernel(method: str, raw: dict, where: str):
     if method == "ks":
         return SmoothingKernel(raw.get("kernel", "truncated_gaussian"))
     section = raw.get("kernel", "rbf")
-    params = {"shape": section} if isinstance(section, str) else dict(section)
+    params = ({"shape": section} if isinstance(section, str)
+              else dict(_typed(section, dict, where)))
     shape = KernelShape(params.pop("shape", "rbf"))
-    _check_keys(params, _RKHS_KEYS[shape], where)
-    return RKHSKernel(shape, **{"lengthscale": None, **params})
+    if params.get("lengthscale", 1.0) is None:  # null: the median heuristic
+        del params["lengthscale"]
+    return RKHSKernel(shape, **{"lengthscale": None, **_numbers(
+        params, _RKHS_KEYS[shape], where, integers=("degree",))})
 
 
 def parse_method(raw: dict, where: str) -> MethodConfig:
-    method = _require(raw, "method", where)
-    if method not in _SUBROUTINES:
+    method = _require(_typed(raw, dict, where), "method", where)
+    if not isinstance(method, str) or method not in _SUBROUTINES:
         raise ConfigError(f"{where}.method: expected 'ks' or 'krr', got {method!r}")
     spec_type, field_name, rule_type, keys = _SUBROUTINES[method]
     _check_keys(raw, ("method", "kernel", "cv_folds") + keys, where)
@@ -265,9 +280,12 @@ def parse_method(raw: dict, where: str) -> MethodConfig:
         kernel = _parse_kernel(method, raw, f"{where}.kernel")
     with _section(f"{where}.{key}"):
         if key == rule_key:
-            candidates = (spec_type(kernel, rule=rule_type(**raw[key])),)
+            rule = _numbers(raw[key], [f.name for f in fields(rule_type)],
+                            f"{where}.{key}")
+            candidates = (spec_type(kernel, rule=rule_type(**rule)),)
         else:
-            values = raw[key] if key == grid_key else [raw[key]]
+            values = (_typed(raw[key], list, f"{where}.{key}")
+                      if key == grid_key else [raw[key]])
             candidates = tuple(
                 spec_type(kernel, **{field_name: _real(v, f"{where}.{key}")})
                 for v in values)
@@ -277,8 +295,8 @@ def parse_method(raw: dict, where: str) -> MethodConfig:
 
 
 def parse_transformation(raw: dict, where: str) -> AuxiliaryEstimator:
-    family = _require(raw, "family", where)
-    if family not in _FAMILIES:
+    family = _require(_typed(raw, dict, where), "family", where)
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ConfigError(f"{where}.family: unknown family {family!r}")
     params = {k: _real(v, f"{where}.{k}") for k, v in raw.items()
               if k != "family" and k not in _ESTIMATOR_KEYS}
@@ -322,7 +340,8 @@ def _target_sizes(kind: str, data: dict, n_ta: int) -> tuple[str, list[int]]:
     """The key that sets a run's target sample sizes, and the sizes, which
     must be distinct."""
     if kind == "rate_sweep":
-        key, values = "config.data.n_ta_grid", data.get("n_ta_grid", [])
+        key = "config.data.n_ta_grid"
+        values = _typed(data.get("n_ta_grid", []), list, key)
     elif kind == "csv_transfer" and "n_ta" in data:
         key, values = "config.data.n_ta", data["n_ta"]
         if not isinstance(values, list):
@@ -343,6 +362,7 @@ def _check_fold_sizes(method: MethodConfig, n: int, where: str) -> None:
 
 
 def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
+    _typed(raw, dict, "config")
     _check_finite(raw, "config")
     kind = _require(raw, "experiment_kind", "config")
     if kind not in EXPERIMENT_KINDS:
@@ -350,9 +370,9 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
             f"config.experiment_kind: {kind!r} not one of {EXPERIMENT_KINDS}"
         )
     _check_keys(raw, _TOP_KEYS, "config")
-    data = dict(_require(raw, "data", "config"))
+    data = dict(_typed(_require(raw, "data", "config"), dict, "config.data"))
     _check_keys(data, _DATA_KEYS[kind], "config.data")
-    sizes = dict(raw.get("sizes", {}))
+    sizes = _typed(raw.get("sizes", {}), dict, "config.sizes")
     _check_keys(sizes, _SIZE_KEYS, "config.sizes")
     n_so, n_ta, n_val, n_test = (
         _integer(sizes.get(key, default), f"config.sizes.{key}")
@@ -367,20 +387,19 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         raise ConfigError("config.data.n_ta_grid needs at least 3 sizes")
     if not n_ta_values or min(n_ta_values) < 1:
         raise ConfigError(f"{ta_key} must be positive, got {n_ta_values}")
-    methods = dict(_require(raw, "methods", "config"))
+    methods = _typed(_require(raw, "methods", "config"), dict, "config.methods")
     _check_keys(methods, ("source", "target", "baselines"), "config.methods")
-    source_method = parse_method(
-        dict(_require(methods, "source", "config.methods")), "config.methods.source"
-    )
-    target_method = parse_method(
-        dict(_require(methods, "target", "config.methods")), "config.methods.target"
-    )
+    source_method, target_method = (
+        parse_method(_require(methods, stage, "config.methods"),
+                     f"config.methods.{stage}") for stage in ("source", "target"))
     if n_so >= 1:  # an unset csv_transfer n_so is checked once the CSV is loaded
         _check_fold_sizes(source_method, n_so, "config.methods.source")
     _check_fold_sizes(target_method, min(n_ta_values), "config.methods.target")
     # a selection run is its family alone; the other kinds take no family
     selection = kind == "selection"
-    baselines = tuple(methods.get("baselines", [] if selection else ["only_target"]))
+    baselines = tuple(_typed(methods.get("baselines", [] if selection
+                                         else ["only_target"]),
+                             list, "config.methods.baselines"))
     for b in baselines:
         if b not in BUILTIN_BASELINES:
             raise ConfigError(
@@ -397,26 +416,33 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         raise ConfigError(f"config.selection_family: only selection runs take "
                           f"one, not {kind!r}")
     transformations = tuple(
-        parse_transformation(dict(t), f"config.transformations[{i}]")
-        for i, t in enumerate(raw.get("transformations", []))
-    )
+        parse_transformation(t, f"config.transformations[{i}]")
+        for i, t in enumerate(_typed(raw.get("transformations", []), list,
+                                     "config.transformations")))
     selection_family = None
     if selection:
+        family = _numbers(_require(raw, "selection_family", "config"),
+                          ("L_alpha", "K"), "config.selection_family", integers=("K",))
         with _section("config.selection_family"):
-            selection_family = QuantizedFamily(
-                **{"L_a": 1.0, **_require(raw, "selection_family", "config")})
+            selection_family = QuantizedFamily(**family)
         if n_val < 1:
             raise ConfigError("config.sizes.n_val must be positive for selection")
     elif n_val != 0:
         raise ConfigError(f"config.sizes.n_val: only selection runs draw a "
                           f"validation sample, got {n_val} for {kind!r}")
     seeds = parse_seeds(_require(raw, "seeds", "config"), "config.seeds")
-    output_dir = Path(raw.get("output_dir", "htlreg_out"))
+    output_dir = Path(_typed(raw.get("output_dir", "htlreg_out"), str,
+                             "config.output_dir"))
     if base_dir is not None and not output_dir.is_absolute():
         output_dir = base_dir / output_dir
     if kind == "csv_transfer":
+        label = data.get("label_column", "y")
+        if isinstance(label, bool) or not isinstance(label, (str, int)):
+            raise ConfigError(f"config.data.label_column: expected a column name "
+                              f"or index, got {label!r}")
         for key in ("source_csv", "target_csv"):
-            p = Path(_require(data, key, "config.data"))
+            p = Path(_typed(_require(data, key, "config.data"), str,
+                            f"config.data.{key}"))
             if base_dir is not None and not p.is_absolute():
                 p = base_dir / p
                 data[key] = str(p)
@@ -557,10 +583,14 @@ def _csv_cells(config: ExperimentConfig) -> Callable[[int], list[tuple]]:
     """Load the CSVs once. Per seed, subsample the source and permute the
     target rows: a cell trains on the first n_ta rows, and every cell
     tests on the rows past the largest n_ta."""
-    label_column = config.data.get("label_column", "y")
-    source_full = replace(load_csv(config.data["source_csv"], label_column),
-                          domain_tag=DomainTag.SOURCE)
-    target_full = load_csv(config.data["target_csv"], label_column)
+    def load(key: str) -> Dataset:
+        try:
+            return load_csv(config.data[key], config.data.get("label_column", "y"))
+        except CsvError as exc:
+            raise ConfigError(f"config.data.{key}: {exc}") from None
+
+    source_full = replace(load("source_csv"), domain_tag=DomainTag.SOURCE)
+    target_full = load("target_csv")
     largest = max(config.n_ta_sizes)
     if largest >= target_full.n:
         raise ConfigError(f"{config.n_ta_key}: largest size {largest} leaves no "

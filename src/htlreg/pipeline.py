@@ -193,14 +193,8 @@ def construct_auxiliary(
             f"row {i}: auxiliary label {labels[i]} is not finite "
             f"(a_hat = {a_hat[i]:g}, y = {target.labels[i]:g})"
         )
-    y_bound = bound if np.isfinite(bound) else float(np.abs(labels).max())
-    aux = Dataset(
-        features=target.features,
-        labels=labels,
-        domain_tag=DomainTag.TARGET,
-        x_bound=target.x_bound,
-        y_bound=y_bound,
-    )
+    aux = Dataset(features=target.features, labels=labels,
+                  domain_tag=DomainTag.TARGET)
     return aux, n_clipped
 
 

@@ -51,13 +51,6 @@ class Family(Enum):
     LOGLINEAR = "loglinear"
 
 
-# Scale inverses are only well behaved with |a + alpha| bounded away from 0;
-# configuration metadata (Lipschitz constants, admissible sampling boxes)
-# assumes this margin. The inverse itself errors only at exactly 0 and
-# relies on the auxiliary bound B to clamp near-singular rows.
-SCALE_SINGULAR_GUARD = 0.1
-
-
 @dataclass(frozen=True)
 class TransformationFunction:
     """One member of a transformation family, with regularity metadata.
@@ -117,7 +110,8 @@ def offset(alpha: float, lipschitz_L: float | None = None,
 def scale(alpha: float, lipschitz_L: float | None = None,
           aux_bound_B: float = math.inf) -> TransformationFunction:
     """G(a, b) = (a + alpha) * b; sensible only where |a + alpha| stays
-    clear of 0 (see SCALE_SINGULAR_GUARD)."""
+    clear of 0. The inverse errors only at exactly 0 and relies on
+    ``aux_bound_B`` to clamp near-singular rows."""
     L = 1.0 if lipschitz_L is None else lipschitz_L
     return TransformationFunction(Family.SCALE, alpha=alpha,
                                   lipschitz_L=L, aux_bound_B=aux_bound_B)
@@ -284,14 +278,13 @@ class QuantizedFamily:
     """
 
     L_alpha: float
-    L_a: float
     K: int
     epsilon: float = field(init=False)
     members: tuple[TransformationFunction, ...] = field(init=False)
 
     def __post_init__(self):
-        if not (self.L_alpha > 0 and self.L_a > 0):
-            raise ValueError("L_alpha and L_a must be positive")
+        if not self.L_alpha > 0:
+            raise ValueError("L_alpha must be positive")
         if math.isinf(self.L_alpha):  # the grid step L_alpha / (2K) must be finite
             raise ValueError("L_alpha must be finite")
         if self.K < 1:

@@ -207,7 +207,7 @@ def test_criterion_05_unbiased_auxiliary_estimators():
 
 def test_criterion_06_selection_correctness():
     true_alpha = 1.0
-    family = QuantizedFamily(L_alpha=2.0, L_a=1.0, K=4)
+    family = QuantizedFamily(L_alpha=2.0, K=4)
     nearest = family.alphas[np.argmin(np.abs(family.alphas - true_alpha))]
     hits = 0
     dominance = 0
@@ -224,7 +224,7 @@ def test_criterion_06_selection_correctness():
                            "bandwidth_rule": {"alpha": 1.0}},
                 "baselines": [],
             },
-            "selection_family": {"L_alpha": 2.0, "L_a": 1.0, "K": 4},
+            "selection_family": {"L_alpha": 2.0, "K": 4},
             "seeds": [seed],
             "output_dir": "/tmp/htlreg_acc6_unused",
         })

@@ -13,7 +13,6 @@ from htlreg.data import (
     generate_synthetic,
     load_csv,
     save_csv,
-    split,
     subsample,
     uniform_sampler,
 )
@@ -48,12 +47,6 @@ class TestDataset:
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError, match="rows"):
             Dataset(features=np.zeros((3, 1)), labels=np.zeros(2))
-
-    def test_bound_violations(self):
-        with pytest.raises(ValueError, match="x_bound"):
-            Dataset(features=[[2.0]], labels=[0.0], x_bound=1.0)
-        with pytest.raises(ValueError, match="y_bound"):
-            Dataset(features=[[0.5]], labels=[3.0], y_bound=1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -132,17 +125,6 @@ class TestGenerateSynthetic:
         ds = generate_synthetic(spec, 5, DomainTag.VALIDATION, seed=0)
         np.testing.assert_array_equal(ds.labels, np.ones(5))
 
-    def test_explicit_y_bound_clips(self):
-        spec = SyntheticSpec(
-            source_fn=lambda X: 10.0 * np.ones(len(X)),
-            target_fn=lambda X: 10.0 * np.ones(len(X)),
-            input_sampler=uniform_sampler(1),
-            y_bound=1.0,
-        )
-        ds = generate_synthetic(spec, 4, DomainTag.SOURCE, seed=0)
-        assert np.all(ds.labels == 1.0)
-        assert ds.y_bound == 1.0
-
     def test_n_validation(self):
         with pytest.raises(ValueError):
             generate_synthetic(doppler_offset_spec(), 0, DomainTag.SOURCE, 0)
@@ -198,52 +180,6 @@ class TestLoadCsv:
         back = load_csv(path, "y")
         np.testing.assert_allclose(back.features, ds.features, atol=1e-12)
         np.testing.assert_allclose(back.labels, ds.labels, atol=1e-12)
-
-
-class TestSplit:
-    def _data(self, n):
-        return Dataset(
-            features=np.arange(n, dtype=float).reshape(-1, 1),
-            labels=np.arange(n, dtype=float),
-        )
-
-    def test_sizes_80_20(self):
-        train, val, rest = split(self._data(10), (0.8, 0.2), seed=1)
-        assert train.n == 8 and val.n == 2 and rest is None
-
-    def test_sizes_50_20(self):
-        train, val, rest = split(self._data(10), (0.5, 0.2), seed=1)
-        assert (train.n, val.n, rest.n) == (5, 2, 3)
-
-    def test_empty_train_error(self):
-        with pytest.raises(ValueError, match="empty"):
-            split(self._data(5), (0.1, 0.5), seed=0)
-
-    def test_validation_tagging(self):
-        train, val, _ = split(self._data(10), (0.5, 0.2), seed=1)
-        assert train.domain_tag is DomainTag.TARGET
-        assert val.domain_tag is DomainTag.VALIDATION
-
-    def test_same_seed_same_split(self):
-        a = split(self._data(20), (0.6, 0.2), seed=5)
-        b = split(self._data(20), (0.6, 0.2), seed=5)
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa.features, pb.features)
-
-    def test_partition_property(self):
-        # disjoint and exhaustive over 100 random (n, fractions) cases
-        rng = np.random.default_rng(0)
-        for case in range(100):
-            n = int(rng.integers(2, 60))
-            f_train = float(rng.uniform(1.0 / n, 0.8))
-            f_val = float(rng.uniform(0.0, 1.0 - f_train))
-            data = self._data(n)
-            parts = split(data, (f_train, f_val), seed=case)
-            rows = np.concatenate(
-                [p.features[:, 0] for p in parts if p is not None]
-            )
-            assert len(rows) == n
-            assert sorted(rows.tolist()) == sorted(data.features[:, 0].tolist())
 
 
 def test_subsample_deterministic():

@@ -8,8 +8,6 @@ from htlreg.evaluation import (
     default_query_grid,
     excess_risk_mc,
     metric_report,
-    mse,
-    r_squared,
     rate_slope,
     stability_probe,
 )
@@ -36,11 +34,11 @@ class TestMse:
     def test_perfect_predictor(self):
         ds = data_from([0.1, 0.4, 0.9], [1.0, 2.0, 3.0])
         perfect = Exact(lambda X: np.array([1.0, 2.0, 3.0])[: len(X)])
-        assert mse(perfect, ds) == 0.0
+        assert metric_report(perfect, ds).mse == 0.0
 
     def test_constant_zero(self):
         ds = data_from([0.0, 1.0], [1.0, -1.0])
-        assert mse(Exact(lambda X: np.zeros(len(X))), ds) == 1.0
+        assert metric_report(Exact(lambda X: np.zeros(len(X))), ds).mse == 1.0
 
     def test_matches_hand_sum(self):
         rng = np.random.default_rng(0)
@@ -50,30 +48,30 @@ class TestMse:
         ds = data_from(xs, ys)
         fixed = Exact(lambda X: preds[: len(X)])
         hand = sum((y - p) ** 2 for y, p in zip(ys, preds)) / 12
-        assert mse(fixed, ds) == pytest.approx(hand, abs=1e-12)
+        assert metric_report(fixed, ds).mse == pytest.approx(hand, abs=1e-12)
 
 
 class TestRSquared:
     def test_perfect_is_one(self):
         ds = data_from([0.1, 0.4, 0.9], [1.0, 2.0, 3.0])
-        assert r_squared(Exact(lambda X: np.array([1.0, 2.0, 3.0])[: len(X)]),
-                         ds) == 1.0
+        assert metric_report(Exact(lambda X: np.array([1.0, 2.0, 3.0])[: len(X)]),
+                             ds).r_squared == 1.0
 
     def test_mean_predictor_is_zero(self):
         ds = data_from([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
-        assert r_squared(Exact(lambda X: np.full(len(X), 2.0)), ds) == 0.0
+        assert metric_report(Exact(lambda X: np.full(len(X), 2.0)), ds).r_squared == 0.0
 
     def test_worse_than_mean_is_negative(self):
         # labels (0, 1, 2), predictions (2, 2, 2): ss_res = 5, ss_tot = 2
         ds = data_from([0.0, 0.5, 1.0], [0.0, 1.0, 2.0])
-        value = r_squared(Exact(lambda X: np.full(len(X), 2.0)), ds)
+        value = metric_report(Exact(lambda X: np.full(len(X), 2.0)), ds).r_squared
         assert value == pytest.approx(1.0 - 5.0 / 2.0)
         assert value < 0
 
     def test_degenerate_labels(self):
         ds = data_from([0.0, 1.0], [3.0, 3.0])
         with pytest.raises(DegenerateLabelsError):
-            r_squared(Exact(lambda X: np.zeros(len(X))), ds)
+            metric_report(Exact(lambda X: np.zeros(len(X))), ds)
 
     def test_metric_report_identities(self):
         rng = np.random.default_rng(1)

@@ -274,10 +274,67 @@ class TestConfigParsing:
         (lambda c: c["transformations"][0].update(assume_noiseless="false"), [],
          "config.transformations[0].assume_noiseless: expected true or false, "
          "got 'false'"),
+        (lambda c: _target(c, {"method": "ks", "bandwidth_rule": {"alpha": "1"}}),
+         [], "config.methods.target.bandwidth_rule.alpha: expected a number, "
+         "got '1'"),
+        (lambda c: _target(c, {"method": "ks", "bandwidth_rule": {"c": True}}),
+         [], "config.methods.target.bandwidth_rule.c: expected a number, got True"),
+        (lambda c: _target(c, {"method": "krr", "lambda_rule": {"beta": "1"}}),
+         [], "config.methods.target.lambda_rule.beta: expected a number"),
+        (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": {
+            "shape": "rbf", "lengthscale": True}}), [],
+         "config.methods.target.kernel.lengthscale: expected a number, got True"),
+        (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": {
+            "shape": "polynomial", "offset": "1"}}), [],
+         "config.methods.target.kernel.offset: expected a number, got '1'"),
+        (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": {
+            "shape": "polynomial", "degree": "2"}}), [],
+         "config.methods.target.kernel.degree: expected an integer, got '2'"),
+        (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": {
+            "shape": "polynomial", "degree": True}}), [],
+         "config.methods.target.kernel.degree: expected an integer, got True"),
+        (lambda c: _selection(c, L_alpha="2", K=2), [],
+         "config.selection_family.L_alpha: expected a number, got '2'"),
+        (lambda c: _selection(c, L_alpha=2.0, K=True), [],
+         "config.selection_family.K: expected an integer, got True"),
+        (lambda c: _selection(c, L_alpha=2.0, L_a=1.0, K=4), [],
+         "config.selection_family: unknown key 'L_a'"),
+        (lambda c: c["sizes"].update(n_so="5000"), [],
+         "config.sizes.n_so: expected an integer, got '5000'"),
+        (lambda c: c.update(seeds=["1"]), [],
+         "config.seeds: expected an integer, got '1'"),
+        (lambda c: None, ["--seeds", "a"], "--seeds"),
+        (lambda c: c.update(output_dir=5), [],
+         "config.output_dir: expected a string, got 5"),
+        (lambda c: _kind(c, "csv_transfer", source_csv=5, target_csv="t.csv"), [],
+         "config.data.source_csv: expected a string, got 5"),
+        (lambda c: c.update(data=[1]), [], "config.data: expected an object"),
+        (lambda c: c.update(sizes=[1]), [], "config.sizes: expected an object"),
+        (lambda c: c["methods"].update(source=[1]), [],
+         "config.methods.source: expected an object"),
+        (lambda c: c.update(transformations={"family": "offset", "alpha": 1.0}),
+         [], "config.transformations: expected a list"),
+        (lambda c: c["methods"].update(baselines="only_target"), [],
+         "config.methods.baselines: expected a list, got 'only_target'"),
+        (lambda c: c["methods"]["source"].update(method=["ks"]), [],
+         "config.methods.source.method"),
+        (lambda c: c["transformations"][0].update(family=["offset"]), [],
+         "config.transformations[0].family"),
+        (lambda c: _kind(c, "rate_sweep", n_ta_grid=5), [],
+         "config.data.n_ta_grid: expected a list, got 5"),
+        (lambda c: _kind(c, "csv_transfer", source_csv="s.csv",
+                         target_csv="t.csv", label_column="zzz", n_ta=10), [],
+         "config.data.source_csv: "),
+        (lambda c: _kind(c, "csv_transfer", source_csv="s.csv",
+                         target_csv="t.csv", label_column=True, n_ta=10), [],
+         "config.data.label_column: expected a column name or index, got True"),
     ])
     def test_invalid_config_fails_at_parse_time_naming_the_key(
         self, tmp_path, capsys, edit, argv, key
     ):
+        for name in ("s.csv", "t.csv"):  # the CSV cases' inputs
+            (tmp_path / name).write_text(
+                "x0,y\n" + "".join(f"{i / 30},{i % 3}\n" for i in range(30)))
         cfg = base_config()
         edit(cfg)
         cfg_path = tmp_path / "cfg.json"

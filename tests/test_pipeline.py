@@ -99,7 +99,6 @@ class TestConstructAuxiliary:
         )
         np.testing.assert_allclose(aux.labels, [1.0, 0.5, -1.0])
         assert clipped == 2
-        assert aux.y_bound == 1.0
 
     def test_singular_row_named(self):
         with pytest.raises(SingularityError, match="row 1"):
@@ -171,11 +170,10 @@ class TestSubroutineSpecs:
                                  noise_variance_target=v), True),
         (lambda v: AuxiliaryEstimator(offset(1.0), sigma2=v), True),
         # an infinite grid step L_alpha / (2K) made the alpha = 0 member NaN
-        (lambda v: QuantizedFamily(L_alpha=v, L_a=1.0, K=2), False),
-        (lambda v: QuantizedFamily(L_alpha=1.0, L_a=v, K=2), True),
+        (lambda v: QuantizedFamily(L_alpha=v, K=2), False),
     ], ids=["ks_bandwidth", "rbf_lengthscale", "polynomial_offset", "lipschitz_L",
             "aux_bound_B", "noise_variance_source", "noise_variance_target",
-            "sigma2", "L_alpha", "L_a"])
+            "sigma2", "L_alpha"])
     def test_nan_parameter_rejected(self, build, inf_valid):
         if inf_valid:
             build(math.inf)
@@ -363,7 +361,7 @@ class TestSelectTransformation:
         source = sample(DomainTag.SOURCE, data.draw(st.integers(1, 20)), zero_source)
         target = sample(DomainTag.TARGET, data.draw(st.integers(1, 15)))
         validation = sample(DomainTag.VALIDATION, data.draw(st.integers(1, 10)))
-        family = QuantizedFamily(L_alpha=L_alpha, L_a=1.0, K=K)
+        family = QuantizedFamily(L_alpha=L_alpha, K=K)
         result = select_transformation(spec.fit(source), target, validation,
                                        family, spec)
         mses = [mse for _, mse in result.per_candidate_validation_mse]
@@ -451,8 +449,8 @@ class TestMemoPredictor:
         assert memo.inner.values.flags.writeable
 
     @pytest.mark.parametrize("family", [[offset(1.0)],
-                                        QuantizedFamily(L_alpha=2.0, L_a=1.0, K=2),
-                                        QuantizedFamily(L_alpha=2.0, L_a=1.0, K=4)])
+                                        QuantizedFamily(L_alpha=2.0, K=2),
+                                        QuantizedFamily(L_alpha=2.0, K=4)])
     def test_selection_predicts_the_source_twice_for_any_family(self, family):
         source, target, validation = _selection_setup(2)
         inner = KSSpec(bandwidth=0.02).fit(source)

@@ -181,17 +181,17 @@ class TestEstimateSigma2:
 
 class TestQuantizedFamily:
     def test_epsilon_and_alphas(self):
-        fam = QuantizedFamily(L_alpha=1.0, L_a=1.0, K=2)
+        fam = QuantizedFamily(L_alpha=1.0, K=2)
         assert fam.epsilon == 0.25
         np.testing.assert_allclose(fam.alphas, [-0.5, -0.25, 0.0, 0.25, 0.5])
 
     def test_coarse_grid(self):
-        fam = QuantizedFamily(L_alpha=2.0, L_a=1.0, K=1)
+        fam = QuantizedFamily(L_alpha=2.0, K=1)
         np.testing.assert_allclose(fam.alphas, [-1.0, 0.0, 1.0])
 
     @pytest.mark.parametrize("K", [1, 3, 7])
     def test_zero_member_and_negation_symmetry(self, K):
-        fam = QuantizedFamily(L_alpha=1.7, L_a=2.0, K=K)
+        fam = QuantizedFamily(L_alpha=1.7, K=K)
         alphas = fam.alphas
         assert len(alphas) == 2 * K + 1
         assert 0.0 in alphas
@@ -199,9 +199,9 @@ class TestQuantizedFamily:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            QuantizedFamily(0.0, 1.0, 2)
+            QuantizedFamily(0.0, 2)
         with pytest.raises(ValueError):
-            QuantizedFamily(1.0, 1.0, 0)
+            QuantizedFamily(1.0, 0)
 
 
 def test_transformation_metadata_validation():
