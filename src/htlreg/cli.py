@@ -105,6 +105,16 @@ def _seed_list(text: str) -> list[int]:
                           f"got {text!r}") from None
 
 
+def _check_output_dir(path: Path, where: str) -> None:
+    """A ConfigError naming ``where`` unless ``path`` is a directory or can be
+    made one, so that no seed runs for a report that cannot be written."""
+    for part in (path, *path.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ConfigError(f"{where}: {part} exists and is not a directory")
+            return
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.required_kind and config.experiment_kind != args.required_kind:
@@ -116,6 +126,7 @@ def _cmd_run(args) -> int:
         config = replace(config, output_dir=Path(args.out))
     if args.seeds is not None:
         config = replace(config, seeds=parse_seeds(_seed_list(args.seeds), "--seeds"))
+    _check_output_dir(config.output_dir, "--out" if args.out else "config.output_dir")
     report = run_experiment(config)
     n_rows = len(report.get("rows", []))
     n_errors = len(report.get("errors", []))

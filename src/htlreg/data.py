@@ -90,7 +90,8 @@ class Dataset:
         if self.dim == 1:
             xs, ys, order = self.sorted_1d
             kept = keep[order]
-            renumber = np.cumsum(keep) - 1
+            renumber = np.empty(self.n, dtype=idx.dtype)
+            renumber[idx] = np.arange(len(idx))
             fold.__dict__["sorted_1d"] = xs[kept], ys[kept], renumber[order[kept]]
         return fold
 

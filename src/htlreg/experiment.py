@@ -473,7 +473,14 @@ def load_config(path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:  # a directory, say, or no read permission
+        raise ConfigError(f"{path}: cannot read the config: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                          f"{exc.start}") from None
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "

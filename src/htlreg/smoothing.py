@@ -15,10 +15,14 @@ is the one place that picks how. For 1-D data and a compact-support kernel,
 predictions only visit the training points inside each query's window
 [q - h, q + h], found by binary search in the sample's cached stable sort
 (``Dataset.sorted_1d``; windowed Nadaraya-Watson evaluation, Fan & Marron
-1994); everything else evaluates the dense (m, n) kernel matrix from one
-distance matrix shared by every bandwidth. The windowed path needs only
-numpy. The dense path takes its distances from ``data.sq_distances``, which
-imports scipy on first use, so a 1-D compact-kernel run never loads scipy.
+1994). Such a call stable-sorts its queries once, predicts every bandwidth on
+the ascending queries and scatters each result back to the caller's order: a
+query's prediction depends only on its own window and on the set of queries,
+never on their order, so sorting changes no bit. Everything else evaluates
+the dense (m, n) kernel matrix from one distance matrix shared by every
+bandwidth. The windowed path needs only numpy. The dense path takes its
+distances from ``data.sq_distances``, which imports scipy on first use, so a
+1-D compact-kernel run never loads scipy.
 
 Inside the window, boxcar and epanechnikov are polynomials in (q - x)^2, so
 a call whose windows hold at least ``_MOMENT_MIN_PAIRS`` pairs takes their
@@ -28,8 +32,9 @@ for nonparametric curve estimation, JCGS 3). Smaller calls and the truncated
 gaussian evaluate each window pair. The moment path keeps results within
 float summation order of the pair path:
 
-- moments are taken about the centre of a 2h-wide bin of queries, so their
-  terms stay O(h^2) and cancel by about 10x, not by (1/h)^2;
+- moments are taken about the centre of a 2h-wide bin of queries (a run of
+  consecutive sorted queries), so their terms stay O(h^2) and cancel by
+  about 10x, not by (1/h)^2;
 - they cover only the inner window |q - x| < h (1 - 1e-7); the points
   between it and the padded window are evaluated pair by pair, so the
   boxcar edge s <= 1 and the epanechnikov clamp at 0 round as on the dense
@@ -101,8 +106,7 @@ def ks_predict(
     X = _queries(train, X)
     if train.dim == 1 and kernel.compact:
         xs, labels, order = train.sorted_1d
-        return [predict_sorted_1d(xs, labels, order, X[:, 0], kernel, h)
-                for h in bandwidths]
+        return predict_sorted_1d(xs, labels, order, X[:, 0], kernel, bandwidths)
     sq = sq_distances(X, train.features)
     return [predict_from_kernel(kernel.profile_sq(sq / (h * h)), sq, train.labels)
             for h in bandwidths]
@@ -154,31 +158,42 @@ def predict_sorted_1d(
     ranks: np.ndarray,
     queries: np.ndarray,
     kernel: SmoothingKernel,
-    h: float,
-) -> np.ndarray:
-    """Predictions at 1-D ``queries`` from training points ``xs`` sorted
-    ascending by a stable sort, for a compact-support ``kernel``.
+    bandwidths: Sequence[float],
+) -> list[np.ndarray]:
+    """Predictions at 1-D ``queries``, one array per bandwidth, from training
+    points ``xs`` sorted ascending by a stable sort, for a compact-support
+    ``kernel``.
 
     ``labels`` are in the same order as ``xs``; ``ranks`` are the training
-    points' original indices, which break nearest-neighbour ties. Results
+    points' original indices, which break nearest-neighbour ties. The queries
+    are sorted once and each bandwidth is predicted in that order; a query's
+    prediction depends only on its own window and on the set of queries, so
+    the results are scattered back to the caller's order bit for bit. They
     differ from ``predict_from_kernel`` by float summation order only: small
     calls and the truncated gaussian evaluate each window pair on the same
     (q - x)^2 / (h * h) values as the dense path; large boxcar and
     epanechnikov calls take their window sums from prefix moments (see the
     module docstring).
     """
-    lo, counts = _windows(xs, queries, h)
-    if kernel in _POLYNOMIAL and counts.sum() >= _MOMENT_MIN_PAIRS:
-        sums, weighted = _moment_sums(xs, labels, queries, kernel, h, lo, counts)
-    else:
-        sums, weighted = _pair_sums(xs, labels, queries, kernel, h, lo, counts)
-    out = np.empty(len(queries))
-    live = sums > 0.0
-    out[live] = weighted[live] / sums[live]
-    if not live.all():
-        dead = ~live
-        out[dead] = labels[_nearest_sorted_1d(xs, ranks, queries[dead])]
-    return out
+    perm = np.argsort(queries, kind="stable")
+    q = queries[perm]
+    preds = []
+    for h in bandwidths:
+        lo, counts = _windows(xs, q, h)
+        if kernel in _POLYNOMIAL and counts.sum() >= _MOMENT_MIN_PAIRS:
+            sums, weighted = _moment_sums(xs, labels, q, kernel, h, lo, counts)
+        else:
+            sums, weighted = _pair_sums(xs, labels, q, kernel, h, lo, counts)
+        out = np.empty(len(q))
+        live = sums > 0.0
+        out[live] = weighted[live] / sums[live]
+        if not live.all():
+            dead = ~live
+            out[dead] = labels[_nearest_sorted_1d(xs, ranks, q[dead])]
+        pred = np.empty_like(out)
+        pred[perm] = out
+        preds.append(pred)
+    return preds
 
 
 def _pair_sums(xs, labels, queries, kernel, h, lo, counts):
@@ -240,10 +255,11 @@ def _inner_moments(xs, labels, queries, kernel, h, lo, counts):
     """Kernel and label-weighted sums over each query's run of sorted ``xs``
     from prefix moments, with the length of the prefix each came from.
 
-    Queries are grouped in bins of width 2h anchored at their centres a;
-    a bin's prefix sums of d, d^2, y, y d and y d^2, d = x - a, run over the
-    union of its queries' runs. With q' = q - a and N the run's length, a
-    query's epanechnikov sums are N - (S2 - 2 q' S1 + q'^2 N) / h^2 and
+    Ascending queries are grouped in bins of width 2h anchored at their
+    centres a, so each bin is a run of consecutive queries; a bin's prefix
+    sums of d, d^2, y, y d and y d^2, d = x - a, run over the union of its
+    queries' windows. With q' = q - a and N the window's length, a query's
+    epanechnikov sums are N - (S2 - 2 q' S1 + q'^2 N) / h^2 and
     Y0 - (Y2 - 2 q' Y1 + q'^2 Y0) / h^2 (boxcar: N and Y0). Anchoring keeps
     d and q' within 2h, so the expansion loses about a factor of 10 to
     cancellation. Prefix arrays are built a group of bins at a time, padded
@@ -252,35 +268,38 @@ def _inner_moments(xs, labels, queries, kernel, h, lo, counts):
     m = len(queries)
     sums, weighted, span = np.zeros(m), np.zeros(m), np.zeros(m)
     filled = np.flatnonzero(counts > 0)
+    if not len(filled):
+        return sums, weighted, span
     lo, counts, q = lo[filled], counts[filled], queries[filled]
-    keys, bin_of = np.unique(np.floor(q / (2.0 * h)), return_inverse=True)
-    anchor = (keys + 0.5) * (2.0 * h)
-    first = np.full(len(keys), len(xs))
-    np.minimum.at(first, bin_of, lo)
-    last = np.zeros(len(keys), dtype=first.dtype)
-    np.maximum.at(last, bin_of, lo + counts)
-    lengths = last - first
+    key = np.floor(q / (2.0 * h))
+    opens = np.r_[True, key[1:] != key[:-1]]
+    starts = np.flatnonzero(opens)
+    bin_of = np.cumsum(opens) - 1
+    anchor = (key[starts] + 0.5) * (2.0 * h)
+    first = np.minimum.reduceat(lo, starts)
+    lengths = np.maximum.reduceat(lo + counts, starts) - first
     span[filled] = lengths[bin_of]
     epanechnikov = kernel is SmoothingKernel.EPANECHNIKOV
     hh = h * h
     row = np.empty_like(lengths)
     for bins in _bin_blocks(lengths):
         row[bins] = np.arange(len(bins))
-        in_block = np.zeros(len(keys), dtype=bool)
+        in_block = np.zeros(len(starts), dtype=bool)
         in_block[bins] = True
         at = np.flatnonzero(in_block[bin_of])
-        offsets = np.arange(lengths[bins].max())
-        valid = offsets < lengths[bins][:, None]
-        cols = np.minimum(first[bins][:, None] + offsets, len(xs) - 1)
+        width = lengths[bins].max()
+        cols = first[bins][:, None] + np.arange(width)
         # prefix[k, row, i]: moment k (d, d^2, y d, y d^2, y; boxcar: y)
-        # summed over the bin's first i points
-        prefix = np.zeros((5 if epanechnikov else 1, len(bins), len(offsets) + 1))
+        # summed over the bin's first i points; past the bin's own length a
+        # row runs on over later points, which no query of the bin reads
+        prefix = np.empty((5 if epanechnikov else 1, len(bins), width + 1))
+        prefix[:, :, 0] = 0.0
         y = prefix[-1, :, 1:]
-        np.multiply(labels[cols], valid, out=y)
+        np.take(labels, cols, out=y, mode="clip")
         if epanechnikov:
             d, d2, yd, yd2 = prefix[:4, :, 1:]
-            np.subtract(xs[cols], anchor[bins][:, None], out=d)
-            d *= valid
+            np.take(xs, cols, out=d, mode="clip")
+            d -= anchor[bins][:, None]
             np.multiply(d, d, out=d2)
             np.multiply(y, d, out=yd)
             np.multiply(yd, d, out=yd2)

@@ -850,6 +850,41 @@ class TestCli:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("make", ["directory", "latin-1 text"])
+    def test_unreadable_config_is_a_config_error_naming_it(self, tmp_path,
+                                                           capsys, make):
+        path = tmp_path / "cfg.json"
+        if make == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(json.dumps(base_config(output_dir="caf\xe9"),
+                                        ensure_ascii=False).encode("latin-1"))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("via", ["--out", "config.output_dir"])
+    def test_output_path_that_is_a_file_fails_before_any_seed(
+            self, tmp_path, capsys, monkeypatch, via):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+
+        def no_seed(*args):
+            pytest.fail("a seed ran")
+
+        monkeypatch.setattr(experiment, "_run_cells", no_seed)
+        cfg_path = tmp_path / "cfg.json"
+        argv = ["run", "--config", str(cfg_path)]
+        if via == "--out":
+            cfg_path.write_text(json.dumps(base_config()))
+            argv += ["--out", str(blocker / "sub")]
+        else:
+            cfg_path.write_text(json.dumps(base_config(output_dir=str(blocker))))
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {via}: {blocker} exists and is not a directory\n")
+        assert blocker.read_text() == "kept\n"
+
     def test_kind_enforced_by_verb(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config()))

@@ -12,6 +12,7 @@ from htlreg.smoothing import (
     KSPredictor,
     SmoothingKernel,
     ks_bandwidth_rule,
+    ks_predict,
     predict_from_kernel,
 )
 
@@ -206,6 +207,28 @@ class TestWindowPath:
         # bound, and those queries are re-predicted on the pair path
         assert np.isin(below, paired).any() and np.isin(above, paired).any()
         assert not np.isin(grid, paired).all()  # the moments did serve
+
+    @pytest.mark.parametrize("moment_floor", [smoothing._MOMENT_MIN_PAIRS, 0])
+    @PROPERTY
+    @given(xs=st.lists(TRAIN_X, min_size=1, max_size=25),
+           queries=st.lists(QUERY_X, min_size=1, max_size=20),
+           kernel=st.sampled_from(COMPACT),
+           bandwidths=st.lists(BANDWIDTH, min_size=1, max_size=4),
+           rnd=st.randoms(use_true_random=False))
+    def test_query_order_does_not_change_a_bit(self, moment_floor, xs, queries,
+                                               kernel, bandwidths, rnd):
+        # the property that lets a call sort its queries: each prediction
+        # depends on its own query and on the set of queries, not their order
+        queries = queries + rnd.choices(queries, k=rnd.randrange(len(queries) + 1))
+        train = make(xs, [rnd.uniform(-1.0, 1.0) for _ in xs])
+        Q = np.asarray(queries).reshape(-1, 1)
+        perm = np.asarray(rnd.sample(range(len(Q)), len(Q)))
+        with mock.patch.object(smoothing, "_MOMENT_MIN_PAIRS", moment_floor):
+            whole = ks_predict(train, Q, kernel, bandwidths)
+            permuted = ks_predict(train, Q[perm], kernel, bandwidths)
+        assert len(permuted) == len(bandwidths)
+        for got, want in zip(permuted, whole):
+            assert np.array_equal(got, want[perm])
 
     @PROPERTY
     @given(st.integers(1, 2), st.integers(1, 20), st.sampled_from(list(SmoothingKernel)),
