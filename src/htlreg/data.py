@@ -163,11 +163,13 @@ def doppler_fn(X: np.ndarray) -> np.ndarray:
     return doppler(np.asarray(X)[:, 0])
 
 
-def doppler_offset_spec(noise_variance: float = 0.01, slope: float = 1.0) -> SyntheticSpec:
-    """Doppler source with target = source + slope * x (offset benchmark)."""
+def doppler_offset_spec(noise_variance: float = 0.01, slope: float = 1.0,
+                        alpha: float = 1.0) -> SyntheticSpec:
+    """Doppler source with target = alpha * source + slope * x (the offset
+    benchmark at alpha 1, the selection benchmark's truth otherwise)."""
     return SyntheticSpec(
         source_fn=doppler_fn,
-        target_fn=lambda X: doppler_fn(X) + slope * np.asarray(X)[:, 0],
+        target_fn=lambda X: alpha * doppler_fn(X) + slope * np.asarray(X)[:, 0],
         input_sampler=uniform_sampler(1),
         noise_variance_source=noise_variance,
         noise_variance_target=noise_variance,

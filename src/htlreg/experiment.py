@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -110,11 +111,12 @@ class MethodConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment_kind: str
-    data: dict
+    data: dict  # CSV paths resolved against the config's directory
     synthetic: SyntheticSpec | None  # the truth; None for CSV data
-    n_so: int
+    # the loaded (source, target) CSV samples; None for synthetic data
+    samples: tuple[Dataset, Dataset] | None = field(repr=False, compare=False)
+    n_so: int  # for CSV data, the source rows each seed draws
     n_ta_sizes: tuple[int, ...]  # one per cell of a seed
-    n_ta_key: str  # the config key that set n_ta_sizes
     n_val: int
     n_test: int
     source_method: MethodConfig
@@ -143,10 +145,40 @@ def _section(where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ConfigError(f"missing required key {where}.{key}")
-    return cfg[key]
+_REQUIRED = object()
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false",
+             str: "a string", list: "a list", dict: "an object"}
+
+
+def _read(section, key, where: str, kind: type, default=_REQUIRED):
+    """``section[key]``, named ``where``, as the JSON ``kind``: ``int`` takes
+    JSON integers and integral floats such as 100.0, ``float`` any finite
+    JSON number, and ``bool``, ``str``, ``list`` and ``dict`` their own
+    values. JSON parsing accepts NaN, Infinity and overflowing literals such
+    as 1e999; no key takes one. A missing key gives ``default``; without
+    one, and for a value of another kind, the result is a ConfigError."""
+    try:
+        value = section[key]
+    except KeyError:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {where}") from None
+        return default
+    if kind not in (int, float):
+        if isinstance(value, kind):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+        if kind is int and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        if kind is float and abs(value) <= sys.float_info.max:
+            return float(value)
+    raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
+
+
+def _items(values: list, where: str, kind: type) -> list:
+    """A JSON list's items as ``kind``, each named by its index."""
+    return [_read(values, i, f"{where}[{i}]", kind) for i in range(len(values))]
 
 
 def _check_keys(cfg: dict, allowed, where: str) -> None:
@@ -155,73 +187,29 @@ def _check_keys(cfg: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
 
 
-def _typed(value, json_type: type, where: str):
-    """``value`` if it is a JSON object, list or string as ``json_type``
-    (dict, list or str) asks, else a ConfigError."""
-    if not isinstance(value, json_type):
-        name = {dict: "an object", list: "a list", str: "a string"}[json_type]
-        raise ConfigError(f"{where}: expected {name}, got {value!r}")
-    return value
-
-
-def _integer(value, where: str) -> int:
-    """``value`` as an int. JSON ints and integral floats such as 100.0
-    pass; fractions, strings, booleans and other values are a ConfigError."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"{where}: expected an integer, got {value!r}")
-
-
-def _real(value, where: str) -> float:
-    """``value`` as a float. JSON ints and floats pass; strings, booleans
-    and other values are a ConfigError."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:  # an int beyond the float range
-            pass
-    raise ConfigError(f"{where}: expected a number, got {value!r}")
-
-
-def _numbers(section, allowed, where: str, integers=()) -> dict:
+def _numbers(section: dict, allowed, where: str, integers=()) -> dict:
     """A config object of numbers under the ``allowed`` keys, each read by
     type and named by its key: ``integers`` as ints, the others as reals."""
-    _check_keys(_typed(section, dict, where), allowed, where)
-    return {k: (_integer if k in integers else _real)(v, f"{where}.{k}")
-            for k, v in section.items()}
+    _check_keys(section, allowed, where)
+    return {k: _read(section, k, f"{where}.{k}", int if k in integers else float)
+            for k in section}
 
 
-def _distinct(values: Sequence[int], raw, what: str, where: str) -> None:
+def _distinct(values: Sequence[int], what: str, where: str) -> None:
     """Reject the first value of ``values`` that repeats an earlier one."""
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
         raise ConfigError(f"{where}: {what} {repeated[0]} appears more than once "
-                          f"in {raw!r}")
+                          f"in {list(values)!r}")
 
 
-def _check_finite(value, where: str) -> None:
-    """Reject the first NaN or infinite number in a raw config section.
-    JSON parsing accepts NaN, Infinity and overflowing literals such as
-    1e999; no config key takes one."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, f"{where}.{key}")
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _check_finite(item, f"{where}[{i}]")
-
-
-def parse_seeds(values, where: str) -> tuple[int, ...]:
+def parse_seeds(values: list, where: str) -> tuple[int, ...]:
     """Seeds as a nonempty tuple of distinct nonnegative ints."""
-    seeds = tuple(_integer(s, where) for s in _typed(values, list, where))
+    seeds = tuple(_items(values, where, int))
     if not seeds or min(seeds) < 0:
         raise ConfigError(f"{where}: seeds must be a nonempty list of nonnegative "
                           f"ints, got {values!r}")
-    _distinct(seeds, values, "seed", where)
+    _distinct(seeds, "seed", where)
     return seeds
 
 
@@ -256,7 +244,7 @@ def _parse_kernel(method: str, raw: dict, where: str):
         return SmoothingKernel(raw.get("kernel", "truncated_gaussian"))
     section = raw.get("kernel", "rbf")
     params = ({"shape": section} if isinstance(section, str)
-              else dict(_typed(section, dict, where)))
+              else dict(_read(raw, "kernel", where, dict)))
     shape = KernelShape(params.pop("shape", "rbf"))
     if params.get("lengthscale", 1.0) is None:  # null: the median heuristic
         del params["lengthscale"]
@@ -265,8 +253,8 @@ def _parse_kernel(method: str, raw: dict, where: str):
 
 
 def parse_method(raw: dict, where: str) -> MethodConfig:
-    method = _require(_typed(raw, dict, where), "method", where)
-    if not isinstance(method, str) or method not in _SUBROUTINES:
+    method = _read(raw, "method", f"{where}.method", str)
+    if method not in _SUBROUTINES:
         raise ConfigError(f"{where}.method: expected 'ks' or 'krr', got {method!r}")
     spec_type, field_name, rule_type, keys = _SUBROUTINES[method]
     _check_keys(raw, ("method", "kernel", "cv_folds") + keys, where)
@@ -280,42 +268,38 @@ def parse_method(raw: dict, where: str) -> MethodConfig:
         kernel = _parse_kernel(method, raw, f"{where}.kernel")
     with _section(f"{where}.{key}"):
         if key == rule_key:
-            rule = _numbers(raw[key], [f.name for f in fields(rule_type)],
-                            f"{where}.{key}")
+            rule = _numbers(_read(raw, key, f"{where}.{key}", dict),
+                            [f.name for f in fields(rule_type)], f"{where}.{key}")
             candidates = (spec_type(kernel, rule=rule_type(**rule)),)
         else:
-            values = (_typed(raw[key], list, f"{where}.{key}")
-                      if key == grid_key else [raw[key]])
-            candidates = tuple(
-                spec_type(kernel, **{field_name: _real(v, f"{where}.{key}")})
-                for v in values)
+            values = (_items(_read(raw, key, f"{where}.{key}", list),
+                             f"{where}.{key}", float)
+                      if key == grid_key else [_read(raw, key, f"{where}.{key}", float)])
+            candidates = tuple(spec_type(kernel, **{field_name: v}) for v in values)
     with _section(where):
         return MethodConfig(candidates,
-                            _integer(raw.get("cv_folds", 10), f"{where}.cv_folds"))
+                            _read(raw, "cv_folds", f"{where}.cv_folds", int, 10))
 
 
 def parse_transformation(raw: dict, where: str) -> AuxiliaryEstimator:
-    family = _require(_typed(raw, dict, where), "family", where)
-    if not isinstance(family, str) or family not in _FAMILIES:
+    family = _read(raw, "family", f"{where}.family", str)
+    if family not in _FAMILIES:
         raise ConfigError(f"{where}.family: unknown family {family!r}")
-    params = {k: _real(v, f"{where}.{k}") for k, v in raw.items()
+    params = {k: _read(raw, k, f"{where}.{k}", float) for k in raw
               if k != "family" and k not in _ESTIMATOR_KEYS}
-    noiseless = raw.get("assume_noiseless", False)
-    if not isinstance(noiseless, bool):
-        raise ConfigError(f"{where}.assume_noiseless: expected true or false, "
-                          f"got {noiseless!r}")
     with _section(where):
         return AuxiliaryEstimator(
             _FAMILIES[family](**params),
             mode=EstimatorMode(raw.get("estimator_mode", "direct_inverse")),
-            sigma2=_real(raw.get("sigma2", 0.0), f"{where}.sigma2"),
-            assume_noiseless=noiseless,
+            sigma2=_read(raw, "sigma2", f"{where}.sigma2", float, 0.0),
+            assume_noiseless=_read(raw, "assume_noiseless",
+                                   f"{where}.assume_noiseless", bool, False),
         )
 
 
 def _synthetic_spec(kind: str, data: dict) -> SyntheticSpec | None:
     def number(key: str, default: float) -> float:
-        return _real(data.get(key, default), f"config.data.{key}")
+        return _read(data, key, f"config.data.{key}", float, default)
 
     noise = number("noise_variance", 0.01)
     if kind in ("synthetic_offset", "rate_sweep"):
@@ -323,16 +307,7 @@ def _synthetic_spec(kind: str, data: dict) -> SyntheticSpec | None:
     if kind == "synthetic_scale":
         return doppler_scale_spec(noise, factor=number("factor", 5.0))
     if kind == "selection":
-        true_alpha = number("true_alpha", 1.0)
-        base = doppler_offset_spec(noise)
-        return SyntheticSpec(
-            source_fn=base.source_fn,
-            target_fn=lambda X: true_alpha * base.source_fn(X)
-            + np.asarray(X)[:, 0],
-            input_sampler=base.input_sampler,
-            noise_variance_source=noise,
-            noise_variance_target=noise,
-        )
+        return doppler_offset_spec(noise, alpha=number("true_alpha", 1.0))
     return None
 
 
@@ -341,16 +316,41 @@ def _target_sizes(kind: str, data: dict, n_ta: int) -> tuple[str, list[int]]:
     must be distinct."""
     if kind == "rate_sweep":
         key = "config.data.n_ta_grid"
-        values = _typed(data.get("n_ta_grid", []), list, key)
+        sizes = _items(_read(data, "n_ta_grid", key, list, []), key, int)
     elif kind == "csv_transfer" and "n_ta" in data:
-        key, values = "config.data.n_ta", data["n_ta"]
-        if not isinstance(values, list):
-            values = [values]
+        key = "config.data.n_ta"
+        sizes = (_items(data["n_ta"], key, int) if isinstance(data["n_ta"], list)
+                 else [_read(data, "n_ta", key, int)])
     else:
         return "config.sizes.n_ta", [n_ta]
-    sizes = [_integer(v, key) for v in values]
-    _distinct(sizes, values, "size", key)
+    _distinct(sizes, "size", key)
     return key, sizes
+
+
+def _load_csvs(data: dict, base_dir: Path | None) -> tuple[Dataset, Dataset]:
+    """The (source, target) samples of a CSV run's data section, whose
+    relative paths it resolves against ``base_dir`` in place."""
+    label = data.get("label_column", "y")
+    if isinstance(label, bool) or not isinstance(label, (str, int)):
+        raise ConfigError(f"config.data.label_column: expected a column name "
+                          f"or index, got {label!r}")
+    samples = []
+    for key in ("source_csv", "target_csv"):
+        path = Path(_read(data, key, f"config.data.{key}", str))
+        if base_dir is not None and not path.is_absolute():
+            path = base_dir / path
+            data[key] = str(path)
+        if not path.exists():
+            raise ConfigError(f"config.data.{key}: no such file: {path}")
+        try:
+            samples.append(load_csv(path, label))
+        except CsvError as exc:
+            raise ConfigError(f"config.data.{key}: {exc}") from None
+    source, target = samples
+    if target.dim != source.dim:
+        raise ConfigError(f"config.data.target_csv: {target.dim} feature columns "
+                          f"differ from the source CSV's {source.dim}")
+    return replace(source, domain_tag=DomainTag.SOURCE), target
 
 
 def _check_fold_sizes(method: MethodConfig, n: int, where: str) -> None:
@@ -362,20 +362,21 @@ def _check_fold_sizes(method: MethodConfig, n: int, where: str) -> None:
 
 
 def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
-    _typed(raw, dict, "config")
-    _check_finite(raw, "config")
-    kind = _require(raw, "experiment_kind", "config")
+    """A checked config. A CSV run's files are loaded here, and relative
+    paths in it resolve against ``base_dir``."""
+    _read({"config": raw}, "config", "config", dict)
+    kind = _read(raw, "experiment_kind", "config.experiment_kind", str)
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(
             f"config.experiment_kind: {kind!r} not one of {EXPERIMENT_KINDS}"
         )
     _check_keys(raw, _TOP_KEYS, "config")
-    data = dict(_typed(_require(raw, "data", "config"), dict, "config.data"))
+    data = dict(_read(raw, "data", "config.data", dict))
     _check_keys(data, _DATA_KEYS[kind], "config.data")
-    sizes = _typed(raw.get("sizes", {}), dict, "config.sizes")
+    sizes = _read(raw, "sizes", "config.sizes", dict, {})
     _check_keys(sizes, _SIZE_KEYS, "config.sizes")
     n_so, n_ta, n_val, n_test = (
-        _integer(sizes.get(key, default), f"config.sizes.{key}")
+        _read(sizes, key, f"config.sizes.{key}", int, default)
         for key, default in zip(_SIZE_KEYS, (0, 0, 0, 1000))
     )
     if kind != "csv_transfer" and min(n_so, n_test) < 1:
@@ -387,19 +388,16 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         raise ConfigError("config.data.n_ta_grid needs at least 3 sizes")
     if not n_ta_values or min(n_ta_values) < 1:
         raise ConfigError(f"{ta_key} must be positive, got {n_ta_values}")
-    methods = _typed(_require(raw, "methods", "config"), dict, "config.methods")
+    methods = _read(raw, "methods", "config.methods", dict)
     _check_keys(methods, ("source", "target", "baselines"), "config.methods")
     source_method, target_method = (
-        parse_method(_require(methods, stage, "config.methods"),
+        parse_method(_read(methods, stage, f"config.methods.{stage}", dict),
                      f"config.methods.{stage}") for stage in ("source", "target"))
-    if n_so >= 1:  # an unset csv_transfer n_so is checked once the CSV is loaded
-        _check_fold_sizes(source_method, n_so, "config.methods.source")
     _check_fold_sizes(target_method, min(n_ta_values), "config.methods.target")
     # a selection run is its family alone; the other kinds take no family
     selection = kind == "selection"
-    baselines = tuple(_typed(methods.get("baselines", [] if selection
-                                         else ["only_target"]),
-                             list, "config.methods.baselines"))
+    baselines = tuple(_read(methods, "baselines", "config.methods.baselines", list,
+                            [] if selection else ["only_target"]))
     for b in baselines:
         if b not in BUILTIN_BASELINES:
             raise ConfigError(
@@ -416,12 +414,13 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         raise ConfigError(f"config.selection_family: only selection runs take "
                           f"one, not {kind!r}")
     transformations = tuple(
-        parse_transformation(t, f"config.transformations[{i}]")
-        for i, t in enumerate(_typed(raw.get("transformations", []), list,
-                                     "config.transformations")))
+        parse_transformation(t, f"config.transformations[{i}]") for i, t in
+        enumerate(_items(_read(raw, "transformations", "config.transformations",
+                               list, []), "config.transformations", dict)))
     selection_family = None
     if selection:
-        family = _numbers(_require(raw, "selection_family", "config"),
+        family = _numbers(_read(raw, "selection_family", "config.selection_family",
+                                dict),
                           ("L_alpha", "K"), "config.selection_family", integers=("K",))
         with _section("config.selection_family"):
             selection_family = QuantizedFamily(**family)
@@ -430,31 +429,29 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     elif n_val != 0:
         raise ConfigError(f"config.sizes.n_val: only selection runs draw a "
                           f"validation sample, got {n_val} for {kind!r}")
-    seeds = parse_seeds(_require(raw, "seeds", "config"), "config.seeds")
-    output_dir = Path(_typed(raw.get("output_dir", "htlreg_out"), str,
-                             "config.output_dir"))
+    seeds = parse_seeds(_read(raw, "seeds", "config.seeds", list), "config.seeds")
+    output_dir = Path(_read(raw, "output_dir", "config.output_dir", str,
+                            "htlreg_out"))
     if base_dir is not None and not output_dir.is_absolute():
         output_dir = base_dir / output_dir
+    samples = None
     if kind == "csv_transfer":
-        label = data.get("label_column", "y")
-        if isinstance(label, bool) or not isinstance(label, (str, int)):
-            raise ConfigError(f"config.data.label_column: expected a column name "
-                              f"or index, got {label!r}")
-        for key in ("source_csv", "target_csv"):
-            p = Path(_typed(_require(data, key, "config.data"), str,
-                            f"config.data.{key}"))
-            if base_dir is not None and not p.is_absolute():
-                p = base_dir / p
-                data[key] = str(p)
-            if not p.exists():
-                raise ConfigError(f"config.data.{key}: no such file: {p}")
+        samples = source, target = _load_csvs(data, base_dir)
+        if n_so > source.n:
+            raise ConfigError(f"config.sizes.n_so: {n_so} rows exceed the "
+                              f"{source.n} of the source CSV")
+        n_so = n_so if n_so >= 1 else source.n
+        if max(n_ta_values) >= target.n:
+            raise ConfigError(f"{ta_key}: largest size {max(n_ta_values)} leaves "
+                              f"no test rows out of {target.n}")
+    _check_fold_sizes(source_method, n_so, "config.methods.source")
     return ExperimentConfig(
         experiment_kind=kind,
         data=data,
         synthetic=synthetic,
+        samples=samples,
         n_so=n_so,
         n_ta_sizes=tuple(n_ta_values),
-        n_ta_key=ta_key,
         n_val=n_val,
         n_test=n_test,
         source_method=source_method,
@@ -586,41 +583,22 @@ def _synthetic_cells(config: ExperimentConfig, seed: int) -> list[tuple]:
     return cells
 
 
-def _csv_cells(config: ExperimentConfig) -> Callable[[int], list[tuple]]:
-    """Load the CSVs once. Per seed, subsample the source and permute the
-    target rows: a cell trains on the first n_ta rows, and every cell
-    tests on the rows past the largest n_ta."""
-    def load(key: str) -> Dataset:
-        try:
-            return load_csv(config.data[key], config.data.get("label_column", "y"))
-        except CsvError as exc:
-            raise ConfigError(f"config.data.{key}: {exc}") from None
-
-    source_full = replace(load("source_csv"), domain_tag=DomainTag.SOURCE)
-    target_full = load("target_csv")
-    largest = max(config.n_ta_sizes)
-    if largest >= target_full.n:
-        raise ConfigError(f"{config.n_ta_key}: largest size {largest} leaves no "
-                          f"test rows out of {target_full.n}")
-    n_so = config.n_so if config.n_so >= 1 else source_full.n
-    _check_fold_sizes(config.source_method, min(n_so, source_full.n),
-                      "config.methods.source")
+def _csv_cells(config: ExperimentConfig, seed: int) -> list[tuple]:
+    """One seed's (n_ta, SeedData) cells from the loaded CSVs: subsample the
+    source and permute the target rows; a cell trains on the first n_ta
+    rows, and every cell tests on the rows past the largest n_ta."""
+    source, target = config.samples
+    if config.n_so < source.n:
+        source = subsample(source, config.n_so, child_seed(seed, _SOURCE))
+    perm = np.random.default_rng(child_seed(seed, _TARGET)).permutation(target.n)
 
     def rows(idx: np.ndarray) -> Dataset:
-        return Dataset(features=target_full.features[idx],
-                       labels=target_full.labels[idx], domain_tag=DomainTag.TARGET)
+        return Dataset(features=target.features[idx], labels=target.labels[idx],
+                       domain_tag=DomainTag.TARGET)
 
-    def cells(seed: int) -> list[tuple]:
-        source = (subsample(source_full, n_so, child_seed(seed, _SOURCE))
-                  if n_so < source_full.n else source_full)
-        perm = np.random.default_rng(child_seed(seed, _TARGET)).permutation(
-            target_full.n
-        )
-        test = rows(perm[largest:])
-        return [(n_ta, SeedData(source, rows(perm[:n_ta]), test, None))
-                for n_ta in config.n_ta_sizes]
-
-    return cells
+    test = rows(perm[max(config.n_ta_sizes):])
+    return [(n_ta, SeedData(source, rows(perm[:n_ta]), test, None))
+            for n_ta in config.n_ta_sizes]
 
 
 def _pooled(data: SeedData) -> Dataset:
@@ -687,7 +665,8 @@ def _once(fn: Callable[[], object]) -> Callable[[], object]:
     return call
 
 
-def _run_cells(config: ExperimentConfig, make_cells: Callable[[int], list[tuple]]):
+def _run_cells(config: ExperimentConfig,
+               make_cells: Callable[[ExperimentConfig, int], list[tuple]]):
     """Fit and score every method on each (n_ta, SeedData) cell of each seed.
 
     A seed's cells share one source sample, so the source stage is resolved
@@ -708,7 +687,7 @@ def _run_cells(config: ExperimentConfig, make_cells: Callable[[int], list[tuple]
     first = None
     roster = _method_roster(config)
     for seed in config.seeds:
-        cells = make_cells(seed)
+        cells = make_cells(config, seed)
         source = cells[0][1].source
         so_seed = child_seed(seed, _CV_SOURCE)
         f_so_hat = _once(lambda: MemoPredictor(
@@ -772,9 +751,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
 def _run_report(config: ExperimentConfig) -> dict:
     """Every kind: one cell loop, then a summary per kind."""
     kind = config.experiment_kind
-    make_cells = (_csv_cells(config) if kind == "csv_transfer"
-                  else partial(_synthetic_cells, config))
-    rows, errors, first, selections = _run_cells(config, make_cells)
+    rows, errors, first, selections = _run_cells(
+        config, _csv_cells if kind == "csv_transfer" else _synthetic_cells)
     if kind == "selection":  # mean validation MSE per candidate, choice counts
         family = config.selection_family
         mses: dict[str, list[float]] = {m.label: [] for m in family.members}

@@ -138,9 +138,8 @@ def predict_from_kernel(
 
 
 # Window pairs are evaluated in blocks of consecutive queries holding about
-# this many pairs, so the 512 KB temporaries are reused from the heap.
-# Temporaries spanning every pair of a call are mapped afresh each time, and
-# their page faults cost about as much as the arithmetic.
+# this many pairs, so a block bounds each float64 temporary at about 512 KB
+# instead of one spanning every pair of a call.
 _BLOCK_PAIRS = 1 << 16
 
 # Calls with at least this many window pairs sum boxcar and epanechnikov

@@ -125,6 +125,7 @@ class TestConfigParsing:
             data={"source_csv": "src.csv", "target_csv": "ta.csv",
                   "label_column": "y", "n_ta": 2},
         )
+        del cfg["sizes"]  # n_so: every row of the 3-row source
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         parsed = load_config(path)
@@ -155,6 +156,26 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigError, match="no such file"):
             parse_config(cfg)
+
+    def test_csv_feature_counts_must_match(self, tmp_path):
+        cfg = _csv_transfer_config(tmp_path)
+        (tmp_path / "ta.csv").write_text(
+            "x0,y\n" + "".join(f"{i / 80},{i % 3}\n" for i in range(80)))
+        with pytest.raises(ConfigError, match=r"^config\.data\.target_csv: 1 "
+                                              r"feature columns differ from the "
+                                              r"source CSV's 2$"):
+            parse_config(cfg)
+
+    def test_csv_n_so_beyond_the_source_rows_fails_at_parse_time(self, tmp_path):
+        cfg = _csv_transfer_config(tmp_path)  # a 120-row source CSV
+        cfg["sizes"]["n_so"] = 121
+        with pytest.raises(ConfigError, match=r"^config\.sizes\.n_so: 121 rows "
+                                              r"exceed the 120 of the source CSV$"):
+            parse_config(cfg)
+        cfg["sizes"]["n_so"] = 120
+        assert parse_config(cfg).n_so == 120
+        del cfg["sizes"]["n_so"]  # every row
+        assert parse_config(cfg).n_so == 120
 
     @pytest.mark.parametrize("edit, argv, key", [
         (lambda c: c.update(outputdir="x"), [], "outputdir"),
@@ -262,9 +283,9 @@ class TestConfigParsing:
         (lambda c: c["transformations"][0].update(alpha="nan"), [],
          "config.transformations[0].alpha: expected a number, got 'nan'"),
         (lambda c: _target(c, {"method": "ks", "bandwidth_grid": ["inf", 0.1]}),
-         [], "config.methods.target.bandwidth_grid: expected a number, got 'inf'"),
+         [], "config.methods.target.bandwidth_grid[0]: expected a number, got 'inf'"),
         (lambda c: _target(c, {"method": "ks", "bandwidth_grid": [True, 0.1]}),
-         [], "config.methods.target.bandwidth_grid: expected a number, got True"),
+         [], "config.methods.target.bandwidth_grid[0]: expected a number, got True"),
         (lambda c: c["methods"]["source"].update(bandwidth="0.02"), [],
          "config.methods.source.bandwidth: expected a number, got '0.02'"),
         (lambda c: c.update(transformations=[{
@@ -302,7 +323,7 @@ class TestConfigParsing:
         (lambda c: c["sizes"].update(n_so="5000"), [],
          "config.sizes.n_so: expected an integer, got '5000'"),
         (lambda c: c.update(seeds=["1"]), [],
-         "config.seeds: expected an integer, got '1'"),
+         "config.seeds[0]: expected an integer, got '1'"),
         (lambda c: None, ["--seeds", "a"], "--seeds"),
         (lambda c: c.update(output_dir=5), [],
          "config.output_dir: expected a string, got 5"),
@@ -779,6 +800,53 @@ class TestRunExperiment:
             keys = [(q.shape, q.tobytes()) for q in seen]
             assert len(keys) == per_seed
             assert len(set(keys)) == per_seed
+
+
+def _numeric_leaves(value, where="config", keys=()):
+    """(key path, keys from the root) of every number in a JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numeric_leaves(item, f"{where}.{key}", keys + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _numeric_leaves(item, f"{where}[{i}]", keys + (i,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield where, keys
+
+
+_SHIPPED_LEAVES = [
+    pytest.param(path.name, where, keys, id=f"{path.stem}:{where}")
+    for path in sorted(CONFIGS.glob("*.json"))
+    for where, keys in _numeric_leaves(json.loads(path.read_text(encoding="utf-8")))
+]
+
+
+@pytest.fixture(scope="module")
+def shipped_dir(tmp_path_factory):
+    """A directory for copies of the shipped configs, holding the kin CSVs
+    that csv_transfer.json names."""
+    out = tmp_path_factory.mktemp("shipped")
+    for domain, n, seed in (("source", 1000, 0), ("target", 500, 1)):
+        assert cli_main(["synth", "--dataset", "kin_analog", "--n", str(n),
+                         "--domain", domain, "--seed", str(seed),
+                         "--out", str(out / f"kin_{domain}.csv")]) == 0
+    return out
+
+
+@pytest.mark.parametrize("literal", [math.nan, math.inf])
+@pytest.mark.parametrize("name, where, keys", _SHIPPED_LEAVES)
+def test_a_non_finite_number_in_a_shipped_config_names_its_path(
+        shipped_dir, name, where, keys, literal):
+    raw = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+    parent = raw
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = literal
+    path = shipped_dir / name
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert where in str(info.value)
 
 
 def _csv_transfer_config(tmp_path):
