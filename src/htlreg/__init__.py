@@ -33,6 +33,7 @@ from .evaluation import (
     StabilityBoundViolation,
     default_query_grid,
     excess_risk_mc,
+    mc_sample,
     metric_report,
     rate_slope,
     stability_probe,

@@ -35,8 +35,8 @@ class Dataset:
     """An immutable regression sample of finite features (n, d) and labels
     (n,).
 
-    Immutable apart from the stable sort of the first feature column,
-    ``sorted_1d``, cached on first use (recomputing it is harmless).
+    Immutable apart from the stable ascending order of the first feature
+    column, ``sorted_1d``, cached on first use (recomputing it is harmless).
     """
 
     features: np.ndarray
@@ -70,9 +70,19 @@ class Dataset:
     @cached_property
     def sorted_1d(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The first feature column in stable ascending order, with the
-        labels and the row indices in the same order."""
-        order = np.argsort(self.features[:, 0], kind="stable")
-        return self.features[order, 0], self.labels[order], order
+        labels and the row indices in the same order.
+
+        The default sort is tried first. A column without equal values has
+        exactly one ascending order, so its result is the stable order; only
+        a column with ties, -0.0 and 0.0 among them, is sorted again stably.
+        """
+        column = self.features[:, 0]
+        order = np.argsort(column)
+        xs = column[order]
+        if (xs[1:] == xs[:-1]).any():
+            order = np.argsort(column, kind="stable")
+            xs = column[order]
+        return xs, self.labels[order], order
 
     def without(self, rows: np.ndarray) -> Dataset:
         """The sample less ``rows``, the rest in row order, with this
@@ -80,7 +90,7 @@ class Dataset:
 
         A 1-D sample's fold takes ``sorted_1d`` from this sample's in O(n)
         instead of sorting: removing rows keeps the others' order, so the
-        filtered sort, renumbered, is the fold's own stable sort.
+        filtered sort, renumbered, is the fold's own stable order.
         """
         keep = np.ones(self.n, dtype=bool)
         keep[rows] = False

@@ -55,19 +55,19 @@ def metric_report(pred: Predictor, data: Dataset) -> MetricReport:
     )
 
 
-def excess_risk_mc(
-    pred: Predictor,
-    truth: TruthFn,
-    sampler: InputSampler,
-    n_mc: int,
-    seed: int,
-) -> float:
-    """Seeded Monte Carlo estimate of E[(pred(X) - truth(X))^2]."""
+def mc_sample(truth: TruthFn, sampler: InputSampler, n_mc: int, seed: int) -> Dataset:
+    """A seeded Monte Carlo sample of ``n_mc`` inputs, labelled by the
+    noiseless ``truth``; ``excess_risk_mc`` scores any number of predictors
+    on it."""
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
-    rng = np.random.default_rng(seed)
-    X = sampler(rng, n_mc)
-    diff = np.asarray(pred.predict(X)) - np.asarray(truth(X))
+    X = sampler(np.random.default_rng(seed), n_mc)
+    return Dataset(features=X, labels=truth(X))
+
+
+def excess_risk_mc(pred: Predictor, sample: Dataset) -> float:
+    """Monte Carlo estimate of E[(pred(X) - truth(X))^2] on a ``mc_sample``."""
+    diff = np.asarray(pred.predict(sample.features)) - sample.labels
     return float(np.mean(diff**2))
 
 

@@ -35,7 +35,7 @@ from .data import (
     load_csv,
     subsample,
 )
-from .evaluation import excess_risk_mc, metric_report, rate_slope
+from .evaluation import excess_risk_mc, mc_sample, metric_report, rate_slope
 from .pipeline import (
     BandwidthRule,
     HTLPredictor,
@@ -287,10 +287,13 @@ def parse_transformation(raw: dict, where: str) -> AuxiliaryEstimator:
         raise ConfigError(f"{where}.family: unknown family {family!r}")
     params = {k: _read(raw, k, f"{where}.{k}", float) for k in raw
               if k != "family" and k not in _ESTIMATOR_KEYS}
+    with _section(f"{where}.estimator_mode"):
+        mode = EstimatorMode(_read(raw, "estimator_mode", f"{where}.estimator_mode",
+                                   str, "direct_inverse"))
     with _section(where):
         return AuxiliaryEstimator(
             _FAMILIES[family](**params),
-            mode=EstimatorMode(raw.get("estimator_mode", "direct_inverse")),
+            mode=mode,
             sigma2=_read(raw, "sigma2", f"{where}.sigma2", float, 0.0),
             assume_noiseless=_read(raw, "assume_noiseless",
                                    f"{where}.assume_noiseless", bool, False),
@@ -436,6 +439,9 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         output_dir = base_dir / output_dir
     samples = None
     if kind == "csv_transfer":
+        if n_so < 0:
+            raise ConfigError(f"config.sizes.n_so: expected a row count, or 0 "
+                              f"for every source row, got {n_so}")
         samples = source, target = _load_csvs(data, base_dir)
         if n_so > source.n:
             raise ConfigError(f"config.sizes.n_so: {n_so} rows exceed the "
@@ -620,18 +626,16 @@ def _method_roster(config: ExperimentConfig) -> list[tuple[str | None, object]]:
     return roster
 
 
-def _score(pred: Predictor, data: SeedData, seed: int,
-           truth: SyntheticSpec | None) -> dict[str, float]:
-    """mse and r_squared on the test set, excess risk against the truth."""
+def _score(pred: Predictor, data: SeedData,
+           sample: Callable[[], Dataset] | None) -> dict[str, float]:
+    """mse and r_squared on the test set, excess risk on the seed's Monte
+    Carlo ``sample`` of the truth."""
     scores = {}
     if data.test is not None:
         report = metric_report(pred, data.test)
         scores.update(mse=report.mse, r_squared=report.r_squared)
-    if truth is not None:
-        scores["excess_risk"] = excess_risk_mc(
-            pred, truth.target_fn, truth.input_sampler,
-            n_mc=2000, seed=child_seed(seed, _EXCESS),
-        )
+    if sample is not None:
+        scores["excess_risk"] = excess_risk_mc(pred, sample())
     if not all(math.isfinite(v) for v in scores.values()):
         raise ValueError(f"non-finite metric in {scores}")
     return scores
@@ -673,11 +677,13 @@ def _run_cells(config: ExperimentConfig,
     at most once per seed and f_so_hat fit at most once, for only_source,
     every HTL method and selection. A ``MemoPredictor`` around it computes
     its predictions once per distinct query array of the seed (the Monte
-    Carlo sample, test, validation and target rows, the plot grid). The
-    target spec is resolved at most once per cell. Each is computed on
-    first use inside the per-method ``try``, so its failure is recorded
-    against every method that needs it. An HTL method builds its auxiliary
-    sample once, for both the target-stage CV and the fit.
+    Carlo sample, test, validation and target rows, the plot grid). A
+    synthetic seed draws its Monte Carlo sample and the truth on it once,
+    for every scored row of every cell. The target spec is resolved at most
+    once per cell. Each is computed on first use inside the per-method
+    ``try``, so its failure is recorded against every method that needs it.
+    An HTL method builds its auxiliary sample once, for both the
+    target-stage CV and the fit.
     Returns the rows, the failures, the first cell's data and predictors,
     and the selection results in row order.
     """
@@ -686,6 +692,7 @@ def _run_cells(config: ExperimentConfig,
     selections: list[SelectionResult] = []
     first = None
     roster = _method_roster(config)
+    truth = config.synthetic
     for seed in config.seeds:
         cells = make_cells(config, seed)
         source = cells[0][1].source
@@ -693,6 +700,8 @@ def _run_cells(config: ExperimentConfig,
         f_so_hat = _once(lambda: MemoPredictor(
             config.source_method.resolve(source, so_seed).fit(source)))
         cv_seed = child_seed(seed, _CV_TARGET)
+        sample = None if truth is None else _once(lambda: mc_sample(
+            truth.target_fn, truth.input_sampler, 2000, child_seed(seed, _EXCESS)))
         for n_ta, data in cells:
             ta_spec = _once(partial(config.target_method.resolve, data.target,
                                     cv_seed))
@@ -725,8 +734,7 @@ def _run_cells(config: ExperimentConfig,
                         pooled = _pooled(data)
                         pred = config.target_method.resolve(pooled, cv_seed).fit(pooled)
                     predictors[name] = pred
-                    rows.append({**cell, **_score(pred, data, seed,
-                                                  config.synthetic)})
+                    rows.append({**cell, **_score(pred, data, sample)})
                 except _METHOD_ERRORS as exc:  # recorded, run continues
                     errors.append(_error(cell, exc))
             if first is None:

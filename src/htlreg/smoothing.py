@@ -13,14 +13,15 @@ training point's label, ties going to the lowest index.
 ``ks_predict`` predicts a grid of bandwidths from one training sample, and
 is the one place that picks how. For 1-D data and a compact-support kernel,
 predictions only visit the training points inside each query's window
-[q - h, q + h], found by binary search in the sample's cached stable sort
+[q - h, q + h], found by binary search in the sample's cached stable order
 (``Dataset.sorted_1d``; windowed Nadaraya-Watson evaluation, Fan & Marron
-1994). Such a call stable-sorts its queries once, predicts every bandwidth on
-the ascending queries and scatters each result back to the caller's order: a
-query's prediction depends only on its own window and on the set of queries,
-never on their order, so sorting changes no bit. Everything else evaluates
-the dense (m, n) kernel matrix from one distance matrix shared by every
-bandwidth. The windowed path needs only numpy. The dense path takes its
+1994). Such a call sorts its queries once with numpy's default sort, predicts
+every bandwidth on the ascending queries and scatters each result back to the
+caller's order: a query's prediction depends only on its own window and on
+the set of queries, never on their order, so neither the sort nor the order
+it gives equal queries changes a bit. Everything else evaluates the dense
+(m, n) kernel matrix from one distance matrix shared by every bandwidth.
+The windowed path needs only numpy. The dense path takes its
 distances from ``data.sq_distances``, which imports scipy on first use, so a
 1-D compact-kernel run never loads scipy.
 
@@ -160,21 +161,21 @@ def predict_sorted_1d(
     bandwidths: Sequence[float],
 ) -> list[np.ndarray]:
     """Predictions at 1-D ``queries``, one array per bandwidth, from training
-    points ``xs`` sorted ascending by a stable sort, for a compact-support
+    points ``xs`` in stable ascending order, for a compact-support
     ``kernel``.
 
     ``labels`` are in the same order as ``xs``; ``ranks`` are the training
     points' original indices, which break nearest-neighbour ties. The queries
-    are sorted once and each bandwidth is predicted in that order; a query's
-    prediction depends only on its own window and on the set of queries, so
-    the results are scattered back to the caller's order bit for bit. They
-    differ from ``predict_from_kernel`` by float summation order only: small
-    calls and the truncated gaussian evaluate each window pair on the same
-    (q - x)^2 / (h * h) values as the dense path; large boxcar and
-    epanechnikov calls take their window sums from prefix moments (see the
-    module docstring).
+    are sorted once, in any order among equal ones, and each bandwidth is
+    predicted in that order; a query's prediction depends only on its own
+    window and on the set of queries, so the results are scattered back to
+    the caller's order bit for bit. They differ from ``predict_from_kernel``
+    by float summation order only: small calls and the truncated gaussian
+    evaluate each window pair on the same (q - x)^2 / (h * h) values as the
+    dense path; large boxcar and epanechnikov calls take their window sums
+    from prefix moments (see the module docstring).
     """
-    perm = np.argsort(queries, kind="stable")
+    perm = np.argsort(queries)
     q = queries[perm]
     preds = []
     for h in bandwidths:

@@ -81,6 +81,27 @@ class TestDataset:
                 assert derived.dtype == sort.dtype
                 assert np.array_equal(derived, sort)
 
+    @pytest.mark.parametrize("ties", ["none", "many", "signed_zeros"])
+    def test_sorted_1d_is_the_stable_sort_bit_for_bit(self, ties):
+        # samples large enough for numpy's default sort to reorder equal
+        # values, which must then fall back to the stable sort
+        rng = np.random.default_rng(8)
+        if ties == "none":
+            xs = rng.uniform(-1.0, 1.0, size=6000)
+            assert len(np.unique(xs)) == len(xs)
+        elif ties == "many":
+            xs = rng.integers(-20, 21, size=8000) / 20
+            xs[rng.choice(len(xs), size=300, replace=False)] = -0.0
+        else:  # distinct values but for 50 zeros of each sign, interleaved
+            xs = rng.uniform(-1.0, 1.0, size=5000)
+            xs[rng.choice(len(xs), size=100, replace=False)] = np.tile([-0.0, 0.0], 50)
+        data = Dataset(features=xs.reshape(-1, 1), labels=rng.normal(size=len(xs)))
+        order = np.argsort(xs, kind="stable")
+        sorted_xs, labels, got = data.sorted_1d
+        assert np.array_equal(got, order)
+        assert sorted_xs.tobytes() == xs[order].tobytes()
+        assert labels.tobytes() == data.labels[order].tobytes()
+
 
 class TestGenerateSynthetic:
     def test_zero_noise_identity_labels(self):

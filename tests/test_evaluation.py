@@ -7,6 +7,7 @@ from htlreg.evaluation import (
     StabilityBoundViolation,
     default_query_grid,
     excess_risk_mc,
+    mc_sample,
     metric_report,
     rate_slope,
     stability_probe,
@@ -89,13 +90,14 @@ class TestRSquared:
 class TestExcessRisk:
     def test_zero_for_truth(self):
         truth = lambda X: X[:, 0] ** 2
-        risk = excess_risk_mc(Exact(truth), truth, uniform_sampler(1), 500, seed=0)
+        risk = excess_risk_mc(Exact(truth),
+                              mc_sample(truth, uniform_sampler(1), 500, seed=0))
         assert risk == 0.0
 
     def test_constant_offset_is_one(self):
         truth = lambda X: X[:, 0]
         pred = Exact(lambda X: X[:, 0] + 1.0)
-        risk = excess_risk_mc(pred, truth, uniform_sampler(1), 1000, seed=0)
+        risk = excess_risk_mc(pred, mc_sample(truth, uniform_sampler(1), 1000, seed=0))
         assert risk == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_gap_expectation(self):
@@ -103,15 +105,15 @@ class TestExcessRisk:
         truth = lambda X: np.zeros(len(X))
         pred = Exact(lambda X: X[:, 0])
         n = 100_000
-        risk = excess_risk_mc(pred, truth, uniform_sampler(1), n, seed=3)
+        risk = excess_risk_mc(pred, mc_sample(truth, uniform_sampler(1), n, seed=3))
         se = np.sqrt(np.var(np.random.default_rng(3).uniform(size=n) ** 2) / n)
         assert abs(risk - 1.0 / 3.0) < 3 * se
 
     def test_deterministic(self):
         truth = lambda X: X[:, 0]
         pred = Exact(lambda X: X[:, 0] * 0.5)
-        a = excess_risk_mc(pred, truth, uniform_sampler(1), 100, seed=7)
-        b = excess_risk_mc(pred, truth, uniform_sampler(1), 100, seed=7)
+        a = excess_risk_mc(pred, mc_sample(truth, uniform_sampler(1), 100, seed=7))
+        b = excess_risk_mc(pred, mc_sample(truth, uniform_sampler(1), 100, seed=7))
         assert a == b
 
 

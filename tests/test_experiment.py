@@ -176,6 +176,8 @@ class TestConfigParsing:
         assert parse_config(cfg).n_so == 120
         del cfg["sizes"]["n_so"]  # every row
         assert parse_config(cfg).n_so == 120
+        cfg["sizes"]["n_so"] = 0  # every row too
+        assert parse_config(cfg).n_so == 120
 
     @pytest.mark.parametrize("edit, argv, key", [
         (lambda c: c.update(outputdir="x"), [], "outputdir"),
@@ -349,6 +351,15 @@ class TestConfigParsing:
         (lambda c: _kind(c, "csv_transfer", source_csv="s.csv",
                          target_csv="t.csv", label_column=True, n_ta=10), [],
          "config.data.label_column: expected a column name or index, got True"),
+        (lambda c: (_kind(c, "csv_transfer", source_csv="s.csv", target_csv="t.csv",
+                          n_ta=10), c["sizes"].update(n_so=-5)), [],
+         "config.sizes.n_so: expected a row count, or 0 for every source row, "
+         "got -5"),
+        (lambda c: c["transformations"][0].update(estimator_mode=5), [],
+         "config.transformations[0].estimator_mode: expected a string, got 5"),
+        (lambda c: c["transformations"][0].update(estimator_mode="inverse"), [],
+         "config.transformations[0].estimator_mode: 'inverse' is not a valid "
+         "EstimatorMode"),
     ])
     def test_invalid_config_fails_at_parse_time_naming_the_key(
         self, tmp_path, capsys, edit, argv, key
@@ -664,6 +675,30 @@ class TestRunExperiment:
             "method": "only_target", "stage": "rate_fit",
             "error": "risks must be positive for a log-log fit",
             "type": "ValueError"}]
+
+    @pytest.mark.parametrize("kind", ["rate_sweep", "selection"])
+    def test_a_seed_draws_its_monte_carlo_sample_once(self, tmp_path, monkeypatch,
+                                                      kind):
+        seeds = []
+        draw = experiment.mc_sample
+
+        def counting(truth, sampler, n_mc, seed):
+            seeds.append(seed)
+            return draw(truth, sampler, n_mc, seed)
+
+        monkeypatch.setattr(experiment, "mc_sample", counting)
+        cfg = base_config(output_dir=str(tmp_path / "out"), seeds=[0, 1])
+        if kind == "rate_sweep":  # only_target and one HTL method, 3 sizes
+            _kind(cfg, "rate_sweep", noise_variance=0.01, slope=1.0,
+                  n_ta_grid=[20, 40, 80])
+            draws = [experiment.child_seed(s, experiment._EXCESS) for s in (0, 1)]
+        else:  # no selection row is scored by excess risk
+            _selection(cfg, L_alpha=2.0, K=2)
+            draws = []
+        report = run_experiment(parse_config(cfg))
+        assert not report["errors"]
+        assert seeds == draws
+        assert sum("excess_risk" in row for row in report["rows"]) == 6 * len(draws)
 
     def test_one_candidate_grid_runs_as_the_fixed_value(self, tmp_path,
                                                         monkeypatch):

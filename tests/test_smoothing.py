@@ -230,6 +230,25 @@ class TestWindowPath:
         for got, want in zip(permuted, whole):
             assert np.array_equal(got, want[perm])
 
+    @pytest.mark.parametrize("moment_floor", [smoothing._MOMENT_MIN_PAIRS, 0])
+    @pytest.mark.parametrize("kernel", COMPACT)
+    def test_duplicate_queries_in_any_order_give_the_same_bits(
+            self, monkeypatch, kernel, moment_floor):
+        # enough repeated queries for numpy's default sort to reorder equal
+        # ones, with signed zeros and queries past both ends of the data
+        monkeypatch.setattr(smoothing, "_MOMENT_MIN_PAIRS", moment_floor)
+        rng = np.random.default_rng(12)
+        xs = np.r_[rng.integers(0, 128, 1500) / 128, rng.uniform(0, 1, 1500)]
+        train = make(xs, rng.normal(size=len(xs)))
+        Q = rng.integers(-16, 80, size=3000) / 64
+        Q[rng.choice(len(Q), size=100, replace=False)] = -0.0
+        Q = Q.reshape(-1, 1)
+        perm = rng.permutation(len(Q))
+        bandwidths = [1 / 64, 0.05]
+        whole = ks_predict(train, Q, kernel, bandwidths)
+        for got, want in zip(ks_predict(train, Q[perm], kernel, bandwidths), whole):
+            assert got.tobytes() == want[perm].tobytes()
+
     @PROPERTY
     @given(st.integers(1, 2), st.integers(1, 20), st.sampled_from(list(SmoothingKernel)),
            BANDWIDTH, st.data())
