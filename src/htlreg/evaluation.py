@@ -29,9 +29,6 @@ class StabilityBoundViolation(RuntimeError):
 class MetricReport:
     mse: float
     r_squared: float
-    ss_res: float
-    ss_tot: float
-    n_eval: int
 
 
 def metric_report(pred: Predictor, data: Dataset) -> MetricReport:
@@ -46,13 +43,7 @@ def metric_report(pred: Predictor, data: Dataset) -> MetricReport:
     ss_tot = float(np.sum((data.labels - data.labels.mean()) ** 2))
     if ss_tot == 0.0:
         raise DegenerateLabelsError("all evaluation labels identical")
-    return MetricReport(
-        mse=ss_res / data.n,
-        r_squared=1.0 - ss_res / ss_tot,
-        ss_res=ss_res,
-        ss_tot=ss_tot,
-        n_eval=data.n,
-    )
+    return MetricReport(mse=ss_res / data.n, r_squared=1.0 - ss_res / ss_tot)
 
 
 def mc_sample(truth: TruthFn, sampler: InputSampler, n_mc: int, seed: int) -> Dataset:

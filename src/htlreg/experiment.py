@@ -117,8 +117,8 @@ class ExperimentConfig:
     samples: tuple[Dataset, Dataset] | None = field(repr=False, compare=False)
     n_so: int  # for CSV data, the source rows each seed draws
     n_ta_sizes: tuple[int, ...]  # one per cell of a seed
-    n_val: int
-    n_test: int
+    n_val: int | None  # None: a seed draws no validation sample
+    n_test: int | None  # None: a seed draws no test sample
     source_method: MethodConfig
     target_method: MethodConfig
     baselines: tuple[str, ...]
@@ -181,8 +181,11 @@ def _items(values: list, where: str, kind: type) -> list:
     return [_read(values, i, f"{where}[{i}]", kind) for i in range(len(values))]
 
 
-def _check_keys(cfg: dict, allowed, where: str) -> None:
+def _check_keys(cfg: dict, allowed, where: str, kind: str | None = None) -> None:
+    """Reject a key outside ``allowed``, the keys ``kind`` reads if given."""
     unknown = sorted(set(cfg) - set(allowed))
+    if unknown and kind is not None:
+        raise ConfigError(f"{where}.{unknown[0]}: not a key of a {kind!r} run")
     if unknown:
         raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
 
@@ -195,7 +198,7 @@ def _numbers(section: dict, allowed, where: str, integers=()) -> dict:
             for k in section}
 
 
-def _distinct(values: Sequence[int], what: str, where: str) -> None:
+def _distinct(values: Sequence, what: str, where: str) -> None:
     """Reject the first value of ``values`` that repeats an earlier one."""
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
@@ -213,8 +216,9 @@ def parse_seeds(values: list, where: str) -> tuple[int, ...]:
     return seeds
 
 
-_TOP_KEYS = ("experiment_kind", "data", "sizes", "methods", "transformations",
-             "selection_family", "seeds", "output_dir")
+# the top-level keys of every kind; a selection run adds "selection_family",
+# any other kind "transformations"
+_TOP_KEYS = ("experiment_kind", "data", "sizes", "methods", "seeds", "output_dir")
 # experiment kind -> keys of its data section
 _DATA_KEYS = {
     "synthetic_offset": ("noise_variance", "slope"),
@@ -224,7 +228,14 @@ _DATA_KEYS = {
     "selection": ("noise_variance", "true_alpha"),
 }
 EXPERIMENT_KINDS = tuple(_DATA_KEYS)
-_SIZE_KEYS = ("n_so", "n_ta", "n_val", "n_test")
+# experiment kind -> the sample sizes its seeds draw
+_SIZE_KEYS = {
+    "synthetic_offset": ("n_so", "n_ta", "n_test"),
+    "synthetic_scale": ("n_so", "n_ta", "n_test"),
+    "csv_transfer": ("n_so",),
+    "rate_sweep": ("n_so",),
+    "selection": ("n_so", "n_ta", "n_val"),
+}
 # method -> (spec type, hyperparameter field, rule type, (fixed, grid, rule) keys)
 _SUBROUTINES = {
     "ks": (KSSpec, "bandwidth", BandwidthRule,
@@ -236,7 +247,9 @@ _RKHS_KEYS = {KernelShape.RBF: ("lengthscale",), KernelShape.LINEAR: (),
               KernelShape.POLYNOMIAL: ("degree", "offset")}
 _FAMILIES = {"offset": offset, "scale": scale, "non_transfer": non_transfer,
              "loglinear": loglinear}
-_ESTIMATOR_KEYS = ("estimator_mode", "sigma2", "assume_noiseless")
+# estimator mode -> {key it reads besides the family's parameters: JSON type}
+_ESTIMATOR_KEYS = {EstimatorMode.DIRECT_INVERSE: {"assume_noiseless": bool},
+                   EstimatorMode.CALIBRATED: {"sigma2": float}}
 
 
 def _parse_kernel(method: str, raw: dict, where: str):
@@ -264,6 +277,9 @@ def parse_method(raw: dict, where: str) -> MethodConfig:
                           f"got {choices or 'none'}")
     key = choices[0]
     _, grid_key, rule_key = keys
+    if "cv_folds" in raw and key != grid_key:
+        raise ConfigError(f"{where}.cv_folds: only a {grid_key} is "
+                          f"cross-validated, not a {key}")
     with _section(f"{where}.kernel"):
         kernel = _parse_kernel(method, raw, f"{where}.kernel")
     with _section(f"{where}.{key}"):
@@ -285,19 +301,22 @@ def parse_transformation(raw: dict, where: str) -> AuxiliaryEstimator:
     family = _read(raw, "family", f"{where}.family", str)
     if family not in _FAMILIES:
         raise ConfigError(f"{where}.family: unknown family {family!r}")
-    params = {k: _read(raw, k, f"{where}.{k}", float) for k in raw
-              if k != "family" and k not in _ESTIMATOR_KEYS}
     with _section(f"{where}.estimator_mode"):
         mode = EstimatorMode(_read(raw, "estimator_mode", f"{where}.estimator_mode",
                                    str, "direct_inverse"))
+    for other, keys in _ESTIMATOR_KEYS.items():
+        for key in keys:
+            if key in raw and other is not mode:
+                raise ConfigError(f"{where}.{key}: read only by the {other.value} "
+                                  f"estimator_mode, not {mode.value}")
+    reads = _ESTIMATOR_KEYS[mode]
+    params = {k: _read(raw, k, f"{where}.{k}", float) for k in raw
+              if k not in ("family", "estimator_mode", *reads)}
     with _section(where):
         return AuxiliaryEstimator(
-            _FAMILIES[family](**params),
-            mode=mode,
-            sigma2=_read(raw, "sigma2", f"{where}.sigma2", float, 0.0),
-            assume_noiseless=_read(raw, "assume_noiseless",
-                                   f"{where}.assume_noiseless", bool, False),
-        )
+            _FAMILIES[family](**params), mode=mode,
+            **{k: _read(raw, k, f"{where}.{k}", kind) for k, kind in reads.items()
+               if k in raw})
 
 
 def _synthetic_spec(kind: str, data: dict) -> SyntheticSpec | None:
@@ -314,15 +333,15 @@ def _synthetic_spec(kind: str, data: dict) -> SyntheticSpec | None:
     return None
 
 
-def _target_sizes(kind: str, data: dict, n_ta: int) -> tuple[str, list[int]]:
+def _target_sizes(kind: str, data: dict, n_ta: int | None) -> tuple[str, list[int]]:
     """The key that sets a run's target sample sizes, and the sizes, which
     must be distinct."""
     if kind == "rate_sweep":
         key = "config.data.n_ta_grid"
         sizes = _items(_read(data, "n_ta_grid", key, list, []), key, int)
-    elif kind == "csv_transfer" and "n_ta" in data:
+    elif kind == "csv_transfer":
         key = "config.data.n_ta"
-        sizes = (_items(data["n_ta"], key, int) if isinstance(data["n_ta"], list)
+        sizes = (_items(data["n_ta"], key, int) if isinstance(data.get("n_ta"), list)
                  else [_read(data, "n_ta", key, int)])
     else:
         return "config.sizes.n_ta", [n_ta]
@@ -373,53 +392,55 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         raise ConfigError(
             f"config.experiment_kind: {kind!r} not one of {EXPERIMENT_KINDS}"
         )
-    _check_keys(raw, _TOP_KEYS, "config")
+    # a selection run is its family alone; the other kinds take no family
+    selection = kind == "selection"
+    _check_keys(raw, _TOP_KEYS + (("selection_family",) if selection
+                                  else ("transformations",)), "config", kind)
     data = dict(_read(raw, "data", "config.data", dict))
-    _check_keys(data, _DATA_KEYS[kind], "config.data")
+    _check_keys(data, _DATA_KEYS[kind], "config.data", kind)
     sizes = _read(raw, "sizes", "config.sizes", dict, {})
-    _check_keys(sizes, _SIZE_KEYS, "config.sizes")
-    n_so, n_ta, n_val, n_test = (
-        _read(sizes, key, f"config.sizes.{key}", int, default)
-        for key, default in zip(_SIZE_KEYS, (0, 0, 0, 1000))
-    )
-    if kind != "csv_transfer" and min(n_so, n_test) < 1:
-        raise ConfigError("config.sizes: n_so and n_test must be positive")
+    _check_keys(sizes, _SIZE_KEYS[kind], "config.sizes", kind)
+    every_row = kind == "csv_transfer"  # its n_so, 0 or unset: every source row
+    size = {key: _read(sizes, key, f"config.sizes.{key}", int, 0 if every_row
+                       else 1000 if key == "n_test" else _REQUIRED)
+            for key in _SIZE_KEYS[kind]}
+    for key, n in size.items():
+        if n < 1 and not (every_row and n == 0):
+            least = ("a row count, or 0 for every source row" if every_row
+                     else "a positive sample size")
+            raise ConfigError(f"config.sizes.{key}: expected {least}, got {n}")
+    n_so = size["n_so"]
     with _section("config.data"):
         synthetic = _synthetic_spec(kind, data)
-        ta_key, n_ta_values = _target_sizes(kind, data, n_ta)
+        ta_key, n_ta_values = _target_sizes(kind, data, size.get("n_ta"))
     if kind == "rate_sweep" and len(n_ta_values) < 3:
         raise ConfigError("config.data.n_ta_grid needs at least 3 sizes")
     if not n_ta_values or min(n_ta_values) < 1:
         raise ConfigError(f"{ta_key} must be positive, got {n_ta_values}")
     methods = _read(raw, "methods", "config.methods", dict)
-    _check_keys(methods, ("source", "target", "baselines"), "config.methods")
+    _check_keys(methods, ("source", "target") + (() if selection else ("baselines",)),
+                "config.methods", kind)
     source_method, target_method = (
         parse_method(_read(methods, stage, f"config.methods.{stage}", dict),
                      f"config.methods.{stage}") for stage in ("source", "target"))
     _check_fold_sizes(target_method, min(n_ta_values), "config.methods.target")
-    # a selection run is its family alone; the other kinds take no family
-    selection = kind == "selection"
-    baselines = tuple(_read(methods, "baselines", "config.methods.baselines", list,
-                            [] if selection else ["only_target"]))
+    baselines = () if selection else tuple(_read(
+        methods, "baselines", "config.methods.baselines", list, ["only_target"]))
     for b in baselines:
         if b not in BUILTIN_BASELINES:
             raise ConfigError(
                 f"config.methods.baselines: unknown baseline {b!r} "
                 f"(built-ins: {BUILTIN_BASELINES})"
             )
-    if selection and baselines:
-        raise ConfigError("config.methods.baselines: a selection run takes none, "
-                          f"got {list(baselines)}")
-    if selection and "transformations" in raw:
-        raise ConfigError("config.transformations: a selection run takes none; "
-                          "its candidates come from config.selection_family")
-    if not selection and "selection_family" in raw:
-        raise ConfigError(f"config.selection_family: only selection runs take "
-                          f"one, not {kind!r}")
-    transformations = tuple(
-        parse_transformation(t, f"config.transformations[{i}]") for i, t in
-        enumerate(_items(_read(raw, "transformations", "config.transformations",
-                               list, []), "config.transformations", dict)))
+    _distinct(baselines, "baseline", "config.methods.baselines")
+    transformations = ()
+    for i, t in enumerate(_items(_read(raw, "transformations",
+                                       "config.transformations", list, []),
+                                 "config.transformations", dict)):
+        where = f"config.transformations[{i}]"
+        transformations += (parse_transformation(t, where),)
+        _distinct([f"htl_{est.transformation.label}" for est in transformations],
+                  "method", where)
     selection_family = None
     if selection:
         family = _numbers(_read(raw, "selection_family", "config.selection_family",
@@ -427,11 +448,6 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
                           ("L_alpha", "K"), "config.selection_family", integers=("K",))
         with _section("config.selection_family"):
             selection_family = QuantizedFamily(**family)
-        if n_val < 1:
-            raise ConfigError("config.sizes.n_val must be positive for selection")
-    elif n_val != 0:
-        raise ConfigError(f"config.sizes.n_val: only selection runs draw a "
-                          f"validation sample, got {n_val} for {kind!r}")
     seeds = parse_seeds(_read(raw, "seeds", "config.seeds", list), "config.seeds")
     output_dir = Path(_read(raw, "output_dir", "config.output_dir", str,
                             "htlreg_out"))
@@ -439,9 +455,6 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         output_dir = base_dir / output_dir
     samples = None
     if kind == "csv_transfer":
-        if n_so < 0:
-            raise ConfigError(f"config.sizes.n_so: expected a row count, or 0 "
-                              f"for every source row, got {n_so}")
         samples = source, target = _load_csvs(data, base_dir)
         if n_so > source.n:
             raise ConfigError(f"config.sizes.n_so: {n_so} rows exceed the "
@@ -458,8 +471,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         samples=samples,
         n_so=n_so,
         n_ta_sizes=tuple(n_ta_values),
-        n_val=n_val,
-        n_test=n_test,
+        n_val=size.get("n_val"),
+        n_test=size.get("n_test"),
         source_method=source_method,
         target_method=target_method,
         baselines=baselines,
@@ -567,20 +580,19 @@ class SeedData:
 def _synthetic_cells(config: ExperimentConfig, seed: int) -> list[tuple]:
     """One seed's (n_ta, SeedData) cells, each sample from its own substream.
 
-    A rate sweep has a cell per target size, labelled by it and scored by
-    excess risk alone. Any other kind has one unlabelled cell, with a test
-    sample unless it is a selection run, which scores no row on one.
+    A rate sweep has a cell per target size, labelled by it. Any other kind
+    has one unlabelled cell. A seed draws a test sample when the config sets
+    ``n_test`` and a validation sample when it sets ``n_val``.
     """
-    def draw(n: int, tag: DomainTag, stream: int) -> Dataset:
+    def draw(n: int | None, tag: DomainTag, stream: int) -> Dataset | None:
+        if n is None:
+            return None
         return generate_synthetic(config.synthetic, n, tag, child_seed(seed, stream))
 
     sweep = config.experiment_kind == "rate_sweep"
     source = draw(config.n_so, DomainTag.SOURCE, _SOURCE)
-    test = validation = None
-    if not sweep and config.selection_family is None:
-        test = draw(config.n_test, DomainTag.TARGET, _TEST)
-    if config.n_val > 0:
-        validation = draw(config.n_val, DomainTag.VALIDATION, _VALIDATION)
+    test = draw(config.n_test, DomainTag.TARGET, _TEST)
+    validation = draw(config.n_val, DomainTag.VALIDATION, _VALIDATION)
     cells = []
     for k, n_ta in enumerate(config.n_ta_sizes):
         target = draw(n_ta, DomainTag.TARGET, _RATE_BASE + k if sweep else _TARGET)

@@ -217,7 +217,6 @@ class SelectionResult:
     chosen: TransformationFunction
     chosen_index: int
     per_candidate_validation_mse: tuple[tuple[str, float], ...]
-    n_val: int
 
 
 def select_transformation(
@@ -260,5 +259,4 @@ def select_transformation(
         chosen=candidates[best],
         chosen_index=best,
         per_candidate_validation_mse=tuple(rows),
-        n_val=validation.n,
     )

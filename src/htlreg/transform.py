@@ -279,7 +279,6 @@ class QuantizedFamily:
 
     L_alpha: float
     K: int
-    epsilon: float = field(init=False)
     members: tuple[TransformationFunction, ...] = field(init=False)
 
     def __post_init__(self):
@@ -294,7 +293,6 @@ class QuantizedFamily:
             offset(k * eps, lipschitz_L=math.hypot(k * eps, 1.0))
             for k in range(-self.K, self.K + 1)
         )
-        object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "members", members)
 
     @property

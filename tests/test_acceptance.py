@@ -216,13 +216,12 @@ def test_criterion_06_selection_correctness():
         config = parse_config({
             "experiment_kind": "selection",
             "data": {"noise_variance": 0.01, "true_alpha": true_alpha},
-            "sizes": {"n_so": 2000, "n_ta": 100, "n_val": 50, "n_test": 10},
+            "sizes": {"n_so": 2000, "n_ta": 100, "n_val": 50},
             "methods": {
                 "source": {"method": "ks", "kernel": "epanechnikov",
                            "bandwidth": 0.005},
                 "target": {"method": "ks", "kernel": "epanechnikov",
                            "bandwidth_rule": {"alpha": 1.0}},
-                "baselines": [],
             },
             "selection_family": {"L_alpha": 2.0, "K": 4},
             "seeds": [seed],

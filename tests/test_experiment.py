@@ -59,10 +59,11 @@ def base_config(**overrides):
 
 def _selection(cfg, **family):
     """Turn a base config into a selection run over the given family section,
-    without the transformations and baselines a selection run rejects."""
+    without the transformations, baselines and test sample a selection run
+    rejects."""
     cfg.update(experiment_kind="selection", data={"noise_variance": 0.01},
                selection_family=family)
-    del cfg["transformations"], cfg["methods"]["baselines"]
+    del cfg["transformations"], cfg["methods"]["baselines"], cfg["sizes"]["n_test"]
     cfg["sizes"]["n_val"] = 20
 
 
@@ -71,7 +72,9 @@ def _target(cfg, section):
 
 
 def _kind(cfg, kind, **data):
-    cfg.update(experiment_kind=kind, data=data)
+    """Turn a base config into a rate_sweep or csv_transfer run, whose only
+    size is n_so."""
+    cfg.update(experiment_kind=kind, data=data, sizes={"n_so": cfg["sizes"]["n_so"]})
 
 
 class TestConfigParsing:
@@ -153,6 +156,7 @@ class TestConfigParsing:
             experiment_kind="csv_transfer",
             data={"source_csv": str(tmp_path / "none.csv"),
                   "target_csv": str(tmp_path / "none2.csv"), "n_ta": 2},
+            sizes={"n_so": 2},
         )
         with pytest.raises(ConfigError, match="no such file"):
             parse_config(cfg)
@@ -329,7 +333,8 @@ class TestConfigParsing:
         (lambda c: None, ["--seeds", "a"], "--seeds"),
         (lambda c: c.update(output_dir=5), [],
          "config.output_dir: expected a string, got 5"),
-        (lambda c: _kind(c, "csv_transfer", source_csv=5, target_csv="t.csv"), [],
+        (lambda c: _kind(c, "csv_transfer", source_csv=5, target_csv="t.csv",
+                         n_ta=10), [],
          "config.data.source_csv: expected a string, got 5"),
         (lambda c: c.update(data=[1]), [], "config.data: expected an object"),
         (lambda c: c.update(sizes=[1]), [], "config.sizes: expected an object"),
@@ -360,6 +365,44 @@ class TestConfigParsing:
         (lambda c: c["transformations"][0].update(estimator_mode="inverse"), [],
          "config.transformations[0].estimator_mode: 'inverse' is not a valid "
          "EstimatorMode"),
+        (lambda c: (_kind(c, "rate_sweep", n_ta_grid=[25, 50, 100]),
+                    c["sizes"].update(n_test=100)), [],
+         "config.sizes.n_test: not a key of a 'rate_sweep' run"),
+        (lambda c: (_selection(c, L_alpha=2.0, K=2), c["sizes"].update(n_test=100)),
+         [], "config.sizes.n_test: not a key of a 'selection' run"),
+        (lambda c: (_kind(c, "csv_transfer", source_csv="s.csv", target_csv="t.csv",
+                          n_ta=10), c["sizes"].update(n_so=20, n_test=100)), [],
+         "config.sizes.n_test: not a key of a 'csv_transfer' run"),
+        (lambda c: (_kind(c, "rate_sweep", n_ta_grid=[25, 50, 100]),
+                    c["sizes"].update(n_ta=40)), [],
+         "config.sizes.n_ta: not a key of a 'rate_sweep' run"),
+        (lambda c: (_kind(c, "csv_transfer", source_csv="s.csv", target_csv="t.csv",
+                          n_ta=10), c["sizes"].update(n_so=20, n_ta=10)), [],
+         "config.sizes.n_ta: not a key of a 'csv_transfer' run"),
+        (lambda c: c["sizes"].update(n_val=0), [],
+         "config.sizes.n_val: not a key of a 'synthetic_offset' run"),
+        (lambda c: c["methods"]["target"].update(cv_folds=500), [],
+         "config.methods.target.cv_folds: only a bandwidth_grid is cross-validated"),
+        (lambda c: _target(c, {"method": "krr", "lambda_rule": {"p": 0.5},
+                               "cv_folds": 5}), [],
+         "config.methods.target.cv_folds: only a lambda_grid is cross-validated"),
+        (lambda c: (_selection(c, L_alpha=2.0, K=2), c["methods"].update(
+            baselines=[])), [],
+         "config.methods.baselines: not a key of a 'selection' run"),
+        (lambda c: c["methods"].update(baselines=["only_target", "only_target"]),
+         [], "config.methods.baselines: baseline only_target appears more than once"),
+        (lambda c: c["transformations"].append(
+            {"family": "offset", "alpha": 1.0, "aux_bound_B": 5.0}), [],
+         "config.transformations[1]: method htl_offset(alpha=1) appears more "
+         "than once"),
+        (lambda c: c["transformations"][0].update(sigma2=0.5), [],
+         "config.transformations[0].sigma2: read only by the calibrated "
+         "estimator_mode"),
+        (lambda c: c.update(transformations=[{
+            "family": "loglinear", "beta": 1.0, "estimator_mode": "calibrated",
+            "assume_noiseless": True}]), [],
+         "config.transformations[0].assume_noiseless: read only by the "
+         "direct_inverse estimator_mode"),
     ])
     def test_invalid_config_fails_at_parse_time_naming_the_key(
         self, tmp_path, capsys, edit, argv, key
@@ -738,17 +781,11 @@ class TestRunExperiment:
         assert len(tags) == 3
         assert set(tags) == {DomainTag.SOURCE, DomainTag.TARGET, DomainTag.VALIDATION}
 
-    @pytest.mark.parametrize("data_sizes, key", [
-        (None, "config.sizes.n_ta"), ([20, 80], "config.data.n_ta")])
-    def test_csv_size_error_names_the_key_set(self, tmp_path, data_sizes, key):
+    def test_csv_size_error_names_the_key_set(self, tmp_path):
         cfg = _csv_transfer_config(tmp_path)
-        del cfg["data"]["n_ta"]
-        if data_sizes is None:
-            cfg["sizes"]["n_ta"] = 80
-        else:
-            cfg["data"]["n_ta"] = data_sizes
-        with pytest.raises(ConfigError, match=rf"^{key}: largest size 80 leaves "
-                                              r"no test rows out of 80$"):
+        cfg["data"]["n_ta"] = [20, 80]
+        with pytest.raises(ConfigError, match=r"^config\.data\.n_ta: largest size 80 "
+                                              r"leaves no test rows out of 80$"):
             run_experiment(parse_config(cfg))
         assert not (tmp_path / "out").exists()
 

@@ -281,7 +281,6 @@ class TestSelectTransformation:
         )
         assert result.chosen.alpha == 1.0
         assert len(result.per_candidate_validation_mse) == 1
-        assert result.n_val == 50
 
     def test_prefers_true_offset_over_non_transfer(self):
         wins = 0

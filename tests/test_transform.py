@@ -182,7 +182,7 @@ class TestEstimateSigma2:
 class TestQuantizedFamily:
     def test_epsilon_and_alphas(self):
         fam = QuantizedFamily(L_alpha=1.0, K=2)
-        assert fam.epsilon == 0.25
+        np.testing.assert_allclose(np.diff(fam.alphas), 0.25)
         np.testing.assert_allclose(fam.alphas, [-0.5, -0.25, 0.0, 0.25, 0.5])
 
     def test_coarse_grid(self):
