@@ -74,8 +74,6 @@ from .ridge import (
 from .smoothing import KSPredictor, SmoothingKernel, ks_bandwidth_rule
 from .transform import (
     AuxiliaryEstimator,
-    EstimatorConfigError,
-    EstimatorMode,
     Family,
     InsufficientReplicatesError,
     QuantizedFamily,

@@ -13,6 +13,7 @@ report still covers the methods that ran).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -88,6 +89,11 @@ def main(argv=None) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n: expected a positive row count, got {args.n}")
+    if not 0 <= args.noise < math.inf:
+        raise ConfigError(f"--noise: expected a finite nonnegative variance, "
+                          f"got {args.noise}")
     spec = _SYNTH_SPECS[args.dataset](args.noise)
     data = generate_synthetic(spec, args.n, DomainTag(args.domain), args.seed)
     out = Path(args.out)

@@ -53,7 +53,6 @@ from .ridge import ConditioningError, KernelShape, RKHSKernel, krr_path, predict
 from .smoothing import SmoothingKernel, ks_predict
 from .transform import (
     AuxiliaryEstimator,
-    EstimatorMode,
     QuantizedFamily,
     loglinear,
     non_transfer,
@@ -181,11 +180,11 @@ def _items(values: list, where: str, kind: type) -> list:
     return [_read(values, i, f"{where}[{i}]", kind) for i in range(len(values))]
 
 
-def _check_keys(cfg: dict, allowed, where: str, kind: str | None = None) -> None:
-    """Reject a key outside ``allowed``, the keys ``kind`` reads if given."""
+def _check_keys(cfg: dict, allowed, where: str, owner: str | None = None) -> None:
+    """Reject a key outside ``allowed``, the keys ``owner`` reads if given."""
     unknown = sorted(set(cfg) - set(allowed))
-    if unknown and kind is not None:
-        raise ConfigError(f"{where}.{unknown[0]}: not a key of a {kind!r} run")
+    if unknown and owner is not None:
+        raise ConfigError(f"{where}.{unknown[0]}: not a key of {owner}")
     if unknown:
         raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
 
@@ -245,11 +244,13 @@ _SUBROUTINES = {
 # KRR kernel shape -> the keys its section may set besides "shape"
 _RKHS_KEYS = {KernelShape.RBF: ("lengthscale",), KernelShape.LINEAR: (),
               KernelShape.POLYNOMIAL: ("degree", "offset")}
-_FAMILIES = {"offset": offset, "scale": scale, "non_transfer": non_transfer,
-             "loglinear": loglinear}
-# estimator mode -> {key it reads besides the family's parameters: JSON type}
-_ESTIMATOR_KEYS = {EstimatorMode.DIRECT_INVERSE: {"assume_noiseless": bool},
-                   EstimatorMode.CALIBRATED: {"sigma2": float}}
+# transformation family -> (factory, {key its section may set: default});
+# sigma2 goes to the loglinear estimator, every other key to the factory
+_FAMILIES = {"offset": (offset, {"alpha": _REQUIRED, "aux_bound_B": math.inf}),
+             "scale": (scale, {"alpha": _REQUIRED, "aux_bound_B": math.inf}),
+             "non_transfer": (non_transfer, {}),
+             "loglinear": (loglinear, {"beta": _REQUIRED, "sigma2": _REQUIRED,
+                                       "aux_bound_B": math.inf})}
 
 
 def _parse_kernel(method: str, raw: dict, where: str):
@@ -301,22 +302,13 @@ def parse_transformation(raw: dict, where: str) -> AuxiliaryEstimator:
     family = _read(raw, "family", f"{where}.family", str)
     if family not in _FAMILIES:
         raise ConfigError(f"{where}.family: unknown family {family!r}")
-    with _section(f"{where}.estimator_mode"):
-        mode = EstimatorMode(_read(raw, "estimator_mode", f"{where}.estimator_mode",
-                                   str, "direct_inverse"))
-    for other, keys in _ESTIMATOR_KEYS.items():
-        for key in keys:
-            if key in raw and other is not mode:
-                raise ConfigError(f"{where}.{key}: read only by the {other.value} "
-                                  f"estimator_mode, not {mode.value}")
-    reads = _ESTIMATOR_KEYS[mode]
-    params = {k: _read(raw, k, f"{where}.{k}", float) for k in raw
-              if k not in ("family", "estimator_mode", *reads)}
+    make, keys = _FAMILIES[family]
+    _check_keys(raw, ("family", *keys), where, f"the {family!r} family")
+    params = {k: _read(raw, k, f"{where}.{k}", float, default)
+              for k, default in keys.items()}
+    sigma2 = params.pop("sigma2", None)
     with _section(where):
-        return AuxiliaryEstimator(
-            _FAMILIES[family](**params), mode=mode,
-            **{k: _read(raw, k, f"{where}.{k}", kind) for k, kind in reads.items()
-               if k in raw})
+        return AuxiliaryEstimator(make(**params), sigma2)
 
 
 def _synthetic_spec(kind: str, data: dict) -> SyntheticSpec | None:
@@ -394,12 +386,13 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         )
     # a selection run is its family alone; the other kinds take no family
     selection = kind == "selection"
+    run = f"a {kind!r} run"
     _check_keys(raw, _TOP_KEYS + (("selection_family",) if selection
-                                  else ("transformations",)), "config", kind)
+                                  else ("transformations",)), "config", run)
     data = dict(_read(raw, "data", "config.data", dict))
-    _check_keys(data, _DATA_KEYS[kind], "config.data", kind)
+    _check_keys(data, _DATA_KEYS[kind], "config.data", run)
     sizes = _read(raw, "sizes", "config.sizes", dict, {})
-    _check_keys(sizes, _SIZE_KEYS[kind], "config.sizes", kind)
+    _check_keys(sizes, _SIZE_KEYS[kind], "config.sizes", run)
     every_row = kind == "csv_transfer"  # its n_so, 0 or unset: every source row
     size = {key: _read(sizes, key, f"config.sizes.{key}", int, 0 if every_row
                        else 1000 if key == "n_test" else _REQUIRED)
@@ -419,7 +412,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         raise ConfigError(f"{ta_key} must be positive, got {n_ta_values}")
     methods = _read(raw, "methods", "config.methods", dict)
     _check_keys(methods, ("source", "target") + (() if selection else ("baselines",)),
-                "config.methods", kind)
+                "config.methods", run)
     source_method, target_method = (
         parse_method(_read(methods, stage, f"config.methods.{stage}", dict),
                      f"config.methods.{stage}") for stage in ("source", "target"))
@@ -441,6 +434,9 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         transformations += (parse_transformation(t, where),)
         _distinct([f"htl_{est.transformation.label}" for est in transformations],
                   "method", where)
+    if not (selection or baselines or transformations):
+        raise ConfigError("config.methods.baselines: a run needs at least one "
+                          "method, got no baselines and no transformations")
     selection_family = None
     if selection:
         family = _numbers(_read(raw, "selection_family", "config.selection_family",

@@ -230,7 +230,8 @@ def select_transformation(
 
     Every candidate shares the prefit source stage ``f_so_hat`` (it does not
     depend on G), and its predictions on the target and validation rows,
-    and relabels through its direct inverse. Ties go to the candidate
+    and relabels through its plain inverse, so a loglinear candidate, whose
+    estimator needs sigma2, is rejected. Ties go to the candidate
     closest to non-transfer (smallest |alpha|), then to the lowest index.
     """
     if validation.domain_tag is not DomainTag.VALIDATION:

@@ -70,10 +70,6 @@ class SmoothingKernel(Enum):
         """True when K vanishes beyond u = 1."""
         return self is not SmoothingKernel.GAUSSIAN
 
-    def profile(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return self.profile_sq(u * u)
-
     def profile_sq(self, s) -> np.ndarray:
         """K as a function of the squared scaled distance s = u^2.
 

@@ -15,12 +15,14 @@ Families provided:
     loglinear(beta):  G(a, b) = beta * a * ln(b), b > 0
 
 Noisy target labels enter through an estimator H(a, y) whose mean over the
-label noise is w(x). For families linear in b (offset, scale, non_transfer)
-the plain inverse H(a, y) = G^{-1}_a(y) is unbiased. For loglinear with
-Gaussian noise a calibrated estimator exp(y / (beta * a) + sigma2 * a^2) is
-used. Note the calibration's correction term is sigma2 * a^2 by design;
-this differs from the standard lognormal mean correction
-sigma2 / (2 * (beta * a)^2) and is kept as-is deliberately.
+label noise is w(x), and the family picks H. For the families linear in b
+(offset, scale, non_transfer) the plain inverse H(a, y) = G^{-1}_a(y) is
+unbiased. loglinear with Gaussian noise of variance sigma2 uses the
+calibrated estimator exp(y / (beta * a) + sigma2 * a^2), so it requires
+sigma2; at sigma2 = 0 (noiseless labels) it is the plain inverse. Note the
+calibration's correction term is sigma2 * a^2 by design; this differs from
+the standard lognormal mean correction sigma2 / (2 * (beta * a)^2) and is
+kept as-is deliberately.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ class SingularityError(ValueError):
     """The inverse of G(a, .) is undefined at the given source value."""
 
 
-class EstimatorConfigError(ValueError):
-    """Estimator mode inadmissible for the transformation family."""
-
-
 class InsufficientReplicatesError(ValueError):
     """Variance estimation needs at least one point with >= 2 replicates."""
 
@@ -53,23 +51,17 @@ class Family(Enum):
 
 @dataclass(frozen=True)
 class TransformationFunction:
-    """One member of a transformation family, with regularity metadata.
-
-    ``lipschitz_L`` bounds both the joint Lipschitz constant of G on the
-    admissible box and the sensitivity of the label estimator H to its
-    first argument; ``aux_bound_B`` bounds |w| and is the clamp applied to
-    constructed auxiliary labels (math.inf disables clamping).
+    """One member of a transformation family. ``aux_bound_B`` bounds |w|
+    and is the clamp applied to constructed auxiliary labels (math.inf
+    disables clamping).
     """
 
     family: Family
     alpha: float = 0.0
     beta: float = 1.0
-    lipschitz_L: float = 1.0
     aux_bound_B: float = math.inf
 
     def __post_init__(self):
-        if not self.lipschitz_L > 0:
-            raise ValueError("lipschitz_L must be positive")
         if not self.aux_bound_B > 0:
             raise ValueError("aux_bound_B must be positive")
         if self.family is Family.LOGLINEAR and self.beta == 0:
@@ -94,40 +86,27 @@ class TransformationFunction:
             return abs(self.beta)
         return abs(self.alpha)
 
-    def linear_in_b(self) -> bool:
-        return self.family is not Family.LOGLINEAR
+
+def offset(alpha: float, aux_bound_B: float = math.inf) -> TransformationFunction:
+    """G(a, b) = alpha * a + b."""
+    return TransformationFunction(Family.OFFSET, alpha=alpha, aux_bound_B=aux_bound_B)
 
 
-def offset(alpha: float, lipschitz_L: float | None = None,
-           aux_bound_B: float = math.inf) -> TransformationFunction:
-    """G(a, b) = alpha * a + b. Default L = hypot(alpha, 1) covers both the
-    joint gradient of G and the |alpha| sensitivity of H."""
-    L = math.hypot(alpha, 1.0) if lipschitz_L is None else lipschitz_L
-    return TransformationFunction(Family.OFFSET, alpha=alpha,
-                                  lipschitz_L=L, aux_bound_B=aux_bound_B)
-
-
-def scale(alpha: float, lipschitz_L: float | None = None,
-          aux_bound_B: float = math.inf) -> TransformationFunction:
+def scale(alpha: float, aux_bound_B: float = math.inf) -> TransformationFunction:
     """G(a, b) = (a + alpha) * b; sensible only where |a + alpha| stays
     clear of 0. The inverse errors only at exactly 0 and relies on
     ``aux_bound_B`` to clamp near-singular rows."""
-    L = 1.0 if lipschitz_L is None else lipschitz_L
-    return TransformationFunction(Family.SCALE, alpha=alpha,
-                                  lipschitz_L=L, aux_bound_B=aux_bound_B)
+    return TransformationFunction(Family.SCALE, alpha=alpha, aux_bound_B=aux_bound_B)
 
 
 def non_transfer() -> TransformationFunction:
     """G(a, b) = b: plain regression on the target sample."""
-    return TransformationFunction(Family.NON_TRANSFER, lipschitz_L=1.0)
+    return TransformationFunction(Family.NON_TRANSFER)
 
 
-def loglinear(beta: float, lipschitz_L: float = 1.0,
-              aux_bound_B: float = math.inf) -> TransformationFunction:
+def loglinear(beta: float, aux_bound_B: float = math.inf) -> TransformationFunction:
     """G(a, b) = beta * a * ln(b), defined for b > 0."""
-    return TransformationFunction(Family.LOGLINEAR, beta=beta,
-                                  lipschitz_L=lipschitz_L,
-                                  aux_bound_B=aux_bound_B)
+    return TransformationFunction(Family.LOGLINEAR, beta=beta, aux_bound_B=aux_bound_B)
 
 
 def eval_G(tf: TransformationFunction, a, b):
@@ -190,47 +169,33 @@ def auxiliary_truth(tf: TransformationFunction, f_so, f_ta, x) -> np.ndarray:
     return inverse_G(tf, np.asarray(f_so(X)), np.asarray(f_ta(X)))
 
 
-class EstimatorMode(Enum):
-    DIRECT_INVERSE = "direct_inverse"
-    CALIBRATED = "calibrated"
-
-
 @dataclass(frozen=True)
 class AuxiliaryEstimator:
     """Maps (source prediction, noisy target label) to an auxiliary label.
 
-    direct_inverse applies G^{-1}_a(y) and is unbiased exactly when G is
-    linear in b (or labels are noiseless, which ``assume_noiseless``
-    declares). calibrated is the bias-adjusted loglinear estimator and
-    requires the noise variance sigma2.
+    The plain inverse G^{-1}_a(y) serves the families linear in b, which
+    take no ``sigma2``. loglinear requires the label noise variance
+    ``sigma2`` for its calibrated estimator; 0 declares noiseless labels.
     """
 
     transformation: TransformationFunction
-    mode: EstimatorMode = EstimatorMode.DIRECT_INVERSE
-    sigma2: float = 0.0
-    assume_noiseless: bool = False
+    sigma2: float | None = None
 
     def __post_init__(self):
-        if not self.sigma2 >= 0:
-            raise ValueError("sigma2 must be >= 0")
         tf = self.transformation
-        if self.mode is EstimatorMode.DIRECT_INVERSE:
-            if not tf.linear_in_b() and not self.assume_noiseless:
-                raise EstimatorConfigError(
-                    f"direct_inverse is biased for {tf.label}; use the "
-                    "calibrated mode or declare the labels noiseless"
-                )
-        else:
-            if tf.family is not Family.LOGLINEAR:
-                raise EstimatorConfigError(
-                    f"calibrated mode is only defined for loglinear, got {tf.label}"
-                )
+        if (tf.family is Family.LOGLINEAR) != (self.sigma2 is not None):
+            raise ValueError(f"sigma2 is required by loglinear and read by no "
+                             f"other family, got {self.sigma2} for {tf.label}")
+        if self.sigma2 is not None and not self.sigma2 >= 0:
+            raise ValueError("sigma2 must be >= 0")
 
 
 def apply_H(est: AuxiliaryEstimator, a_hat, y):
-    """Auxiliary label H(a_hat, y); vectorized over aligned arrays."""
+    """Auxiliary label H(a_hat, y); vectorized over aligned arrays. The plain
+    inverse unless loglinear's sigma2 > 0: at sigma2 = 0 the calibration's
+    0 * a^2 term would be NaN once a^2 overflows."""
     tf = est.transformation
-    if est.mode is EstimatorMode.DIRECT_INVERSE:
+    if not est.sigma2:
         return inverse_G(tf, a_hat, y)
     a_hat = np.asarray(a_hat, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -289,10 +254,7 @@ class QuantizedFamily:
         if self.K < 1:
             raise ValueError("K must be >= 1")
         eps = self.L_alpha / (2 * self.K)
-        members = tuple(
-            offset(k * eps, lipschitz_L=math.hypot(k * eps, 1.0))
-            for k in range(-self.K, self.K + 1)
-        )
+        members = tuple(offset(k * eps) for k in range(-self.K, self.K + 1))
         object.__setattr__(self, "members", members)
 
     @property

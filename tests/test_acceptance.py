@@ -32,7 +32,6 @@ from htlreg.ridge import (
 from htlreg.smoothing import KSPredictor, SmoothingKernel
 from htlreg.transform import (
     AuxiliaryEstimator,
-    EstimatorMode,
     QuantizedFamily,
     apply_H,
     estimate_sigma2,
@@ -368,8 +367,7 @@ def test_criterion_09_calibration_formula_fidelity():
         sigma2 = float(rng.uniform(0.0, 0.2))
         a = float(rng.uniform(0.3, 1.5)) * float(rng.choice([-1.0, 1.0]))
         y = float(rng.uniform(-1.0, 1.0))
-        est = AuxiliaryEstimator(loglinear(beta), EstimatorMode.CALIBRATED,
-                                 sigma2=sigma2)
+        est = AuxiliaryEstimator(loglinear(beta), sigma2=sigma2)
         got = apply_H(est, a, y)
         oracle = math.exp(y / (beta * a) + sigma2 * a * a)
         max_rel = max(max_rel, abs(got - oracle) / abs(oracle))

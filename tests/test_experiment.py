@@ -33,6 +33,7 @@ from htlreg.ridge import (
     rbf_kernel,
 )
 from htlreg.smoothing import KSPredictor, SmoothingKernel
+from htlreg.transform import AuxiliaryEstimator, loglinear, non_transfer, offset, scale
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -144,6 +145,23 @@ class TestConfigParsing:
             (40,), 5, (1,))
         assert all(type(n) is int for n in parsed.n_ta_sizes)
 
+    def test_each_family_reads_its_own_keys(self):
+        cfg = base_config(transformations=[
+            {"family": "offset", "alpha": 1.0},
+            {"family": "scale", "alpha": 0.5, "aux_bound_B": 25},
+            {"family": "non_transfer"},
+            {"family": "loglinear", "beta": 2.0, "sigma2": 0},
+            {"family": "loglinear", "beta": -1.0, "sigma2": 0.01,
+             "aux_bound_B": 3.0},
+        ])
+        assert parse_config(cfg).transformations == (
+            AuxiliaryEstimator(offset(1.0)),
+            AuxiliaryEstimator(scale(0.5, aux_bound_B=25.0)),
+            AuxiliaryEstimator(non_transfer()),
+            AuxiliaryEstimator(loglinear(2.0), sigma2=0.0),
+            AuxiliaryEstimator(loglinear(-1.0, aux_bound_B=3.0), sigma2=0.01),
+        )
+
     def test_one_candidate_grid_needs_no_folds(self):
         cfg = base_config()
         cfg["sizes"]["n_ta"] = 5
@@ -206,12 +224,13 @@ class TestConfigParsing:
         (lambda c: c.update(seeds=[0, -1]), [], "seeds"),
         (lambda c: None, ["--seeds", "-1"], "--seeds"),
         (lambda c: c.update(transformations=[{"family": "loglinear", "beta": 1.0}]),
-         [], "transformations[0]"),
+         [], "missing required key config.transformations[0].sigma2"),
         (lambda c: c["transformations"][0].update(estimator_mode="calibrated"),
-         [], "transformations[0]"),
+         [], "config.transformations[0].estimator_mode: not a key of the "
+         "'offset' family"),
         (lambda c: c.update(transformations=[{
-            "family": "loglinear", "beta": 1.0, "estimator_mode": "calibrated",
-            "sigma2": -1}]), [], "sigma2"),
+            "family": "loglinear", "beta": 1.0, "sigma2": -1}]), [],
+         "config.transformations[0]: sigma2 must be >= 0"),
         (lambda c: _target(c, {"method": "ks", "bandwidth_rule": {"alpha": 2.0}}),
          [], "bandwidth_rule"),
         (lambda c: _target(c, {"method": "krr", "lambda_rule": {"p": 1.5}}),
@@ -219,7 +238,7 @@ class TestConfigParsing:
         (lambda c: c["transformations"][0].update(aux_bound_B=0), [],
          "aux_bound_B"),
         (lambda c: c["transformations"][0].update(lipschitz_L=-1), [],
-         "lipschitz_L"),
+         "config.transformations[0].lipschitz_L: not a key of the 'offset' family"),
         (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": {
             "shape": "rbf", "lengthscale": -1}}), [], "lengthscale"),
         (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": {
@@ -295,12 +314,11 @@ class TestConfigParsing:
         (lambda c: c["methods"]["source"].update(bandwidth="0.02"), [],
          "config.methods.source.bandwidth: expected a number, got '0.02'"),
         (lambda c: c.update(transformations=[{
-            "family": "loglinear", "beta": 1.0, "estimator_mode": "calibrated",
-            "sigma2": "0.01"}]), [],
+            "family": "loglinear", "beta": 1.0, "sigma2": "0.01"}]), [],
          "config.transformations[0].sigma2: expected a number, got '0.01'"),
-        (lambda c: c["transformations"][0].update(assume_noiseless="false"), [],
-         "config.transformations[0].assume_noiseless: expected true or false, "
-         "got 'false'"),
+        (lambda c: c["transformations"][0].update(assume_noiseless=False), [],
+         "config.transformations[0].assume_noiseless: not a key of the "
+         "'offset' family"),
         (lambda c: _target(c, {"method": "ks", "bandwidth_rule": {"alpha": "1"}}),
          [], "config.methods.target.bandwidth_rule.alpha: expected a number, "
          "got '1'"),
@@ -360,11 +378,14 @@ class TestConfigParsing:
                           n_ta=10), c["sizes"].update(n_so=-5)), [],
          "config.sizes.n_so: expected a row count, or 0 for every source row, "
          "got -5"),
-        (lambda c: c["transformations"][0].update(estimator_mode=5), [],
-         "config.transformations[0].estimator_mode: expected a string, got 5"),
-        (lambda c: c["transformations"][0].update(estimator_mode="inverse"), [],
-         "config.transformations[0].estimator_mode: 'inverse' is not a valid "
-         "EstimatorMode"),
+        (lambda c: c["transformations"][0].update(estimator_mode="direct_inverse"),
+         [], "config.transformations[0].estimator_mode: not a key of the "
+         "'offset' family"),
+        (lambda c: c.update(transformations=[{
+            "family": "loglinear", "beta": 1.0, "sigma2": 0.01,
+            "estimator_mode": "calibrated"}]), [],
+         "config.transformations[0].estimator_mode: not a key of the "
+         "'loglinear' family"),
         (lambda c: (_kind(c, "rate_sweep", n_ta_grid=[25, 50, 100]),
                     c["sizes"].update(n_test=100)), [],
          "config.sizes.n_test: not a key of a 'rate_sweep' run"),
@@ -396,13 +417,36 @@ class TestConfigParsing:
          "config.transformations[1]: method htl_offset(alpha=1) appears more "
          "than once"),
         (lambda c: c["transformations"][0].update(sigma2=0.5), [],
-         "config.transformations[0].sigma2: read only by the calibrated "
-         "estimator_mode"),
+         "config.transformations[0].sigma2: not a key of the 'offset' family"),
         (lambda c: c.update(transformations=[{
-            "family": "loglinear", "beta": 1.0, "estimator_mode": "calibrated",
+            "family": "loglinear", "beta": 1.0, "sigma2": 0.0,
             "assume_noiseless": True}]), [],
-         "config.transformations[0].assume_noiseless: read only by the "
-         "direct_inverse estimator_mode"),
+         "config.transformations[0].assume_noiseless: not a key of the "
+         "'loglinear' family"),
+        (lambda c: c["transformations"].append(
+            {"family": "scale", "alpha": 0.0, "sigma2": 0.0}), [],
+         "config.transformations[1].sigma2: not a key of the 'scale' family"),
+        (lambda c: c["transformations"].append(
+            {"family": "non_transfer", "sigma2": 0.01}), [],
+         "config.transformations[1].sigma2: not a key of the 'non_transfer' family"),
+        (lambda c: c["transformations"].append(
+            {"family": "non_transfer", "alpha": 1.0}), [],
+         "config.transformations[1].alpha: not a key of the 'non_transfer' family"),
+        (lambda c: c.update(transformations=[{
+            "family": "scale", "alpha": 0.0, "lipschitz_L": 1.0}]), [],
+         "config.transformations[0].lipschitz_L: not a key of the 'scale' family"),
+        (lambda c: c.update(transformations=[{
+            "family": "loglinear", "beta": 1.0, "sigma2": 0.01,
+            "lipschitz_L": 1.0}]), [],
+         "config.transformations[0].lipschitz_L: not a key of the "
+         "'loglinear' family"),
+        (lambda c: c.update(transformations=[{"family": "offset"}]), [],
+         "missing required key config.transformations[0].alpha"),
+        (lambda c: (c["methods"].update(baselines=[]), c.update(transformations=[])),
+         [], "config.methods.baselines: a run needs at least one method"),
+        (lambda c: (_kind(c, "rate_sweep", n_ta_grid=[25, 50, 100]),
+                    c["methods"].update(baselines=[]), c.pop("transformations")),
+         [], "config.methods.baselines: a run needs at least one method"),
     ])
     def test_invalid_config_fails_at_parse_time_naming_the_key(
         self, tmp_path, capsys, edit, argv, key
@@ -948,6 +992,22 @@ class TestCli:
         assert code == 0
         ds = load_csv(out, "y")
         assert ds.n == 30 and ds.dim == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "0"), ("--n", "-3"), ("--noise", "-1"), ("--noise", "nan"),
+        ("--noise", "inf"),
+    ])
+    def test_synth_rejects_a_bad_size_or_noise_naming_the_flag(
+        self, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "sub" / "d.csv"
+        args = {"--n": "30", "--noise": "0.01", flag: value}
+        code = cli_main(["synth", "--dataset", "doppler_offset",
+                         *(item for pair in args.items() for item in pair),
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
+        assert not (tmp_path / "sub").exists()
 
     def test_run_verb(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -27,7 +27,6 @@ from htlreg.ridge import (
 from htlreg.smoothing import KSPredictor, SmoothingKernel
 from htlreg.transform import (
     AuxiliaryEstimator,
-    EstimatorMode,
     QuantizedFamily,
     SingularityError,
     eval_G,
@@ -111,16 +110,15 @@ class TestConstructAuxiliary:
     def test_overflowing_label_names_row(self):
         # exp(y / (beta * a_hat)) = exp(5e6) overflows to inf
         target = target_data([0.1, 0.2, 0.3], [0.0, 5.0, 6.0])
-        est = AuxiliaryEstimator(loglinear(1.0), assume_noiseless=True)
+        est = AuxiliaryEstimator(loglinear(1.0), sigma2=0.0)
         with pytest.raises(ValueError, match=r"row 1: .*a_hat = 1e-06, y = 5"):
             with np.errstate(over="ignore"):
                 construct_auxiliary(target, Constant(1e-6), est)
 
-    @pytest.mark.parametrize("mode", list(EstimatorMode))
-    def test_overflowing_label_raises_without_warning(self, mode):
+    @pytest.mark.parametrize("sigma2", [0.0, 0.01])
+    def test_overflowing_label_raises_without_warning(self, sigma2):
         target = target_data([0.1, 0.2, 0.3], [0.0, 5.0, 6.0])
-        est = AuxiliaryEstimator(loglinear(1.0), mode=mode, sigma2=0.01,
-                                 assume_noiseless=True)
+        est = AuxiliaryEstimator(loglinear(1.0), sigma2=sigma2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"row 1: .*a_hat = 1e-06, y = 5"):
@@ -162,18 +160,16 @@ class TestSubroutineSpecs:
         (lambda v: RKHSKernel(KernelShape.RBF, lengthscale=v), True),
         (lambda v: RKHSKernel(KernelShape.POLYNOMIAL, lengthscale=None,
                               offset=v), True),
-        (lambda v: offset(1.0, lipschitz_L=v), True),
         (lambda v: offset(1.0, aux_bound_B=v), True),
         (lambda v: SyntheticSpec(lambda X: X[:, 0], lambda X: X[:, 0],
                                  noise_variance_source=v), True),
         (lambda v: SyntheticSpec(lambda X: X[:, 0], lambda X: X[:, 0],
                                  noise_variance_target=v), True),
-        (lambda v: AuxiliaryEstimator(offset(1.0), sigma2=v), True),
+        (lambda v: AuxiliaryEstimator(loglinear(1.0), sigma2=v), True),
         # an infinite grid step L_alpha / (2K) made the alpha = 0 member NaN
         (lambda v: QuantizedFamily(L_alpha=v, K=2), False),
-    ], ids=["ks_bandwidth", "rbf_lengthscale", "polynomial_offset", "lipschitz_L",
-            "aux_bound_B", "noise_variance_source", "noise_variance_target",
-            "sigma2", "L_alpha"])
+    ], ids=["ks_bandwidth", "rbf_lengthscale", "polynomial_offset", "aux_bound_B",
+            "noise_variance_source", "noise_variance_target", "sigma2", "L_alpha"])
     def test_nan_parameter_rejected(self, build, inf_valid):
         if inf_valid:
             build(math.inf)
@@ -493,6 +489,6 @@ class TestErrorPropagation:
                              - spec.source_fn(grid)).max()
             df_train = np.abs(p_hat.f_so_hat.predict(target.features)
                               - spec.source_fn(target.features)).max()
-            L = tf.lipschitz_L
+            L = math.hypot(tf.alpha, 1.0)  # bounds dG and the |alpha| of dH/da
             bound = L * df_grid + L * L * df_train
             assert abs(rms_hat - rms_true) <= 2 * bound

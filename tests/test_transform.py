@@ -6,8 +6,6 @@ import pytest
 from htlreg.data import doppler_fn
 from htlreg.transform import (
     AuxiliaryEstimator,
-    EstimatorConfigError,
-    EstimatorMode,
     InsufficientReplicatesError,
     QuantizedFamily,
     SingularityError,
@@ -104,27 +102,36 @@ class TestApplyH:
         assert apply_H(est, 1.0, 3.0) == 2.0
 
     def test_calibrated_zero_variance_equals_direct(self):
-        est = AuxiliaryEstimator(loglinear(1.0), EstimatorMode.CALIBRATED,
-                                 sigma2=0.0)
+        est = AuxiliaryEstimator(loglinear(1.0), sigma2=0.0)
         assert apply_H(est, 1.0, 0.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("beta", [1.5, -0.5])
+    def test_zero_variance_is_the_inverse_bit_for_bit(self, beta):
+        # signed |a| from 1e-300 to 1e300: past |a| = 1.3e154, a^2 overflows
+        # and a 0 * a^2 correction term would be NaN
+        magnitudes = np.logspace(-300, 300, 601)
+        a = np.concatenate([magnitudes, -magnitudes])
+        assert np.any(np.abs(a) > 1e154)
+        y = np.resize([-2.0, -0.3, 0.0, 0.7, 3.0], a.size)
+        tf = loglinear(beta)
+        got = apply_H(AuxiliaryEstimator(tf, sigma2=0.0), a, y)
+        want = inverse_G(tf, a, y)
+        assert not np.any(np.isnan(got))
+        assert got.tobytes() == want.tobytes()
 
     def test_calibrated_bias_correction(self):
-        est = AuxiliaryEstimator(loglinear(1.0), EstimatorMode.CALIBRATED,
-                                 sigma2=0.04)
+        est = AuxiliaryEstimator(loglinear(1.0), sigma2=0.04)
         assert apply_H(est, 1.0, 0.0) == pytest.approx(math.exp(0.04), rel=1e-14)
 
-    def test_direct_loglinear_inadmissible_with_noise(self):
-        with pytest.raises(EstimatorConfigError, match="biased"):
-            AuxiliaryEstimator(loglinear(1.0), EstimatorMode.DIRECT_INVERSE)
+    def test_loglinear_requires_sigma2(self):
+        with pytest.raises(ValueError, match="sigma2 is required by loglinear"):
+            AuxiliaryEstimator(loglinear(1.0))
 
-    def test_direct_loglinear_admitted_when_noiseless(self):
-        est = AuxiliaryEstimator(loglinear(1.0), EstimatorMode.DIRECT_INVERSE,
-                                 assume_noiseless=True)
-        assert apply_H(est, 1.0, 0.0) == pytest.approx(1.0)
-
-    def test_calibrated_requires_loglinear(self):
-        with pytest.raises(EstimatorConfigError, match="loglinear"):
-            AuxiliaryEstimator(offset(1.0), EstimatorMode.CALIBRATED)
+    @pytest.mark.parametrize("tf", [offset(1.0), scale(0.0), non_transfer()],
+                             ids=lambda tf: tf.family.value)
+    def test_sigma2_only_for_loglinear(self, tf):
+        with pytest.raises(ValueError, match="read by no other family"):
+            AuxiliaryEstimator(tf, sigma2=0.0)
 
     def test_unbiasedness_monte_carlo(self):
         # E[H(f_so(x), f_ta(x) + eps)] = w(x) for families linear in b
@@ -148,12 +155,11 @@ class TestApplyH:
         y_bound = 2.0
         cases = [
             # offset: dH/da = -alpha
-            (offset(2.0, lipschitz_L=2.0), lambda: rng.uniform(-1, 1)),
+            (offset(2.0), 2.0, lambda: rng.uniform(-1, 1)),
             # scale with |a + alpha| >= 0.1: |dH/da| <= y_bound / 0.1^2
-            (scale(0.0, lipschitz_L=y_bound / 0.01),
-             lambda: rng.uniform(0.1, 1.0)),
+            (scale(0.0), y_bound / 0.01, lambda: rng.uniform(0.1, 1.0)),
         ]
-        for tf, draw_a in cases:
+        for tf, L, draw_a in cases:
             est = AuxiliaryEstimator(tf)
             for _ in range(500):
                 a1, a2 = draw_a(), draw_a()
@@ -161,7 +167,7 @@ class TestApplyH:
                     continue
                 y = rng.uniform(-y_bound, y_bound)
                 ratio = abs(apply_H(est, a1, y) - apply_H(est, a2, y)) / abs(a1 - a2)
-                assert ratio <= tf.lipschitz_L * (1 + 1e-9)
+                assert ratio <= L * (1 + 1e-9)
 
 
 class TestEstimateSigma2:
@@ -205,7 +211,7 @@ class TestQuantizedFamily:
 
 
 def test_transformation_metadata_validation():
-    with pytest.raises(ValueError):
-        offset(1.0, lipschitz_L=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="aux_bound_B"):
+        offset(1.0, aux_bound_B=0.0)
+    with pytest.raises(ValueError, match="beta != 0"):
         loglinear(0.0)
