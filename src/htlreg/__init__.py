@@ -64,14 +64,13 @@ from .ridge import (
     StabilityUndefinedError,
     gram,
     krr_fit,
-    krr_lambda_rule,
     krr_stability_coeffs,
     linear_kernel,
     median_heuristic,
     polynomial_kernel,
     rbf_kernel,
 )
-from .smoothing import KSPredictor, SmoothingKernel, ks_bandwidth_rule
+from .smoothing import KSPredictor, SmoothingKernel
 from .transform import (
     AuxiliaryEstimator,
     Family,

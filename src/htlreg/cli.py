@@ -94,9 +94,14 @@ def _cmd_synth(args) -> int:
     if not 0 <= args.noise < math.inf:
         raise ConfigError(f"--noise: expected a finite nonnegative variance, "
                           f"got {args.noise}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed: expected a nonnegative integer, got {args.seed}")
+    out = Path(args.out)
+    if out.is_dir():
+        raise ConfigError(f"--out: {out} is a directory, expected a file path")
+    _check_output_dir(out.parent, "--out")
     spec = _SYNTH_SPECS[args.dataset](args.noise)
     data = generate_synthetic(spec, args.n, DomainTag(args.domain), args.seed)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(data, out)
     print(f"wrote {data.n} x {data.dim} {args.domain} rows to {out}")

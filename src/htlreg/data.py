@@ -241,11 +241,11 @@ def generate_synthetic(
     return Dataset(features=X, labels=labels, domain_tag=domain_tag)
 
 
-def load_csv(path, label_column) -> Dataset:
+def load_csv(path, label_column: str) -> Dataset:
     """Load a numeric CSV (one header line, comma-delimited) as a Dataset.
 
-    ``label_column`` selects the label by header name or 0-based index; the
-    remaining columns become features in file order. Raises
+    ``label_column`` names the label's header; the remaining columns become
+    features in file order. Blank rows are skipped. Raises
     FileNotFoundError for a missing file and CsvError (naming the offending
     row/column) for structural problems.
     """
@@ -259,19 +259,11 @@ def load_csv(path, label_column) -> Dataset:
         except StopIteration:
             raise CsvError(f"{path}: empty file, expected a header row")
         header = [h.strip() for h in header]
-        if isinstance(label_column, int):
-            if not 0 <= label_column < len(header):
-                raise CsvError(
-                    f"{path}: label column index {label_column} out of range "
-                    f"for {len(header)} columns"
-                )
-            label_idx = label_column
-        else:
-            if label_column not in header:
-                raise CsvError(
-                    f"{path}: label column {label_column!r} not in header {header}"
-                )
-            label_idx = header.index(label_column)
+        if label_column not in header:
+            raise CsvError(
+                f"{path}: label column {label_column!r} not in header {header}"
+            )
+        label_idx = header.index(label_column)
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:

@@ -94,8 +94,6 @@ class MethodConfig:
     cv_folds: int = 10
 
     def __post_init__(self):
-        if not self.candidates:
-            raise ValueError("a stage needs at least one candidate")
         if self.cv_folds < 2:
             raise ValueError(f"cv_folds must be at least 2, got {self.cv_folds}")
 
@@ -256,14 +254,10 @@ _FAMILIES = {"offset": (offset, {"alpha": _REQUIRED, "aux_bound_B": math.inf}),
 def _parse_kernel(method: str, raw: dict, where: str):
     if method == "ks":
         return SmoothingKernel(raw.get("kernel", "truncated_gaussian"))
-    section = raw.get("kernel", "rbf")
-    params = ({"shape": section} if isinstance(section, str)
-              else dict(_read(raw, "kernel", where, dict)))
+    params = dict(_read(raw, "kernel", where, dict, {}))
     shape = KernelShape(params.pop("shape", "rbf"))
-    if params.get("lengthscale", 1.0) is None:  # null: the median heuristic
-        del params["lengthscale"]
-    return RKHSKernel(shape, **{"lengthscale": None, **_numbers(
-        params, _RKHS_KEYS[shape], where, integers=("degree",))})
+    return RKHSKernel(shape, **_numbers(params, _RKHS_KEYS[shape], where,
+                                        integers=("degree",)))
 
 
 def parse_method(raw: dict, where: str) -> MethodConfig:
@@ -292,6 +286,8 @@ def parse_method(raw: dict, where: str) -> MethodConfig:
             values = (_items(_read(raw, key, f"{where}.{key}", list),
                              f"{where}.{key}", float)
                       if key == grid_key else [_read(raw, key, f"{where}.{key}", float)])
+            if not values:
+                raise ConfigError(f"{where}.{key}: expected at least one value")
             candidates = tuple(spec_type(kernel, **{field_name: v}) for v in values)
     with _section(where):
         return MethodConfig(candidates,
@@ -325,18 +321,26 @@ def _synthetic_spec(kind: str, data: dict) -> SyntheticSpec | None:
     return None
 
 
+def _size(n: int, where: str) -> int:
+    """A sample size ``n``, which must be positive."""
+    if n < 1:
+        raise ConfigError(f"{where}: expected a positive sample size, got {n}")
+    return n
+
+
 def _target_sizes(kind: str, data: dict, n_ta: int | None) -> tuple[str, list[int]]:
     """The key that sets a run's target sample sizes, and the sizes, which
-    must be distinct."""
-    if kind == "rate_sweep":
-        key = "config.data.n_ta_grid"
-        sizes = _items(_read(data, "n_ta_grid", key, list, []), key, int)
-    elif kind == "csv_transfer":
-        key = "config.data.n_ta"
-        sizes = (_items(data["n_ta"], key, int) if isinstance(data.get("n_ta"), list)
-                 else [_read(data, "n_ta", key, int)])
-    else:
+    must be distinct: a rate sweep's list of at least 3 in ``n_ta_grid``, a
+    CSV run's list in ``n_ta``, and any other kind's one ``sizes.n_ta``."""
+    if kind not in ("rate_sweep", "csv_transfer"):
         return "config.sizes.n_ta", [n_ta]
+    name = "n_ta_grid" if kind == "rate_sweep" else "n_ta"
+    key = f"config.data.{name}"
+    values = _read(data, name, key, list)
+    sizes = [_size(n, f"{key}[{i}]") for i, n in enumerate(_items(values, key, int))]
+    least = 3 if kind == "rate_sweep" else 1
+    if len(sizes) < least:
+        raise ConfigError(f"{key}: expected {least} or more sizes, got {values!r}")
     _distinct(sizes, "size", key)
     return key, sizes
 
@@ -344,10 +348,7 @@ def _target_sizes(kind: str, data: dict, n_ta: int | None) -> tuple[str, list[in
 def _load_csvs(data: dict, base_dir: Path | None) -> tuple[Dataset, Dataset]:
     """The (source, target) samples of a CSV run's data section, whose
     relative paths it resolves against ``base_dir`` in place."""
-    label = data.get("label_column", "y")
-    if isinstance(label, bool) or not isinstance(label, (str, int)):
-        raise ConfigError(f"config.data.label_column: expected a column name "
-                          f"or index, got {label!r}")
+    label = _read(data, "label_column", "config.data.label_column", str, "y")
     samples = []
     for key in ("source_csv", "target_csv"):
         path = Path(_read(data, key, f"config.data.{key}", str))
@@ -393,23 +394,18 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     _check_keys(data, _DATA_KEYS[kind], "config.data", run)
     sizes = _read(raw, "sizes", "config.sizes", dict, {})
     _check_keys(sizes, _SIZE_KEYS[kind], "config.sizes", run)
-    every_row = kind == "csv_transfer"  # its n_so, 0 or unset: every source row
-    size = {key: _read(sizes, key, f"config.sizes.{key}", int, 0 if every_row
+    # a csv_transfer run without n_so takes every source row
+    size = {key: _read(sizes, key, f"config.sizes.{key}", int,
+                       None if kind == "csv_transfer"
                        else 1000 if key == "n_test" else _REQUIRED)
             for key in _SIZE_KEYS[kind]}
     for key, n in size.items():
-        if n < 1 and not (every_row and n == 0):
-            least = ("a row count, or 0 for every source row" if every_row
-                     else "a positive sample size")
-            raise ConfigError(f"config.sizes.{key}: expected {least}, got {n}")
+        if n is not None:
+            _size(n, f"config.sizes.{key}")
     n_so = size["n_so"]
     with _section("config.data"):
         synthetic = _synthetic_spec(kind, data)
         ta_key, n_ta_values = _target_sizes(kind, data, size.get("n_ta"))
-    if kind == "rate_sweep" and len(n_ta_values) < 3:
-        raise ConfigError("config.data.n_ta_grid needs at least 3 sizes")
-    if not n_ta_values or min(n_ta_values) < 1:
-        raise ConfigError(f"{ta_key} must be positive, got {n_ta_values}")
     methods = _read(raw, "methods", "config.methods", dict)
     _check_keys(methods, ("source", "target") + (() if selection else ("baselines",)),
                 "config.methods", run)
@@ -452,10 +448,10 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     samples = None
     if kind == "csv_transfer":
         samples = source, target = _load_csvs(data, base_dir)
+        n_so = source.n if n_so is None else n_so
         if n_so > source.n:
             raise ConfigError(f"config.sizes.n_so: {n_so} rows exceed the "
                               f"{source.n} of the source CSV")
-        n_so = n_so if n_so >= 1 else source.n
         if max(n_ta_values) >= target.n:
             raise ConfigError(f"{ta_key}: largest size {max(n_ta_values)} leaves "
                               f"no test rows out of {target.n}")
@@ -482,11 +478,9 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"no such config file: {path}")
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:  # a directory, say, or no read permission
+    except OSError as exc:  # no such file, a directory, or no read permission
         raise ConfigError(f"{path}: cannot read the config: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte "
@@ -692,8 +686,8 @@ def _run_cells(config: ExperimentConfig,
     ``try``, so its failure is recorded against every method that needs it.
     An HTL method builds its auxiliary sample once, for both the
     target-stage CV and the fit.
-    Returns the rows, the failures, the first cell's data and predictors,
-    and the selection results in row order.
+    Returns the rows, the failures, the first cell's predictors, and the
+    selection results in row order.
     """
     rows: list[dict] = []
     errors: list[dict] = []
@@ -746,7 +740,7 @@ def _run_cells(config: ExperimentConfig,
                 except _METHOD_ERRORS as exc:  # recorded, run continues
                     errors.append(_error(cell, exc))
             if first is None:
-                first = (data, predictors)
+                first = predictors
     return rows, errors, first, selections
 
 
@@ -787,7 +781,7 @@ def _run_report(config: ExperimentConfig) -> dict:
     if kind in ("synthetic_offset", "synthetic_scale"):
         return {"rows": rows, "aggregates": _aggregate(rows, ("method",), metrics),
                 "errors": errors,
-                "plot_series": _prediction_series(config.synthetic, *first)}
+                "plot_series": _prediction_series(config.synthetic, first)}
     agg = _aggregate(rows, ("method", "n_ta"), metrics)
     plotted = "mean_excess_risk" if kind == "rate_sweep" else "mean_mse"
     report = {"rows": rows, "aggregates": agg, "errors": errors,
@@ -834,11 +828,10 @@ def _aggregate(rows: list[dict], keys: tuple[str, ...], value_fields) -> list[di
     return out
 
 
-def _prediction_series(truth: SyntheticSpec | None, data: SeedData,
+def _prediction_series(truth: SyntheticSpec,
                        predictors: dict[str, Predictor]) -> list[dict]:
-    """Per-method predictions on an x grid (first seed), for plotting."""
-    if truth is None or data.source.dim != 1:
-        return []
+    """Per-method predictions on the 1-D doppler's x grid (first seed), for
+    plotting."""
     grid = np.linspace(0.0, 1.0, 200).reshape(-1, 1)
     series = {"x": grid[:, 0], "truth": np.asarray(truth.target_fn(grid))}
     for name, pred in predictors.items():

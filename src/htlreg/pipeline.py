@@ -28,8 +28,8 @@ from typing import Protocol, Sequence, Union
 import numpy as np
 
 from .data import Dataset, DomainTag
-from .ridge import RKHSKernel, KRRPredictor, krr_fit, krr_lambda_rule
-from .smoothing import KSPredictor, SmoothingKernel, ks_bandwidth_rule
+from .ridge import RKHSKernel, KRRPredictor, krr_fit
+from .smoothing import KSPredictor, SmoothingKernel
 from .transform import (
     AuxiliaryEstimator,
     QuantizedFamily,
@@ -72,25 +72,51 @@ class MemoPredictor:
 
 @dataclass(frozen=True)
 class BandwidthRule:
-    """h = c * n^(-1/(2*alpha + d)), resolved against the training sample."""
+    """The rate-driven bandwidth h = c * n^(-1/(2*alpha + d)).
+
+    ``alpha`` is the assumed Holder smoothness exponent of the regression
+    function, in (0, 1]. Only the order is principled, so the constant
+    c > 0 is tuned per dataset.
+    """
 
     alpha: float = 1.0
     c: float = 1.0
 
     def __post_init__(self):
-        ks_bandwidth_rule(1, 1, self.alpha, self.c)  # raises on a bad alpha or c
+        if not 0 < self.alpha <= 1:
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if not self.c > 0:
+            raise ValueError(f"c must be > 0, got {self.c}")
+
+    def value(self, train: Dataset) -> float:
+        """h for the n rows and d features of ``train``."""
+        return self.c * float(train.n) ** (-1.0 / (2.0 * self.alpha + train.dim))
 
 
 @dataclass(frozen=True)
 class LambdaRule:
-    """lambda = c * n^(-1/(beta + p)), resolved against the training sample."""
+    """The rate-driven regularization lambda = c * n^(-1/(beta + p)).
+
+    ``beta`` is the assumed approximation-error exponent (> 0) and ``p`` the
+    assumed eigenvalue-decay exponent, in (0, 1). Neither is estimable from
+    data here; callers supply them, with the constant c > 0.
+    """
 
     beta: float = 1.0
     p: float = 0.5
     c: float = 1.0
 
     def __post_init__(self):
-        krr_lambda_rule(1, self.beta, self.p, self.c)  # raises on a bad beta, p or c
+        if not self.beta > 0:
+            raise ValueError(f"beta must be > 0, got {self.beta}")
+        if not 0 < self.p < 1:
+            raise ValueError(f"p must lie in (0, 1), got {self.p}")
+        if not self.c > 0:
+            raise ValueError(f"c must be > 0, got {self.c}")
+
+    def value(self, train: Dataset) -> float:
+        """lambda for the n rows of ``train``."""
+        return self.c * float(train.n) ** (-1.0 / (self.beta + self.p))
 
 
 @dataclass(frozen=True)
@@ -110,7 +136,7 @@ class KSSpec:
     def resolve_bandwidth(self, train: Dataset) -> float:
         if self.bandwidth is not None:
             return self.bandwidth
-        return ks_bandwidth_rule(train.n, train.dim, self.rule.alpha, self.rule.c)
+        return self.rule.value(train)
 
     def fit(self, train: Dataset) -> KSPredictor:
         return KSPredictor(train, self.kernel, self.resolve_bandwidth(train))
@@ -133,7 +159,7 @@ class KRRSpec:
     def resolve_lambda(self, train: Dataset) -> float:
         if self.lam is not None:
             return self.lam
-        return krr_lambda_rule(train.n, self.rule.beta, self.rule.p, self.rule.c)
+        return self.rule.value(train)
 
     def fit(self, train: Dataset) -> KRRPredictor:
         return krr_fit(train, self.kernel, self.resolve_lambda(train))
@@ -238,8 +264,6 @@ def select_transformation(
         raise ValueError(
             f"expected validation-domain data, got {validation.domain_tag}"
         )
-    if validation.n < 1:
-        raise ValueError("validation set is empty")
     candidates = list(family.members if isinstance(family, QuantizedFamily) else family)
     if not candidates:
         raise ValueError("no candidate transformations")

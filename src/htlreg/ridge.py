@@ -52,7 +52,7 @@ class RKHSKernel:
     """
 
     shape: KernelShape = KernelShape.RBF
-    lengthscale: float | None = 1.0
+    lengthscale: float | None = None
     degree: int = 2
     offset: float = 1.0
 
@@ -77,13 +77,11 @@ def rbf_kernel(lengthscale: float | None = None) -> RKHSKernel:
 
 
 def linear_kernel() -> RKHSKernel:
-    return RKHSKernel(shape=KernelShape.LINEAR, lengthscale=None)
+    return RKHSKernel(shape=KernelShape.LINEAR)
 
 
 def polynomial_kernel(degree: int, offset: float = 1.0) -> RKHSKernel:
-    return RKHSKernel(
-        shape=KernelShape.POLYNOMIAL, lengthscale=None, degree=degree, offset=offset
-    )
+    return RKHSKernel(shape=KernelShape.POLYNOMIAL, degree=degree, offset=offset)
 
 
 def median_heuristic(X: np.ndarray) -> float:
@@ -263,21 +261,3 @@ def krr_stability_coeffs(p: KRRPredictor) -> np.ndarray:
             "stability coefficients require lambda > 0"
         )
     return np.full(p.n, p.k_bound / (p.n * p.lam))
-
-
-def krr_lambda_rule(n: int, beta: float, p: float, c: float = 1.0) -> float:
-    """Rate-driven default regularization c * n^(-1 / (beta + p)).
-
-    ``beta`` is the assumed approximation-error exponent (> 0) and ``p`` the
-    assumed eigenvalue-decay exponent, in (0, 1). Neither is estimable from
-    data here; callers supply them.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    if not 0 < p < 1:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    if not c > 0:
-        raise ValueError(f"c must be > 0, got {c}")
-    return c * float(n) ** (-1.0 / (beta + p))

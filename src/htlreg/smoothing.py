@@ -424,21 +424,3 @@ class KSPredictor:
 
     def predict_one(self, x) -> float:
         return float(self.predict(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-
-def ks_bandwidth_rule(n: int, d: int, alpha: float, c: float = 1.0) -> float:
-    """Rate-driven default bandwidth c * n^(-1 / (2*alpha + d)).
-
-    ``alpha`` is the assumed Holder smoothness exponent of the regression
-    function, in (0, 1]. The constant c defaults to 1; only the order is
-    principled, so callers tune c per dataset.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if not c > 0:
-        raise ValueError(f"c must be > 0, got {c}")
-    return c * float(n) ** (-1.0 / (2.0 * alpha + d))

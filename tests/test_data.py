@@ -154,17 +154,22 @@ class TestGenerateSynthetic:
 class TestLoadCsv:
     def test_two_row_file(self, tmp_path):
         path = tmp_path / "t.csv"
-        path.write_text("x,y\n0,1\n1,3\n")
+        path.write_text("x,y\n0,1\n\n1,3\n")  # the blank row is skipped
         ds = load_csv(path, "y")
         np.testing.assert_array_equal(ds.features, [[0.0], [1.0]])
         np.testing.assert_array_equal(ds.labels, [1.0, 3.0])
 
-    def test_label_by_index(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file, expected a header row"),
+        ("x,y\n", "no data rows"),
+        ("y\n1\n2\n", "no feature columns besides the label"),
+    ], ids=["empty", "header_only", "label_only"])
+    def test_file_without_a_sample_is_rejected(self, tmp_path, text, message):
         path = tmp_path / "t.csv"
-        path.write_text("a,b,c\n1,2,3\n4,5,6\n")
-        ds = load_csv(path, 1)
-        np.testing.assert_array_equal(ds.labels, [2.0, 5.0])
-        np.testing.assert_array_equal(ds.features, [[1.0, 3.0], [4.0, 6.0]])
+        path.write_text(text)
+        with pytest.raises(CsvError) as info:
+            load_csv(path, "y")
+        assert str(info.value) == f"{path}: {message}"
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -127,7 +127,7 @@ class TestConfigParsing:
         cfg = base_config(
             experiment_kind="csv_transfer",
             data={"source_csv": "src.csv", "target_csv": "ta.csv",
-                  "label_column": "y", "n_ta": 2},
+                  "label_column": "y", "n_ta": [2]},
         )
         del cfg["sizes"]  # n_so: every row of the 3-row source
         path = tmp_path / "cfg.json"
@@ -173,7 +173,7 @@ class TestConfigParsing:
         cfg = base_config(
             experiment_kind="csv_transfer",
             data={"source_csv": str(tmp_path / "none.csv"),
-                  "target_csv": str(tmp_path / "none2.csv"), "n_ta": 2},
+                  "target_csv": str(tmp_path / "none2.csv"), "n_ta": [2]},
             sizes={"n_so": 2},
         )
         with pytest.raises(ConfigError, match="no such file"):
@@ -197,8 +197,6 @@ class TestConfigParsing:
         cfg["sizes"]["n_so"] = 120
         assert parse_config(cfg).n_so == 120
         del cfg["sizes"]["n_so"]  # every row
-        assert parse_config(cfg).n_so == 120
-        cfg["sizes"]["n_so"] = 0  # every row too
         assert parse_config(cfg).n_so == 120
 
     @pytest.mark.parametrize("edit, argv, key", [
@@ -352,7 +350,7 @@ class TestConfigParsing:
         (lambda c: c.update(output_dir=5), [],
          "config.output_dir: expected a string, got 5"),
         (lambda c: _kind(c, "csv_transfer", source_csv=5, target_csv="t.csv",
-                         n_ta=10), [],
+                         n_ta=[10]), [],
          "config.data.source_csv: expected a string, got 5"),
         (lambda c: c.update(data=[1]), [], "config.data: expected an object"),
         (lambda c: c.update(sizes=[1]), [], "config.sizes: expected an object"),
@@ -369,15 +367,41 @@ class TestConfigParsing:
         (lambda c: _kind(c, "rate_sweep", n_ta_grid=5), [],
          "config.data.n_ta_grid: expected a list, got 5"),
         (lambda c: _kind(c, "csv_transfer", source_csv="s.csv",
-                         target_csv="t.csv", label_column="zzz", n_ta=10), [],
+                         target_csv="t.csv", label_column="zzz", n_ta=[10]), [],
          "config.data.source_csv: "),
         (lambda c: _kind(c, "csv_transfer", source_csv="s.csv",
-                         target_csv="t.csv", label_column=True, n_ta=10), [],
-         "config.data.label_column: expected a column name or index, got True"),
+                         target_csv="t.csv", label_column=True, n_ta=[10]), [],
+         "config.data.label_column: expected a string, got True"),
+        (lambda c: _kind(c, "csv_transfer", source_csv="s.csv",
+                         target_csv="t.csv", label_column=1, n_ta=[10]), [],
+         "config.data.label_column: expected a string, got 1"),
         (lambda c: (_kind(c, "csv_transfer", source_csv="s.csv", target_csv="t.csv",
-                          n_ta=10), c["sizes"].update(n_so=-5)), [],
-         "config.sizes.n_so: expected a row count, or 0 for every source row, "
-         "got -5"),
+                          n_ta=[10]), c["sizes"].update(n_so=-5)), [],
+         "config.sizes.n_so: expected a positive sample size, got -5"),
+        (lambda c: (_kind(c, "csv_transfer", source_csv="s.csv", target_csv="t.csv",
+                          n_ta=[10]), c["sizes"].update(n_so=0)), [],
+         "config.sizes.n_so: expected a positive sample size, got 0"),
+        (lambda c: _kind(c, "csv_transfer", source_csv="s.csv", target_csv="t.csv",
+                         n_ta=10), [], "config.data.n_ta: expected a list, got 10"),
+        (lambda c: _kind(c, "csv_transfer", source_csv="s.csv", target_csv="t.csv",
+                         n_ta=[]), [], "config.data.n_ta: expected 1 or more sizes"),
+        (lambda c: _kind(c, "rate_sweep", n_ta_grid=[25, 50]), [],
+         "config.data.n_ta_grid: expected 3 or more sizes, got [25, 50]"),
+        (lambda c: _kind(c, "rate_sweep", n_ta_grid=[25, 0, 100]), [],
+         "config.data.n_ta_grid[1]: expected a positive sample size, got 0"),
+        (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": "rbf"}),
+         [], "config.methods.target.kernel: expected an object, got 'rbf'"),
+        (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": {
+            "shape": "rbf", "lengthscale": None}}), [],
+         "config.methods.target.kernel.lengthscale: expected a number, got None"),
+        (lambda c: _target(c, {"method": "ks", "bandwidth_grid": []}), [],
+         "config.methods.target.bandwidth_grid: expected at least one value"),
+        (lambda c: _target(c, {"method": "krr", "lambda_grid": []}), [],
+         "config.methods.target.lambda_grid: expected at least one value"),
+        (lambda c: c["methods"]["source"].update(method="knn"), [],
+         "config.methods.source.method: expected 'ks' or 'krr', got 'knn'"),
+        (lambda c: c["transformations"][0].update(family="affine"), [],
+         "config.transformations[0].family: unknown family 'affine'"),
         (lambda c: c["transformations"][0].update(estimator_mode="direct_inverse"),
          [], "config.transformations[0].estimator_mode: not a key of the "
          "'offset' family"),
@@ -392,13 +416,13 @@ class TestConfigParsing:
         (lambda c: (_selection(c, L_alpha=2.0, K=2), c["sizes"].update(n_test=100)),
          [], "config.sizes.n_test: not a key of a 'selection' run"),
         (lambda c: (_kind(c, "csv_transfer", source_csv="s.csv", target_csv="t.csv",
-                          n_ta=10), c["sizes"].update(n_so=20, n_test=100)), [],
+                          n_ta=[10]), c["sizes"].update(n_so=20, n_test=100)), [],
          "config.sizes.n_test: not a key of a 'csv_transfer' run"),
         (lambda c: (_kind(c, "rate_sweep", n_ta_grid=[25, 50, 100]),
                     c["sizes"].update(n_ta=40)), [],
          "config.sizes.n_ta: not a key of a 'rate_sweep' run"),
         (lambda c: (_kind(c, "csv_transfer", source_csv="s.csv", target_csv="t.csv",
-                          n_ta=10), c["sizes"].update(n_so=20, n_ta=10)), [],
+                          n_ta=[10]), c["sizes"].update(n_so=20, n_ta=10)), [],
          "config.sizes.n_ta: not a key of a 'csv_transfer' run"),
         (lambda c: c["sizes"].update(n_val=0), [],
          "config.sizes.n_val: not a key of a 'synthetic_offset' run"),
@@ -1009,6 +1033,24 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
         assert not (tmp_path / "sub").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "expected a nonnegative integer, got -1"),
+        ("--out", "", "{tmp} is a directory, expected a file path"),
+        ("--out", "file/d.csv", "{tmp}/file exists and is not a directory"),
+    ])
+    def test_synth_rejects_a_bad_seed_or_output_path(self, tmp_path, capsys,
+                                                     flag, value, message):
+        (tmp_path / "file").write_text("kept\n")
+        args = {"--out": str(tmp_path / "d.csv"), flag: str(tmp_path / value)
+                if flag == "--out" else value}
+        code = cli_main(["synth", "--dataset", "doppler_offset", "--n", "30",
+                         *(item for pair in args.items() for item in pair)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: {flag}: {message.format(tmp=tmp_path)}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
+
     def test_run_verb(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(seeds=[0])))
@@ -1050,13 +1092,13 @@ class TestCli:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("make", ["directory", "latin-1 text"])
+    @pytest.mark.parametrize("make", ["directory", "latin-1 text", "nothing"])
     def test_unreadable_config_is_a_config_error_naming_it(self, tmp_path,
                                                            capsys, make):
         path = tmp_path / "cfg.json"
         if make == "directory":
             path.mkdir()
-        else:
+        elif make == "latin-1 text":
             path.write_bytes(json.dumps(base_config(output_dir="caf\xe9"),
                                         ensure_ascii=False).encode("latin-1"))
         assert cli_main(["run", "--config", str(path)]) == 1

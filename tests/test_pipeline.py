@@ -158,8 +158,7 @@ class TestSubroutineSpecs:
         (lambda v: KSPredictor(Dataset(features=[[0.0]], labels=[0.0]),
                                bandwidth=v), True),
         (lambda v: RKHSKernel(KernelShape.RBF, lengthscale=v), True),
-        (lambda v: RKHSKernel(KernelShape.POLYNOMIAL, lengthscale=None,
-                              offset=v), True),
+        (lambda v: RKHSKernel(KernelShape.POLYNOMIAL, offset=v), True),
         (lambda v: offset(1.0, aux_bound_B=v), True),
         (lambda v: SyntheticSpec(lambda X: X[:, 0], lambda X: X[:, 0],
                                  noise_variance_source=v), True),

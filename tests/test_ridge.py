@@ -4,12 +4,12 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.spatial.distance import pdist
 
 from htlreg.data import Dataset
+from htlreg.pipeline import LambdaRule
 from htlreg.ridge import (
     ConditioningError,
     StabilityUndefinedError,
     gram,
     krr_fit,
-    krr_lambda_rule,
     krr_stability_coeffs,
     linear_kernel,
     median_heuristic,
@@ -277,18 +277,27 @@ class TestStabilityCoeffs:
 
 
 class TestLambdaRule:
+    @staticmethod
+    def lam(rule, n):
+        return rule.value(Dataset(features=np.zeros((n, 1)), labels=np.zeros(n)))
+
     def test_n_one(self):
-        assert krr_lambda_rule(1, 2.0, 0.5) == 1.0
+        assert self.lam(LambdaRule(beta=2.0, p=0.5), 1) == 1.0
 
     def test_p_domain_error(self):
-        with pytest.raises(ValueError):
-            krr_lambda_rule(10**4, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            krr_lambda_rule(10**4, 1.0, 0.0)
+        with pytest.raises(ValueError, match="p must lie"):
+            LambdaRule(beta=1.0, p=1.0)
+        with pytest.raises(ValueError, match="p must lie"):
+            LambdaRule(beta=1.0, p=0.0)
 
     def test_exponent_arithmetic(self):
-        assert krr_lambda_rule(256, 1.5, 0.5) == pytest.approx(0.0625, rel=1e-12)
+        assert self.lam(LambdaRule(beta=1.5, p=0.5), 256) == pytest.approx(
+            0.0625, rel=1e-12)
 
     def test_beta_positive(self):
-        with pytest.raises(ValueError):
-            krr_lambda_rule(10, 0.0, 0.5)
+        with pytest.raises(ValueError, match="beta"):
+            LambdaRule(beta=0.0, p=0.5)
+
+    def test_constant_positive(self):
+        with pytest.raises(ValueError, match="c must be > 0"):
+            LambdaRule(c=0)

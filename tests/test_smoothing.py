@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from htlreg import smoothing
 from htlreg.data import Dataset
+from htlreg.pipeline import BandwidthRule
 from htlreg.smoothing import (
     KSPredictor,
     SmoothingKernel,
-    ks_bandwidth_rule,
     ks_predict,
     predict_from_kernel,
 )
@@ -286,23 +286,33 @@ class TestStability:
 
 
 class TestBandwidthRule:
+    @staticmethod
+    def h(rule, n, d=1):
+        return rule.value(Dataset(features=np.zeros((n, d)), labels=np.zeros(n)))
+
     def test_n_one(self):
-        assert ks_bandwidth_rule(1, 1, 1.0) == 1.0
+        assert self.h(BandwidthRule(alpha=1.0), 1) == 1.0
 
     def test_thousand(self):
-        assert ks_bandwidth_rule(1000, 1, 1.0) == pytest.approx(0.1, rel=1e-12)
+        assert self.h(BandwidthRule(alpha=1.0), 1000) == pytest.approx(0.1, rel=1e-12)
 
     def test_million_d2_alpha_half(self):
-        assert ks_bandwidth_rule(10**6, 2, 0.5) == pytest.approx(0.01, rel=1e-12)
+        assert self.h(BandwidthRule(alpha=0.5), 10**6, 2) == pytest.approx(
+            0.01, rel=1e-12)
 
     def test_constant_scales(self):
-        assert ks_bandwidth_rule(1000, 1, 1.0, c=2.0) == pytest.approx(0.2, rel=1e-12)
+        assert self.h(BandwidthRule(alpha=1.0, c=2.0), 1000) == pytest.approx(
+            0.2, rel=1e-12)
 
     def test_alpha_domain(self):
-        with pytest.raises(ValueError):
-            ks_bandwidth_rule(10, 1, 0.0)
-        with pytest.raises(ValueError):
-            ks_bandwidth_rule(10, 1, 1.5)
+        with pytest.raises(ValueError, match="alpha"):
+            BandwidthRule(alpha=0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            BandwidthRule(alpha=1.5)
+
+    def test_constant_positive(self):
+        with pytest.raises(ValueError, match="c must be > 0"):
+            BandwidthRule(c=0)
 
     def test_positive_bandwidth_required(self):
         with pytest.raises(ValueError):
