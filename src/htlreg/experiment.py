@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .pipeline import (
     select_transformation,
 )
 from .ridge import ConditioningError, KernelShape, RKHSKernel, krr_path, predict_path
-from .smoothing import SmoothingKernel, ks_predict
+from .smoothing import SmoothingKernel, ks_cv_predict
 from .transform import (
     AuxiliaryEstimator,
     QuantizedFamily,
@@ -253,9 +253,18 @@ _FAMILIES = {"offset": (offset, {"alpha": _REQUIRED, "aux_bound_B": math.inf}),
 
 def _parse_kernel(method: str, raw: dict, where: str):
     if method == "ks":
-        return SmoothingKernel(raw.get("kernel", "truncated_gaussian"))
+        name = _read(raw, "kernel", where, str, "truncated_gaussian")
+        names = [k.value for k in SmoothingKernel]
+        if name not in names:
+            raise ConfigError(f"{where}: expected one of "
+                              f"{', '.join(map(repr, names))}, got {name!r}")
+        return SmoothingKernel(name)
     params = dict(_read(raw, "kernel", where, dict, {}))
-    shape = KernelShape(params.pop("shape", "rbf"))
+    shape = params.pop("shape", "rbf")
+    if shape not in [s.value for s in KernelShape]:
+        raise ConfigError(f"{where}.shape: expected 'rbf', 'linear' or "
+                          f"'polynomial', got {shape!r}")
+    shape = KernelShape(shape)
     return RKHSKernel(shape, **_numbers(params, _RKHS_KEYS[shape], where,
                                         integers=("degree",)))
 
@@ -518,22 +527,27 @@ def grid_search_cv(
     """Pick the candidate with the lowest mean across-fold validation MSE.
 
     Ties go to the first candidate in declared order. Returns the winner
-    and the per-candidate mean CV errors. Each fold trains on
+    and the per-candidate mean CV errors.
+
+    A grid that varies only one kernel's bandwidth predicts every fold
+    through ``ks_cv_predict``. For a 1-D sample and a compact-support kernel
+    that is one pass per bandwidth over the sample's cached sort, each row
+    predicted from the rows outside its fold. Whatever a fit on one fold
+    computes once per call is computed per fold there, so every prediction,
+    and so every score, has the bits of fitting the fold alone. A grid that
+    varies only one kernel's lambda is fit once per fold (``krr_path``), with
+    the same predictions, bit for bit, as fitting each candidate; any other
+    grid fits each candidate on each fold. A fold fit trains on
     ``data.without(test_idx)``, so a 1-D sample is sorted once per call, not
-    per fold. A grid that varies only one kernel's bandwidth or lambda is fit
-    once per fold (``ks_predict``, ``krr_path``), with the same predictions,
-    bit for bit, as fitting each candidate; any other grid fits each
-    candidate.
+    per fold.
     """
     candidates = list(candidates)
     if not candidates:
         raise ValueError("empty candidate grid")
-    predict = _grid_predictor(candidates)
     parts = cv_folds_indices(data.n, folds, seed)
     scores = np.zeros(len(candidates))
-    for test_idx in parts:
+    for test_idx, preds in zip(parts, _fold_predictions(data, candidates, parts)):
         y_test = data.labels[test_idx]
-        preds = predict(data.without(test_idx), data.features[test_idx])
         for j, pred in enumerate(preds):
             scores[j] += float(np.mean((y_test - pred) ** 2))
     scores /= len(parts)
@@ -541,17 +555,26 @@ def grid_search_cv(
     return candidates[best], [float(s) for s in scores]
 
 
+def _fold_predictions(data: Dataset, candidates,
+                      parts) -> Iterable[list[np.ndarray]]:
+    """Per part, every candidate's predictions at its rows when fit on the
+    other rows."""
+    kernel = candidates[0].kernel
+    if all(isinstance(c, KSSpec) and c.kernel == kernel and c.bandwidth is not None
+           for c in candidates):
+        preds = ks_cv_predict(data, parts, kernel, [c.bandwidth for c in candidates])
+        return ([pred[rows] for pred in preds] for rows in parts)
+    predict = _grid_predictor(candidates)
+    return (predict(data.without(rows), data.features[rows]) for rows in parts)
+
+
 def _grid_predictor(candidates) -> Callable[[Dataset, np.ndarray], list]:
     """(train, X) -> every candidate's predictions at X when fit on train."""
-    if len({c.kernel for c in candidates}) == 1:
-        kernel = candidates[0].kernel
-        if all(isinstance(c, KSSpec) and c.bandwidth is not None
-               for c in candidates):
-            bandwidths = [c.bandwidth for c in candidates]
-            return lambda train, X: ks_predict(train, X, kernel, bandwidths)
-        if all(isinstance(c, KRRSpec) and c.lam is not None for c in candidates):
-            lams = [c.lam for c in candidates]
-            return lambda train, X: predict_path(krr_path(train, kernel, lams), X)
+    kernel = candidates[0].kernel
+    if all(isinstance(c, KRRSpec) and c.kernel == kernel and c.lam is not None
+           for c in candidates):
+        lams = [c.lam for c in candidates]
+        return lambda train, X: predict_path(krr_path(train, kernel, lams), X)
     return lambda train, X: [c.fit(train).predict(X) for c in candidates]
 
 

@@ -25,6 +25,21 @@ The windowed path needs only numpy. The dense path takes its
 distances from ``data.sq_distances``, which imports scipy on first use, so a
 1-D compact-kernel run never loads scipy.
 
+``ks_cv_predict`` predicts every fold of a cross-validation at once. In a
+1-D compact-kernel call with folds, each query is predicted from the
+training points outside its own fold, and one pass per bandwidth serves all
+folds: the queries are sorted once, windows are found by one search in the
+whole sample's cached sort, then counted in the points the query's fold
+keeps. A block of window pairs or a group of moment bins belongs to one fold
+(small folds share a block of pairs and filter them), and the points that
+fold keeps are gathered once for it. Whatever a call on one fold's points
+computes once per call is computed per fold: the moment-vs-pair choice from
+the fold's own pair total, the max|y| of the moment error bound, the moment
+bins, window starts and prefix spans counted in the fold's points, and the
+nearest-neighbour fallback among them. Every operation on a query's values
+is then the one that call makes, in the same order, so each prediction, and
+each CV score, has the bits of a per-fold fit.
+
 Inside the window, boxcar and epanechnikov are polynomials in (q - x)^2, so
 a call whose windows hold at least ``_MOMENT_MIN_PAIRS`` pairs takes their
 sums from prefix sums of x-moments in O(log n) per query, whatever h is (the
@@ -48,7 +63,7 @@ float summation order of the pair path:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -148,6 +163,37 @@ _MOMENT_MIN_PAIRS = _BLOCK_PAIRS
 _POLYNOMIAL = (SmoothingKernel.BOXCAR, SmoothingKernel.EPANECHNIKOV)
 
 
+def ks_cv_predict(
+    data: Dataset,
+    parts: Sequence[np.ndarray],
+    kernel: SmoothingKernel,
+    bandwidths: Sequence[float],
+) -> list[np.ndarray]:
+    """Each row's prediction, one array per bandwidth, from the smoother fit
+    on ``data`` less the row's part: every fold of a cross-validation whose
+    folds ``parts`` partition the rows.
+
+    A 1-D sample with a compact-support kernel is predicted in one
+    ``predict_sorted_1d`` pass per bandwidth, each row from the points
+    outside its part; anything else fits ``ks_predict`` on
+    ``data.without(part)`` part by part. Either way a row gets the bits that
+    ``ks_predict`` fit on the sample less its part gives it.
+    """
+    if data.dim == 1 and kernel.compact:
+        fold = np.empty(data.n, dtype=np.min_scalar_type(len(parts) - 1))
+        for f, rows in enumerate(parts):
+            fold[rows] = f
+        xs, labels, order = data.sorted_1d
+        return predict_sorted_1d(xs, labels, order, data.features[:, 0], kernel,
+                                 bandwidths, (fold[order], fold))
+    preds = [np.empty(data.n) for _ in bandwidths]
+    for rows in parts:
+        fits = ks_predict(data.without(rows), data.features[rows], kernel, bandwidths)
+        for pred, fit in zip(preds, fits):
+            pred[rows] = fit
+    return preds
+
+
 def predict_sorted_1d(
     xs: np.ndarray,
     labels: np.ndarray,
@@ -155,6 +201,7 @@ def predict_sorted_1d(
     queries: np.ndarray,
     kernel: SmoothingKernel,
     bandwidths: Sequence[float],
+    folds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Predictions at 1-D ``queries``, one array per bandwidth, from training
     points ``xs`` in stable ascending order, for a compact-support
@@ -170,138 +217,288 @@ def predict_sorted_1d(
     evaluate each window pair on the same (q - x)^2 / (h * h) values as the
     dense path; large boxcar and epanechnikov calls take their window sums
     from prefix moments (see the module docstring).
+
+    ``folds``, if given, holds the fold of each training point (in the order
+    of ``xs``) and of each query, as small nonnegative integers. A query is
+    then predicted from the points outside its own fold, with the bits of a
+    call on those points and that fold's queries alone.
     """
     perm = np.argsort(queries)
-    q = queries[perm]
+    ascending = queries[perm]
+    leave, regroup = None, slice(None)
+    if folds is not None:  # a fold's queries consecutive, still ascending
+        fold, query_fold = folds
+        regroup = np.argsort(query_fold[perm], kind="stable")
+        perm = perm[regroup]
+        leave = _LeaveOut.of(fold, query_fold[perm], labels)
+    q = ascending[regroup]
     preds = []
     for h in bandwidths:
-        lo, counts = _windows(xs, q, h)
-        if kernel in _POLYNOMIAL and counts.sum() >= _MOMENT_MIN_PAIRS:
-            sums, weighted = _moment_sums(xs, labels, q, kernel, h, lo, counts)
-        else:
-            sums, weighted = _pair_sums(xs, labels, q, kernel, h, lo, counts)
+        # searched in ascending order, which binary search serves fastest
+        lo, counts = _windows(xs, ascending, h)
+        lo, counts = lo[regroup], counts[regroup]
+        sums, weighted = _window_sums(xs, labels, q, kernel, h, lo, counts, leave)
         out = np.empty(len(q))
         live = sums > 0.0
         out[live] = weighted[live] / sums[live]
         if not live.all():
             dead = ~live
-            out[dead] = labels[_nearest_sorted_1d(xs, ranks, q[dead])]
+            out[dead] = labels[_nearest_sorted_1d(xs, ranks, q[dead],
+                                                  leave and leave.take(dead))]
         pred = np.empty_like(out)
         pred[perm] = out
         preds.append(pred)
     return preds
 
 
-def _pair_sums(xs, labels, queries, kernel, h, lo, counts):
-    """Kernel sums and label-weighted sums over each query's run of sorted
-    ``xs`` (start ``lo``, length ``counts``), evaluated pair by pair."""
-    m = len(queries)
-    sums, weighted = np.zeros(m), np.zeros(m)
-    for block in _blocks(counts):
-        runs = counts[block]
-        cols = _pair_columns(lo[block], runs)
-        sq = np.repeat(queries[block], runs)
-        sq -= xs[cols]
-        sq *= sq
-        sq /= h * h
-        raw = kernel.profile_sq(sq)
-        sums[block] = _segment_sums(raw, runs)
-        raw *= labels[cols]
-        weighted[block] = _segment_sums(raw, runs)
+@dataclass(frozen=True)
+class _LeaveOut:
+    """The training points each query of a call leaves out: those of its own
+    fold. Windows stay runs [lo, lo + counts) of positions in the sorted
+    training sample; these methods count and list the points of a run that
+    its query keeps."""
+
+    fold: np.ndarray  # of each sorted training point
+    query: np.ndarray  # of each query
+    y_max: np.ndarray  # per fold: max |label| over the points outside it
+    keys: np.ndarray  # fold * (n + 1) + position, ascending
+    first: np.ndarray  # per fold: where its points start in keys
+
+    @classmethod
+    def of(cls, fold, query, labels) -> _LeaveOut:
+        n, size = len(fold), int(max(fold.max(), query.max())) + 1
+        by_fold = np.argsort(fold, kind="stable")
+        keys = fold[by_fold] * np.intp(n + 1) + by_fold
+        top = np.zeros(size)
+        np.maximum.at(top, fold, np.abs(labels))
+        ranked = np.argsort(top)
+        y_max = np.full(size, top[ranked[-1]])
+        y_max[ranked[-1]] = top[ranked[-2]]
+        return cls(fold, query, y_max, keys,
+                   np.searchsorted(keys, np.arange(size) * (n + 1)))
+
+    def take(self, idx) -> _LeaveOut:
+        """The same training folds for the queries ``idx``."""
+        return replace(self, query=self.query[idx])
+
+    def kept_before(self, pos) -> np.ndarray:
+        """How many points each query keeps below sorted position ``pos``."""
+        key = self.query * np.intp(len(self.fold) + 1) + pos
+        return pos - (np.searchsorted(self.keys, key) - self.first[self.query])
+
+    def window(self, lo, counts) -> tuple[np.ndarray, np.ndarray]:
+        """Start and length of each query's run counted in its kept points:
+        the run that a call on those points alone finds."""
+        start = self.kept_before(lo)
+        return start, self.kept_before(lo + counts) - start
+
+    def kept_points(self, start, stop, fold) -> np.ndarray:
+        """Sorted positions in [start, stop) of the points outside ``fold``:
+        a run of the points that fold's queries keep."""
+        return start + np.flatnonzero(self.fold[start:stop] != fold)
+
+    def columns(self, lo, counts) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted positions of the kept points of each query's run, query by
+        query, and how many each query keeps."""
+        cols = _pair_columns(lo, counts)
+        keep = self.fold[cols] != np.repeat(self.query, counts)
+        return cols[keep], self.window(lo, counts)[1]
+
+    def neighbours(self, pos) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted positions of each query's nearest kept points below and at
+        or above position ``pos``; a side without one takes the other's."""
+        n = len(self.fold)
+        # where each run of one fold's points starts, then n
+        bounds = np.r_[0, np.flatnonzero(self.fold[1:] != self.fold[:-1]) + 1, n]
+        above = np.minimum(pos, n - 1)
+        run_end = bounds[np.searchsorted(bounds, above, side="right")]
+        right = np.where(self.fold[above] == self.query, run_end, above)
+        right = np.where(pos < n, right, n)
+        below = np.maximum(pos - 1, 0)
+        run_start = bounds[np.searchsorted(bounds, below, side="right") - 1]
+        left = np.where(self.fold[below] == self.query, run_start - 1, below)
+        left = np.where(pos > 0, left, -1)
+        return np.where(left < 0, right, left), np.where(right == n, left, right)
+
+
+def _window_sums(xs, labels, queries, kernel, h, lo, counts, leave):
+    """Kernel sums and label-weighted sums over each query's window. A
+    boxcar or epanechnikov query whose fold (without folds, the call) holds
+    at least _MOMENT_MIN_PAIRS kept window pairs takes them from prefix
+    moments; any other query sums its window pair by pair."""
+    if kernel not in _POLYNOMIAL:
+        return _pair_sums(xs, labels, queries, kernel, h, lo, counts, leave)
+    if leave is None:
+        moment = counts.sum() >= _MOMENT_MIN_PAIRS
+        sums_of = _moment_sums if moment else _pair_sums
+        return sums_of(xs, labels, queries, kernel, h, lo, counts)
+    # a fold keeps at most its queries' whole windows
+    if not (np.bincount(leave.query, weights=counts) >= _MOMENT_MIN_PAIRS).any():
+        return _pair_sums(xs, labels, queries, kernel, h, lo, counts, leave)
+    kept = leave.window(lo, counts)
+    pairs = np.bincount(leave.query, weights=kept[1])
+    moment = (pairs >= _MOMENT_MIN_PAIRS)[leave.query]
+    if moment.all():
+        return _moment_sums(xs, labels, queries, kernel, h, lo, counts, leave, kept)
+    sums, weighted = np.empty(len(queries)), np.empty(len(queries))
+    at = np.flatnonzero(moment)
+    sums[at], weighted[at] = _moment_sums(
+        xs, labels, queries[at], kernel, h, lo[at], counts[at], leave.take(at),
+        (kept[0][at], kept[1][at]))
+    at = np.flatnonzero(~moment)
+    sums[at], weighted[at] = _pair_sums(xs, labels, queries[at], kernel, h, lo[at],
+                                        counts[at], leave.take(at))
     return sums, weighted
 
 
-def _moment_sums(xs, labels, queries, kernel, h, lo, counts):
+def _pair_sums(xs, labels, queries, kernel, h, lo, counts, leave=None):
+    """Kernel sums and label-weighted sums over the kept points of each
+    query's run of sorted ``xs`` (start ``lo``, length ``counts``),
+    evaluated pair by pair."""
+    m = len(queries)
+    sums, weighted = np.zeros(m), np.zeros(m)
+    for block in _blocks(counts, leave and leave.query):
+        block_xs, block_labels = xs, labels
+        block_lo, runs = lo[block], counts[block]
+        if leave is not None and (leave.query[block] != leave.query[block.start]).any():
+            # small folds sharing the block: their pairs filtered
+            cols, runs = leave.take(block).columns(block_lo, runs)
+        else:
+            if leave is not None:  # one fold: its runs among its kept points
+                stop = block_lo + runs
+                kept = leave.kept_points(block_lo.min(), stop.max(),
+                                         leave.query[block.start])
+                block_xs, block_labels = xs[kept], labels[kept]
+                block_lo = np.searchsorted(kept, block_lo)
+                runs = np.searchsorted(kept, stop) - block_lo
+            cols = _pair_columns(block_lo, runs)
+        sq = np.repeat(queries[block], runs)
+        sq -= block_xs[cols]
+        sq *= sq
+        sq /= h * h
+        raw = kernel.profile_sq(sq)
+        # each query's pairs are a run of ``raw``; an empty run sums to 0
+        filled = runs > 0
+        starts = (np.cumsum(runs) - runs)[filled]
+        sums[block][filled] = np.add.reduceat(raw, starts)
+        raw *= block_labels[cols]
+        weighted[block][filled] = np.add.reduceat(raw, starts)
+    return sums, weighted
+
+
+def _moment_sums(xs, labels, queries, kernel, h, lo, counts, leave=None, kept=None):
     """The sums of ``_pair_sums`` for a polynomial kernel, from prefix
     moments over each query's inner window, pairs on the window's rim, and
-    pairs again for every query whose moment error bound is too loose."""
+    pairs again for every query whose moment error bound is too loose.
+    With folds, ``kept`` holds each query's window as a start and length
+    among the points it keeps (``_LeaveOut.window``)."""
     # inner window |q - x| < h (1 - 1e-7), shrunk by the rounding of q -+ h;
     # every point in it has s < 1 in any rounding, so K is the polynomial
     reach = h * (1.0 - 1e-7) - 1e-9 * (h + np.abs(queries))
-    lo_in = np.searchsorted(xs, queries - reach, side="right")
-    hi_in = np.maximum(np.searchsorted(xs, queries + reach, side="left"), lo_in)
-    n_inner = hi_in - lo_in
-    sums, weighted, span = _inner_moments(xs, labels, queries, kernel, h,
-                                          lo_in, n_inner)
+    below, above = queries - reach, queries + reach
+    # the padded window's ends, moved in past the few points that lie
+    # between them and the inner window's: no search for most queries
+    n = len(xs)
+    lo_in, hi_in = lo.copy(), lo + counts
+    shell = np.flatnonzero((lo_in < n) & (xs[np.minimum(lo_in, n - 1)] <= below))
+    lo_in[shell] = np.searchsorted(xs, below[shell], side="right")
+    shell = np.flatnonzero((hi_in > 0) & (xs[np.maximum(hi_in - 1, 0)] >= above))
+    hi_in[shell] = np.searchsorted(xs, above[shell], side="left")
+    hi_in = np.maximum(hi_in, lo_in)
     # the rim between the inner window and the padded one, pair by pair
     left, right = lo_in - lo, lo + counts - hi_in
     rim = np.flatnonzero(left + right)
+    own = None
+    if leave is not None:  # the inner windows among the kept points
+        own = kept[0].copy(), kept[1].copy()
+        own[0][rim], own[1][rim] = leave.take(rim).window(
+            lo_in[rim], hi_in[rim] - lo_in[rim])
+    sums, weighted, span, n_inner = _inner_moments(
+        xs, labels, queries, kernel, h, lo_in, hi_in - lo_in, leave, own)
+    if leave is not None:  # the rims that hold kept points
+        rim = rim[kept[1][rim] > n_inner[rim]]
     if len(rim):
         both = np.r_[rim, rim]
         rim_sums, rim_weighted = _pair_sums(
             xs, labels, queries[both], kernel, h, np.r_[lo[rim], hi_in[rim]],
-            np.r_[left[rim], right[rim]])
+            np.r_[left[rim], right[rim]], leave and leave.take(both))
         np.add.at(sums, both, rim_sums)
         np.add.at(weighted, both, rim_weighted)
     # cumulative sums over ``span`` points carry an absolute error of about
     # eps * span in units of one kernel value; redo the queries where that
     # can move the prediction by more than 1e-13 of the label scale
-    y_max = float(np.abs(labels).max())
+    y_max = float(np.abs(labels).max()) if leave is None else leave.y_max[leave.query]
     with np.errstate(divide="ignore", invalid="ignore"):
         pred = np.abs(weighted / sums)
         bound = 64 * np.finfo(float).eps * (span + 1) * (y_max + pred) / sums
-    redo = np.flatnonzero((n_inner > 0) & ~(bound <= 1e-13 * max(1.0, y_max)))
+    redo = np.flatnonzero((n_inner > 0) & ~(bound <= 1e-13 * np.maximum(1.0, y_max)))
     if len(redo):
         sums[redo], weighted[redo] = _pair_sums(
-            xs, labels, queries[redo], kernel, h, lo[redo], counts[redo])
+            xs, labels, queries[redo], kernel, h, lo[redo], counts[redo],
+            leave and leave.take(redo))
     return sums, weighted
 
 
-def _inner_moments(xs, labels, queries, kernel, h, lo, counts):
-    """Kernel and label-weighted sums over each query's run of sorted ``xs``
-    from prefix moments, with the length of the prefix each came from.
+def _inner_moments(xs, labels, queries, kernel, h, lo, counts, leave=None, own=None):
+    """Kernel and label-weighted sums over the kept points of each query's
+    run of sorted ``xs`` from prefix moments, with the length of the prefix
+    each came from and the number of points each summed. With folds, ``own``
+    holds each run as a start and length among the points its query keeps.
 
-    Ascending queries are grouped in bins of width 2h anchored at their
-    centres a, so each bin is a run of consecutive queries; a bin's prefix
-    sums of d, d^2, y, y d and y d^2, d = x - a, run over the union of its
-    queries' windows. With q' = q - a and N the window's length, a query's
-    epanechnikov sums are N - (S2 - 2 q' S1 + q'^2 N) / h^2 and
+    Ascending queries of one fold are grouped in bins of width 2h anchored
+    at their centres a, so each bin is a run of consecutive queries; a bin's
+    prefix sums of d, d^2, y, y d and y d^2, d = x - a, run over the union of
+    its queries' windows. With q' = q - a and N the window's length, a
+    query's epanechnikov sums are N - (S2 - 2 q' S1 + q'^2 N) / h^2 and
     Y0 - (Y2 - 2 q' Y1 + q'^2 Y0) / h^2 (boxcar: N and Y0). Anchoring keeps
     d and q' within 2h, so the expansion loses about a factor of 10 to
-    cancellation. Prefix arrays are built a group of bins at a time, padded
-    to the group's longest prefix (see ``_bin_blocks``).
+    cancellation. Prefix arrays are built a group of bins of one fold at a
+    time, padded to the group's longest prefix (see ``_bin_blocks``).
     """
     m = len(queries)
     sums, weighted, span = np.zeros(m), np.zeros(m), np.zeros(m)
-    filled = np.flatnonzero(counts > 0)
+    own_lo, own_counts = (lo, counts) if leave is None else own
+    filled = np.flatnonzero(own_counts > 0)
     if not len(filled):
-        return sums, weighted, span
-    lo, counts, q = lo[filled], counts[filled], queries[filled]
+        return sums, weighted, span, own_counts
+    q = queries[filled]
     key = np.floor(q / (2.0 * h))
     opens = np.r_[True, key[1:] != key[:-1]]
+    bin_fold = None
+    if leave is not None:  # a bin never spans two folds
+        fold = leave.query[filled]
+        opens[1:] |= fold[1:] != fold[:-1]
     starts = np.flatnonzero(opens)
     bin_of = np.cumsum(opens) - 1
     anchor = (key[starts] + 0.5) * (2.0 * h)
-    first = np.minimum.reduceat(lo, starts)
-    lengths = np.maximum.reduceat(lo + counts, starts) - first
+    first = np.minimum.reduceat(own_lo[filled], starts)
+    lengths = np.maximum.reduceat((own_lo + own_counts)[filled], starts) - first
     span[filled] = lengths[bin_of]
+    if leave is not None:  # the sorted positions each bin reads
+        bin_fold = fold[starts]
+        bin_lo = np.minimum.reduceat(lo[filled], starts)
+        bin_hi = np.maximum.reduceat((lo + counts)[filled], starts)
+    lo, counts = own_lo[filled], own_counts[filled]
     epanechnikov = kernel is SmoothingKernel.EPANECHNIKOV
     hh = h * h
     row = np.empty_like(lengths)
-    for bins in _bin_blocks(lengths):
+    sizes = np.diff(np.r_[starts, len(filled)])  # queries per bin
+    for bins in _bin_blocks(lengths, bin_fold):
         row[bins] = np.arange(len(bins))
-        in_block = np.zeros(len(starts), dtype=bool)
-        in_block[bins] = True
-        at = np.flatnonzero(in_block[bin_of])
+        at = _pair_columns(starts[bins], sizes[bins])  # the bins' queries
         width = lengths[bins].max()
-        cols = first[bins][:, None] + np.arange(width)
-        # prefix[k, row, i]: moment k (d, d^2, y d, y d^2, y; boxcar: y)
-        # summed over the bin's first i points; past the bin's own length a
-        # row runs on over later points, which no query of the bin reads
-        prefix = np.empty((5 if epanechnikov else 1, len(bins), width + 1))
-        prefix[:, :, 0] = 0.0
-        y = prefix[-1, :, 1:]
-        np.take(labels, cols, out=y, mode="clip")
-        if epanechnikov:
-            d, d2, yd, yd2 = prefix[:4, :, 1:]
-            np.take(xs, cols, out=d, mode="clip")
-            d -= anchor[bins][:, None]
-            np.multiply(d, d, out=d2)
-            np.multiply(y, d, out=yd)
-            np.multiply(yd, d, out=yd2)
-        np.cumsum(prefix, axis=2, out=prefix)
-        r, start = row[bin_of[at]], lo[at] - first[bin_of[at]]
-        windowed = prefix[:, r, start + counts[at]] - prefix[:, r, start]
+        block_xs, block_labels, base = xs, labels, 0
+        if leave is not None:
+            # the points the bins' fold keeps where they read: that fold's
+            # kept points from index ``base`` on
+            kept = leave.kept_points(bin_lo[bins].min(), bin_hi[bins].max(),
+                                     bin_fold[bins[0]])
+            block_xs, block_labels, base = xs[kept], labels[kept], first[bins].min()
+        cols = (first[bins] - base)[:, None] + np.arange(width)
+        start = lo[at] - first[bin_of[at]]
+        windowed = _run_moments(block_xs, block_labels, cols, anchor[bins],
+                                row[bin_of[at]], start, start + counts[at],
+                                epanechnikov)
         n = counts[at].astype(float)
         if epanechnikov:
             s1, s2, y1, y2, y0 = windowed
@@ -310,22 +507,47 @@ def _inner_moments(xs, labels, queries, kernel, h, lo, counts):
             weighted[filled[at]] = y0 - (y2 - 2.0 * qd * y1 + qd * qd * y0) / hh
         else:
             sums[filled[at]], weighted[filled[at]] = n, windowed[0]
-    return sums, weighted, span
+    return sums, weighted, span, own_counts
 
 
-def _bin_blocks(lengths) -> list[np.ndarray]:
+def _run_moments(xs, labels, cols, anchor, rows, start, stop, epanechnikov):
+    """Moment sums of the points ``cols[row, start:stop]`` for each
+    (row, start, stop): d, d^2, y d, y d^2 and y with d = x - anchor[row]
+    (boxcar: y alone), as differences of prefix sums along each row."""
+    # prefix[k, row, i]: moment k summed over the row's first i points;
+    # past its bin's own length a row runs on over points no query reads
+    prefix = np.empty((5 if epanechnikov else 1, len(cols), cols.shape[1] + 1))
+    prefix[:, :, 0] = 0.0
+    y = prefix[-1, :, 1:]
+    np.take(labels, cols, out=y, mode="clip")
+    if epanechnikov:
+        d, d2, yd, yd2 = prefix[:4, :, 1:]
+        np.take(xs, cols, out=d, mode="clip")
+        d -= anchor[:, None]
+        np.multiply(d, d, out=d2)
+        np.multiply(y, d, out=yd)
+        np.multiply(yd, d, out=yd2)
+    np.cumsum(prefix, axis=2, out=prefix)
+    return prefix[:, rows, stop] - prefix[:, rows, start]
+
+
+def _bin_blocks(lengths, folds=None) -> list[np.ndarray]:
     """Groups of bins whose padded (bins x longest prefix) arrays hold about
-    _BLOCK_PAIRS values each, at least one bin per group. Bins are grouped
-    by prefix length, so little padding is wasted on clustered data."""
-    order = np.argsort(lengths, kind="stable")
-    ranked = lengths[order]
-    groups, start = [], 0
-    while start < len(order):
-        padded = np.arange(1, len(order) - start + 1) * ranked[start:]
-        stop = start + max(1, int(np.searchsorted(padded, _BLOCK_PAIRS,
-                                                  side="right")))
-        groups.append(order[start:stop])
-        start = stop
+    _BLOCK_PAIRS values each, at least one bin per group and never bins of
+    two folds (``folds``: each bin's fold, a fold's bins consecutive). Bins
+    are grouped by prefix length, so little padding is wasted on clustered
+    data."""
+    groups = []
+    for a, b in _fold_runs(folds, len(lengths)):
+        order = a + np.argsort(lengths[a:b], kind="stable")
+        ranked = lengths[order]
+        start = 0
+        while start < len(order):
+            padded = np.arange(1, len(order) - start + 1) * ranked[start:]
+            stop = start + max(1, int(np.searchsorted(padded, _BLOCK_PAIRS,
+                                                      side="right")))
+            groups.append(order[start:stop])
+            start = stop
     return groups
 
 
@@ -339,13 +561,46 @@ def _windows(xs, queries, radius):
     return lo, np.searchsorted(xs, queries + reach, side="right") - lo
 
 
-def _blocks(counts) -> list[slice]:
-    """Slices of consecutive queries holding about _BLOCK_PAIRS pairs each."""
+def _blocks(counts, folds=None) -> list[slice]:
+    """Slices of consecutive queries holding about _BLOCK_PAIRS pairs each.
+    With ``folds`` (each query's fold), a block holds whole runs of queries
+    of one fold whose pairs together fit in one run's share of _BLOCK_PAIRS,
+    or part of one run, at most half of _BLOCK_PAIRS: a block's temporaries
+    live until the next block's replace them, so two blocks of a fold stay
+    within the one block a call on that fold alone would make."""
     ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    cuts = np.searchsorted(ends, np.arange(_BLOCK_PAIRS, total, _BLOCK_PAIRS))
-    bounds = [0, *cuts.tolist(), len(counts)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+    runs = _fold_runs(folds, len(counts))
+    share = _BLOCK_PAIRS // len(runs)
+    blocks, start, held = [], 0, 0  # the whole folds gathered: first query, pairs
+    for a, b in runs:
+        before = int(ends[a - 1]) if a else 0
+        total = int(ends[b - 1]) - before if b > a else 0
+        if folds is not None and total <= share:
+            if held + total > share:
+                blocks.append(slice(start, a))
+                start, held = a, 0
+            held += total
+            continue
+        if a > start:
+            blocks.append(slice(start, a))
+        cuts, limit = [], _BLOCK_PAIRS if folds is None else _BLOCK_PAIRS // 2
+        if total > limit:
+            marks = before + np.arange(limit, total, limit)
+            cuts = np.searchsorted(ends, marks).tolist()
+        bounds = [a, *cuts, b]
+        blocks += [slice(c, d) for c, d in zip(bounds, bounds[1:]) if d > c]
+        start, held = b, 0
+    if len(counts) > start:
+        blocks.append(slice(start, len(counts)))
+    return blocks
+
+
+def _fold_runs(folds, n) -> list[tuple[int, int]]:
+    """(start, stop) of each run of equal ``folds``; one run without folds."""
+    if folds is None:
+        return [(0, n)]
+    bounds = [0, *(np.flatnonzero(folds[1:] != folds[:-1]) + 1).tolist(), n]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _pair_columns(lo, counts) -> np.ndarray:
@@ -355,25 +610,22 @@ def _pair_columns(lo, counts) -> np.ndarray:
     return cols
 
 
-def _segment_sums(values, counts) -> np.ndarray:
-    """Sums of the consecutive runs of ``values`` with the given lengths."""
-    out = np.zeros(len(counts))
-    filled = counts > 0
-    if filled.any():
-        out[filled] = np.add.reduceat(values, (np.cumsum(counts) - counts)[filled])
-    return out
-
-
-def _nearest_sorted_1d(xs, ranks, queries) -> np.ndarray:
-    """Positions in sorted ``xs`` of each query's nearest training point by
-    rounded squared distance, ties going to the lowest rank: the point that
-    ``argmin`` over the dense row picks."""
-    right = np.minimum(np.searchsorted(xs, queries), len(xs) - 1)
-    left = np.maximum(right - 1, 0)
+def _nearest_sorted_1d(xs, ranks, queries, leave=None) -> np.ndarray:
+    """Positions in sorted ``xs`` of each query's nearest kept training point
+    by rounded squared distance, ties going to the lowest rank: the point
+    that ``argmin`` over the dense row picks."""
+    if leave is None:
+        right = np.minimum(np.searchsorted(xs, queries), len(xs) - 1)
+        left = np.maximum(right - 1, 0)
+    else:
+        left, right = leave.neighbours(np.searchsorted(xs, queries))
     near = np.minimum(np.abs(queries - xs[left]), np.abs(queries - xs[right]))
     # every point whose rounded squared distance equals the nearest one's
     lo, counts = _windows(xs, queries, near)
-    cols = _pair_columns(lo, counts)
+    if leave is None:
+        cols = _pair_columns(lo, counts)
+    else:
+        cols, counts = leave.columns(lo, counts)
     rows = np.repeat(np.arange(len(queries)), counts)
     diff = queries[rows] - xs[cols]
     by_distance = np.lexsort((ranks[cols], diff * diff, rows))

@@ -1,12 +1,13 @@
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from htlreg import experiment, pipeline, ridge
+from htlreg import experiment, pipeline, ridge, smoothing
 from htlreg.cli import main as cli_main
 from htlreg.data import Dataset, DomainTag, load_csv
 from htlreg.experiment import (
@@ -471,6 +472,14 @@ class TestConfigParsing:
         (lambda c: (_kind(c, "rate_sweep", n_ta_grid=[25, 50, 100]),
                     c["methods"].update(baselines=[]), c.pop("transformations")),
          [], "config.methods.baselines: a run needs at least one method"),
+        (lambda c: c["methods"]["source"].update(kernel=["boxcar"]), [],
+         "config.methods.source.kernel: expected a string, got ['boxcar']"),
+        (lambda c: c["methods"]["source"].update(kernel="box"), [],
+         "config.methods.source.kernel: expected one of 'boxcar', 'epanechnikov', "
+         "'truncated_gaussian', 'gaussian', got 'box'"),
+        (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": {"shape": 5}}),
+         [], "config.methods.target.kernel.shape: expected 'rbf', 'linear' or "
+         "'polynomial', got 5"),
     ])
     def test_invalid_config_fails_at_parse_time_naming_the_key(
         self, tmp_path, capsys, edit, argv, key
@@ -529,6 +538,27 @@ def _reference_cv_scores(data, candidates, folds, seed):
     return scores / len(parts)
 
 
+def _fold_window_pairs(data, folds, seed, bandwidths):
+    """(bandwidths, folds) window pairs of each fold's training call: what
+    picks its moment or pair path."""
+    x = data.features[:, 0]
+    parts = cv_folds_indices(data.n, folds, seed)
+    return np.array([[smoothing._windows(np.sort(np.delete(x, r)), x[r], h)[1].sum()
+                      for r in parts] for h in bandwidths])
+
+
+def _has_tied_empty_window(data, parts, h):
+    """Whether some row has no point outside its fold within h, and two
+    such points tie for its nearest."""
+    x = data.features[:, 0]
+    for rows in parts:
+        gaps = np.abs(x[rows, None] - np.delete(x, rows)[None, :])
+        nearest = gaps.min(axis=1)
+        if ((nearest > h) & ((gaps == nearest[:, None]).sum(axis=1) > 1)).any():
+            return True
+    return False
+
+
 class TestGridSearchCv:
     def test_single_candidate(self):
         data = _noisy_linear_data()
@@ -556,13 +586,46 @@ class TestGridSearchCv:
         for test_idx in parts:
             train_x = np.delete(xs, test_idx)
             assert not np.isin(xs[test_idx], train_x).all()
-        for kernel in SmoothingKernel:
-            for sample, hs in ((data, (0.02, 0.1, 0.5)),
-                               (repeated, (0.01, 0.05, 0.2))):
-                candidates = [KSSpec(kernel, bandwidth=h) for h in hs]
-                _, fast = grid_search_cv(sample, candidates, folds=5, seed=3)
-                generic = _reference_cv_scores(sample, candidates, 5, seed=3)
-                assert np.array_equal(fast, generic)
+        # the larger samples have labels 10 + N(0, 0.01^2), so a prediction's
+        # last bits still show in its fold's mean squared error
+        # 2,000 rows on a 1/128 grid: every value repeats across folds, 0.0
+        # and -0.0 among them, and some points lie exactly h = 1/8 from a
+        # query; at h = 1/8 and 0.3 each fold's window pairs reach the moment
+        # floor, at 1/64 none does
+        grid = rng.integers(-64, 65, size=2000) / 128
+        zeros = np.flatnonzero(grid == 0)
+        grid[zeros[::2]] = -0.0
+        assert np.signbit(grid[zeros]).any() and not np.signbit(grid[zeros]).all()
+        dense = Dataset(features=grid.reshape(-1, 1),
+                        labels=10.0 + 0.01 * rng.normal(size=2000))
+        pairs = _fold_window_pairs(dense, 5, 3, (1 / 64, 1 / 8, 0.3))
+        assert (pairs[0] < smoothing._MOMENT_MIN_PAIRS).all()
+        assert (pairs[1:] >= smoothing._MOMENT_MIN_PAIRS).all()
+        # fold 0 and 100 rows of each other fold in a cluster, so fold 0 takes
+        # the moment path while the others sum pairs; the rest sit on integer
+        # points with empty windows, each falling back to its nearest point
+        # outside its fold, often tied at distance 1 left and right
+        split = cv_folds_indices(1500, 5, seed=3)
+        cluster = np.r_[split[0], *[rows[:100] for rows in split[1:]]]
+        spread = np.setdiff1d(np.arange(1500), cluster)
+        mixed_x = np.empty(1500)
+        mixed_x[cluster] = rng.uniform(0.0, 0.01, size=len(cluster))
+        mixed_x[spread] = 10.0 + rng.permutation(len(spread))
+        mixed = Dataset(features=mixed_x.reshape(-1, 1),
+                        labels=10.0 + 0.01 * rng.normal(size=1500))
+        pairs = _fold_window_pairs(mixed, 5, 3, (0.05,))[0]
+        assert pairs[0] >= smoothing._MOMENT_MIN_PAIRS > pairs[1:].max()
+        assert _has_tied_empty_window(mixed, split, 0.05)
+        samples = ((data, (0.02, 0.1, 0.5)), (repeated, (0.01, 0.05, 0.2)),
+                   (dense, (1 / 64, 1 / 8, 0.3)), (mixed, (0.05, 0.5, 1.0)))
+        for moment_floor in (smoothing._MOMENT_MIN_PAIRS, 0):
+            with mock.patch.object(smoothing, "_MOMENT_MIN_PAIRS", moment_floor):
+                for kernel in SmoothingKernel:
+                    for sample, hs in samples:
+                        candidates = [KSSpec(kernel, bandwidth=h) for h in hs]
+                        _, fast = grid_search_cv(sample, candidates, folds=5, seed=3)
+                        generic = _reference_cv_scores(sample, candidates, 5, seed=3)
+                        assert np.array_equal(fast, generic)
 
     def test_krr_fast_path_matches_generic(self, monkeypatch):
         data = _noisy_linear_data(n=40, noise=0.1)
@@ -625,6 +688,31 @@ class TestGridSearchCv:
                 pair_parities |= {np.count_nonzero(pdist(X)) % 2 for X in X_trains}
         assert pair_parities == {0, 1}
 
+    def test_windowed_grid_predicts_every_fold_in_one_pass(self, monkeypatch):
+        # a 1-D compact-kernel bandwidth grid fits no fold on its own: one
+        # predict_sorted_1d call serves every fold and bandwidth
+        data = _noisy_linear_data(n=60, noise=0.1)
+        grids = [[KSSpec(kernel, bandwidth=h) for h in (0.02, 0.1, 0.5)]
+                 for kernel in SmoothingKernel if kernel.compact]
+        generic = [_reference_cv_scores(data, grid, 5, seed=2) for grid in grids]
+        passes = []
+        one_pass = smoothing.predict_sorted_1d
+
+        def counted(*args):
+            passes.append(args)
+            return one_pass(*args)
+
+        def fold_fit(*args):
+            raise AssertionError("a fold was fit on its own")
+
+        monkeypatch.setattr(smoothing, "predict_sorted_1d", counted)
+        monkeypatch.setattr(smoothing, "ks_predict", fold_fit)
+        monkeypatch.setattr(Dataset, "without", fold_fit)
+        for grid, want in zip(grids, generic):
+            passes.clear()
+            _, scores = grid_search_cv(data, grid, folds=5, seed=2)
+            assert len(passes) == 1 and np.array_equal(scores, want)
+
     @pytest.mark.parametrize("candidates", [
         [KSSpec(bandwidth=0.1), KRRSpec(rbf_kernel(0.4), lam=0.1)],
         [KSSpec(bandwidth=0.1), KSSpec(rule=BandwidthRule())],
@@ -636,7 +724,7 @@ class TestGridSearchCv:
         def shared_fit(*args):
             raise AssertionError("a grid over more than one value was shared")
 
-        monkeypatch.setattr(experiment, "ks_predict", shared_fit)
+        monkeypatch.setattr(experiment, "ks_cv_predict", shared_fit)
         monkeypatch.setattr(experiment, "krr_path", shared_fit)
         data = _noisy_linear_data(n=30)
         best, scores = grid_search_cv(data, candidates, folds=3, seed=5)

@@ -194,10 +194,10 @@ class TestWindowPath:
         paired = []  # queries whose whole window was summed pair by pair
         pair_sums = smoothing._pair_sums
 
-        def spy(xs, labels, queries, kernel, h, lo, counts):
+        def spy(xs, labels, queries, kernel, h, lo, counts, leave=None):
             whole = counts == smoothing._windows(xs, queries, h)[1]
             paired.extend(queries[whole & (counts > 0)])
-            return pair_sums(xs, labels, queries, kernel, h, lo, counts)
+            return pair_sums(xs, labels, queries, kernel, h, lo, counts, leave)
 
         monkeypatch.setattr(smoothing, "_pair_sums", spy)
         monkeypatch.setattr(smoothing, "_MOMENT_MIN_PAIRS", 0)
@@ -248,6 +248,45 @@ class TestWindowPath:
         whole = ks_predict(train, Q, kernel, bandwidths)
         for got, want in zip(ks_predict(train, Q[perm], kernel, bandwidths), whole):
             assert got.tobytes() == want[perm].tobytes()
+
+    @pytest.mark.parametrize("moment_floor", [smoothing._MOMENT_MIN_PAIRS, 0])
+    @pytest.mark.parametrize("kernel", COMPACT)
+    def test_cv_predict_gives_each_row_its_fold_fit_bit_for_bit(
+            self, monkeypatch, kernel, moment_floor):
+        # one label far above the rest: its own fold's queries, which leave
+        # it out, bound their moment error by a smaller max|y| than the
+        # sample's; repeated dyadic points fall on both sides of fold lines
+        monkeypatch.setattr(smoothing, "_MOMENT_MIN_PAIRS", moment_floor)
+        rng = np.random.default_rng(13)
+        xs = np.r_[rng.integers(0, 64, 600) / 64, rng.uniform(0, 1, 600)]
+        ys = rng.normal(size=len(xs))
+        ys[0] = 1e3
+        parts = np.array_split(rng.permutation(len(xs)), 7)
+        bandwidths = [1 / 128, 0.05, 0.2]
+        got = smoothing.ks_cv_predict(make(xs, ys), parts, kernel, bandwidths)
+        for rows in parts:
+            fits = ks_predict(make(np.delete(xs, rows), np.delete(ys, rows)),
+                              xs[rows].reshape(-1, 1), kernel, bandwidths)
+            for pred, fit in zip(got, fits):
+                assert pred[rows].tobytes() == fit.tobytes()
+
+    def test_a_block_of_several_folds_keeps_each_querys_own_points(self):
+        # queries of folds 2, 5, 2, as the left and right rims of two folds'
+        # queries come, share a block: each sums the points outside its fold
+        rng = np.random.default_rng(14)
+        xs, ys = np.sort(rng.uniform(0, 1, 200)), rng.normal(size=200)
+        fold = rng.integers(0, 6, 200).astype(np.uint8)
+        queries, query_fold = np.array([0.3, 0.6, 0.31]), np.array([2, 5, 2], np.uint8)
+        kernel, h = SmoothingKernel.EPANECHNIKOV, 0.05
+        lo, counts = smoothing._windows(xs, queries, h)
+        got = smoothing._pair_sums(xs, ys, queries, kernel, h, lo, counts,
+                                   smoothing._LeaveOut.of(fold, query_fold, ys))
+        for i, f in enumerate(query_fold):
+            kept = fold != f
+            q = queries[i:i + 1]
+            want = smoothing._pair_sums(xs[kept], ys[kept], q, kernel, h,
+                                        *smoothing._windows(xs[kept], q, h))
+            assert got[0][i] == want[0][0] and got[1][i] == want[1][0]
 
     @PROPERTY
     @given(st.integers(1, 2), st.integers(1, 20), st.sampled_from(list(SmoothingKernel)),
