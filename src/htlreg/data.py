@@ -86,24 +86,12 @@ class Dataset:
 
     def without(self, rows: np.ndarray) -> Dataset:
         """The sample less ``rows``, the rest in row order, with this
-        sample's domain tag: a CV fold's training sample.
-
-        A 1-D sample's fold takes ``sorted_1d`` from this sample's in O(n)
-        instead of sorting: removing rows keeps the others' order, so the
-        filtered sort, renumbered, is the fold's own stable order.
-        """
+        sample's domain tag: a CV fold's training sample."""
         keep = np.ones(self.n, dtype=bool)
         keep[rows] = False
         idx = np.flatnonzero(keep)
-        fold = Dataset(features=self.features[idx], labels=self.labels[idx],
+        return Dataset(features=self.features[idx], labels=self.labels[idx],
                        domain_tag=self.domain_tag)
-        if self.dim == 1:
-            xs, ys, order = self.sorted_1d
-            kept = keep[order]
-            renumber = np.empty(self.n, dtype=idx.dtype)
-            renumber[idx] = np.arange(len(idx))
-            fold.__dict__["sorted_1d"] = xs[kept], ys[kept], renumber[order[kept]]
-        return fold
 
 
 def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:

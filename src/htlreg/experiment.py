@@ -538,8 +538,8 @@ def grid_search_cv(
     varies only one kernel's lambda is fit once per fold (``krr_path``), with
     the same predictions, bit for bit, as fitting each candidate; any other
     grid fits each candidate on each fold. A fold fit trains on
-    ``data.without(test_idx)``, so a 1-D sample is sorted once per call, not
-    per fold.
+    ``data.without(test_idx)``; a 1-D fold that is fit on its own sorts its
+    own sample (``Dataset.sorted_1d``).
     """
     candidates = list(candidates)
     if not candidates:

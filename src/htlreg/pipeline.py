@@ -22,6 +22,7 @@ runner shares it per seed across every method and target size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, Union
 
@@ -259,6 +260,8 @@ def select_transformation(
     and relabels through its plain inverse, so a loglinear candidate, whose
     estimator needs sigma2, is rejected. Ties go to the candidate
     closest to non-transfer (smallest |alpha|), then to the lowest index.
+    A candidate whose validation MSE is not finite raises ``ValueError``
+    naming it.
     """
     if validation.domain_tag is not DomainTag.VALIDATION:
         raise ValueError(
@@ -274,7 +277,10 @@ def select_transformation(
     for tf in candidates:
         predictor = htl_fit(f_so_hat, target, AuxiliaryEstimator(tf), w_spec)
         residuals = validation.labels - predictor.predict(validation.features)
-        rows.append((tf.label, float(np.mean(residuals**2))))
+        mse = float(np.mean(residuals**2))
+        if not math.isfinite(mse):
+            raise ValueError(f"candidate {tf.label}: non-finite validation MSE {mse}")
+        rows.append((tf.label, mse))
 
     best = min(
         range(len(candidates)),

@@ -25,20 +25,21 @@ The windowed path needs only numpy. The dense path takes its
 distances from ``data.sq_distances``, which imports scipy on first use, so a
 1-D compact-kernel run never loads scipy.
 
-``ks_cv_predict`` predicts every fold of a cross-validation at once. In a
-1-D compact-kernel call with folds, each query is predicted from the
-training points outside its own fold, and one pass per bandwidth serves all
-folds: the queries are sorted once, windows are found by one search in the
-whole sample's cached sort, then counted in the points the query's fold
-keeps. A block of window pairs or a group of moment bins belongs to one fold
-(small folds share a block of pairs and filter them), and the points that
-fold keeps are gathered once for it. Whatever a call on one fold's points
-computes once per call is computed per fold: the moment-vs-pair choice from
-the fold's own pair total, the max|y| of the moment error bound, the moment
-bins, window starts and prefix spans counted in the fold's points, and the
+``ks_cv_predict`` predicts every fold of a cross-validation at once. A 1-D
+compact-kernel call predicts each query from the training points outside
+its own fold, and one pass per bandwidth serves all folds: the queries are
+sorted once, windows are found by one search in the whole sample's cached
+sort, then counted in the points the query's fold keeps. A block of window
+pairs or a group of moment bins belongs to one fold (small folds share a
+block of pairs and filter them), and the points that fold keeps are
+gathered once for it. Whatever a call on one fold's points computes once per
+call is computed per fold: the moment-vs-pair choice from the fold's own
+pair total, the max|y| of the moment error bound, the moment bins, window
+starts and prefix spans counted in the fold's points, and the
 nearest-neighbour fallback among them. Every operation on a query's values
 is then the one that call makes, in the same order, so each prediction, and
-each CV score, has the bits of a per-fold fit.
+each CV score, has the bits of a per-fold fit. A call without folds
+(``ks_predict``'s) runs the same code as one fold that leaves nothing out.
 
 Inside the window, boxcar and epanechnikov are polynomials in (q - x)^2, so
 a call whose windows hold at least ``_MOMENT_MIN_PAIRS`` pairs takes their
@@ -149,9 +150,9 @@ def predict_from_kernel(
     return out
 
 
-# Window pairs are evaluated in blocks of consecutive queries holding about
-# this many pairs, so a block bounds each float64 temporary at about 512 KB
-# instead of one spanning every pair of a call.
+# Window pairs are evaluated in blocks of consecutive queries holding at most
+# about this many pairs (see ``_blocks``), so a block bounds each float64
+# temporary at about 512 KB instead of one spanning every pair of a call.
 _BLOCK_PAIRS = 1 << 16
 
 # Calls with at least this many window pairs sum boxcar and epanechnikov
@@ -218,15 +219,17 @@ def predict_sorted_1d(
     dense path; large boxcar and epanechnikov calls take their window sums
     from prefix moments (see the module docstring).
 
-    ``folds``, if given, holds the fold of each training point (in the order
-    of ``xs``) and of each query, as small nonnegative integers. A query is
-    then predicted from the points outside its own fold, with the bits of a
-    call on those points and that fold's queries alone.
+    ``folds`` holds the fold of each training point (in the order of ``xs``)
+    and of each query, as small nonnegative integers. A query is predicted
+    from the points outside its own fold, with the bits of a call on those
+    points and that fold's queries alone. Without ``folds`` the call is the
+    one fold that leaves nothing out, and every query keeps every point.
     """
     perm = np.argsort(queries)
     ascending = queries[perm]
-    leave, regroup = None, slice(None)
-    if folds is not None:  # a fold's queries consecutive, still ascending
+    if folds is None:
+        leave, regroup = _KEEP_ALL, slice(None)
+    else:  # a fold's queries consecutive, still ascending
         fold, query_fold = folds
         regroup = np.argsort(query_fold[perm], kind="stable")
         perm = perm[regroup]
@@ -243,8 +246,7 @@ def predict_sorted_1d(
         out[live] = weighted[live] / sums[live]
         if not live.all():
             dead = ~live
-            out[dead] = labels[_nearest_sorted_1d(xs, ranks, q[dead],
-                                                  leave and leave.take(dead))]
+            out[dead] = labels[_nearest_sorted_1d(xs, ranks, q[dead], leave.take(dead))]
         pred = np.empty_like(out)
         pred[perm] = out
         preds.append(pred)
@@ -256,13 +258,14 @@ class _LeaveOut:
     """The training points each query of a call leaves out: those of its own
     fold. Windows stay runs [lo, lo + counts) of positions in the sorted
     training sample; these methods count and list the points of a run that
-    its query keeps."""
+    its query keeps. The keep-all form (``fold`` None), which a call without
+    folds builds, leaves nothing out and answers with the runs as found."""
 
-    fold: np.ndarray  # of each sorted training point
-    query: np.ndarray  # of each query
-    y_max: np.ndarray  # per fold: max |label| over the points outside it
-    keys: np.ndarray  # fold * (n + 1) + position, ascending
-    first: np.ndarray  # per fold: where its points start in keys
+    fold: np.ndarray | None  # of each sorted training point
+    query: np.ndarray | None  # of each query
+    y_max: np.ndarray | None  # per fold: max |label| over the points outside it
+    keys: np.ndarray | None  # fold * (n + 1) + position, ascending
+    first: np.ndarray | None  # per fold: where its points start in keys
 
     @classmethod
     def of(cls, fold, query, labels) -> _LeaveOut:
@@ -279,7 +282,30 @@ class _LeaveOut:
 
     def take(self, idx) -> _LeaveOut:
         """The same training folds for the queries ``idx``."""
+        if self.fold is None:
+            return self
         return replace(self, query=self.query[idx])
+
+    def runs(self, m) -> list[tuple[int, int]]:
+        """(start, stop) of each run of consecutive queries of one fold, of
+        the call's ``m`` queries."""
+        if self.fold is None:
+            return [(0, m)]
+        ends = np.flatnonzero(self.query[1:] != self.query[:-1]) + 1
+        bounds = [0, *ends.tolist(), m]
+        return list(zip(bounds, bounds[1:]))
+
+    def label_max(self, labels):
+        """Each query's max |label| over the points it keeps."""
+        if self.fold is None:
+            return float(np.abs(labels).max())
+        return self.y_max[self.query]
+
+    def fold_pairs(self, counts):
+        """For each query, the total of ``counts`` over its fold's queries."""
+        if self.fold is None:
+            return counts.sum()
+        return np.bincount(self.query, weights=counts)[self.query]
 
     def kept_before(self, pos) -> np.ndarray:
         """How many points each query keeps below sorted position ``pos``."""
@@ -289,25 +315,37 @@ class _LeaveOut:
     def window(self, lo, counts) -> tuple[np.ndarray, np.ndarray]:
         """Start and length of each query's run counted in its kept points:
         the run that a call on those points alone finds."""
+        if self.fold is None:
+            return lo, counts
         start = self.kept_before(lo)
         return start, self.kept_before(lo + counts) - start
 
-    def kept_points(self, start, stop, fold) -> np.ndarray:
-        """Sorted positions in [start, stop) of the points outside ``fold``:
-        a run of the points that fold's queries keep."""
-        return start + np.flatnonzero(self.fold[start:stop] != fold)
+    def kept_runs(self, lo, counts, at):
+        """The points that query ``at``'s fold keeps across the runs (``lo``,
+        ``counts``), as an index into the sorted sample, and the start and
+        length of each run among them."""
+        if self.fold is None:
+            return slice(None), lo, counts
+        start, stop = lo.min(), lo + counts
+        kept = start + np.flatnonzero(self.fold[start:stop.max()] != self.query[at])
+        start = np.searchsorted(kept, lo)
+        return kept, start, np.searchsorted(kept, stop) - start
 
     def columns(self, lo, counts) -> tuple[np.ndarray, np.ndarray]:
         """Sorted positions of the kept points of each query's run, query by
         query, and how many each query keeps."""
         cols = _pair_columns(lo, counts)
+        if self.fold is None:
+            return cols, counts
         keep = self.fold[cols] != np.repeat(self.query, counts)
         return cols[keep], self.window(lo, counts)[1]
 
-    def neighbours(self, pos) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted positions of each query's nearest kept points below and at
-        or above position ``pos``; a side without one takes the other's."""
-        n = len(self.fold)
+    def neighbours(self, pos, n) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted positions of each query's nearest kept points of ``n``, below
+        and at or above position ``pos``; a side without one takes the other's."""
+        if self.fold is None:
+            right = np.minimum(pos, n - 1)
+            return np.maximum(right - 1, 0), right
         # where each run of one fold's points starts, then n
         bounds = np.r_[0, np.flatnonzero(self.fold[1:] != self.fold[:-1]) + 1, n]
         above = np.minimum(pos, n - 1)
@@ -321,23 +359,20 @@ class _LeaveOut:
         return np.where(left < 0, right, left), np.where(right == n, left, right)
 
 
+_KEEP_ALL = _LeaveOut(None, None, None, None, None)  # no folds: nothing left out
+
+
 def _window_sums(xs, labels, queries, kernel, h, lo, counts, leave):
     """Kernel sums and label-weighted sums over each query's window. A
-    boxcar or epanechnikov query whose fold (without folds, the call) holds
-    at least _MOMENT_MIN_PAIRS kept window pairs takes them from prefix
-    moments; any other query sums its window pair by pair."""
-    if kernel not in _POLYNOMIAL:
-        return _pair_sums(xs, labels, queries, kernel, h, lo, counts, leave)
-    if leave is None:
-        moment = counts.sum() >= _MOMENT_MIN_PAIRS
-        sums_of = _moment_sums if moment else _pair_sums
-        return sums_of(xs, labels, queries, kernel, h, lo, counts)
+    boxcar or epanechnikov query whose fold holds at least _MOMENT_MIN_PAIRS
+    kept window pairs takes them from prefix moments; any other query sums
+    its window pair by pair."""
     # a fold keeps at most its queries' whole windows
-    if not (np.bincount(leave.query, weights=counts) >= _MOMENT_MIN_PAIRS).any():
+    if kernel not in _POLYNOMIAL or not (
+            leave.fold_pairs(counts) >= _MOMENT_MIN_PAIRS).any():
         return _pair_sums(xs, labels, queries, kernel, h, lo, counts, leave)
     kept = leave.window(lo, counts)
-    pairs = np.bincount(leave.query, weights=kept[1])
-    moment = (pairs >= _MOMENT_MIN_PAIRS)[leave.query]
+    moment = leave.fold_pairs(kept[1]) >= _MOMENT_MIN_PAIRS
     if moment.all():
         return _moment_sums(xs, labels, queries, kernel, h, lo, counts, leave, kept)
     sums, weighted = np.empty(len(queries)), np.empty(len(queries))
@@ -351,26 +386,20 @@ def _window_sums(xs, labels, queries, kernel, h, lo, counts, leave):
     return sums, weighted
 
 
-def _pair_sums(xs, labels, queries, kernel, h, lo, counts, leave=None):
+def _pair_sums(xs, labels, queries, kernel, h, lo, counts, leave):
     """Kernel sums and label-weighted sums over the kept points of each
     query's run of sorted ``xs`` (start ``lo``, length ``counts``),
     evaluated pair by pair."""
     m = len(queries)
     sums, weighted = np.zeros(m), np.zeros(m)
-    for block in _blocks(counts, leave and leave.query):
-        block_xs, block_labels = xs, labels
+    for block, shared in _blocks(counts, leave.runs(m)):
         block_lo, runs = lo[block], counts[block]
-        if leave is not None and (leave.query[block] != leave.query[block.start]).any():
-            # small folds sharing the block: their pairs filtered
+        if shared:  # whole runs of queries: their pairs filtered
+            block_xs, block_labels = xs, labels
             cols, runs = leave.take(block).columns(block_lo, runs)
-        else:
-            if leave is not None:  # one fold: its runs among its kept points
-                stop = block_lo + runs
-                kept = leave.kept_points(block_lo.min(), stop.max(),
-                                         leave.query[block.start])
-                block_xs, block_labels = xs[kept], labels[kept]
-                block_lo = np.searchsorted(kept, block_lo)
-                runs = np.searchsorted(kept, stop) - block_lo
+        else:  # part of one fold's run: its runs among its kept points
+            kept, block_lo, runs = leave.kept_runs(block_lo, runs, block.start)
+            block_xs, block_labels = xs[kept], labels[kept]
             cols = _pair_columns(block_lo, runs)
         sq = np.repeat(queries[block], runs)
         sq -= block_xs[cols]
@@ -386,12 +415,12 @@ def _pair_sums(xs, labels, queries, kernel, h, lo, counts, leave=None):
     return sums, weighted
 
 
-def _moment_sums(xs, labels, queries, kernel, h, lo, counts, leave=None, kept=None):
+def _moment_sums(xs, labels, queries, kernel, h, lo, counts, leave, kept):
     """The sums of ``_pair_sums`` for a polynomial kernel, from prefix
     moments over each query's inner window, pairs on the window's rim, and
     pairs again for every query whose moment error bound is too loose.
-    With folds, ``kept`` holds each query's window as a start and length
-    among the points it keeps (``_LeaveOut.window``)."""
+    ``kept`` holds each query's window as a start and length among the
+    points it keeps (``_LeaveOut.window``)."""
     # inner window |q - x| < h (1 - 1e-7), shrunk by the rounding of q -+ h;
     # every point in it has s < 1 in any rounding, so K is the polynomial
     reach = h * (1.0 - 1e-7) - 1e-9 * (h + np.abs(queries))
@@ -408,26 +437,23 @@ def _moment_sums(xs, labels, queries, kernel, h, lo, counts, leave=None, kept=No
     # the rim between the inner window and the padded one, pair by pair
     left, right = lo_in - lo, lo + counts - hi_in
     rim = np.flatnonzero(left + right)
-    own = None
-    if leave is not None:  # the inner windows among the kept points
-        own = kept[0].copy(), kept[1].copy()
-        own[0][rim], own[1][rim] = leave.take(rim).window(
-            lo_in[rim], hi_in[rim] - lo_in[rim])
+    own = kept[0].copy(), kept[1].copy()  # the inner windows among kept points
+    own[0][rim], own[1][rim] = leave.take(rim).window(lo_in[rim],
+                                                      hi_in[rim] - lo_in[rim])
     sums, weighted, span, n_inner = _inner_moments(
         xs, labels, queries, kernel, h, lo_in, hi_in - lo_in, leave, own)
-    if leave is not None:  # the rims that hold kept points
-        rim = rim[kept[1][rim] > n_inner[rim]]
+    rim = rim[kept[1][rim] > n_inner[rim]]  # the rims that hold kept points
     if len(rim):
         both = np.r_[rim, rim]
         rim_sums, rim_weighted = _pair_sums(
             xs, labels, queries[both], kernel, h, np.r_[lo[rim], hi_in[rim]],
-            np.r_[left[rim], right[rim]], leave and leave.take(both))
+            np.r_[left[rim], right[rim]], leave.take(both))
         np.add.at(sums, both, rim_sums)
         np.add.at(weighted, both, rim_weighted)
     # cumulative sums over ``span`` points carry an absolute error of about
     # eps * span in units of one kernel value; redo the queries where that
     # can move the prediction by more than 1e-13 of the label scale
-    y_max = float(np.abs(labels).max()) if leave is None else leave.y_max[leave.query]
+    y_max = leave.label_max(labels)
     with np.errstate(divide="ignore", invalid="ignore"):
         pred = np.abs(weighted / sums)
         bound = 64 * np.finfo(float).eps * (span + 1) * (y_max + pred) / sums
@@ -435,15 +461,15 @@ def _moment_sums(xs, labels, queries, kernel, h, lo, counts, leave=None, kept=No
     if len(redo):
         sums[redo], weighted[redo] = _pair_sums(
             xs, labels, queries[redo], kernel, h, lo[redo], counts[redo],
-            leave and leave.take(redo))
+            leave.take(redo))
     return sums, weighted
 
 
-def _inner_moments(xs, labels, queries, kernel, h, lo, counts, leave=None, own=None):
+def _inner_moments(xs, labels, queries, kernel, h, lo, counts, leave, own):
     """Kernel and label-weighted sums over the kept points of each query's
     run of sorted ``xs`` from prefix moments, with the length of the prefix
-    each came from and the number of points each summed. With folds, ``own``
-    holds each run as a start and length among the points its query keeps.
+    each came from and the number of points each summed. ``own`` holds each
+    run as a start and length among the points its query keeps.
 
     Ascending queries of one fold are grouped in bins of width 2h anchored
     at their centres a, so each bin is a run of consecutive queries; a bin's
@@ -457,46 +483,39 @@ def _inner_moments(xs, labels, queries, kernel, h, lo, counts, leave=None, own=N
     """
     m = len(queries)
     sums, weighted, span = np.zeros(m), np.zeros(m), np.zeros(m)
-    own_lo, own_counts = (lo, counts) if leave is None else own
+    own_lo, own_counts = own
     filled = np.flatnonzero(own_counts > 0)
     if not len(filled):
         return sums, weighted, span, own_counts
     q = queries[filled]
     key = np.floor(q / (2.0 * h))
     opens = np.r_[True, key[1:] != key[:-1]]
-    bin_fold = None
-    if leave is not None:  # a bin never spans two folds
-        fold = leave.query[filled]
-        opens[1:] |= fold[1:] != fold[:-1]
+    leave = leave.take(filled)
+    opens[[a for a, _ in leave.runs(len(filled))]] = True  # no bin spans two folds
     starts = np.flatnonzero(opens)
     bin_of = np.cumsum(opens) - 1
     anchor = (key[starts] + 0.5) * (2.0 * h)
-    first = np.minimum.reduceat(own_lo[filled], starts)
-    lengths = np.maximum.reduceat((own_lo + own_counts)[filled], starts) - first
+    # the sorted positions each bin reads, then counted in its kept points
+    bin_lo = np.minimum.reduceat(lo[filled], starts)
+    bin_n = np.maximum.reduceat((lo + counts)[filled], starts) - bin_lo
+    bin_leave = leave.take(starts)  # by each bin's first query
+    first, lengths = bin_leave.window(bin_lo, bin_n)
     span[filled] = lengths[bin_of]
-    if leave is not None:  # the sorted positions each bin reads
-        bin_fold = fold[starts]
-        bin_lo = np.minimum.reduceat(lo[filled], starts)
-        bin_hi = np.maximum.reduceat((lo + counts)[filled], starts)
     lo, counts = own_lo[filled], own_counts[filled]
     epanechnikov = kernel is SmoothingKernel.EPANECHNIKOV
     hh = h * h
     row = np.empty_like(lengths)
     sizes = np.diff(np.r_[starts, len(filled)])  # queries per bin
-    for bins in _bin_blocks(lengths, bin_fold):
+    for bins in _bin_blocks(lengths, bin_leave.runs(len(starts))):
         row[bins] = np.arange(len(bins))
         at = _pair_columns(starts[bins], sizes[bins])  # the bins' queries
         width = lengths[bins].max()
-        block_xs, block_labels, base = xs, labels, 0
-        if leave is not None:
-            # the points the bins' fold keeps where they read: that fold's
-            # kept points from index ``base`` on
-            kept = leave.kept_points(bin_lo[bins].min(), bin_hi[bins].max(),
-                                     bin_fold[bins[0]])
-            block_xs, block_labels, base = xs[kept], labels[kept], first[bins].min()
-        cols = (first[bins] - base)[:, None] + np.arange(width)
+        # the points the bins' fold keeps where they read, and where in
+        # them each bin's first point lies
+        kept, base, _ = bin_leave.kept_runs(bin_lo[bins], bin_n[bins], bins[0])
+        cols = base[:, None] + np.arange(width)
         start = lo[at] - first[bin_of[at]]
-        windowed = _run_moments(block_xs, block_labels, cols, anchor[bins],
+        windowed = _run_moments(xs[kept], labels[kept], cols, anchor[bins],
                                 row[bin_of[at]], start, start + counts[at],
                                 epanechnikov)
         n = counts[at].astype(float)
@@ -531,14 +550,14 @@ def _run_moments(xs, labels, cols, anchor, rows, start, stop, epanechnikov):
     return prefix[:, rows, stop] - prefix[:, rows, start]
 
 
-def _bin_blocks(lengths, folds=None) -> list[np.ndarray]:
+def _bin_blocks(lengths, runs) -> list[np.ndarray]:
     """Groups of bins whose padded (bins x longest prefix) arrays hold about
     _BLOCK_PAIRS values each, at least one bin per group and never bins of
-    two folds (``folds``: each bin's fold, a fold's bins consecutive). Bins
-    are grouped by prefix length, so little padding is wasted on clustered
+    two folds (``runs``: the (start, stop) of each fold's bins). Bins are
+    grouped by prefix length, so little padding is wasted on clustered
     data."""
     groups = []
-    for a, b in _fold_runs(folds, len(lengths)):
+    for a, b in runs:
         order = a + np.argsort(lengths[a:b], kind="stable")
         ranked = lengths[order]
         start = 0
@@ -561,46 +580,35 @@ def _windows(xs, queries, radius):
     return lo, np.searchsorted(xs, queries + reach, side="right") - lo
 
 
-def _blocks(counts, folds=None) -> list[slice]:
-    """Slices of consecutive queries holding about _BLOCK_PAIRS pairs each.
-    With ``folds`` (each query's fold), a block holds whole runs of queries
-    of one fold whose pairs together fit in one run's share of _BLOCK_PAIRS,
-    or part of one run, at most half of _BLOCK_PAIRS: a block's temporaries
-    live until the next block's replace them, so two blocks of a fold stay
-    within the one block a call on that fold alone would make."""
+def _blocks(counts, runs) -> list[tuple[slice, bool]]:
+    """Slices of consecutive queries holding about _BLOCK_PAIRS pairs each,
+    of queries in ``runs`` (start, stop) of one fold each. A block holds
+    whole runs whose pairs together fit in one run's share of _BLOCK_PAIRS
+    (flagged True: their pairs are filtered by fold), or part of one run, at
+    most half of _BLOCK_PAIRS: a block's temporaries live until the next
+    block's replace them, so two blocks of a fold stay within the one block
+    a call on that fold alone would make."""
     ends = np.cumsum(counts)
-    runs = _fold_runs(folds, len(counts))
-    share = _BLOCK_PAIRS // len(runs)
-    blocks, start, held = [], 0, 0  # the whole folds gathered: first query, pairs
+    share, limit = _BLOCK_PAIRS // len(runs), max(1, _BLOCK_PAIRS // 2)
+    blocks, start, held = [], 0, 0  # the whole runs gathered: first query, pairs
     for a, b in runs:
         before = int(ends[a - 1]) if a else 0
         total = int(ends[b - 1]) - before if b > a else 0
-        if folds is not None and total <= share:
+        if total <= share:
             if held + total > share:
-                blocks.append(slice(start, a))
+                blocks.append((slice(start, a), True))
                 start, held = a, 0
             held += total
             continue
         if a > start:
-            blocks.append(slice(start, a))
-        cuts, limit = [], _BLOCK_PAIRS if folds is None else _BLOCK_PAIRS // 2
-        if total > limit:
-            marks = before + np.arange(limit, total, limit)
-            cuts = np.searchsorted(ends, marks).tolist()
-        bounds = [a, *cuts, b]
-        blocks += [slice(c, d) for c, d in zip(bounds, bounds[1:]) if d > c]
+            blocks.append((slice(start, a), True))
+        cuts = np.searchsorted(ends, before + np.arange(limit, total, limit))
+        bounds = [a, *cuts.tolist(), b]
+        blocks += [(slice(c, d), False) for c, d in zip(bounds, bounds[1:]) if d > c]
         start, held = b, 0
     if len(counts) > start:
-        blocks.append(slice(start, len(counts)))
+        blocks.append((slice(start, len(counts)), True))
     return blocks
-
-
-def _fold_runs(folds, n) -> list[tuple[int, int]]:
-    """(start, stop) of each run of equal ``folds``; one run without folds."""
-    if folds is None:
-        return [(0, n)]
-    bounds = [0, *(np.flatnonzero(folds[1:] != folds[:-1]) + 1).tolist(), n]
-    return list(zip(bounds, bounds[1:]))
 
 
 def _pair_columns(lo, counts) -> np.ndarray:
@@ -610,22 +618,14 @@ def _pair_columns(lo, counts) -> np.ndarray:
     return cols
 
 
-def _nearest_sorted_1d(xs, ranks, queries, leave=None) -> np.ndarray:
+def _nearest_sorted_1d(xs, ranks, queries, leave) -> np.ndarray:
     """Positions in sorted ``xs`` of each query's nearest kept training point
     by rounded squared distance, ties going to the lowest rank: the point
     that ``argmin`` over the dense row picks."""
-    if leave is None:
-        right = np.minimum(np.searchsorted(xs, queries), len(xs) - 1)
-        left = np.maximum(right - 1, 0)
-    else:
-        left, right = leave.neighbours(np.searchsorted(xs, queries))
+    left, right = leave.neighbours(np.searchsorted(xs, queries), len(xs))
     near = np.minimum(np.abs(queries - xs[left]), np.abs(queries - xs[right]))
     # every point whose rounded squared distance equals the nearest one's
-    lo, counts = _windows(xs, queries, near)
-    if leave is None:
-        cols = _pair_columns(lo, counts)
-    else:
-        cols, counts = leave.columns(lo, counts)
+    cols, counts = leave.columns(*_windows(xs, queries, near))
     rows = np.repeat(np.arange(len(queries)), counts)
     diff = queries[rows] - xs[cols]
     by_distance = np.lexsort((ranks[cols], diff * diff, rows))

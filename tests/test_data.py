@@ -62,7 +62,7 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.labels[0] = 9.0
 
-    def test_fold_sort_is_derived_and_equals_a_fresh_stable_sort(self):
+    def test_fold_equals_a_fresh_sample_and_its_stable_sort(self):
         # a shuffled dyadic grid with every third point repeated, so the
         # stable sort's row-index tie rule shows
         rng = np.random.default_rng(6)
@@ -71,7 +71,6 @@ class TestDataset:
                        domain_tag=DomainTag.SOURCE)
         for test_idx in np.array_split(np.random.default_rng(3).permutation(data.n), 5):
             fold = data.without(test_idx)
-            assert "sorted_1d" in vars(fold)  # set by ``without``, not sorted
             fresh = Dataset(features=np.delete(data.features, test_idx, axis=0),
                             labels=np.delete(data.labels, test_idx))
             assert fold.domain_tag is DomainTag.SOURCE

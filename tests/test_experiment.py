@@ -837,6 +837,20 @@ class TestRunExperiment:
                                      "type": "ValueError"}]
         assert report["rows"] == []
 
+    def test_selection_candidate_with_overflowing_mse_is_a_method_error(
+            self, tmp_path):
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        _selection(cfg, L_alpha=1e308, K=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["select", "--config", str(cfg_path)]) == 2
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        labels = [m.label for m in parse_config(cfg).selection_family.members]
+        [error] = report["errors"]
+        assert error["type"] == "ValueError"
+        assert any(f"candidate {label}:" in error["error"] for label in labels)
+        assert report["rows"] == []
+
     def test_failed_source_cv_runs_once_and_fails_each_user(self, tmp_path,
                                                             monkeypatch):
         calls = []

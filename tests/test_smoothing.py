@@ -177,6 +177,12 @@ class TestWindowPath:
         Q = Q.reshape(-1, 1)
         dense = predict_from_kernel(*p._raw(Q), p.train.labels)
         np.testing.assert_allclose(p.predict(Q), dense, rtol=0, atol=1e-12)
+        # a call without folds is the one fold that leaves nothing out
+        args = *p.train.sorted_1d, Q[:, 0], kernel, [0.06]
+        folds = np.ones(p.train.n, np.uint8), np.zeros(len(Q), np.uint8)
+        [whole] = smoothing.predict_sorted_1d(*args)
+        [one_fold] = smoothing.predict_sorted_1d(*args, folds)
+        assert whole.tobytes() == one_fold.tobytes()
 
     @pytest.mark.parametrize("kernel", [SmoothingKernel.EPANECHNIKOV,
                                         SmoothingKernel.BOXCAR])
@@ -285,7 +291,8 @@ class TestWindowPath:
             kept = fold != f
             q = queries[i:i + 1]
             want = smoothing._pair_sums(xs[kept], ys[kept], q, kernel, h,
-                                        *smoothing._windows(xs[kept], q, h))
+                                        *smoothing._windows(xs[kept], q, h),
+                                        smoothing._KEEP_ALL)
             assert got[0][i] == want[0][0] and got[1][i] == want[1][0]
 
     @PROPERTY
