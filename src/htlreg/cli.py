@@ -16,6 +16,7 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from .data import (
@@ -35,7 +36,11 @@ _SYNTH_SPECS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The verbs' parser, built on first use and kept for the process: a
+    parse leaves it as it was, and each ``main`` call gets its own
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="htlreg",
         description="Transfer-learning regression benchmarks via "

@@ -14,6 +14,14 @@ source stage, and selection over a finite roster of candidate
 transformations shares that prefit stage across candidates and keeps the
 one with the lowest validation MSE.
 
+Selection's candidates also share step 3's features and bandwidth or
+lambda: only their auxiliary labels differ. Each subroutine spec's
+``predict_rows`` predicts a stack of label rows over one sample, row i
+with the bits of a fit on row i alone, so one call serves every candidate.
+Kernel smoothing computes the query sort, windows and kernel values once
+and only the label-weighted sums per row (``smoothing.ks_predict_rows``);
+kernel ridge fits row by row.
+
 f_so_hat(x) does not depend on G, the target sample or the method, so a
 ``MemoPredictor`` around the source stage computes it once per distinct
 query array: selection shares it across candidates, and the experiment
@@ -23,14 +31,14 @@ runner shares it per seed across every method and target size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol, Sequence, Union
 
 import numpy as np
 
 from .data import Dataset, DomainTag
 from .ridge import RKHSKernel, KRRPredictor, krr_fit
-from .smoothing import KSPredictor, SmoothingKernel
+from .smoothing import KSPredictor, SmoothingKernel, ks_predict_rows
 from .transform import (
     AuxiliaryEstimator,
     QuantizedFamily,
@@ -142,6 +150,14 @@ class KSSpec:
     def fit(self, train: Dataset) -> KSPredictor:
         return KSPredictor(train, self.kernel, self.resolve_bandwidth(train))
 
+    def predict_rows(self, train: Dataset, rows, X) -> np.ndarray:
+        """(k, m) predictions at ``X``; row i has the bits of
+        ``self.fit(train relabeled with rows[i]).predict(X)``. One smoother
+        pass serves every row (``smoothing.ks_predict_rows``)."""
+        [pred] = ks_predict_rows(train, _label_rows(train, rows), X, self.kernel,
+                                 (self.resolve_bandwidth(train),))
+        return pred
+
 
 @dataclass(frozen=True)
 class KRRSpec:
@@ -164,6 +180,25 @@ class KRRSpec:
 
     def fit(self, train: Dataset) -> KRRPredictor:
         return krr_fit(train, self.kernel, self.resolve_lambda(train))
+
+    def predict_rows(self, train: Dataset, rows, X) -> np.ndarray:
+        """(k, m) predictions at ``X``; row i is
+        ``self.fit(train relabeled with rows[i]).predict(X)``, one fit per
+        row."""
+        return np.array([self.fit(replace(train, labels=labels)).predict(X)
+                         for labels in _label_rows(train, rows)])
+
+
+def _label_rows(train: Dataset, rows) -> np.ndarray:
+    """``rows`` as a C-ordered (k, n) float array of finite label rows, k >= 1,
+    one label per row of ``train``."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.ndim != 2 or len(rows) < 1 or rows.shape[1] != train.n:
+        raise ValueError(f"expected label rows of shape (k >= 1, {train.n}), "
+                         f"got {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise ValueError("labels must be finite")
+    return rows
 
 
 SubroutineSpec = Union[KSSpec, KRRSpec]
@@ -258,10 +293,18 @@ def select_transformation(
     Every candidate shares the prefit source stage ``f_so_hat`` (it does not
     depend on G), and its predictions on the target and validation rows,
     and relabels through its plain inverse, so a loglinear candidate, whose
-    estimator needs sigma2, is rejected. Ties go to the candidate
-    closest to non-transfer (smallest |alpha|), then to the lowest index.
+    estimator needs sigma2, is rejected. The candidates' auxiliary fits
+    share the target features and differ only in their labels, so one
+    ``w_spec.predict_rows`` call predicts every candidate's w_hat at the
+    validation rows; each row, and so each MSE, has the bits of that
+    candidate's own ``htl_fit``. Ties go to the candidate closest to
+    non-transfer (smallest |alpha|), then to the lowest index.
+
     A candidate whose validation MSE is not finite raises ``ValueError``
-    naming it.
+    naming it, and numpy warns of no overflow on the way. A candidate whose
+    auxiliary labels cannot be built raises ``construct_auxiliary``'s error
+    once the candidates before it are scored, as a loop of ``htl_fit`` calls
+    in roster order would.
     """
     if validation.domain_tag is not DomainTag.VALIDATION:
         raise ValueError(
@@ -273,14 +316,29 @@ def select_transformation(
     if not isinstance(f_so_hat, MemoPredictor):
         f_so_hat = MemoPredictor(f_so_hat)
 
+    labels, failure = [], None
     rows: list[tuple[str, float]] = []
-    for tf in candidates:
-        predictor = htl_fit(f_so_hat, target, AuxiliaryEstimator(tf), w_spec)
-        residuals = validation.labels - predictor.predict(validation.features)
-        mse = float(np.mean(residuals**2))
-        if not math.isfinite(mse):
-            raise ValueError(f"candidate {tf.label}: non-finite validation MSE {mse}")
-        rows.append((tf.label, mse))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tf in candidates:
+            try:
+                aux, _ = construct_auxiliary(target, f_so_hat, AuxiliaryEstimator(tf))
+            except ValueError as exc:
+                failure = exc
+                break
+            labels.append(aux.labels)
+        if labels:
+            X = validation.features
+            a_hat = f_so_hat.predict(X)
+            w_hats = w_spec.predict_rows(target, labels, X)
+            for tf, w_hat in zip(candidates, w_hats):
+                residuals = validation.labels - eval_G(tf, a_hat, w_hat)
+                mse = float(np.mean(residuals**2))
+                if not math.isfinite(mse):
+                    raise ValueError(
+                        f"candidate {tf.label}: non-finite validation MSE {mse}")
+                rows.append((tf.label, mse))
+    if failure is not None:
+        raise failure
 
     best = min(
         range(len(candidates)),

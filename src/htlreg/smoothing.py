@@ -25,6 +25,20 @@ The windowed path needs only numpy. The dense path takes its
 distances from ``data.sq_distances``, which imports scipy on first use, so a
 1-D compact-kernel run never loads scipy.
 
+``ks_predict_rows`` predicts k label rows over one sample's features at
+once, as transformation selection's auxiliary fits need: they share the
+target features and differ only in their labels. ``ks_predict`` is its
+one-row call, on the same code. Whatever does not read the labels is
+computed once for all rows: the query sort, the windows, the leave-out, the
+window pairs' columns and kernel values, and the nearest-neighbour
+fallback's points; on the dense path the kernel matrix, its row sums and
+the nearest points. Per row come the label-weighted sums: the window
+pairs' kernel values times the row's labels, each query's run reduced as a
+one-row call reduces it; on the dense path one matrix-vector product per
+row, since a matrix-matrix product sums in another order; and on the moment
+path the whole prefix-moment evaluation, whose error bound reads the
+labels. So row i has the bits of a call on row i alone.
+
 ``ks_cv_predict`` predicts every fold of a cross-validation at once. A 1-D
 compact-kernel call predicts each query from the training points outside
 its own fold, and one pass per bandwidth serves all folds: the queries are
@@ -109,7 +123,20 @@ def ks_predict(
     train: Dataset, X, kernel: SmoothingKernel, bandwidths: Sequence[float]
 ) -> list[np.ndarray]:
     """Predictions at the queries ``X`` of the smoother fit on ``train``,
-    one array per bandwidth.
+    one array per bandwidth: ``ks_predict_rows`` with the sample's own
+    labels as its one row."""
+    return [pred[0] for pred in
+            ks_predict_rows(train, train.labels[None], X, kernel, bandwidths)]
+
+
+def ks_predict_rows(
+    train: Dataset, rows: np.ndarray, X, kernel: SmoothingKernel,
+    bandwidths: Sequence[float],
+) -> list[np.ndarray]:
+    """Predictions at the queries ``X``, one (k, m) array per bandwidth, of
+    the smoothers fit on ``train``'s features with each of the k label rows
+    ``rows`` (in ``train``'s row order); row i has the bits of a fit on the
+    sample relabeled with ``rows[i]``.
 
     1-D data with a compact-support kernel takes each query's window in
     ``train.sorted_1d`` (``predict_sorted_1d``); anything else evaluates the
@@ -118,10 +145,11 @@ def ks_predict(
     """
     X = _queries(train, X)
     if train.dim == 1 and kernel.compact:
-        xs, labels, order = train.sorted_1d
-        return predict_sorted_1d(xs, labels, order, X[:, 0], kernel, bandwidths)
+        xs, _, order = train.sorted_1d
+        return predict_sorted_1d(xs, rows.take(order, axis=1), order, X[:, 0],
+                                 kernel, bandwidths)
     sq = sq_distances(X, train.features)
-    return [predict_from_kernel(kernel.profile_sq(sq / (h * h)), sq, train.labels)
+    return [predict_from_kernel(kernel.profile_sq(sq / (h * h)), sq, rows)
             for h in bandwidths]
 
 
@@ -136,17 +164,22 @@ def _queries(train: Dataset, X) -> np.ndarray:
 
 
 def predict_from_kernel(
-    raw: np.ndarray, sq: np.ndarray, labels: np.ndarray
+    raw: np.ndarray, sq: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
-    """Predictions from (m, n) kernel values and squared query-train
-    distances; a query with no kernel mass takes its nearest label."""
+    """Predictions, one row per label row of ``rows`` (k, n), from (m, n)
+    kernel values and squared query-train distances; a query with no kernel
+    mass takes its nearest label. The kernel sums and the nearest points are
+    shared by every row; each row is its own matrix-vector product, whose
+    bits a matrix-matrix product would not keep."""
     sums = raw.sum(axis=1)
-    out = np.empty(len(raw))
+    out = np.empty((len(rows), len(raw)))
     live = sums > 0.0
-    out[live] = (raw[live] @ labels) / sums[live]
+    kept = raw[live]
+    for pred, labels in zip(out, rows):
+        pred[live] = (kept @ labels) / sums[live]
     if not live.all():
         dead = ~live
-        out[dead] = labels[np.argmin(sq[dead], axis=1)]
+        out[:, dead] = rows[:, np.argmin(sq[dead], axis=1)]
     return out
 
 
@@ -185,8 +218,9 @@ def ks_cv_predict(
         for f, rows in enumerate(parts):
             fold[rows] = f
         xs, labels, order = data.sorted_1d
-        return predict_sorted_1d(xs, labels, order, data.features[:, 0], kernel,
-                                 bandwidths, (fold[order], fold))
+        return [pred[0] for pred in predict_sorted_1d(
+            xs, labels[None], order, data.features[:, 0], kernel, bandwidths,
+            (fold[order], fold))]
     preds = [np.empty(data.n) for _ in bandwidths]
     for rows in parts:
         fits = ks_predict(data.without(rows), data.features[rows], kernel, bandwidths)
@@ -197,19 +231,22 @@ def ks_cv_predict(
 
 def predict_sorted_1d(
     xs: np.ndarray,
-    labels: np.ndarray,
+    rows: np.ndarray,
     ranks: np.ndarray,
     queries: np.ndarray,
     kernel: SmoothingKernel,
     bandwidths: Sequence[float],
     folds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[np.ndarray]:
-    """Predictions at 1-D ``queries``, one array per bandwidth, from training
-    points ``xs`` in stable ascending order, for a compact-support
-    ``kernel``.
+    """Predictions at 1-D ``queries``, one (k, m) array per bandwidth, from
+    training points ``xs`` in stable ascending order, for a compact-support
+    ``kernel``: row i from the labels ``rows[i]``.
 
-    ``labels`` are in the same order as ``xs``; ``ranks`` are the training
-    points' original indices, which break nearest-neighbour ties. The queries
+    ``rows`` (k, n) holds k label rows, each in the same order as ``xs``;
+    ``ranks`` are the training points' original indices, which break
+    nearest-neighbour ties. Only the label-weighted sums are taken row by
+    row (see the module docstring), so each row has the bits of a call on
+    that row alone. The queries
     are sorted once, in any order among equal ones, and each bandwidth is
     predicted in that order; a query's prediction depends only on its own
     window and on the set of queries, so the results are scattered back to
@@ -233,23 +270,25 @@ def predict_sorted_1d(
         fold, query_fold = folds
         regroup = np.argsort(query_fold[perm], kind="stable")
         perm = perm[regroup]
-        leave = _LeaveOut.of(fold, query_fold[perm], labels)
+        leave = _LeaveOut.of(fold, query_fold[perm], rows)
     q = ascending[regroup]
+    back = np.empty_like(perm)  # where each of the caller's queries went
+    back[perm] = np.arange(len(perm))
     preds = []
     for h in bandwidths:
         # searched in ascending order, which binary search serves fastest
         lo, counts = _windows(xs, ascending, h)
         lo, counts = lo[regroup], counts[regroup]
-        sums, weighted = _window_sums(xs, labels, q, kernel, h, lo, counts, leave)
-        out = np.empty(len(q))
-        live = sums > 0.0
-        out[live] = weighted[live] / sums[live]
+        sums, weighted = _window_sums(xs, rows, q, kernel, h, lo, counts, leave)
+        live = sums > 0.0  # (m,) shared by every row, or (k, m)
+        out = np.divide(weighted, sums, out=np.empty_like(weighted), where=live)
         if not live.all():
-            dead = ~live
-            out[dead] = labels[_nearest_sorted_1d(xs, ranks, q[dead], leave.take(dead))]
-        pred = np.empty_like(out)
-        pred[perm] = out
-        preds.append(pred)
+            # a query's nearest point does not depend on its labels
+            dead = np.flatnonzero(~live.reshape(-1, len(q)).all(axis=0))
+            near = rows.take(_nearest_sorted_1d(xs, ranks, q[dead], leave.take(dead)),
+                             axis=1)
+            out[:, dead] = np.where(live[..., dead], out[:, dead], near)
+        preds.append(out.take(back, axis=1))
     return preds
 
 
@@ -263,20 +302,22 @@ class _LeaveOut:
 
     fold: np.ndarray | None  # of each sorted training point
     query: np.ndarray | None  # of each query
-    y_max: np.ndarray | None  # per fold: max |label| over the points outside it
+    # per label row (a call's) or for one row (``row``), per fold: max |label|
+    # over the points outside it
+    y_max: np.ndarray | None
     keys: np.ndarray | None  # fold * (n + 1) + position, ascending
     first: np.ndarray | None  # per fold: where its points start in keys
 
     @classmethod
-    def of(cls, fold, query, labels) -> _LeaveOut:
+    def of(cls, fold, query, rows) -> _LeaveOut:
         n, size = len(fold), int(max(fold.max(), query.max())) + 1
         by_fold = np.argsort(fold, kind="stable")
         keys = fold[by_fold] * np.intp(n + 1) + by_fold
-        top = np.zeros(size)
-        np.maximum.at(top, fold, np.abs(labels))
-        ranked = np.argsort(top)
-        y_max = np.full(size, top[ranked[-1]])
-        y_max[ranked[-1]] = top[ranked[-2]]
+        y_max = np.zeros((len(rows), size))
+        for top, labels in zip(y_max, rows):
+            np.maximum.at(top, fold, np.abs(labels))
+            ranked = np.argsort(top)
+            top[ranked[-1]], top[ranked[:-1]] = top[ranked[-2]], top[ranked[-1]]
         return cls(fold, query, y_max, keys,
                    np.searchsorted(keys, np.arange(size) * (n + 1)))
 
@@ -285,6 +326,12 @@ class _LeaveOut:
         if self.fold is None:
             return self
         return replace(self, query=self.query[idx])
+
+    def row(self, r) -> _LeaveOut:
+        """The same leave-out for label row ``r`` alone."""
+        if self.fold is None:
+            return self
+        return replace(self, y_max=self.y_max[r])
 
     def runs(self, m) -> list[tuple[int, int]]:
         """(start, stop) of each run of consecutive queries of one fold, of
@@ -362,44 +409,62 @@ class _LeaveOut:
 _KEEP_ALL = _LeaveOut(None, None, None, None, None)  # no folds: nothing left out
 
 
-def _window_sums(xs, labels, queries, kernel, h, lo, counts, leave):
-    """Kernel sums and label-weighted sums over each query's window. A
-    boxcar or epanechnikov query whose fold holds at least _MOMENT_MIN_PAIRS
-    kept window pairs takes them from prefix moments; any other query sums
-    its window pair by pair."""
+def _window_sums(xs, rows, queries, kernel, h, lo, counts, leave):
+    """Kernel sums and label-weighted sums over each query's window, the
+    latter (k, m) for the label rows ``rows``. A boxcar or epanechnikov
+    query whose fold holds at least _MOMENT_MIN_PAIRS kept window pairs
+    takes them from prefix moments (``_moment_rows``), and its kernel sums
+    are (k, m) too; any other query sums its window pair by pair, into
+    kernel sums (m,) that every row shares."""
     # a fold keeps at most its queries' whole windows
     if kernel not in _POLYNOMIAL or not (
             leave.fold_pairs(counts) >= _MOMENT_MIN_PAIRS).any():
-        return _pair_sums(xs, labels, queries, kernel, h, lo, counts, leave)
+        return _pair_sums(xs, rows, queries, kernel, h, lo, counts, leave)
     kept = leave.window(lo, counts)
     moment = leave.fold_pairs(kept[1]) >= _MOMENT_MIN_PAIRS
     if moment.all():
-        return _moment_sums(xs, labels, queries, kernel, h, lo, counts, leave, kept)
-    sums, weighted = np.empty(len(queries)), np.empty(len(queries))
+        return _moment_rows(xs, rows, queries, kernel, h, lo, counts, leave, kept)
+    sums, weighted = np.empty((2, len(rows), len(queries)))
     at = np.flatnonzero(moment)
-    sums[at], weighted[at] = _moment_sums(
-        xs, labels, queries[at], kernel, h, lo[at], counts[at], leave.take(at),
+    sums[:, at], weighted[:, at] = _moment_rows(
+        xs, rows, queries[at], kernel, h, lo[at], counts[at], leave.take(at),
         (kept[0][at], kept[1][at]))
     at = np.flatnonzero(~moment)
-    sums[at], weighted[at] = _pair_sums(xs, labels, queries[at], kernel, h, lo[at],
-                                        counts[at], leave.take(at))
+    sums[:, at], weighted[:, at] = _pair_sums(xs, rows, queries[at], kernel, h, lo[at],
+                                              counts[at], leave.take(at))
     return sums, weighted
 
 
-def _pair_sums(xs, labels, queries, kernel, h, lo, counts, leave):
-    """Kernel sums and label-weighted sums over the kept points of each
-    query's run of sorted ``xs`` (start ``lo``, length ``counts``),
-    evaluated pair by pair."""
+def _moment_rows(xs, rows, queries, kernel, h, lo, counts, leave, kept):
+    """``_moment_sums`` for each label row, as (k, m) kernel sums and
+    weighted sums. Each row takes the whole moment path on its own: its
+    labels decide which queries the moment error bound sends back to their
+    pairs."""
+    sums, weighted = zip(*(
+        _moment_sums(xs, labels, queries, kernel, h, lo, counts, leave.row(r), kept)
+        for r, labels in enumerate(rows)))
+    return np.array(sums), np.array(weighted)
+
+
+def _pair_sums(xs, rows, queries, kernel, h, lo, counts, leave):
+    """Kernel sums (m,) and label-weighted sums (k, m), for the label rows
+    ``rows``, over the kept points of each query's run of sorted ``xs``
+    (start ``lo``, length ``counts``), evaluated pair by pair. The kernel
+    values are computed once and weighted by each row in turn; the last
+    row's products overwrite them in place, so a one-row call keeps no more
+    temporaries alive than the kernel values alone (more would make the
+    allocator return and fault in pages anew: twice the minor page faults
+    of a ks_cv_offset op)."""
     m = len(queries)
-    sums, weighted = np.zeros(m), np.zeros(m)
+    sums, weighted = np.zeros(m), np.zeros((len(rows), m))
     for block, shared in _blocks(counts, leave.runs(m)):
         block_lo, runs = lo[block], counts[block]
         if shared:  # whole runs of queries: their pairs filtered
-            block_xs, block_labels = xs, labels
+            block_xs, block_rows = xs, rows
             cols, runs = leave.take(block).columns(block_lo, runs)
         else:  # part of one fold's run: its runs among its kept points
             kept, block_lo, runs = leave.kept_runs(block_lo, runs, block.start)
-            block_xs, block_labels = xs[kept], labels[kept]
+            block_xs, block_rows = xs[kept], rows[:, kept]
             cols = _pair_columns(block_lo, runs)
         sq = np.repeat(queries[block], runs)
         sq -= block_xs[cols]
@@ -410,17 +475,23 @@ def _pair_sums(xs, labels, queries, kernel, h, lo, counts, leave):
         filled = runs > 0
         starts = (np.cumsum(runs) - runs)[filled]
         sums[block][filled] = np.add.reduceat(raw, starts)
-        raw *= block_labels[cols]
-        weighted[block][filled] = np.add.reduceat(raw, starts)
+        last = len(block_rows) - 1
+        for r, labels in enumerate(block_rows):
+            if r < last:
+                products = labels[cols] * raw
+            else:  # no row reads the kernel values after the last one
+                products = raw
+                products *= labels[cols]
+            weighted[r, block][filled] = np.add.reduceat(products, starts)
     return sums, weighted
 
 
 def _moment_sums(xs, labels, queries, kernel, h, lo, counts, leave, kept):
-    """The sums of ``_pair_sums`` for a polynomial kernel, from prefix
-    moments over each query's inner window, pairs on the window's rim, and
-    pairs again for every query whose moment error bound is too loose.
-    ``kept`` holds each query's window as a start and length among the
-    points it keeps (``_LeaveOut.window``)."""
+    """The sums of ``_pair_sums`` for one label row ``labels`` and a
+    polynomial kernel, from prefix moments over each query's inner window,
+    pairs on the window's rim, and pairs again for every query whose moment
+    error bound is too loose. ``kept`` holds each query's window as a start
+    and length among the points it keeps (``_LeaveOut.window``)."""
     # inner window |q - x| < h (1 - 1e-7), shrunk by the rounding of q -+ h;
     # every point in it has s < 1 in any rounding, so K is the polynomial
     reach = h * (1.0 - 1e-7) - 1e-9 * (h + np.abs(queries))
@@ -446,10 +517,10 @@ def _moment_sums(xs, labels, queries, kernel, h, lo, counts, leave, kept):
     if len(rim):
         both = np.r_[rim, rim]
         rim_sums, rim_weighted = _pair_sums(
-            xs, labels, queries[both], kernel, h, np.r_[lo[rim], hi_in[rim]],
+            xs, labels[None], queries[both], kernel, h, np.r_[lo[rim], hi_in[rim]],
             np.r_[left[rim], right[rim]], leave.take(both))
         np.add.at(sums, both, rim_sums)
-        np.add.at(weighted, both, rim_weighted)
+        np.add.at(weighted, both, rim_weighted[0])
     # cumulative sums over ``span`` points carry an absolute error of about
     # eps * span in units of one kernel value; redo the queries where that
     # can move the prediction by more than 1e-13 of the label scale
@@ -459,8 +530,8 @@ def _moment_sums(xs, labels, queries, kernel, h, lo, counts, leave, kept):
         bound = 64 * np.finfo(float).eps * (span + 1) * (y_max + pred) / sums
     redo = np.flatnonzero((n_inner > 0) & ~(bound <= 1e-13 * np.maximum(1.0, y_max)))
     if len(redo):
-        sums[redo], weighted[redo] = _pair_sums(
-            xs, labels, queries[redo], kernel, h, lo[redo], counts[redo],
+        sums[redo], (weighted[redo],) = _pair_sums(
+            xs, labels[None], queries[redo], kernel, h, lo[redo], counts[redo],
             leave.take(redo))
     return sums, weighted
 

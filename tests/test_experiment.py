@@ -8,7 +8,7 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from htlreg import experiment, pipeline, ridge, smoothing
-from htlreg.cli import main as cli_main
+from htlreg.cli import build_parser, main as cli_main
 from htlreg.data import Dataset, DomainTag, load_csv
 from htlreg.experiment import (
     ConfigError,
@@ -837,8 +837,11 @@ class TestRunExperiment:
                                      "type": "ValueError"}]
         assert report["rows"] == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_selection_candidate_with_overflowing_mse_is_a_method_error(
-            self, tmp_path):
+            self, tmp_path, capsys):
+        # the overflow is reported once, by the error naming the candidate:
+        # numpy warns of nothing on the way
         cfg = base_config(output_dir=str(tmp_path / "out"))
         _selection(cfg, L_alpha=1e308, K=1)
         cfg_path = tmp_path / "cfg.json"
@@ -850,6 +853,7 @@ class TestRunExperiment:
         assert error["type"] == "ValueError"
         assert any(f"candidate {label}:" in error["error"] for label in labels)
         assert report["rows"] == []
+        assert "Warning" not in capsys.readouterr().err
 
     def test_failed_source_cv_runs_once_and_fails_each_user(self, tmp_path,
                                                             monkeypatch):
@@ -1172,6 +1176,27 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert sorted({r["seed"] for r in report["rows"]}) == [5, 6]
         assert report["config"]["seeds"] == [5, 6]
+
+    def test_calls_in_one_process_share_no_flags(self, tmp_path):
+        # the parser is built once per process: a later call with another
+        # verb and without --out or --seeds takes neither from an earlier one
+        run_cfg = base_config(seeds=[0], output_dir=str(tmp_path / "run_out"))
+        select_cfg = base_config(seeds=[1], output_dir=str(tmp_path / "select_out"))
+        _selection(select_cfg, L_alpha=2.0, K=1)
+        for name, cfg in (("run.json", run_cfg), ("select.json", select_cfg)):
+            (tmp_path / name).write_text(json.dumps(cfg))
+        assert cli_main(["run", "--config", str(tmp_path / "run.json"),
+                         "--out", str(tmp_path / "flag_out"), "--seeds", "5"]) == 0
+        assert cli_main(["select", "--config", str(tmp_path / "select.json")]) == 0
+        assert cli_main(["run", "--config", str(tmp_path / "run.json")]) == 0
+        seeds = {}
+        for out in ("flag_out", "select_out", "run_out"):
+            report = json.loads((tmp_path / out / "report.json").read_text())
+            seeds[out] = ({row["seed"] for row in report["rows"]},
+                          report["config"]["seeds"])
+        assert seeds == {"flag_out": ({5}, [5]), "select_out": ({1}, [1]),
+                         "run_out": ({0}, [0])}
+        assert build_parser() is build_parser()
 
     def test_shipped_configs_parse(self, tmp_path):
         for domain, n, seed in (("source", 1000, 0), ("target", 500, 1)):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -373,6 +374,161 @@ class TestSelectTransformation:
         with pytest.raises(ValueError, match="validation"):
             select_transformation(KSSpec(bandwidth=0.1).fit(source), target,
                                   target, [offset(1.0)], KSSpec(bandwidth=0.1))
+
+
+def htl_loop_selection(f_so_hat, target, validation, candidates, w_spec):
+    """The oracle: one ``htl_fit`` per candidate, in roster order. Returns
+    the chosen index and the (label, validation MSE) rows."""
+    rows = []
+    for tf in candidates:
+        pred = htl_fit(f_so_hat, target, AuxiliaryEstimator(tf), w_spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residuals = validation.labels - pred.predict(validation.features)
+            mse = float(np.mean(residuals**2))
+        if not math.isfinite(mse):
+            raise ValueError(f"candidate {tf.label}: non-finite validation MSE {mse}")
+        rows.append((tf.label, mse))
+    best = min(range(len(candidates)),
+               key=lambda i: (rows[i][1], candidates[i].tie_break_key, i))
+    return best, tuple(rows)
+
+
+W_SPECS = st.one_of(
+    st.builds(KSSpec, kernel=st.sampled_from(list(SmoothingKernel)),
+              bandwidth=st.floats(0.02, 1.0)),
+    st.builds(KSSpec, kernel=st.sampled_from(list(SmoothingKernel)),
+              rule=st.builds(BandwidthRule, c=st.floats(0.05, 2.0))),
+    st.builds(KRRSpec, kernel=st.sampled_from([rbf_kernel(), rbf_kernel(0.3),
+                                               linear_kernel()]),
+              lam=st.floats(1e-3, 1.0)),
+    st.builds(KRRSpec, kernel=st.just(rbf_kernel()),
+              rule=st.builds(LambdaRule, c=st.floats(0.01, 1.0))),
+)
+ALPHAS = st.sampled_from([0.0, 0.5, -1.0]) | st.floats(-3.0, 3.0)
+MEMBERS = st.one_of(
+    st.builds(offset, ALPHAS),
+    st.builds(scale, ALPHAS, st.sampled_from([math.inf, 2.0])),
+    st.just(non_transfer()),
+)
+
+
+class TestSelectionMatchesPerCandidateFits:
+    """``select_transformation`` predicts every candidate's w_hat in one
+    label-rows call; its MSEs, choice and tie-break are those of one
+    ``htl_fit`` per candidate, bit for bit, and so is its first error."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), w_spec=W_SPECS, dim=st.integers(1, 2),
+           source_kind=st.sampled_from(["ks", "zero", "one"]),
+           family=st.one_of(
+               st.builds(QuantizedFamily, L_alpha=st.floats(0.1, 4.0),
+                         K=st.integers(1, 4)),
+               st.lists(MEMBERS, min_size=1, max_size=6)))
+    def test_equals_one_htl_fit_per_candidate(self, data, w_spec, dim,
+                                              source_kind, family):
+        if isinstance(w_spec, KSSpec):
+            dim = 1  # the windowed path; the dense path is covered below too
+        grid = st.integers(0, 8).map(lambda k: k / 8) | st.floats(0.0, 1.0)
+
+        def sample(tag, n):
+            X = data.draw(st.lists(st.lists(grid, min_size=dim, max_size=dim),
+                                   min_size=n, max_size=n))
+            ys = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+            return Dataset(features=X, labels=ys, domain_tag=tag)
+
+        source = sample(DomainTag.SOURCE, data.draw(st.integers(1, 20)))
+        target = sample(DomainTag.TARGET, data.draw(st.integers(1, 15)))
+        validation = sample(DomainTag.VALIDATION, data.draw(st.integers(1, 10)))
+        # a constant source makes offset members tie, and a zero one makes
+        # scale(0) singular
+        f_so_hat = {"ks": lambda: KSSpec(bandwidth=0.2).fit(source),
+                    "zero": lambda: Constant(0.0),
+                    "one": lambda: Constant(1.0)}[source_kind]()
+        candidates = list(family.members if isinstance(family, QuantizedFamily)
+                          else family)
+        try:
+            best, rows = htl_loop_selection(f_so_hat, target, validation,
+                                            candidates, w_spec)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                select_transformation(f_so_hat, target, validation, family, w_spec)
+            return
+        result = select_transformation(f_so_hat, target, validation, family, w_spec)
+        assert result.chosen_index == best and result.chosen is candidates[best]
+        assert [label for label, _ in result.per_candidate_validation_mse] == [
+            label for label, _ in rows]
+        got = np.array([mse for _, mse in result.per_candidate_validation_mse])
+        assert got.tobytes() == np.array([mse for _, mse in rows]).tobytes()
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_the_first_failing_candidate_in_roster_order_raises(self, step):
+        # offset(1e308)'s auxiliary labels overflow its kernel sums into a
+        # non-finite MSE, and scale(0) cannot invert the source's 0 on row 2
+        target = target_data([0.0, 0.01, 0.02], [0.0, 0.0, 0.0])
+        validation = Dataset(features=[[0.01]], labels=[0.0],
+                             domain_tag=DomainTag.VALIDATION)
+        f_so_hat = Lookup([1.0, 1.0, 0.0])
+        family = [non_transfer(), offset(1e308), scale(0.0)][::step]
+        w_spec = KSSpec(SmoothingKernel.BOXCAR, bandwidth=0.1)
+        with pytest.raises(ValueError) as want:
+            htl_loop_selection(f_so_hat, target, validation, family, w_spec)
+        assert ("non-finite validation MSE" in str(want.value)) == (step == 1)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            select_transformation(f_so_hat, target, validation, family, w_spec)
+
+    @pytest.mark.parametrize("w_spec", [
+        KSSpec(SmoothingKernel.GAUSSIAN, bandwidth=0.1),
+        KSSpec(SmoothingKernel.EPANECHNIKOV, rule=BandwidthRule()),
+        KRRSpec(rbf_kernel(), lam=0.01),
+    ], ids=["ks_dense", "ks_rule", "krr"])
+    def test_two_dimensional_features(self, w_spec):
+        rng = np.random.default_rng(4)
+        truth = lambda X: np.sin(4 * X[:, 0]) + X[:, 1]
+        X = rng.uniform(size=(170, 2))
+        source, target, validation = (
+            Dataset(features=X[rows], labels=truth(X[rows]), domain_tag=tag)
+            for rows, tag in ((slice(0, 100), DomainTag.SOURCE),
+                              (slice(100, 140), DomainTag.TARGET),
+                              (slice(140, None), DomainTag.VALIDATION)))
+        f_so_hat = KSSpec(bandwidth=0.3).fit(source)
+        family = [offset(1.0), scale(0.5, 5.0), non_transfer(), offset(1.0)]
+        best, rows = htl_loop_selection(f_so_hat, target, validation, family, w_spec)
+        result = select_transformation(f_so_hat, target, validation, family, w_spec)
+        assert result.chosen_index == best
+        assert result.per_candidate_validation_mse == rows
+        assert rows[0] == rows[3] and best != 3  # a tie goes to the lower index
+
+
+class TestPredictRows:
+    @pytest.mark.parametrize("spec", [
+        KSSpec(SmoothingKernel.EPANECHNIKOV, bandwidth=0.1),
+        KSSpec(SmoothingKernel.GAUSSIAN, rule=BandwidthRule()),
+        KRRSpec(rbf_kernel(), lam=0.01),
+        KRRSpec(linear_kernel(), rule=LambdaRule()),
+    ], ids=["ks_window", "ks_dense_rule", "krr_rbf", "krr_linear_rule"])
+    def test_each_row_is_a_fit_on_its_labels(self, spec):
+        rng = np.random.default_rng(6)
+        train = target_data(rng.uniform(size=60), np.zeros(60))
+        rows = rng.normal(size=(4, 60))
+        X = rng.uniform(-0.2, 1.2, size=(30, 1))
+        got = spec.predict_rows(train, rows, X)
+        assert got.shape == (4, 30)
+        for pred, labels in zip(got, rows):
+            want = spec.fit(target_data(train.features, labels)).predict(X)
+            assert pred.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", [KSSpec(bandwidth=0.1),
+                                      KRRSpec(rbf_kernel(), lam=0.01)])
+    @pytest.mark.parametrize("rows, message", [
+        (np.zeros(5), r"label rows of shape \(k >= 1, 5\), got \(5,\)"),
+        (np.zeros((0, 5)), r"label rows of shape \(k >= 1, 5\), got \(0, 5\)"),
+        (np.zeros((2, 4)), r"label rows of shape \(k >= 1, 5\), got \(2, 4\)"),
+        (np.array([[0.0] * 4 + [math.nan]]), "labels must be finite"),
+    ])
+    def test_bad_rows_rejected(self, spec, rows, message):
+        train = target_data(np.linspace(0, 1, 5), np.zeros(5))
+        with pytest.raises(ValueError, match=message):
+            spec.predict_rows(train, rows, np.zeros((1, 1)))
 
 
 class Recording:

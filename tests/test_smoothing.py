@@ -13,6 +13,7 @@ from htlreg.smoothing import (
     KSPredictor,
     SmoothingKernel,
     ks_predict,
+    ks_predict_rows,
     predict_from_kernel,
 )
 
@@ -157,7 +158,7 @@ class TestWindowPath:
             rnd.shuffle(labels)
         p = KSPredictor(make(xs, labels), kernel, h)
         Q = np.asarray(queries).reshape(-1, 1)
-        dense = predict_from_kernel(*p._raw(Q), p.train.labels)
+        [dense] = predict_from_kernel(*p._raw(Q), p.train.labels[None])
         with mock.patch.object(smoothing, "_MOMENT_MIN_PAIRS", moment_floor):
             got = p.predict(Q)
         np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
@@ -175,10 +176,11 @@ class TestWindowPath:
         # queries past either end have empty windows and take the nearest label
         Q = np.r_[rng.uniform(-0.5, 1.5, size=50), np.arange(81) / 80]
         Q = Q.reshape(-1, 1)
-        dense = predict_from_kernel(*p._raw(Q), p.train.labels)
+        [dense] = predict_from_kernel(*p._raw(Q), p.train.labels[None])
         np.testing.assert_allclose(p.predict(Q), dense, rtol=0, atol=1e-12)
         # a call without folds is the one fold that leaves nothing out
-        args = *p.train.sorted_1d, Q[:, 0], kernel, [0.06]
+        xs, labels, order = p.train.sorted_1d
+        args = xs, labels[None], order, Q[:, 0], kernel, [0.06]
         folds = np.ones(p.train.n, np.uint8), np.zeros(len(Q), np.uint8)
         [whole] = smoothing.predict_sorted_1d(*args)
         [one_fold] = smoothing.predict_sorted_1d(*args, folds)
@@ -207,7 +209,7 @@ class TestWindowPath:
 
         monkeypatch.setattr(smoothing, "_pair_sums", spy)
         monkeypatch.setattr(smoothing, "_MOMENT_MIN_PAIRS", 0)
-        dense = predict_from_kernel(*p._raw(Q), p.train.labels)
+        [dense] = predict_from_kernel(*p._raw(Q), p.train.labels[None])
         np.testing.assert_allclose(p.predict(Q), dense, rtol=0, atol=1e-12)
         # sparse kernel mass beyond the data's ends fails the moment error
         # bound, and those queries are re-predicted on the pair path
@@ -285,15 +287,15 @@ class TestWindowPath:
         queries, query_fold = np.array([0.3, 0.6, 0.31]), np.array([2, 5, 2], np.uint8)
         kernel, h = SmoothingKernel.EPANECHNIKOV, 0.05
         lo, counts = smoothing._windows(xs, queries, h)
-        got = smoothing._pair_sums(xs, ys, queries, kernel, h, lo, counts,
-                                   smoothing._LeaveOut.of(fold, query_fold, ys))
+        got = smoothing._pair_sums(xs, ys[None], queries, kernel, h, lo, counts,
+                                   smoothing._LeaveOut.of(fold, query_fold, ys[None]))
         for i, f in enumerate(query_fold):
             kept = fold != f
             q = queries[i:i + 1]
-            want = smoothing._pair_sums(xs[kept], ys[kept], q, kernel, h,
+            want = smoothing._pair_sums(xs[kept], ys[None, kept], q, kernel, h,
                                         *smoothing._windows(xs[kept], q, h),
                                         smoothing._KEEP_ALL)
-            assert got[0][i] == want[0][0] and got[1][i] == want[1][0]
+            assert got[0][i] == want[0][0] and got[1][0, i] == want[1][0, 0]
 
     @PROPERTY
     @given(st.integers(1, 2), st.integers(1, 20), st.sampled_from(list(SmoothingKernel)),
@@ -309,6 +311,94 @@ class TestWindowPath:
                        h).predict(Q.reshape(-1, d))
         tol = 1e-12 * max(1.0, np.abs(y).max())
         assert np.all(preds >= y.min() - tol) and np.all(preds <= y.max() + tol)
+
+
+def assert_rows_are_their_own_fits(train, rows, Q, kernel, bandwidths):
+    """Row i of each ``ks_predict_rows`` result has the bits of
+    ``ks_predict`` on ``train`` relabeled with ``rows[i]``."""
+    got = ks_predict_rows(train, rows, Q, kernel, bandwidths)
+    assert len(got) == len(bandwidths)
+    for i, labels in enumerate(rows):
+        fits = ks_predict(Dataset(features=train.features, labels=labels), Q,
+                          kernel, bandwidths)
+        for pred, fit in zip(got, fits):
+            assert pred.shape == (len(rows), len(Q))
+            assert pred[i].tobytes() == fit.tobytes()
+
+
+def label_rows(rng, n):
+    """Label rows that differ in scale and shape: the moment error bound
+    reads max|y| and the prediction, so its redo set differs row by row."""
+    ys = rng.normal(size=n)
+    spike = ys.copy()
+    spike[rng.integers(n)] = 1e6
+    return np.array([ys, 1e-9 * ys, spike, np.full(n, 3.0), -ys])
+
+
+class TestLabelRows:
+    """One call predicts k label rows over the same features; each row has
+    the bits of a call on that row alone."""
+
+    @pytest.mark.parametrize("moment_floor", [smoothing._MOMENT_MIN_PAIRS, 0])
+    @PROPERTY
+    @given(xs=st.lists(TRAIN_X, min_size=1, max_size=25),
+           queries=st.lists(QUERY_X, min_size=1, max_size=20),
+           kernel=st.sampled_from(list(SmoothingKernel)),
+           bandwidths=st.lists(BANDWIDTH, min_size=1, max_size=3),
+           k=st.integers(1, 4), data=st.data())
+    def test_each_row_is_its_own_fit(self, moment_floor, xs, queries, kernel,
+                                     bandwidths, k, data):
+        labels = st.lists(st.floats(-1e3, 1e3), min_size=len(xs), max_size=len(xs))
+        rows = np.array([data.draw(labels) for _ in range(k)])
+        Q = np.asarray(queries).reshape(-1, 1)
+        with mock.patch.object(smoothing, "_MOMENT_MIN_PAIRS", moment_floor):
+            assert_rows_are_their_own_fits(make(xs, rows[0]), rows, Q, kernel,
+                                           bandwidths)
+
+    @pytest.mark.parametrize("kernel", COMPACT)
+    def test_pair_and_moment_paths(self, kernel):
+        # repeated dyadic points, duplicate and signed-zero queries, and
+        # queries past both ends: sparse kernel mass there, none beyond
+        rng = np.random.default_rng(21)
+        xs = np.r_[rng.integers(0, 128, 1000) / 128, rng.uniform(0, 1, 1000)]
+        Q = np.r_[rng.integers(-16, 80, 600) / 64, np.full(20, 0.5),
+                  np.zeros(10), np.full(10, -0.0), rng.uniform(-0.5, 1.5, 60)]
+        Q = Q.reshape(-1, 1)
+        train = make(xs, np.zeros(len(xs)))
+        pairs = {h: int(smoothing._windows(np.sort(xs), np.sort(Q[:, 0]), h)[1].sum())
+                 for h in (1 / 512, 0.1)}
+        assert pairs[1 / 512] < smoothing._MOMENT_MIN_PAIRS < pairs[0.1]
+        assert_rows_are_their_own_fits(train, label_rows(rng, len(xs)), Q, kernel,
+                                       [1 / 512, 0.1])
+
+    @pytest.mark.parametrize("kernel", list(SmoothingKernel))
+    def test_dense_path(self, kernel):
+        # 2-D features (and the gaussian in 1-D) take the dense kernel
+        # matrix; far queries have no compact-kernel mass
+        rng = np.random.default_rng(22)
+        for d in (1, 2) if kernel is SmoothingKernel.GAUSSIAN else (2,):
+            X = rng.integers(0, 16, size=(300, d)) / 16
+            Q = np.r_[rng.uniform(-0.5, 1.5, size=(40, d)), X[:10], -X[:5]]
+            train = Dataset(features=X, labels=np.zeros(len(X)))
+            assert_rows_are_their_own_fits(train, label_rows(rng, len(X)), Q,
+                                           kernel, [0.05, 0.3])
+
+    @pytest.mark.parametrize("moment_floor", [smoothing._MOMENT_MIN_PAIRS, 0])
+    @pytest.mark.parametrize("kernel", COMPACT)
+    def test_rows_with_folds(self, monkeypatch, kernel, moment_floor):
+        # each row's fold predictions are the one-row call's, bit for bit
+        monkeypatch.setattr(smoothing, "_MOMENT_MIN_PAIRS", moment_floor)
+        rng = np.random.default_rng(23)
+        xs = np.sort(np.r_[rng.integers(0, 64, 300) / 64, rng.uniform(0, 1, 300)])
+        rows = label_rows(rng, len(xs))
+        fold = rng.integers(0, 5, len(xs)).astype(np.uint8)
+        folds = fold, fold[rng.permutation(len(xs))]
+        args = np.arange(len(xs)), xs, kernel, [1 / 128, 0.05, 0.2]
+        got = smoothing.predict_sorted_1d(xs, rows, *args, folds)
+        for i, labels in enumerate(rows):
+            alone = smoothing.predict_sorted_1d(xs, labels[None], *args, folds)
+            for pred, want in zip(got, alone):
+                assert pred[i].tobytes() == want[0].tobytes()
 
 
 class TestStability:
