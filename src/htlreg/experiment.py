@@ -708,7 +708,8 @@ def _run_cells(config: ExperimentConfig,
     once per cell. Each is computed on first use inside the per-method
     ``try``, so its failure is recorded against every method that needs it.
     An HTL method builds its auxiliary sample once, for both the
-    target-stage CV and the fit.
+    target-stage CV and the fit, and the target-stage fits of a cell whose
+    specs are equal predict in one pass (``_target_stages``).
     Returns the rows, the failures, the first cell's predictors, and the
     selection results in row order.
     """
@@ -730,6 +731,7 @@ def _run_cells(config: ExperimentConfig,
         for n_ta, data in cells:
             ta_spec = _once(partial(config.target_method.resolve, data.target,
                                     cv_seed))
+            stages = _target_stages(config, data, roster, f_so_hat, ta_spec, cv_seed)
             predictors: dict[str, Predictor] = {}
             for name, item in roster:
                 cell = {"method": name, "n_ta": n_ta, "seed": seed}
@@ -747,24 +749,88 @@ def _run_cells(config: ExperimentConfig,
                                      "chosen_validation_mse": chosen_mse})
                         continue
                     if isinstance(item, AuxiliaryEstimator):
-                        aux, _ = construct_auxiliary(data.target, f_so_hat(), item)
-                        w_spec = config.target_method.resolve(aux, cv_seed)
-                        pred = HTLPredictor(f_so_hat(), w_spec.fit(aux),
+                        pred = HTLPredictor(f_so_hat(), stages[name](),
                                             item.transformation)
                     elif name == "only_source":
                         pred = f_so_hat()
                     elif name == "only_target":
-                        pred = ta_spec().fit(data.target)
+                        pred = stages[name]()
                     else:  # combined: the target method on the pooled sample
                         pooled = _pooled(data)
                         pred = config.target_method.resolve(pooled, cv_seed).fit(pooled)
-                    predictors[name] = pred
                     rows.append({**cell, **_score(pred, data, sample)})
+                    predictors[name] = pred  # plotted only once it has scored
                 except _METHOD_ERRORS as exc:  # recorded, run continues
                     errors.append(_error(cell, exc))
             if first is None:
                 first = predictors
     return rows, errors, first, selections
+
+
+def _target_stages(config: ExperimentConfig, data: SeedData, roster, f_so_hat,
+                   ta_spec, cv_seed: int) -> dict[str, Callable[[], Predictor]]:
+    """The target-stage fit of ``only_target`` and of each HTL method of a
+    cell, by method name: a call that returns the fit or raises the
+    method's own error.
+
+    Every spec is resolved, with its sample, before any method is scored:
+    ``only_target``'s on the target sample, an HTL method's on its
+    auxiliary sample, which relabels the same target features. A smoother's
+    windows and kernel weights depend on the features alone, so the
+    methods whose specs are equal share one ``spec.fit_rows`` over the
+    target features and their label rows, built on first use behind one
+    ``MemoPredictor``: one pass per distinct query array predicts every
+    member, row i with the bits of member i's own fit. A method error of
+    the shared fit comes from some member's row, so each member then
+    predicts from its own fit and fails only where that fails. A method
+    whose resolution fails raises that error.
+    """
+    stages: dict[str, Callable[[], Predictor]] = {}
+    groups: dict[SubroutineSpec, list[tuple[str, Dataset]]] = {}
+    for name, item in roster:
+        try:
+            if name == "only_target":
+                spec, train = ta_spec(), data.target
+            elif isinstance(item, AuxiliaryEstimator):
+                train, _ = construct_auxiliary(data.target, f_so_hat(), item)
+                spec = config.target_method.resolve(train, cv_seed)
+            else:
+                continue
+        except _METHOD_ERRORS as exc:
+            stages[name] = partial(_reraise, exc)
+            continue
+        groups.setdefault(spec, []).append((name, train))
+    for spec, members in groups.items():
+        shared = _once(partial(_shared_fit, spec, data.target,
+                               [train.labels for _, train in members]))
+        for row, (name, train) in enumerate(members):
+            stages[name] = partial(_GroupRow, shared, row,
+                                   _once(partial(spec.fit, train)))
+    return stages
+
+
+def _reraise(exc: Exception):
+    raise exc
+
+
+def _shared_fit(spec: SubroutineSpec, target: Dataset, rows) -> MemoPredictor:
+    return MemoPredictor(spec.fit_rows(target, rows))
+
+
+@dataclass(frozen=True)
+class _GroupRow:
+    """Row ``row`` of a target-stage group's shared fit (``shared``); on a
+    method error there, the member's own fit (``own``) predicts."""
+
+    shared: Callable[[], Predictor]
+    row: int
+    own: Callable[[], Predictor]
+
+    def predict(self, X) -> np.ndarray:
+        try:
+            return self.shared().predict(X)[self.row]
+        except _METHOD_ERRORS:
+            return self.own().predict(X)
 
 
 def run_experiment(config: ExperimentConfig) -> dict:

@@ -15,12 +15,15 @@ transformations shares that prefit stage across candidates and keeps the
 one with the lowest validation MSE.
 
 Selection's candidates also share step 3's features and bandwidth or
-lambda: only their auxiliary labels differ. Each subroutine spec's
-``predict_rows`` predicts a stack of label rows over one sample, row i
-with the bits of a fit on row i alone, so one call serves every candidate.
-Kernel smoothing computes the query sort, windows and kernel values once
-and only the label-weighted sums per row (``smoothing.ks_predict_rows``);
-kernel ridge fits row by row.
+lambda: only their auxiliary labels differ. So do the target-stage fits of
+an experiment cell whose specs are equal: only-target's on the target
+labels and each HTL method's on its auxiliary labels. Each subroutine
+spec's ``fit_rows`` fits a stack of label rows over one sample, and
+``predict_rows`` predicts them, row i with the bits of a fit on row i
+alone, so one call serves every candidate or method. Kernel smoothing
+computes the query sort, windows and kernel values once per call and only
+the label-weighted sums per row (``smoothing.ks_predict_rows``); kernel
+ridge fits row by row.
 
 f_so_hat(x) does not depend on G, the target sample or the method, so a
 ``MemoPredictor`` around the source stage computes it once per distinct
@@ -150,12 +153,32 @@ class KSSpec:
     def fit(self, train: Dataset) -> KSPredictor:
         return KSPredictor(train, self.kernel, self.resolve_bandwidth(train))
 
+    def fit_rows(self, train: Dataset, rows) -> _KSRows:
+        """The smoothers fit on ``train``'s features with each label row of
+        ``rows`` (see ``predict_rows``)."""
+        return _KSRows(train, _label_rows(train, rows), self.kernel,
+                       self.resolve_bandwidth(train))
+
     def predict_rows(self, train: Dataset, rows, X) -> np.ndarray:
         """(k, m) predictions at ``X``; row i has the bits of
         ``self.fit(train relabeled with rows[i]).predict(X)``. One smoother
         pass serves every row (``smoothing.ks_predict_rows``)."""
-        [pred] = ks_predict_rows(train, _label_rows(train, rows), X, self.kernel,
-                                 (self.resolve_bandwidth(train),))
+        return self.fit_rows(train, rows).predict(X)
+
+
+@dataclass(frozen=True, eq=False)
+class _KSRows:
+    """Smoothers on one sample's features, one per label row: each
+    ``predict`` is one smoother pass for every row."""
+
+    train: Dataset
+    rows: np.ndarray
+    kernel: SmoothingKernel
+    bandwidth: float
+
+    def predict(self, X) -> np.ndarray:
+        [pred] = ks_predict_rows(self.train, self.rows, X, self.kernel,
+                                 (self.bandwidth,))
         return pred
 
 
@@ -181,12 +204,27 @@ class KRRSpec:
     def fit(self, train: Dataset) -> KRRPredictor:
         return krr_fit(train, self.kernel, self.resolve_lambda(train))
 
+    def fit_rows(self, train: Dataset, rows) -> _RowFits:
+        """One fit per label row of ``rows`` on ``train``'s features, in row
+        order (see ``predict_rows``)."""
+        return _RowFits(tuple(self.fit(replace(train, labels=labels))
+                              for labels in _label_rows(train, rows)))
+
     def predict_rows(self, train: Dataset, rows, X) -> np.ndarray:
         """(k, m) predictions at ``X``; row i is
         ``self.fit(train relabeled with rows[i]).predict(X)``, one fit per
         row."""
-        return np.array([self.fit(replace(train, labels=labels)).predict(X)
-                         for labels in _label_rows(train, rows)])
+        return self.fit_rows(train, rows).predict(X)
+
+
+@dataclass(frozen=True)
+class _RowFits:
+    """Fitted predictors, one per label row; ``predict`` stacks theirs."""
+
+    fits: tuple[Predictor, ...]
+
+    def predict(self, X) -> np.ndarray:
+        return np.array([fit.predict(X) for fit in self.fits])
 
 
 def _label_rows(train: Dataset, rows) -> np.ndarray:

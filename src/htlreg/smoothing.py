@@ -26,18 +26,22 @@ distances from ``data.sq_distances``, which imports scipy on first use, so a
 1-D compact-kernel run never loads scipy.
 
 ``ks_predict_rows`` predicts k label rows over one sample's features at
-once, as transformation selection's auxiliary fits need: they share the
-target features and differ only in their labels. ``ks_predict`` is its
-one-row call, on the same code. Whatever does not read the labels is
-computed once for all rows: the query sort, the windows, the leave-out, the
-window pairs' columns and kernel values, and the nearest-neighbour
-fallback's points; on the dense path the kernel matrix, its row sums and
-the nearest points. Per row come the label-weighted sums: the window
-pairs' kernel values times the row's labels, each query's run reduced as a
-one-row call reduces it; on the dense path one matrix-vector product per
-row, since a matrix-matrix product sums in another order; and on the moment
-path the whole prefix-moment evaluation, whose error bound reads the
-labels. So row i has the bits of a call on row i alone.
+once, as transformation selection's auxiliary fits and a cell's equal
+target-stage fits need: they share the target features and differ only in
+their labels. ``ks_predict`` is its one-row call, on the same code, and
+reads the sample's labels in its cached sort. Whatever does not read the
+labels is computed once for all rows: the query sort, the windows, the
+leave-out, the window pairs' columns and kernel values, and the
+nearest-neighbour fallback's points; on the dense path the kernel matrix,
+its row sums and the nearest points; on the moment path the inner windows,
+the rims, the bins, the d and d^2 prefix rows and the kernel sums. Per row
+come the label-weighted sums: the window pairs' kernel values times the
+row's labels, each query's run reduced as a one-row call reduces it; on the
+dense path one matrix-vector product per row, since a matrix-matrix product
+sums in another order; on the moment path the y, y d and y d^2 prefix rows
+and the rim's weighted sums; and the moment error bound, which reads the
+labels, with its pair-path redo. So row i has the bits of a call on row i
+alone.
 
 ``ks_cv_predict`` predicts every fold of a cross-validation at once. A 1-D
 compact-kernel call predicts each query from the training points outside
@@ -125,29 +129,31 @@ def ks_predict(
     """Predictions at the queries ``X`` of the smoother fit on ``train``,
     one array per bandwidth: ``ks_predict_rows`` with the sample's own
     labels as its one row."""
-    return [pred[0] for pred in
-            ks_predict_rows(train, train.labels[None], X, kernel, bandwidths)]
+    return [pred[0] for pred in ks_predict_rows(train, None, X, kernel, bandwidths)]
 
 
 def ks_predict_rows(
-    train: Dataset, rows: np.ndarray, X, kernel: SmoothingKernel,
+    train: Dataset, rows: np.ndarray | None, X, kernel: SmoothingKernel,
     bandwidths: Sequence[float],
 ) -> list[np.ndarray]:
     """Predictions at the queries ``X``, one (k, m) array per bandwidth, of
     the smoothers fit on ``train``'s features with each of the k label rows
     ``rows`` (in ``train``'s row order); row i has the bits of a fit on the
-    sample relabeled with ``rows[i]``.
+    sample relabeled with ``rows[i]``. ``rows`` None is the one row of the
+    sample's own labels.
 
     1-D data with a compact-support kernel takes each query's window in
-    ``train.sorted_1d`` (``predict_sorted_1d``); anything else evaluates the
-    dense kernel matrix from one (m, n) squared-distance matrix
-    (``predict_from_kernel``).
+    ``train.sorted_1d``, whose cached labels serve ``rows`` None
+    (``predict_sorted_1d``); anything else evaluates the dense kernel matrix
+    from one (m, n) squared-distance matrix (``predict_from_kernel``).
     """
     X = _queries(train, X)
     if train.dim == 1 and kernel.compact:
-        xs, _, order = train.sorted_1d
-        return predict_sorted_1d(xs, rows.take(order, axis=1), order, X[:, 0],
-                                 kernel, bandwidths)
+        xs, labels, order = train.sorted_1d
+        rows = labels[None] if rows is None else rows.take(order, axis=1)
+        return predict_sorted_1d(xs, rows, order, X[:, 0], kernel, bandwidths)
+    if rows is None:
+        rows = train.labels[None]
     sq = sq_distances(X, train.features)
     return [predict_from_kernel(kernel.profile_sq(sq / (h * h)), sq, rows)
             for h in bandwidths]
@@ -413,7 +419,7 @@ def _window_sums(xs, rows, queries, kernel, h, lo, counts, leave):
     """Kernel sums and label-weighted sums over each query's window, the
     latter (k, m) for the label rows ``rows``. A boxcar or epanechnikov
     query whose fold holds at least _MOMENT_MIN_PAIRS kept window pairs
-    takes them from prefix moments (``_moment_rows``), and its kernel sums
+    takes them from prefix moments (``_moment_sums``), and its kernel sums
     are (k, m) too; any other query sums its window pair by pair, into
     kernel sums (m,) that every row shares."""
     # a fold keeps at most its queries' whole windows
@@ -423,10 +429,10 @@ def _window_sums(xs, rows, queries, kernel, h, lo, counts, leave):
     kept = leave.window(lo, counts)
     moment = leave.fold_pairs(kept[1]) >= _MOMENT_MIN_PAIRS
     if moment.all():
-        return _moment_rows(xs, rows, queries, kernel, h, lo, counts, leave, kept)
+        return _moment_sums(xs, rows, queries, kernel, h, lo, counts, leave, kept)
     sums, weighted = np.empty((2, len(rows), len(queries)))
     at = np.flatnonzero(moment)
-    sums[:, at], weighted[:, at] = _moment_rows(
+    sums[:, at], weighted[:, at] = _moment_sums(
         xs, rows, queries[at], kernel, h, lo[at], counts[at], leave.take(at),
         (kept[0][at], kept[1][at]))
     at = np.flatnonzero(~moment)
@@ -435,26 +441,15 @@ def _window_sums(xs, rows, queries, kernel, h, lo, counts, leave):
     return sums, weighted
 
 
-def _moment_rows(xs, rows, queries, kernel, h, lo, counts, leave, kept):
-    """``_moment_sums`` for each label row, as (k, m) kernel sums and
-    weighted sums. Each row takes the whole moment path on its own: its
-    labels decide which queries the moment error bound sends back to their
-    pairs."""
-    sums, weighted = zip(*(
-        _moment_sums(xs, labels, queries, kernel, h, lo, counts, leave.row(r), kept)
-        for r, labels in enumerate(rows)))
-    return np.array(sums), np.array(weighted)
-
-
 def _pair_sums(xs, rows, queries, kernel, h, lo, counts, leave):
     """Kernel sums (m,) and label-weighted sums (k, m), for the label rows
     ``rows``, over the kept points of each query's run of sorted ``xs``
     (start ``lo``, length ``counts``), evaluated pair by pair. The kernel
-    values are computed once and weighted by each row in turn; the last
-    row's products overwrite them in place, so a one-row call keeps no more
-    temporaries alive than the kernel values alone (more would make the
-    allocator return and fault in pages anew: twice the minor page faults
-    of a ks_cv_offset op)."""
+    values are computed once and weighted by each row in turn, each row's
+    products in its own gathered labels and the last row's in the kernel
+    values, so a call of any number of rows keeps no more temporaries alive
+    than a one-row call (more would make the allocator return and fault in
+    pages anew: twice the minor page faults of a ks_cv_offset op)."""
     m = len(queries)
     sums, weighted = np.zeros(m), np.zeros((len(rows), m))
     for block, shared in _blocks(counts, leave.runs(m)):
@@ -478,20 +473,26 @@ def _pair_sums(xs, rows, queries, kernel, h, lo, counts, leave):
         last = len(block_rows) - 1
         for r, labels in enumerate(block_rows):
             if r < last:
-                products = labels[cols] * raw
+                products = labels[cols]
+                products *= raw
             else:  # no row reads the kernel values after the last one
                 products = raw
                 products *= labels[cols]
             weighted[r, block][filled] = np.add.reduceat(products, starts)
+            del products  # freed before the next row gathers its labels
     return sums, weighted
 
 
-def _moment_sums(xs, labels, queries, kernel, h, lo, counts, leave, kept):
-    """The sums of ``_pair_sums`` for one label row ``labels`` and a
-    polynomial kernel, from prefix moments over each query's inner window,
-    pairs on the window's rim, and pairs again for every query whose moment
-    error bound is too loose. ``kept`` holds each query's window as a start
-    and length among the points it keeps (``_LeaveOut.window``)."""
+def _moment_sums(xs, rows, queries, kernel, h, lo, counts, leave, kept):
+    """The sums of ``_pair_sums`` for the label rows ``rows`` and a
+    polynomial kernel, as (k, m) kernel sums and weighted sums, from prefix
+    moments over each query's inner window, pairs on the window's rim, and
+    pairs again for every query whose moment error bound is too loose.
+    ``kept`` holds each query's window as a start and length among the
+    points it keeps (``_LeaveOut.window``). The windows, the rims and the
+    kernel sums are computed once for all rows; the error bound reads a
+    row's labels, so each row redoes its own queries, and its kernel sums
+    are its own."""
     # inner window |q - x| < h (1 - 1e-7), shrunk by the rounding of q -+ h;
     # every point in it has s < 1 in any rounding, so K is the polynomial
     reach = h * (1.0 - 1e-7) - 1e-9 * (h + np.abs(queries))
@@ -511,49 +512,57 @@ def _moment_sums(xs, labels, queries, kernel, h, lo, counts, leave, kept):
     own = kept[0].copy(), kept[1].copy()  # the inner windows among kept points
     own[0][rim], own[1][rim] = leave.take(rim).window(lo_in[rim],
                                                       hi_in[rim] - lo_in[rim])
-    sums, weighted, span, n_inner = _inner_moments(
-        xs, labels, queries, kernel, h, lo_in, hi_in - lo_in, leave, own)
+    shared, weighted, span, n_inner = _inner_moments(
+        xs, rows, queries, kernel, h, lo_in, hi_in - lo_in, leave, own)
     rim = rim[kept[1][rim] > n_inner[rim]]  # the rims that hold kept points
     if len(rim):
         both = np.r_[rim, rim]
         rim_sums, rim_weighted = _pair_sums(
-            xs, labels[None], queries[both], kernel, h, np.r_[lo[rim], hi_in[rim]],
+            xs, rows, queries[both], kernel, h, np.r_[lo[rim], hi_in[rim]],
             np.r_[left[rim], right[rim]], leave.take(both))
-        np.add.at(sums, both, rim_sums)
-        np.add.at(weighted, both, rim_weighted[0])
+        np.add.at(shared, both, rim_sums)
+        for row_weighted, row_rim in zip(weighted, rim_weighted):
+            np.add.at(row_weighted, both, row_rim)
+    sums = np.empty_like(weighted)
+    sums[:] = shared
     # cumulative sums over ``span`` points carry an absolute error of about
     # eps * span in units of one kernel value; redo the queries where that
     # can move the prediction by more than 1e-13 of the label scale
-    y_max = leave.label_max(labels)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pred = np.abs(weighted / sums)
-        bound = 64 * np.finfo(float).eps * (span + 1) * (y_max + pred) / sums
-    redo = np.flatnonzero((n_inner > 0) & ~(bound <= 1e-13 * np.maximum(1.0, y_max)))
-    if len(redo):
-        sums[redo], (weighted[redo],) = _pair_sums(
-            xs, labels[None], queries[redo], kernel, h, lo[redo], counts[redo],
-            leave.take(redo))
+    for r, labels in enumerate(rows):
+        y_max = leave.row(r).label_max(labels)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pred = np.abs(weighted[r] / shared)
+            bound = 64 * np.finfo(float).eps * (span + 1) * (y_max + pred) / shared
+        redo = np.flatnonzero((n_inner > 0)
+                              & ~(bound <= 1e-13 * np.maximum(1.0, y_max)))
+        if len(redo):
+            sums[r, redo], (weighted[r, redo],) = _pair_sums(
+                xs, labels[None], queries[redo], kernel, h, lo[redo], counts[redo],
+                leave.take(redo))
     return sums, weighted
 
 
-def _inner_moments(xs, labels, queries, kernel, h, lo, counts, leave, own):
-    """Kernel and label-weighted sums over the kept points of each query's
-    run of sorted ``xs`` from prefix moments, with the length of the prefix
-    each came from and the number of points each summed. ``own`` holds each
-    run as a start and length among the points its query keeps.
+def _inner_moments(xs, rows, queries, kernel, h, lo, counts, leave, own):
+    """Kernel sums (m,) and label-weighted sums (k, m), for the label rows
+    ``rows``, over the kept points of each query's run of sorted ``xs``
+    from prefix moments, with the length of the prefix each came from and
+    the number of points each summed. ``own`` holds each run as a start
+    and length among the points its query keeps.
 
     Ascending queries of one fold are grouped in bins of width 2h anchored
     at their centres a, so each bin is a run of consecutive queries; a bin's
-    prefix sums of d, d^2, y, y d and y d^2, d = x - a, run over the union of
-    its queries' windows. With q' = q - a and N the window's length, a
-    query's epanechnikov sums are N - (S2 - 2 q' S1 + q'^2 N) / h^2 and
-    Y0 - (Y2 - 2 q' Y1 + q'^2 Y0) / h^2 (boxcar: N and Y0). Anchoring keeps
-    d and q' within 2h, so the expansion loses about a factor of 10 to
-    cancellation. Prefix arrays are built a group of bins of one fold at a
-    time, padded to the group's longest prefix (see ``_bin_blocks``).
+    prefix sums of d, d^2 and, per row, y, y d and y d^2, d = x - a, run
+    over the union of its queries' windows. With q' = q - a and N the
+    window's length, a query's epanechnikov sums are
+    N - (S2 - 2 q' S1 + q'^2 N) / h^2 and Y0 - (Y2 - 2 q' Y1 + q'^2 Y0) / h^2
+    (boxcar: N and Y0). Anchoring keeps d and q' within 2h, so the
+    expansion loses about a factor of 10 to cancellation. Prefix arrays are
+    built a group of bins of one fold at a time, padded to the group's
+    longest prefix (see ``_bin_blocks``); the bins, the d and d^2 prefix
+    rows and the kernel sums are shared by every label row.
     """
     m = len(queries)
-    sums, weighted, span = np.zeros(m), np.zeros(m), np.zeros(m)
+    sums, weighted, span = np.zeros(m), np.zeros((len(rows), m)), np.zeros(m)
     own_lo, own_counts = own
     filled = np.flatnonzero(own_counts > 0)
     if not len(filled):
@@ -574,10 +583,13 @@ def _inner_moments(xs, labels, queries, kernel, h, lo, counts, leave, own):
     span[filled] = lengths[bin_of]
     lo, counts = own_lo[filled], own_counts[filled]
     epanechnikov = kernel is SmoothingKernel.EPANECHNIKOV
+    # a block's prefix array holds no more values than a one-row block's
+    budget = _BLOCK_PAIRS * _prefix_height(1, epanechnikov) // _prefix_height(
+        len(rows), epanechnikov)
     hh = h * h
     row = np.empty_like(lengths)
     sizes = np.diff(np.r_[starts, len(filled)])  # queries per bin
-    for bins in _bin_blocks(lengths, bin_leave.runs(len(starts))):
+    for bins in _bin_blocks(lengths, bin_leave.runs(len(starts)), budget):
         row[bins] = np.arange(len(bins))
         at = _pair_columns(starts[bins], sizes[bins])  # the bins' queries
         width = lengths[bins].max()
@@ -586,47 +598,58 @@ def _inner_moments(xs, labels, queries, kernel, h, lo, counts, leave, own):
         kept, base, _ = bin_leave.kept_runs(bin_lo[bins], bin_n[bins], bins[0])
         cols = base[:, None] + np.arange(width)
         start = lo[at] - first[bin_of[at]]
-        windowed = _run_moments(xs[kept], labels[kept], cols, anchor[bins],
+        windowed = _run_moments(xs[kept], rows[:, kept], cols, anchor[bins],
                                 row[bin_of[at]], start, start + counts[at],
                                 epanechnikov)
         n = counts[at].astype(float)
         if epanechnikov:
-            s1, s2, y1, y2, y0 = windowed
+            s1, s2 = windowed[:2]
+            y1, y2, y0 = windowed[2:].reshape(3, len(rows), -1)
             qd = q[at] - anchor[bin_of[at]]
             sums[filled[at]] = n - (s2 - 2.0 * qd * s1 + qd * qd * n) / hh
-            weighted[filled[at]] = y0 - (y2 - 2.0 * qd * y1 + qd * qd * y0) / hh
+            weighted[:, filled[at]] = y0 - (y2 - 2.0 * qd * y1 + qd * qd * y0) / hh
         else:
-            sums[filled[at]], weighted[filled[at]] = n, windowed[0]
+            sums[filled[at]], weighted[:, filled[at]] = n, windowed
     return sums, weighted, span, own_counts
 
 
-def _run_moments(xs, labels, cols, anchor, rows, start, stop, epanechnikov):
-    """Moment sums of the points ``cols[row, start:stop]`` for each
-    (row, start, stop): d, d^2, y d, y d^2 and y with d = x - anchor[row]
-    (boxcar: y alone), as differences of prefix sums along each row."""
-    # prefix[k, row, i]: moment k summed over the row's first i points;
-    # past its bin's own length a row runs on over points no query reads
-    prefix = np.empty((5 if epanechnikov else 1, len(cols), cols.shape[1] + 1))
+def _prefix_height(k, epanechnikov) -> int:
+    """Moment rows of a prefix array for k label rows: d, d^2 and y d,
+    y d^2, y per row for epanechnikov; y per row for boxcar."""
+    return 2 + 3 * k if epanechnikov else k
+
+
+def _run_moments(xs, rows, cols, anchor, bins, start, stop, epanechnikov):
+    """Moment sums of the points ``cols[bin, start:stop]`` for each
+    (bin, start, stop): d and d^2, then y d, y d^2 and y of each label row
+    of ``rows`` (k, n), with d = x - anchor[bin] (boxcar: y of each row), as
+    differences of prefix sums along each bin's row of ``cols``."""
+    # prefix[j, bin, i]: moment j summed over the bin's first i points;
+    # past its own length a bin's row runs on over points no query reads
+    k = len(rows)
+    prefix = np.empty((_prefix_height(k, epanechnikov), len(cols), cols.shape[1] + 1))
     prefix[:, :, 0] = 0.0
-    y = prefix[-1, :, 1:]
-    np.take(labels, cols, out=y, mode="clip")
+    y = prefix[-k:, :, 1:]
+    np.take(rows, cols, axis=1, out=y, mode="clip")
     if epanechnikov:
-        d, d2, yd, yd2 = prefix[:4, :, 1:]
+        d, d2 = prefix[:2, :, 1:]
+        yd, yd2 = prefix[2:2 + k, :, 1:], prefix[2 + k:2 + 2 * k, :, 1:]
         np.take(xs, cols, out=d, mode="clip")
         d -= anchor[:, None]
         np.multiply(d, d, out=d2)
         np.multiply(y, d, out=yd)
         np.multiply(yd, d, out=yd2)
     np.cumsum(prefix, axis=2, out=prefix)
-    return prefix[:, rows, stop] - prefix[:, rows, start]
+    return prefix[:, bins, stop] - prefix[:, bins, start]
 
 
-def _bin_blocks(lengths, runs) -> list[np.ndarray]:
+def _bin_blocks(lengths, runs, budget) -> list[np.ndarray]:
     """Groups of bins whose padded (bins x longest prefix) arrays hold about
-    _BLOCK_PAIRS values each, at least one bin per group and never bins of
+    ``budget`` values each, at least one bin per group and never bins of
     two folds (``runs``: the (start, stop) of each fold's bins). Bins are
     grouped by prefix length, so little padding is wasted on clustered
-    data."""
+    data; each bin's prefix is summed on its own and its padding never
+    read, so the grouping changes no sum."""
     groups = []
     for a, b in runs:
         order = a + np.argsort(lengths[a:b], kind="stable")
@@ -634,8 +657,7 @@ def _bin_blocks(lengths, runs) -> list[np.ndarray]:
         start = 0
         while start < len(order):
             padded = np.arange(1, len(order) - start + 1) * ranked[start:]
-            stop = start + max(1, int(np.searchsorted(padded, _BLOCK_PAIRS,
-                                                      side="right")))
+            stop = start + max(1, int(np.searchsorted(padded, budget, side="right")))
             groups.append(order[start:stop])
             start = stop
     return groups

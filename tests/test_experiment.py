@@ -1047,6 +1047,69 @@ class TestRunExperiment:
             assert len(keys) == per_seed
             assert len(set(keys)) == per_seed
 
+    def test_a_cell_predicts_its_equal_target_specs_in_one_pass(self, tmp_path,
+                                                                monkeypatch):
+        # only_target and two HTL methods resolve to the one bandwidth rule:
+        # each cell predicts all three at the Monte Carlo sample in one call
+        cfg = base_config(output_dir=str(tmp_path / "out"), seeds=[0, 1])
+        _kind(cfg, "rate_sweep", noise_variance=0.01, slope=1.0,
+              n_ta_grid=[20, 40, 80])
+        _target(cfg, {"method": "ks", "kernel": "epanechnikov",
+                      "bandwidth_rule": {"alpha": 1.0}})
+        cfg["transformations"] = [{"family": "offset", "alpha": 1.0},
+                                  {"family": "non_transfer"}]
+        calls = []
+        predict = smoothing.predict_sorted_1d
+
+        def spy(xs, rows, ranks, queries, *args):
+            calls.append((len(xs), len(queries), len(rows)))
+            return predict(xs, rows, ranks, queries, *args)
+
+        monkeypatch.setattr(smoothing, "predict_sorted_1d", spy)
+        report = run_experiment(parse_config(cfg))
+        assert not report["errors"]
+        at_sample = [call for call in calls if call[1] == 2000]
+        # per seed: the source once, each cell's target stage once
+        assert sorted(at_sample) == sorted(
+            [(200, 2000, 1)] * 2 + [(n, 2000, 3) for n in (20, 40, 80)] * 2)
+        risk = {(r["method"], r["seed"], r["n_ta"]): r["excess_risk"]
+                for r in report["rows"]}
+        for (method, seed, n_ta), value in risk.items():
+            if method == "htl_non_transfer":
+                assert value == risk["only_target", seed, n_ta]
+
+    @pytest.mark.parametrize("failing", ["only_target", "htl_offset(alpha=1)"])
+    def test_a_failing_row_of_a_shared_fit_fails_its_method_alone(
+            self, tmp_path, monkeypatch, failing):
+        # only_target and the HTL method share one KRR fit with equal lambda;
+        # the ridge solve fails on one method's labels only
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        _target(cfg, {"method": "krr", "kernel": {"shape": "rbf"}, "lambda": 0.01})
+        config = parse_config(cfg)
+        target = experiment._synthetic_cells(config, 0)[0][1].target
+        healthy = {r["method"]: r for r in run_experiment(config)["rows"]}
+        shared = []
+        fit_rows, solve = KRRSpec.fit_rows, ridge.ridge_path
+
+        def counting_fit_rows(spec, train, rows):
+            shared.append(len(rows))
+            return fit_rows(spec, train, rows)
+
+        def failing_solve(K, y, lams):
+            if np.array_equal(y, target.labels) == (failing == "only_target"):
+                raise ConditioningError("synthetic failure")
+            return solve(K, y, lams)
+
+        monkeypatch.setattr(KRRSpec, "fit_rows", counting_fit_rows)
+        monkeypatch.setattr(ridge, "ridge_path", failing_solve)
+        report = run_experiment(config)
+        assert shared == [2]
+        assert report["errors"] == [{"method": failing, "seed": 0,
+                                     "error": "synthetic failure",
+                                     "type": "ConditioningError"}]
+        [row] = report["rows"]
+        assert row == healthy[row["method"]] and row["method"] != failing
+
 
 def _numeric_leaves(value, where="config", keys=()):
     """(key path, keys from the root) of every number in a JSON value."""

@@ -400,6 +400,41 @@ class TestLabelRows:
             for pred, want in zip(got, alone):
                 assert pred[i].tobytes() == want[0].tobytes()
 
+    @pytest.mark.parametrize("kernel", COMPACT[:2])
+    def test_a_moment_block_serves_every_row(self, monkeypatch, kernel):
+        # selection with K = 4 predicts 9 candidate rows over 100 target
+        # points at 50 validation points; blocks small enough to split
+        monkeypatch.setattr(smoothing, "_MOMENT_MIN_PAIRS", 0)
+        monkeypatch.setattr(smoothing, "_BLOCK_PAIRS", 600)
+        rng = np.random.default_rng(24)
+        train = make(rng.uniform(0, 1, 100), np.zeros(100))
+        rows = np.r_[label_rows(rng, 100), rng.normal(size=(4, 100))]
+        Q = rng.uniform(-0.1, 1.1, (50, 1))
+        epanechnikov = kernel is SmoothingKernel.EPANECHNIKOV
+        blocks, prefixes = [], []
+        bin_blocks, run_moments = smoothing._bin_blocks, smoothing._run_moments
+
+        def block_spy(*args):
+            blocks.append(bin_blocks(*args))
+            return blocks[-1]
+
+        def moment_spy(xs, labels, cols, *args):
+            prefixes.append((len(labels), *cols.shape))
+            return run_moments(xs, labels, cols, *args)
+
+        monkeypatch.setattr(smoothing, "_bin_blocks", block_spy)
+        monkeypatch.setattr(smoothing, "_run_moments", moment_spy)
+        ks_predict_rows(train, rows, Q, kernel, [0.1])
+        # one prefix array per block, holding every row: d and d^2 once
+        assert len(prefixes) == sum(map(len, blocks)) > len(blocks)
+        bound = smoothing._prefix_height(1, epanechnikov) * smoothing._BLOCK_PAIRS
+        for k, bins, width in prefixes:
+            assert k == 9
+            assert smoothing._prefix_height(k, epanechnikov) * bins * width <= bound \
+                or bins == 1
+        assert any(bins > 1 for _, bins, _ in prefixes)
+        assert_rows_are_their_own_fits(train, rows, Q, kernel, [0.1])
+
 
 class TestStability:
     def test_label_perturbation_bound_exact(self):
