@@ -84,6 +84,20 @@ class Dataset:
             xs = column[order]
         return xs, self.labels[order], order
 
+    def with_labels(self, labels) -> Dataset:
+        """The sample with ``labels``, one finite label per row, in place of
+        its own. The features, already checked, are this sample's own
+        read-only array, shared and not checked again."""
+        labels = np.asarray(labels, dtype=float).ravel()
+        if labels.shape != (self.n,) or not np.isfinite(labels).all():
+            raise ValueError(f"labels must be {self.n} finite values, one per row")
+        labels.setflags(write=False)
+        relabeled = object.__new__(Dataset)
+        for name, value in (("features", self.features), ("labels", labels),
+                            ("domain_tag", self.domain_tag)):
+            object.__setattr__(relabeled, name, value)
+        return relabeled
+
     def without(self, rows: np.ndarray) -> Dataset:
         """The sample less ``rows``, the rest in row order, with this
         sample's domain tag: a CV fold's training sample."""

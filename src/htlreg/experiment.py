@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -38,6 +38,7 @@ from .data import (
 from .evaluation import excess_risk_mc, mc_sample, metric_report, rate_slope
 from .pipeline import (
     BandwidthRule,
+    FailedFit,
     HTLPredictor,
     KRRSpec,
     KSSpec,
@@ -47,7 +48,7 @@ from .pipeline import (
     SelectionResult,
     SubroutineSpec,
     construct_auxiliary,
-    select_transformation,
+    score_candidates,
 )
 from .ridge import ConditioningError, KernelShape, RKHSKernel, krr_path, predict_path
 from .smoothing import SmoothingKernel, ks_cv_predict
@@ -704,14 +705,14 @@ def _run_cells(config: ExperimentConfig,
     its predictions once per distinct query array of the seed (the Monte
     Carlo sample, test, validation and target rows, the plot grid). A
     synthetic seed draws its Monte Carlo sample and the truth on it once,
-    for every scored row of every cell. The target spec is resolved at most
-    once per cell. Each is computed on first use inside the per-method
-    ``try``, so its failure is recorded against every method that needs it.
-    An HTL method builds its auxiliary sample once, for both the
-    target-stage CV and the fit, and the target-stage fits of a cell whose
-    specs are equal predict in one pass (``_target_stages``).
-    Returns the rows, the failures, the first cell's predictors, and the
-    selection results in row order.
+    for every scored row of every cell. Each is computed on first use
+    inside the per-method ``try``, so its failure is recorded against every
+    method that needs it. The target stages of ``only_target``, each HTL
+    method and each selection member are fit before any method is scored
+    (``_target_stages``); an HTL method or member builds its auxiliary
+    sample once, for both the target-stage CV and the fit. Returns the
+    rows, the failures, the first cell's predictors, and the selection
+    results in row order.
     """
     rows: list[dict] = []
     errors: list[dict] = []
@@ -729,18 +730,16 @@ def _run_cells(config: ExperimentConfig,
         sample = None if truth is None else _once(lambda: mc_sample(
             truth.target_fn, truth.input_sampler, 2000, child_seed(seed, _EXCESS)))
         for n_ta, data in cells:
-            ta_spec = _once(partial(config.target_method.resolve, data.target,
-                                    cv_seed))
-            stages = _target_stages(config, data, roster, f_so_hat, ta_spec, cv_seed)
+            stages = _target_stages(config, data, roster, f_so_hat, cv_seed)
             predictors: dict[str, Predictor] = {}
             for name, item in roster:
                 cell = {"method": name, "n_ta": n_ta, "seed": seed}
                 cell = {k: v for k, v in cell.items() if v is not None}
                 try:
                     if isinstance(item, QuantizedFamily):
-                        result = select_transformation(
-                            f_so_hat(), data.target, data.validation, item, ta_spec()
-                        )
+                        result = score_candidates(
+                            f_so_hat(), data.validation, item.members,
+                            [stages[tf.label] for tf in item.members])
                         selections.append(result)
                         _, chosen_mse = result.per_candidate_validation_mse[
                             result.chosen_index]
@@ -749,12 +748,12 @@ def _run_cells(config: ExperimentConfig,
                                      "chosen_validation_mse": chosen_mse})
                         continue
                     if isinstance(item, AuxiliaryEstimator):
-                        pred = HTLPredictor(f_so_hat(), stages[name](),
+                        pred = HTLPredictor(f_so_hat(), stages[name],
                                             item.transformation)
                     elif name == "only_source":
                         pred = f_so_hat()
                     elif name == "only_target":
-                        pred = stages[name]()
+                        pred = stages[name]
                     else:  # combined: the target method on the pooled sample
                         pooled = _pooled(data)
                         pred = config.target_method.resolve(pooled, cv_seed).fit(pooled)
@@ -768,69 +767,39 @@ def _run_cells(config: ExperimentConfig,
 
 
 def _target_stages(config: ExperimentConfig, data: SeedData, roster, f_so_hat,
-                   ta_spec, cv_seed: int) -> dict[str, Callable[[], Predictor]]:
-    """The target-stage fit of ``only_target`` and of each HTL method of a
-    cell, by method name: a call that returns the fit or raises the
-    method's own error.
+                   cv_seed: int) -> dict[str, Predictor]:
+    """The target-stage fit of a cell's ``only_target``, of each HTL method
+    and of each selection member, which is named by its label.
 
     Every spec is resolved, with its sample, before any method is scored:
-    ``only_target``'s on the target sample, an HTL method's on its
-    auxiliary sample, which relabels the same target features. A smoother's
-    windows and kernel weights depend on the features alone, so the
-    methods whose specs are equal share one ``spec.fit_rows`` over the
-    target features and their label rows, built on first use behind one
-    ``MemoPredictor``: one pass per distinct query array predicts every
-    member, row i with the bits of member i's own fit. A method error of
-    the shared fit comes from some member's row, so each member then
-    predicts from its own fit and fails only where that fails. A method
-    whose resolution fails raises that error.
+    ``only_target``'s on the target sample, the others' on their auxiliary
+    samples, which relabel the same target features. So each member is the
+    pipeline that an HTL method of its transformation fits. The methods
+    whose specs are equal share one ``spec.fit_rows`` over the target
+    features and their label rows: each predicts with the bits of its own
+    fit, a smoother's rows in one pass per distinct query array. A method
+    whose sample or spec cannot be built, or whose row fails to fit, gets a
+    fit that raises that error when it predicts.
     """
-    stages: dict[str, Callable[[], Predictor]] = {}
-    groups: dict[SubroutineSpec, list[tuple[str, Dataset]]] = {}
-    for name, item in roster:
+    methods = [(name, item) for name, item in roster
+               if name == "only_target" or isinstance(item, AuxiliaryEstimator)]
+    methods += [(tf.label, AuxiliaryEstimator(tf)) for _, item in roster
+                if isinstance(item, QuantizedFamily) for tf in item.members]
+    stages: dict[str, Predictor] = {}
+    groups: dict[SubroutineSpec, list[tuple[str, np.ndarray]]] = {}
+    for name, est in methods:
         try:
-            if name == "only_target":
-                spec, train = ta_spec(), data.target
-            elif isinstance(item, AuxiliaryEstimator):
-                train, _ = construct_auxiliary(data.target, f_so_hat(), item)
-                spec = config.target_method.resolve(train, cv_seed)
-            else:
-                continue
+            train = (data.target if name == "only_target"
+                     else construct_auxiliary(data.target, f_so_hat(), est)[0])
+            spec = config.target_method.resolve(train, cv_seed)
         except _METHOD_ERRORS as exc:
-            stages[name] = partial(_reraise, exc)
+            stages[name] = FailedFit(exc)
             continue
-        groups.setdefault(spec, []).append((name, train))
+        groups.setdefault(spec, []).append((name, train.labels))
     for spec, members in groups.items():
-        shared = _once(partial(_shared_fit, spec, data.target,
-                               [train.labels for _, train in members]))
-        for row, (name, train) in enumerate(members):
-            stages[name] = partial(_GroupRow, shared, row,
-                                   _once(partial(spec.fit, train)))
+        names, rows = zip(*members)
+        stages.update(zip(names, spec.fit_rows(data.target, rows)))
     return stages
-
-
-def _reraise(exc: Exception):
-    raise exc
-
-
-def _shared_fit(spec: SubroutineSpec, target: Dataset, rows) -> MemoPredictor:
-    return MemoPredictor(spec.fit_rows(target, rows))
-
-
-@dataclass(frozen=True)
-class _GroupRow:
-    """Row ``row`` of a target-stage group's shared fit (``shared``); on a
-    method error there, the member's own fit (``own``) predicts."""
-
-    shared: Callable[[], Predictor]
-    row: int
-    own: Callable[[], Predictor]
-
-    def predict(self, X) -> np.ndarray:
-        try:
-            return self.shared().predict(X)[self.row]
-        except _METHOD_ERRORS:
-            return self.own().predict(X)
 
 
 def run_experiment(config: ExperimentConfig) -> dict:

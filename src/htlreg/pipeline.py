@@ -10,20 +10,20 @@ Given source data, target data, and a transformation G:
 
 With the non-transfer G this reduces bit-for-bit to fitting the target
 stage directly on the target sample. ``htl_fit`` runs steps 2-4 on a prefit
-source stage, and selection over a finite roster of candidate
-transformations shares that prefit stage across candidates and keeps the
-one with the lowest validation MSE.
+source stage. Selection over a finite roster of candidate transformations
+fits each candidate's pipeline and keeps the one with the lowest validation
+MSE (``score_candidates``).
 
-Selection's candidates also share step 3's features and bandwidth or
-lambda: only their auxiliary labels differ. So do the target-stage fits of
-an experiment cell whose specs are equal: only-target's on the target
-labels and each HTL method's on its auxiliary labels. Each subroutine
-spec's ``fit_rows`` fits a stack of label rows over one sample, and
-``predict_rows`` predicts them, row i with the bits of a fit on row i
-alone, so one call serves every candidate or method. Kernel smoothing
-computes the query sort, windows and kernel values once per call and only
-the label-weighted sums per row (``smoothing.ks_predict_rows``); kernel
-ridge fits row by row.
+Auxiliary fits relabel the same target features: only their labels differ.
+Each subroutine spec's ``fit_rows`` fits a stack of label rows over one
+sample and returns one predictor per row, with the bits of a fit on that
+row alone. Kernel smoothing computes the query sort, windows and kernel
+values once per distinct query array for every row and only the
+label-weighted sums per row (``smoothing.ks_predict_rows``); kernel ridge
+fits row by row, and a row whose solve fails fails alone. The experiment
+runner fits a cell's target stages whose specs are equal this way:
+only-target's on the target labels, and each HTL method's and selection
+member's on its auxiliary labels.
 
 f_so_hat(x) does not depend on G, the target sample or the method, so a
 ``MemoPredictor`` around the source stage computes it once per distinct
@@ -34,13 +34,13 @@ runner shares it per seed across every method and target size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Protocol, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Iterable, Protocol, Sequence, Union
 
 import numpy as np
 
 from .data import Dataset, DomainTag
-from .ridge import RKHSKernel, KRRPredictor, krr_fit
+from .ridge import ConditioningError, RKHSKernel, KRRPredictor, krr_fit
 from .smoothing import KSPredictor, SmoothingKernel, ks_predict_rows
 from .transform import (
     AuxiliaryEstimator,
@@ -153,17 +153,15 @@ class KSSpec:
     def fit(self, train: Dataset) -> KSPredictor:
         return KSPredictor(train, self.kernel, self.resolve_bandwidth(train))
 
-    def fit_rows(self, train: Dataset, rows) -> _KSRows:
-        """The smoothers fit on ``train``'s features with each label row of
-        ``rows`` (see ``predict_rows``)."""
-        return _KSRows(train, _label_rows(train, rows), self.kernel,
-                       self.resolve_bandwidth(train))
-
-    def predict_rows(self, train: Dataset, rows, X) -> np.ndarray:
-        """(k, m) predictions at ``X``; row i has the bits of
-        ``self.fit(train relabeled with rows[i]).predict(X)``. One smoother
-        pass serves every row (``smoothing.ks_predict_rows``)."""
-        return self.fit_rows(train, rows).predict(X)
+    def fit_rows(self, train: Dataset, rows) -> list[Predictor]:
+        """One smoother per label row of ``rows`` on ``train``'s features;
+        row i predicts with the bits of ``self.fit(train.with_labels(rows[i]))``.
+        The rows share one smoother pass per distinct query array
+        (``smoothing.ks_predict_rows``)."""
+        rows = _label_rows(train, rows)
+        shared = MemoPredictor(_KSRows(train, rows, self.kernel,
+                                       self.resolve_bandwidth(train)))
+        return [_RowView(shared, i) for i in range(len(rows))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +178,17 @@ class _KSRows:
         [pred] = ks_predict_rows(self.train, self.rows, X, self.kernel,
                                  (self.bandwidth,))
         return pred
+
+
+@dataclass(frozen=True)
+class _RowView:
+    """Row ``row`` of the (k, m) predictions of ``rows``."""
+
+    rows: Predictor
+    row: int
+
+    def predict(self, X) -> np.ndarray:
+        return self.rows.predict(X)[self.row]
 
 
 @dataclass(frozen=True)
@@ -204,27 +213,28 @@ class KRRSpec:
     def fit(self, train: Dataset) -> KRRPredictor:
         return krr_fit(train, self.kernel, self.resolve_lambda(train))
 
-    def fit_rows(self, train: Dataset, rows) -> _RowFits:
+    def fit_rows(self, train: Dataset, rows) -> list[Predictor]:
         """One fit per label row of ``rows`` on ``train``'s features, in row
-        order (see ``predict_rows``)."""
-        return _RowFits(tuple(self.fit(replace(train, labels=labels))
-                              for labels in _label_rows(train, rows)))
-
-    def predict_rows(self, train: Dataset, rows, X) -> np.ndarray:
-        """(k, m) predictions at ``X``; row i is
-        ``self.fit(train relabeled with rows[i]).predict(X)``, one fit per
-        row."""
-        return self.fit_rows(train, rows).predict(X)
+        order. A row whose fit raises ValueError or ConditioningError gets a
+        ``FailedFit`` that raises that error when it predicts; no other row
+        fails."""
+        fits: list[Predictor] = []
+        for labels in _label_rows(train, rows):
+            try:
+                fits.append(self.fit(train.with_labels(labels)))
+            except (ValueError, ConditioningError) as exc:
+                fits.append(FailedFit(exc))
+        return fits
 
 
 @dataclass(frozen=True)
-class _RowFits:
-    """Fitted predictors, one per label row; ``predict`` stacks theirs."""
+class FailedFit:
+    """A fit that raised ``error``: predicting raises it again."""
 
-    fits: tuple[Predictor, ...]
+    error: Exception
 
     def predict(self, X) -> np.ndarray:
-        return np.array([fit.predict(X) for fit in self.fits])
+        raise self.error
 
 
 def _label_rows(train: Dataset, rows) -> np.ndarray:
@@ -262,26 +272,29 @@ def construct_auxiliary(
 ) -> tuple[Dataset, int]:
     """Relabel the target sample with auxiliary labels.
 
-    Features are unchanged; label i becomes H(f_so_hat(X_i), Y_i), clamped
-    to +-aux_bound_B. Returns the relabeled dataset and the count of
-    clamped rows. A singular inverse or a non-finite auxiliary label (an
-    overflowing loglinear ``exp``) raises with the offending row index.
+    Features are the target's own array, shared; label i becomes
+    H(f_so_hat(X_i), Y_i), clamped to +-aux_bound_B. Returns the relabeled
+    dataset and the count of clamped rows. A singular inverse or a
+    non-finite auxiliary label (an overflowing ``exp``, or an offset or
+    scale too large for a float) raises with the offending row index, and
+    numpy warns of no overflow on the way.
     """
     if target.domain_tag is not DomainTag.TARGET:
         raise ValueError(f"expected target-domain data, got {target.domain_tag}")
     a_hat = np.asarray(f_so_hat.predict(target.features), dtype=float)
     bound = est.transformation.aux_bound_B
     n_clipped = 0
-    try:
-        labels = np.asarray(apply_H(est, a_hat, target.labels), dtype=float)
-    except ValueError as exc:
-        # rerun row by row to name the offending row
-        for i in range(target.n):
-            try:
-                apply_H(est, a_hat[i], target.labels[i])
-            except ValueError:
-                raise type(exc)(f"row {i}: {exc}") from exc
-        raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            labels = np.asarray(apply_H(est, a_hat, target.labels), dtype=float)
+        except ValueError as exc:
+            # rerun row by row to name the offending row
+            for i in range(target.n):
+                try:
+                    apply_H(est, a_hat[i], target.labels[i])
+                except ValueError:
+                    raise type(exc)(f"row {i}: {exc}") from exc
+            raise
     if np.isfinite(bound):
         clipped = np.clip(labels, -bound, bound)
         n_clipped = int(np.sum(clipped != labels))
@@ -293,9 +306,7 @@ def construct_auxiliary(
             f"row {i}: auxiliary label {labels[i]} is not finite "
             f"(a_hat = {a_hat[i]:g}, y = {target.labels[i]:g})"
         )
-    aux = Dataset(features=target.features, labels=labels,
-                  domain_tag=DomainTag.TARGET)
-    return aux, n_clipped
+    return target.with_labels(labels), n_clipped
 
 
 def htl_fit(
@@ -319,65 +330,40 @@ class SelectionResult:
     per_candidate_validation_mse: tuple[tuple[str, float], ...]
 
 
-def select_transformation(
+def score_candidates(
     f_so_hat: Predictor,
-    target: Dataset,
     validation: Dataset,
-    family: QuantizedFamily | Sequence[TransformationFunction],
-    w_spec: SubroutineSpec,
+    candidates: Sequence[TransformationFunction],
+    w_hats: Iterable[Predictor],
 ) -> SelectionResult:
     """Pick the candidate whose pipeline has the lowest validation MSE.
 
-    Every candidate shares the prefit source stage ``f_so_hat`` (it does not
-    depend on G), and its predictions on the target and validation rows,
-    and relabels through its plain inverse, so a loglinear candidate, whose
-    estimator needs sigma2, is rejected. The candidates' auxiliary fits
-    share the target features and differ only in their labels, so one
-    ``w_spec.predict_rows`` call predicts every candidate's w_hat at the
-    validation rows; each row, and so each MSE, has the bits of that
-    candidate's own ``htl_fit``. Ties go to the candidate closest to
+    Candidate i composes the source stage ``f_so_hat`` with its fitted
+    auxiliary stage, the i-th of ``w_hats``, as ``HTLPredictor``; pass a
+    ``MemoPredictor`` source stage, or each candidate predicts the
+    validation rows through it again. Ties go to the candidate closest to
     non-transfer (smallest |alpha|), then to the lowest index.
 
-    A candidate whose validation MSE is not finite raises ``ValueError``
-    naming it, and numpy warns of no overflow on the way. A candidate whose
-    auxiliary labels cannot be built raises ``construct_auxiliary``'s error
-    once the candidates before it are scored, as a loop of ``htl_fit`` calls
-    in roster order would.
+    Candidates are scored in order, each w_hat taken as it is reached, so
+    the first error raised, a fit's or a score's, is the one a loop of
+    ``htl_fit`` calls would hit. A candidate whose validation MSE is not
+    finite raises ``ValueError`` naming it, and numpy warns of no overflow
+    on the way.
     """
     if validation.domain_tag is not DomainTag.VALIDATION:
         raise ValueError(
             f"expected validation-domain data, got {validation.domain_tag}"
         )
-    candidates = list(family.members if isinstance(family, QuantizedFamily) else family)
     if not candidates:
         raise ValueError("no candidate transformations")
-    if not isinstance(f_so_hat, MemoPredictor):
-        f_so_hat = MemoPredictor(f_so_hat)
-
-    labels, failure = [], None
     rows: list[tuple[str, float]] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for tf in candidates:
-            try:
-                aux, _ = construct_auxiliary(target, f_so_hat, AuxiliaryEstimator(tf))
-            except ValueError as exc:
-                failure = exc
-                break
-            labels.append(aux.labels)
-        if labels:
-            X = validation.features
-            a_hat = f_so_hat.predict(X)
-            w_hats = w_spec.predict_rows(target, labels, X)
-            for tf, w_hat in zip(candidates, w_hats):
-                residuals = validation.labels - eval_G(tf, a_hat, w_hat)
-                mse = float(np.mean(residuals**2))
-                if not math.isfinite(mse):
-                    raise ValueError(
-                        f"candidate {tf.label}: non-finite validation MSE {mse}")
-                rows.append((tf.label, mse))
-    if failure is not None:
-        raise failure
-
+        for tf, w_hat in zip(candidates, w_hats):
+            pred = HTLPredictor(f_so_hat, w_hat, tf).predict(validation.features)
+            mse = float(np.mean((validation.labels - pred) ** 2))
+            if not math.isfinite(mse):
+                raise ValueError(f"candidate {tf.label}: non-finite validation MSE {mse}")
+            rows.append((tf.label, mse))
     best = min(
         range(len(candidates)),
         key=lambda i: (rows[i][1], candidates[i].tie_break_key, i),
@@ -387,3 +373,26 @@ def select_transformation(
         chosen_index=best,
         per_candidate_validation_mse=tuple(rows),
     )
+
+
+def select_transformation(
+    f_so_hat: Predictor,
+    target: Dataset,
+    validation: Dataset,
+    family: QuantizedFamily | Sequence[TransformationFunction],
+    w_spec: SubroutineSpec,
+) -> SelectionResult:
+    """Pick the candidate whose ``htl_fit`` pipeline with ``w_spec`` has the
+    lowest validation MSE (``score_candidates``).
+
+    Every candidate shares the prefit source stage ``f_so_hat`` (it does not
+    depend on G), memoized, so it predicts the target and validation rows
+    once, and relabels through its plain inverse, so a loglinear candidate,
+    whose estimator needs sigma2, is rejected.
+    """
+    candidates = list(family.members if isinstance(family, QuantizedFamily) else family)
+    if not isinstance(f_so_hat, MemoPredictor):
+        f_so_hat = MemoPredictor(f_so_hat)
+    w_hats = (htl_fit(f_so_hat, target, AuxiliaryEstimator(tf), w_spec).w_hat
+              for tf in candidates)
+    return score_candidates(f_so_hat, validation, candidates, w_hats)

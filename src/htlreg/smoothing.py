@@ -26,22 +26,22 @@ distances from ``data.sq_distances``, which imports scipy on first use, so a
 1-D compact-kernel run never loads scipy.
 
 ``ks_predict_rows`` predicts k label rows over one sample's features at
-once, as transformation selection's auxiliary fits and a cell's equal
-target-stage fits need: they share the target features and differ only in
-their labels. ``ks_predict`` is its one-row call, on the same code, and
-reads the sample's labels in its cached sort. Whatever does not read the
-labels is computed once for all rows: the query sort, the windows, the
-leave-out, the window pairs' columns and kernel values, and the
-nearest-neighbour fallback's points; on the dense path the kernel matrix,
-its row sums and the nearest points; on the moment path the inner windows,
-the rims, the bins, the d and d^2 prefix rows and the kernel sums. Per row
-come the label-weighted sums: the window pairs' kernel values times the
-row's labels, each query's run reduced as a one-row call reduces it; on the
-dense path one matrix-vector product per row, since a matrix-matrix product
-sums in another order; on the moment path the y, y d and y d^2 prefix rows
-and the rim's weighted sums; and the moment error bound, which reads the
-labels, with its pair-path redo. So row i has the bits of a call on row i
-alone.
+once, as a cell's equal target-stage fits need (``KSSpec.fit_rows``):
+only-target's, the HTL methods' and the selection members' share the target
+features and differ only in their labels. ``ks_predict`` is its one-row
+call, on the same code, and reads the sample's labels in its cached sort.
+Whatever does not read the labels is computed once for all rows: the query
+sort, the windows, the leave-out, the window pairs' columns and kernel
+values, and the nearest-neighbour fallback's points; on the dense path the
+kernel matrix, its row sums and the nearest points; on the moment path the
+inner windows, the rims, the bins, the d and d^2 prefix rows and the kernel
+sums. Per row come the label-weighted sums: the window pairs' kernel values
+times the row's labels, each query's run reduced as a one-row call reduces
+it; on the dense path one matrix-vector product per row, since a
+matrix-matrix product sums in another order; on the moment path the y, y d
+and y d^2 prefix rows and the rim's weighted sums; and the moment error
+bound, which reads the labels, with its pair-path redo. So row i has the
+bits of a call on row i alone.
 
 ``ks_cv_predict`` predicts every fold of a cross-validation at once. A 1-D
 compact-kernel call predicts each query from the training points outside

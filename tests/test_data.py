@@ -80,6 +80,27 @@ class TestDataset:
                 assert derived.dtype == sort.dtype
                 assert np.array_equal(derived, sort)
 
+    def test_with_labels_shares_the_features_and_sorts_its_own_labels(self):
+        data = Dataset(features=[[0.3], [0.1], [0.2]], labels=[1.0, 2.0, 3.0],
+                       domain_tag=DomainTag.VALIDATION)
+        data.sorted_1d  # cached before relabeling
+        relabeled = data.with_labels([4.0, 5.0, 6.0])
+        fresh = Dataset(features=data.features, labels=[4.0, 5.0, 6.0],
+                        domain_tag=DomainTag.VALIDATION)
+        assert relabeled.features is data.features
+        assert relabeled.domain_tag is DomainTag.VALIDATION
+        assert not relabeled.labels.flags.writeable
+        assert relabeled.labels.tolist() == [4.0, 5.0, 6.0]
+        for derived, sort in zip(relabeled.sorted_1d, fresh.sorted_1d):
+            assert np.array_equal(derived, sort)
+
+    @pytest.mark.parametrize("labels", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0],
+                                        [1.0, math.nan, 3.0], [[1.0, math.inf, 3.0]]])
+    def test_with_labels_rejects_a_wrong_count_or_a_non_finite_label(self, labels):
+        data = Dataset(features=[[0.3], [0.1], [0.2]], labels=[1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="labels must be 3 finite values"):
+            data.with_labels(labels)
+
     @pytest.mark.parametrize("ties", ["none", "many", "signed_zeros"])
     def test_sorted_1d_is_the_stable_sort_bit_for_bit(self, ties):
         # samples large enough for numpy's default sort to reorder equal

@@ -1110,6 +1110,35 @@ class TestRunExperiment:
         [row] = report["rows"]
         assert row == healthy[row["method"]] and row["method"] != failing
 
+    def test_a_grid_cv_selection_member_scores_as_its_htl_method(self):
+        # selection.json with offset_doppler.json's bandwidth grid: each member
+        # is the htl_offset(alpha) pipeline, its bandwidth cross-validated on
+        # its own auxiliary sample, not on the target labels
+        raw = json.loads((CONFIGS / "selection.json").read_text(encoding="utf-8"))
+        grid = json.loads((CONFIGS / "offset_doppler.json").read_text(encoding="utf-8"))
+        raw["methods"]["target"] = grid["methods"]["target"]
+        raw["seeds"] = [0, 1, 2]
+        config = parse_config(raw)
+        _, errors, _, selections = experiment._run_cells(
+            config, experiment._synthetic_cells)
+        assert not errors
+        for seed, result in zip(config.seeds, selections):
+            [(_, data)] = experiment._synthetic_cells(config, seed)
+            f_so_hat = config.source_method.resolve(
+                data.source, experiment.child_seed(seed, experiment._CV_SOURCE)
+            ).fit(data.source)
+            cv_seed = experiment.child_seed(seed, experiment._CV_TARGET)
+            want = []
+            for tf in config.selection_family.members:
+                aux, _ = construct_auxiliary(data.target, f_so_hat,
+                                             AuxiliaryEstimator(tf))
+                w_hat = config.target_method.resolve(aux, cv_seed).fit(aux)
+                pred = HTLPredictor(f_so_hat, w_hat, tf).predict(
+                    data.validation.features)
+                want.append((tf.label, float(np.mean(
+                    (data.validation.labels - pred) ** 2))))
+            assert result.per_candidate_validation_mse == tuple(want)
+
 
 def _numeric_leaves(value, where="config", keys=()):
     """(key path, keys from the root) of every number in a JSON value."""

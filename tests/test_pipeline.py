@@ -19,6 +19,7 @@ from htlreg.pipeline import (
     select_transformation,
 )
 from htlreg.ridge import (
+    ConditioningError,
     KernelShape,
     RKHSKernel,
     linear_kernel,
@@ -124,6 +125,23 @@ class TestConstructAuxiliary:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"row 1: .*a_hat = 1e-06, y = 5"):
                 construct_auxiliary(target, Constant(1e-6), est)
+
+    def test_shares_the_target_features(self):
+        target = target_data([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
+        aux, _ = construct_auxiliary(target, Constant(0.5),
+                                     AuxiliaryEstimator(offset(1.0)))
+        assert aux.features is target.features
+        assert aux.domain_tag is DomainTag.TARGET
+        assert aux.labels.tolist() == [0.5, 1.5, 2.5]
+
+    @pytest.mark.parametrize("tf, a_hat", [(offset(1e308), 1.0),
+                                           (scale(0.0), 1e-300)])
+    def test_a_label_beyond_float_range_raises_without_warning(self, tf, a_hat):
+        target = target_data([0.1, 0.2], [0.0, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="row 1: auxiliary label -inf"):
+                construct_auxiliary(target, Constant(a_hat), AuxiliaryEstimator(tf))
 
     def test_requires_target_tag(self):
         source = Dataset(features=[[0.1]], labels=[1.0],
@@ -413,9 +431,9 @@ MEMBERS = st.one_of(
 
 
 class TestSelectionMatchesPerCandidateFits:
-    """``select_transformation`` predicts every candidate's w_hat in one
-    label-rows call; its MSEs, choice and tie-break are those of one
-    ``htl_fit`` per candidate, bit for bit, and so is its first error."""
+    """``select_transformation``'s MSEs, choice and tie-break are those of
+    one ``htl_fit`` per candidate scored in roster order, bit for bit, and
+    so is its first error."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), w_spec=W_SPECS, dim=st.integers(1, 2),
@@ -499,7 +517,7 @@ class TestSelectionMatchesPerCandidateFits:
         assert rows[0] == rows[3] and best != 3  # a tie goes to the lower index
 
 
-class TestPredictRows:
+class TestFitRows:
     @pytest.mark.parametrize("spec", [
         KSSpec(SmoothingKernel.EPANECHNIKOV, bandwidth=0.1),
         KSSpec(SmoothingKernel.GAUSSIAN, rule=BandwidthRule()),
@@ -511,11 +529,11 @@ class TestPredictRows:
         train = target_data(rng.uniform(size=60), np.zeros(60))
         rows = rng.normal(size=(4, 60))
         X = rng.uniform(-0.2, 1.2, size=(30, 1))
-        got = spec.predict_rows(train, rows, X)
-        assert got.shape == (4, 30)
-        for pred, labels in zip(got, rows):
+        fits = spec.fit_rows(train, rows)
+        assert len(fits) == 4
+        for fit, labels in zip(fits, rows):
             want = spec.fit(target_data(train.features, labels)).predict(X)
-            assert pred.tobytes() == want.tobytes()
+            assert fit.predict(X).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("spec", [KSSpec(bandwidth=0.1),
                                       KRRSpec(rbf_kernel(), lam=0.01)])
@@ -528,7 +546,29 @@ class TestPredictRows:
     def test_bad_rows_rejected(self, spec, rows, message):
         train = target_data(np.linspace(0, 1, 5), np.zeros(5))
         with pytest.raises(ValueError, match=message):
-            spec.predict_rows(train, rows, np.zeros((1, 1)))
+            spec.fit_rows(train, rows)
+
+    def test_a_ridge_row_that_fails_raises_when_it_predicts_and_alone(
+            self, monkeypatch):
+        rng = np.random.default_rng(7)
+        train = target_data(rng.uniform(size=20), np.zeros(20))
+        rows = rng.normal(size=(3, 20))
+        spec = KRRSpec(rbf_kernel(), lam=0.01)
+        fit = KRRSpec.fit
+
+        def failing_fit(self, data):
+            if np.array_equal(data.labels, rows[1]):
+                raise ConditioningError("row 1 failed")
+            return fit(self, data)
+
+        monkeypatch.setattr(KRRSpec, "fit", failing_fit)
+        fits = spec.fit_rows(train, rows)
+        X = rng.uniform(size=(5, 1))
+        with pytest.raises(ConditioningError, match="row 1 failed"):
+            fits[1].predict(X)
+        for i in (0, 2):
+            want = fit(spec, train.with_labels(rows[i])).predict(X)
+            assert fits[i].predict(X).tobytes() == want.tobytes()
 
 
 class Recording:
