@@ -31,7 +31,7 @@ only-target's, the HTL methods' and the selection members' share the target
 features and differ only in their labels. ``ks_predict`` is its one-row
 call, on the same code, and reads the sample's labels in its cached sort.
 Whatever does not read the labels is computed once for all rows: the query
-sort, the windows, the leave-out, the window pairs' columns and kernel
+sort, the windows, the fold maps, the window pairs' columns and kernel
 values, and the nearest-neighbour fallback's points; on the dense path the
 kernel matrix, its row sums and the nearest points; on the moment path the
 inner windows, the rims, the bins, the d and d^2 prefix rows and the kernel
@@ -45,19 +45,19 @@ bits of a call on row i alone.
 
 ``ks_cv_predict`` predicts every fold of a cross-validation at once. A 1-D
 compact-kernel call predicts each query from the training points outside
-its own fold, and one pass per bandwidth serves all folds: the queries are
-sorted once, windows are found by one search in the whole sample's cached
-sort, then counted in the points the query's fold keeps. A block of window
-pairs or a group of moment bins belongs to one fold (small folds share a
-block of pairs and filter them), and the points that fold keeps are
-gathered once for it. Whatever a call on one fold's points computes once per
-call is computed per fold: the moment-vs-pair choice from the fold's own
-pair total, the max|y| of the moment error bound, the moment bins, window
-starts and prefix spans counted in the fold's points, and the
-nearest-neighbour fallback among them. Every operation on a query's values
-is then the one that call makes, in the same order, so each prediction, and
-each CV score, has the bits of a per-fold fit. A call without folds
-(``ks_predict``'s) runs the same code as one fold that leaves nothing out.
+its own fold, and one pass per bandwidth serves all folds. The points each
+fold keeps, in the sample's cached sort, are laid end to end in a position
+map, one run per fold, for a group of consecutive folds at a time; a window
+found by one search in the whole sorted sample is placed in its query's
+run, and from then on every window is a run of map positions, read through
+the map. Whatever a call on one fold's points computes once per call is
+computed per fold: the moment-vs-pair choice from the fold's own pair
+total, the max|y| of the moment error bound, and moment bins and prefix
+groups that never hold two folds' queries. Every operation on a query's
+values is then the one that call makes, in the same order, so each
+prediction, and each CV score, has the bits of a per-fold fit. A call
+without folds (``ks_predict``'s) has one run, the sorted sample itself, and
+no map.
 
 Inside the window, boxcar and epanechnikov are polynomials in (q - x)^2, so
 a call whose windows hold at least ``_MOMENT_MIN_PAIRS`` pairs takes their
@@ -82,7 +82,7 @@ float summation order of the pair path:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -190,8 +190,10 @@ def predict_from_kernel(
 
 
 # Window pairs are evaluated in blocks of consecutive queries holding at most
-# about this many pairs (see ``_blocks``), so a block bounds each float64
-# temporary at about 512 KB instead of one spanning every pair of a call.
+# about half this many pairs (see ``_blocks``), so two blocks bound each
+# float64 temporary at about 512 KB instead of one spanning every pair of a
+# call. A fold group's position map holds at most about twice this many
+# points (see ``_fold_maps``), so its memory does not grow with the folds.
 _BLOCK_PAIRS = 1 << 16
 
 # Calls with at least this many window pairs sum boxcar and epanechnikov
@@ -265,204 +267,149 @@ def predict_sorted_1d(
     ``folds`` holds the fold of each training point (in the order of ``xs``)
     and of each query, as small nonnegative integers. A query is predicted
     from the points outside its own fold, with the bits of a call on those
-    points and that fold's queries alone. Without ``folds`` the call is the
-    one fold that leaves nothing out, and every query keeps every point.
+    points and that fold's queries alone: the points each fold keeps are
+    laid end to end in a position map, one run per fold, a group of folds
+    at a time (``_fold_maps``), and each window is a run of map positions.
+    Without ``folds`` the call is one run, the sample itself, and has no map.
     """
     perm = np.argsort(queries)
-    ascending = queries[perm]
     if folds is None:
-        leave, regroup = _KEEP_ALL, slice(None)
+        groups = [(slice(None), _Map(None, None, len(xs)),
+                   np.zeros(len(perm), np.intp), None)]
     else:  # a fold's queries consecutive, still ascending
         fold, query_fold = folds
-        regroup = np.argsort(query_fold[perm], kind="stable")
-        perm = perm[regroup]
-        leave = _LeaveOut.of(fold, query_fold[perm], rows)
-    q = ascending[regroup]
+        perm = perm[np.argsort(query_fold[perm], kind="stable")]
+        groups = _fold_maps(fold, query_fold[perm], rows)
+    queries = queries[perm]
     back = np.empty_like(perm)  # where each of the caller's queries went
     back[perm] = np.arange(len(perm))
-    preds = []
-    for h in bandwidths:
-        # searched in ascending order, which binary search serves fastest
-        lo, counts = _windows(xs, ascending, h)
-        lo, counts = lo[regroup], counts[regroup]
-        sums, weighted = _window_sums(xs, rows, q, kernel, h, lo, counts, leave)
-        live = sums > 0.0  # (m,) shared by every row, or (k, m)
-        out = np.divide(weighted, sums, out=np.empty_like(weighted), where=live)
-        if not live.all():
-            # a query's nearest point does not depend on its labels
-            dead = np.flatnonzero(~live.reshape(-1, len(q)).all(axis=0))
-            near = rows.take(_nearest_sorted_1d(xs, ranks, q[dead], leave.take(dead)),
-                             axis=1)
-            out[:, dead] = np.where(live[..., dead], out[:, dead], near)
-        preds.append(out.take(back, axis=1))
-    return preds
+    preds = [np.empty((len(rows), len(perm))) for _ in bandwidths]
+    for part, fmap, run, y_max in groups:
+        q = queries[part]
+        for h, pred in zip(bandwidths, preds):
+            lo, counts = fmap.window(run, *_windows(xs, q, h))
+            sums, weighted = _window_sums(xs, rows, fmap, q, kernel, h, lo, counts,
+                                          run, y_max)
+            live = sums > 0.0  # (m,) shared by every row, or (k, m)
+            out = np.divide(weighted, sums, out=pred[:, part], where=live)
+            if not live.all():
+                # a query's nearest point does not depend on its labels
+                dead = np.flatnonzero(~live.reshape(-1, len(q)).all(axis=0))
+                near = rows.take(_nearest_sorted_1d(xs, ranks, fmap, q[dead], run[dead]),
+                                 axis=1)
+                out[:, dead] = np.where(live[..., dead], out[:, dead], near)
+    return [pred.take(back, axis=1) for pred in preds]
 
 
 @dataclass(frozen=True)
-class _LeaveOut:
-    """The training points each query of a call leaves out: those of its own
-    fold. Windows stay runs [lo, lo + counts) of positions in the sorted
-    training sample; these methods count and list the points of a run that
-    its query keeps. The keep-all form (``fold`` None), which a call without
-    folds builds, leaves nothing out and answers with the runs as found."""
+class _Map:
+    """Where each query's training points lie. A group of folds is a table
+    of runs by sorted positions, whose entry (r, p) is kept unless point p
+    is in run r's fold: ``at`` lists the sorted positions of the kept
+    entries, row by row, so each fold's kept points make one ascending run
+    and the runs lie end to end; ``own`` lists the flat indices r * n + p of
+    the entries left out. A kept entry's map position is its flat index less
+    the entries left out before it, so a window or search made in the whole
+    sorted sample is placed in a query's run. A call without folds has no
+    map (``at`` and ``own`` None): its one run is the sorted sample itself."""
 
-    fold: np.ndarray | None  # of each sorted training point
-    query: np.ndarray | None  # of each query
-    # per label row (a call's) or for one row (``row``), per fold: max |label|
-    # over the points outside it
-    y_max: np.ndarray | None
-    keys: np.ndarray | None  # fold * (n + 1) + position, ascending
-    first: np.ndarray | None  # per fold: where its points start in keys
+    at: np.ndarray | None
+    own: np.ndarray | None
+    n: int
 
-    @classmethod
-    def of(cls, fold, query, rows) -> _LeaveOut:
-        n, size = len(fold), int(max(fold.max(), query.max())) + 1
-        by_fold = np.argsort(fold, kind="stable")
-        keys = fold[by_fold] * np.intp(n + 1) + by_fold
-        y_max = np.zeros((len(rows), size))
-        for top, labels in zip(y_max, rows):
-            np.maximum.at(top, fold, np.abs(labels))
-            ranked = np.argsort(top)
-            top[ranked[-1]], top[ranked[:-1]] = top[ranked[-2]], top[ranked[-1]]
-        return cls(fold, query, y_max, keys,
-                   np.searchsorted(keys, np.arange(size) * (n + 1)))
+    def place(self, run, pos):
+        """Map positions, in the runs ``run``, of sorted positions ``pos``:
+        of each run's first point at or after them."""
+        if self.own is None:
+            return pos
+        flat = run * self.n + pos
+        return flat - np.searchsorted(self.own, flat)
 
-    def take(self, idx) -> _LeaveOut:
-        """The same training folds for the queries ``idx``."""
-        if self.fold is None:
-            return self
-        return replace(self, query=self.query[idx])
-
-    def row(self, r) -> _LeaveOut:
-        """The same leave-out for label row ``r`` alone."""
-        if self.fold is None:
-            return self
-        return replace(self, y_max=self.y_max[r])
-
-    def runs(self, m) -> list[tuple[int, int]]:
-        """(start, stop) of each run of consecutive queries of one fold, of
-        the call's ``m`` queries."""
-        if self.fold is None:
-            return [(0, m)]
-        ends = np.flatnonzero(self.query[1:] != self.query[:-1]) + 1
-        bounds = [0, *ends.tolist(), m]
-        return list(zip(bounds, bounds[1:]))
-
-    def label_max(self, labels):
-        """Each query's max |label| over the points it keeps."""
-        if self.fold is None:
-            return float(np.abs(labels).max())
-        return self.y_max[self.query]
-
-    def fold_pairs(self, counts):
-        """For each query, the total of ``counts`` over its fold's queries."""
-        if self.fold is None:
-            return counts.sum()
-        return np.bincount(self.query, weights=counts)[self.query]
-
-    def kept_before(self, pos) -> np.ndarray:
-        """How many points each query keeps below sorted position ``pos``."""
-        key = self.query * np.intp(len(self.fold) + 1) + pos
-        return pos - (np.searchsorted(self.keys, key) - self.first[self.query])
-
-    def window(self, lo, counts) -> tuple[np.ndarray, np.ndarray]:
-        """Start and length of each query's run counted in its kept points:
-        the run that a call on those points alone finds."""
-        if self.fold is None:
+    def window(self, run, lo, counts) -> tuple[np.ndarray, np.ndarray]:
+        """Start and length, in each query's run, of its run [lo, lo + counts)
+        of the sorted sample: the window a call on the run's points finds."""
+        if self.own is None:
             return lo, counts
-        start = self.kept_before(lo)
-        return start, self.kept_before(lo + counts) - start
+        start = self.place(run, lo)
+        return start, self.place(run, lo + counts) - start
 
-    def kept_runs(self, lo, counts, at):
-        """The points that query ``at``'s fold keeps across the runs (``lo``,
-        ``counts``), as an index into the sorted sample, and the start and
-        length of each run among them."""
-        if self.fold is None:
-            return slice(None), lo, counts
-        start, stop = lo.min(), lo + counts
-        kept = start + np.flatnonzero(self.fold[start:stop.max()] != self.query[at])
-        start = np.searchsorted(kept, lo)
-        return kept, start, np.searchsorted(kept, stop) - start
-
-    def columns(self, lo, counts) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted positions of the kept points of each query's run, query by
-        query, and how many each query keeps."""
-        cols = _pair_columns(lo, counts)
-        if self.fold is None:
-            return cols, counts
-        keep = self.fold[cols] != np.repeat(self.query, counts)
-        return cols[keep], self.window(lo, counts)[1]
-
-    def neighbours(self, pos, n) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted positions of each query's nearest kept points of ``n``, below
-        and at or above position ``pos``; a side without one takes the other's."""
-        if self.fold is None:
-            right = np.minimum(pos, n - 1)
-            return np.maximum(right - 1, 0), right
-        # where each run of one fold's points starts, then n
-        bounds = np.r_[0, np.flatnonzero(self.fold[1:] != self.fold[:-1]) + 1, n]
-        above = np.minimum(pos, n - 1)
-        run_end = bounds[np.searchsorted(bounds, above, side="right")]
-        right = np.where(self.fold[above] == self.query, run_end, above)
-        right = np.where(pos < n, right, n)
-        below = np.maximum(pos - 1, 0)
-        run_start = bounds[np.searchsorted(bounds, below, side="right") - 1]
-        left = np.where(self.fold[below] == self.query, run_start - 1, below)
-        left = np.where(pos > 0, left, -1)
-        return np.where(left < 0, right, left), np.where(right == n, left, right)
+    def read(self, pos) -> np.ndarray:
+        """The sorted positions at map positions ``pos``, the last one's past
+        the map's end."""
+        return pos if self.at is None else self.at.take(pos, mode="clip")
 
 
-_KEEP_ALL = _LeaveOut(None, None, None, None, None)  # no folds: nothing left out
+def _fold_maps(fold, query_fold, rows):
+    """(queries, map, run, y_max) per group of consecutive folds, ``fold``
+    of each sorted training point: the slice of the fold-sorted
+    ``query_fold`` the group predicts, its ``_Map``, each of those queries'
+    run (its fold less the group's first), and, per label row of ``rows``
+    and per run, the max |label| over the points the run keeps. A group's
+    map holds at most about 2 * _BLOCK_PAIRS points, or one fold's."""
+    n, size = len(fold), int(max(fold.max(), query_fold.max())) + 1
+    y_max = np.zeros((len(rows), size))
+    for top, labels in zip(y_max, rows):  # each fold's own, then the others'
+        np.maximum.at(top, fold, np.abs(labels))
+        ranked = np.argsort(top)
+        top[ranked[-1]], top[ranked[:-1]] = top[ranked[-2]], top[ranked[-1]]
+    # where each fold's run would start in one map of every fold, then its end
+    ends = np.r_[0, np.cumsum(n - np.bincount(fold, minlength=size))]
+    first = np.searchsorted(query_fold, np.arange(size + 1))  # each fold's queries
+    a = 0
+    while a < size:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] + 2 * _BLOCK_PAIRS,
+                                           side="right")) - 1)
+        keep = fold != np.arange(a, b)[:, None]
+        at, own = np.flatnonzero(keep), np.flatnonzero(~keep)
+        del keep
+        at %= n
+        part = slice(first[a], first[b])
+        yield part, _Map(at, own, n), query_fold[part].astype(np.intp) - a, y_max[:, a:b]
+        a = b
 
 
-def _window_sums(xs, rows, queries, kernel, h, lo, counts, leave):
-    """Kernel sums and label-weighted sums over each query's window, the
-    latter (k, m) for the label rows ``rows``. A boxcar or epanechnikov
-    query whose fold holds at least _MOMENT_MIN_PAIRS kept window pairs
-    takes them from prefix moments (``_moment_sums``), and its kernel sums
-    are (k, m) too; any other query sums its window pair by pair, into
-    kernel sums (m,) that every row shares."""
-    # a fold keeps at most its queries' whole windows
-    if kernel not in _POLYNOMIAL or not (
-            leave.fold_pairs(counts) >= _MOMENT_MIN_PAIRS).any():
-        return _pair_sums(xs, rows, queries, kernel, h, lo, counts, leave)
-    kept = leave.window(lo, counts)
-    moment = leave.fold_pairs(kept[1]) >= _MOMENT_MIN_PAIRS
+def _window_sums(xs, rows, fmap, queries, kernel, h, lo, counts, run, y_max):
+    """Kernel sums and label-weighted sums over each query's window, a run
+    (start ``lo``, length ``counts``) of the map ``fmap``, the latter (k, m)
+    for the label rows ``rows``. A boxcar or epanechnikov query whose run's
+    queries hold at least _MOMENT_MIN_PAIRS window pairs takes them from
+    prefix moments (``_moment_sums``), and its kernel sums are (k, m) too;
+    any other query sums its window pair by pair, into kernel sums (m,)
+    that every row shares."""
+    moment = kernel in _POLYNOMIAL and (  # per run
+        np.bincount(run, weights=counts) >= _MOMENT_MIN_PAIRS)
+    if not np.any(moment):
+        return _pair_sums(xs, rows, fmap, queries, kernel, h, lo, counts)
     if moment.all():
-        return _moment_sums(xs, rows, queries, kernel, h, lo, counts, leave, kept)
+        return _moment_sums(xs, rows, fmap, queries, kernel, h, lo, counts, run, y_max)
+    moment = moment[run]
     sums, weighted = np.empty((2, len(rows), len(queries)))
     at = np.flatnonzero(moment)
     sums[:, at], weighted[:, at] = _moment_sums(
-        xs, rows, queries[at], kernel, h, lo[at], counts[at], leave.take(at),
-        (kept[0][at], kept[1][at]))
+        xs, rows, fmap, queries[at], kernel, h, lo[at], counts[at], run[at], y_max)
     at = np.flatnonzero(~moment)
-    sums[:, at], weighted[:, at] = _pair_sums(xs, rows, queries[at], kernel, h, lo[at],
-                                              counts[at], leave.take(at))
+    sums[:, at], weighted[:, at] = _pair_sums(xs, rows, fmap, queries[at], kernel, h,
+                                              lo[at], counts[at])
     return sums, weighted
 
 
-def _pair_sums(xs, rows, queries, kernel, h, lo, counts, leave):
+def _pair_sums(xs, rows, fmap, queries, kernel, h, lo, counts):
     """Kernel sums (m,) and label-weighted sums (k, m), for the label rows
-    ``rows``, over the kept points of each query's run of sorted ``xs``
-    (start ``lo``, length ``counts``), evaluated pair by pair. The kernel
-    values are computed once and weighted by each row in turn, each row's
-    products in its own gathered labels and the last row's in the kernel
-    values, so a call of any number of rows keeps no more temporaries alive
-    than a one-row call (more would make the allocator return and fault in
-    pages anew: twice the minor page faults of a ks_cv_offset op)."""
+    ``rows``, over each query's run of the map ``fmap`` (start ``lo``,
+    length ``counts``), evaluated pair by pair. The kernel values are
+    computed once and weighted by each row in turn, each row's products in
+    its own gathered labels and the last row's in the kernel values, so a
+    call of any number of rows keeps no more temporaries alive than a
+    one-row call (more would make the allocator return and fault in pages
+    anew: twice the minor page faults of a ks_cv_offset op)."""
     m = len(queries)
     sums, weighted = np.zeros(m), np.zeros((len(rows), m))
-    for block, shared in _blocks(counts, leave.runs(m)):
-        block_lo, runs = lo[block], counts[block]
-        if shared:  # whole runs of queries: their pairs filtered
-            block_xs, block_rows = xs, rows
-            cols, runs = leave.take(block).columns(block_lo, runs)
-        else:  # part of one fold's run: its runs among its kept points
-            kept, block_lo, runs = leave.kept_runs(block_lo, runs, block.start)
-            block_xs, block_rows = xs[kept], rows[:, kept]
-            cols = _pair_columns(block_lo, runs)
+    last = len(rows) - 1
+    for block in _blocks(counts):
+        runs = counts[block]
+        cols = fmap.read(_pair_columns(lo[block], runs))
         sq = np.repeat(queries[block], runs)
-        sq -= block_xs[cols]
+        sq -= xs[cols]
         sq *= sq
         sq /= h * h
         raw = kernel.profile_sq(sq)
@@ -470,8 +417,7 @@ def _pair_sums(xs, rows, queries, kernel, h, lo, counts, leave):
         filled = runs > 0
         starts = (np.cumsum(runs) - runs)[filled]
         sums[block][filled] = np.add.reduceat(raw, starts)
-        last = len(block_rows) - 1
-        for r, labels in enumerate(block_rows):
+        for r, labels in enumerate(rows):
             if r < last:
                 products = labels[cols]
                 products *= raw
@@ -483,43 +429,40 @@ def _pair_sums(xs, rows, queries, kernel, h, lo, counts, leave):
     return sums, weighted
 
 
-def _moment_sums(xs, rows, queries, kernel, h, lo, counts, leave, kept):
+def _moment_sums(xs, rows, fmap, queries, kernel, h, lo, counts, run, y_max):
     """The sums of ``_pair_sums`` for the label rows ``rows`` and a
     polynomial kernel, as (k, m) kernel sums and weighted sums, from prefix
     moments over each query's inner window, pairs on the window's rim, and
     pairs again for every query whose moment error bound is too loose.
-    ``kept`` holds each query's window as a start and length among the
-    points it keeps (``_LeaveOut.window``). The windows, the rims and the
-    kernel sums are computed once for all rows; the error bound reads a
-    row's labels, so each row redoes its own queries, and its kernel sums
+    ``y_max`` holds, per label row and per run, the max |label| the bound
+    reads, or is None for one run of the whole sample. The windows, the rims
+    and the kernel sums are computed once for all rows; the error bound reads
+    a row's labels, so each row redoes its own queries, and its kernel sums
     are its own."""
     # inner window |q - x| < h (1 - 1e-7), shrunk by the rounding of q -+ h;
     # every point in it has s < 1 in any rounding, so K is the polynomial
     reach = h * (1.0 - 1e-7) - 1e-9 * (h + np.abs(queries))
     below, above = queries - reach, queries + reach
     # the padded window's ends, moved in past the few points that lie
-    # between them and the inner window's: no search for most queries
-    n = len(xs)
+    # between them and the inner window's: no search for most queries. A
+    # point read past a run's end belongs to no window, and may only cost a
+    # search that finds the same end.
     lo_in, hi_in = lo.copy(), lo + counts
-    shell = np.flatnonzero((lo_in < n) & (xs[np.minimum(lo_in, n - 1)] <= below))
-    lo_in[shell] = np.searchsorted(xs, below[shell], side="right")
-    shell = np.flatnonzero((hi_in > 0) & (xs[np.maximum(hi_in - 1, 0)] >= above))
-    hi_in[shell] = np.searchsorted(xs, above[shell], side="left")
+    shell = np.flatnonzero(xs.take(fmap.read(lo_in), mode="clip") <= below)
+    lo_in[shell] = fmap.place(run[shell], np.searchsorted(xs, below[shell], side="right"))
+    shell = np.flatnonzero(xs.take(fmap.read(hi_in - 1), mode="clip") >= above)
+    hi_in[shell] = fmap.place(run[shell], np.searchsorted(xs, above[shell], side="left"))
     hi_in = np.maximum(hi_in, lo_in)
     # the rim between the inner window and the padded one, pair by pair
     left, right = lo_in - lo, lo + counts - hi_in
     rim = np.flatnonzero(left + right)
-    own = kept[0].copy(), kept[1].copy()  # the inner windows among kept points
-    own[0][rim], own[1][rim] = leave.take(rim).window(lo_in[rim],
-                                                      hi_in[rim] - lo_in[rim])
-    shared, weighted, span, n_inner = _inner_moments(
-        xs, rows, queries, kernel, h, lo_in, hi_in - lo_in, leave, own)
-    rim = rim[kept[1][rim] > n_inner[rim]]  # the rims that hold kept points
+    shared, weighted, span = _inner_moments(xs, rows, fmap, queries, kernel, h, lo_in,
+                                            hi_in - lo_in, run)
     if len(rim):
         both = np.r_[rim, rim]
         rim_sums, rim_weighted = _pair_sums(
-            xs, rows, queries[both], kernel, h, np.r_[lo[rim], hi_in[rim]],
-            np.r_[left[rim], right[rim]], leave.take(both))
+            xs, rows, fmap, queries[both], kernel, h, np.r_[lo[rim], hi_in[rim]],
+            np.r_[left[rim], right[rim]])
         np.add.at(shared, both, rim_sums)
         for row_weighted, row_rim in zip(weighted, rim_weighted):
             np.add.at(row_weighted, both, row_rim)
@@ -529,27 +472,24 @@ def _moment_sums(xs, rows, queries, kernel, h, lo, counts, leave, kept):
     # eps * span in units of one kernel value; redo the queries where that
     # can move the prediction by more than 1e-13 of the label scale
     for r, labels in enumerate(rows):
-        y_max = leave.row(r).label_max(labels)
+        top = np.abs(labels).max() if y_max is None else y_max[r, run]
         with np.errstate(divide="ignore", invalid="ignore"):
             pred = np.abs(weighted[r] / shared)
-            bound = 64 * np.finfo(float).eps * (span + 1) * (y_max + pred) / shared
-        redo = np.flatnonzero((n_inner > 0)
-                              & ~(bound <= 1e-13 * np.maximum(1.0, y_max)))
+            bound = 64 * np.finfo(float).eps * (span + 1) * (top + pred) / shared
+        redo = np.flatnonzero((hi_in > lo_in) & ~(bound <= 1e-13 * np.maximum(1.0, top)))
         if len(redo):
             sums[r, redo], (weighted[r, redo],) = _pair_sums(
-                xs, labels[None], queries[redo], kernel, h, lo[redo], counts[redo],
-                leave.take(redo))
+                xs, labels[None], fmap, queries[redo], kernel, h, lo[redo], counts[redo])
     return sums, weighted
 
 
-def _inner_moments(xs, rows, queries, kernel, h, lo, counts, leave, own):
+def _inner_moments(xs, rows, fmap, queries, kernel, h, lo, counts, run):
     """Kernel sums (m,) and label-weighted sums (k, m), for the label rows
-    ``rows``, over the kept points of each query's run of sorted ``xs``
-    from prefix moments, with the length of the prefix each came from and
-    the number of points each summed. ``own`` holds each run as a start
-    and length among the points its query keeps.
+    ``rows``, over each query's run of the map ``fmap`` (start ``lo``,
+    length ``counts``) from prefix moments, with the length of the prefix
+    each came from.
 
-    Ascending queries of one fold are grouped in bins of width 2h anchored
+    Ascending queries of one run are grouped in bins of width 2h anchored
     at their centres a, so each bin is a run of consecutive queries; a bin's
     prefix sums of d, d^2 and, per row, y, y d and y d^2, d = x - a, run
     over the union of its queries' windows. With q' = q - a and N the
@@ -557,31 +497,26 @@ def _inner_moments(xs, rows, queries, kernel, h, lo, counts, leave, own):
     N - (S2 - 2 q' S1 + q'^2 N) / h^2 and Y0 - (Y2 - 2 q' Y1 + q'^2 Y0) / h^2
     (boxcar: N and Y0). Anchoring keeps d and q' within 2h, so the
     expansion loses about a factor of 10 to cancellation. Prefix arrays are
-    built a group of bins of one fold at a time, padded to the group's
+    built a group of bins of one run at a time, padded to the group's
     longest prefix (see ``_bin_blocks``); the bins, the d and d^2 prefix
     rows and the kernel sums are shared by every label row.
     """
     m = len(queries)
     sums, weighted, span = np.zeros(m), np.zeros((len(rows), m)), np.zeros(m)
-    own_lo, own_counts = own
-    filled = np.flatnonzero(own_counts > 0)
+    filled = np.flatnonzero(counts > 0)
     if not len(filled):
-        return sums, weighted, span, own_counts
-    q = queries[filled]
+        return sums, weighted, span
+    q, run, lo, counts = queries[filled], run[filled], lo[filled], counts[filled]
     key = np.floor(q / (2.0 * h))
-    opens = np.r_[True, key[1:] != key[:-1]]
-    leave = leave.take(filled)
-    opens[[a for a, _ in leave.runs(len(filled))]] = True  # no bin spans two folds
+    # a bin opens at a new key and at a new run: no bin spans two folds
+    opens = np.r_[True, (key[1:] != key[:-1]) | (run[1:] != run[:-1])]
     starts = np.flatnonzero(opens)
     bin_of = np.cumsum(opens) - 1
     anchor = (key[starts] + 0.5) * (2.0 * h)
-    # the sorted positions each bin reads, then counted in its kept points
-    bin_lo = np.minimum.reduceat(lo[filled], starts)
-    bin_n = np.maximum.reduceat((lo + counts)[filled], starts) - bin_lo
-    bin_leave = leave.take(starts)  # by each bin's first query
-    first, lengths = bin_leave.window(bin_lo, bin_n)
+    # the map positions each bin reads
+    first = np.minimum.reduceat(lo, starts)
+    lengths = np.maximum.reduceat(lo + counts, starts) - first
     span[filled] = lengths[bin_of]
-    lo, counts = own_lo[filled], own_counts[filled]
     epanechnikov = kernel is SmoothingKernel.EPANECHNIKOV
     # a block's prefix array holds no more values than a one-row block's
     budget = _BLOCK_PAIRS * _prefix_height(1, epanechnikov) // _prefix_height(
@@ -589,18 +524,13 @@ def _inner_moments(xs, rows, queries, kernel, h, lo, counts, leave, own):
     hh = h * h
     row = np.empty_like(lengths)
     sizes = np.diff(np.r_[starts, len(filled)])  # queries per bin
-    for bins in _bin_blocks(lengths, bin_leave.runs(len(starts)), budget):
+    for bins in _bin_blocks(lengths, run[starts], budget):
         row[bins] = np.arange(len(bins))
         at = _pair_columns(starts[bins], sizes[bins])  # the bins' queries
-        width = lengths[bins].max()
-        # the points the bins' fold keeps where they read, and where in
-        # them each bin's first point lies
-        kept, base, _ = bin_leave.kept_runs(bin_lo[bins], bin_n[bins], bins[0])
-        cols = base[:, None] + np.arange(width)
+        cols = fmap.read(first[bins, None] + np.arange(lengths[bins].max()))
         start = lo[at] - first[bin_of[at]]
-        windowed = _run_moments(xs[kept], rows[:, kept], cols, anchor[bins],
-                                row[bin_of[at]], start, start + counts[at],
-                                epanechnikov)
+        windowed = _run_moments(xs, rows, cols, anchor[bins], row[bin_of[at]], start,
+                                start + counts[at], epanechnikov)
         n = counts[at].astype(float)
         if epanechnikov:
             s1, s2 = windowed[:2]
@@ -610,7 +540,7 @@ def _inner_moments(xs, rows, queries, kernel, h, lo, counts, leave, own):
             weighted[:, filled[at]] = y0 - (y2 - 2.0 * qd * y1 + qd * qd * y0) / hh
         else:
             sums[filled[at]], weighted[:, filled[at]] = n, windowed
-    return sums, weighted, span, own_counts
+    return sums, weighted, span
 
 
 def _prefix_height(k, epanechnikov) -> int:
@@ -643,15 +573,15 @@ def _run_moments(xs, rows, cols, anchor, bins, start, stop, epanechnikov):
     return prefix[:, bins, stop] - prefix[:, bins, start]
 
 
-def _bin_blocks(lengths, runs, budget) -> list[np.ndarray]:
+def _bin_blocks(lengths, run, budget) -> list[np.ndarray]:
     """Groups of bins whose padded (bins x longest prefix) arrays hold about
     ``budget`` values each, at least one bin per group and never bins of
-    two folds (``runs``: the (start, stop) of each fold's bins). Bins are
-    grouped by prefix length, so little padding is wasted on clustered
-    data; each bin's prefix is summed on its own and its padding never
-    read, so the grouping changes no sum."""
+    two runs (``run``: each bin's). Bins are grouped by prefix length, so
+    little padding is wasted on clustered data; each bin's prefix is summed
+    on its own and its padding never read, so the grouping changes no sum."""
     groups = []
-    for a, b in runs:
+    bounds = [0, *(np.flatnonzero(run[1:] != run[:-1]) + 1).tolist(), len(run)]
+    for a, b in zip(bounds, bounds[1:]):
         order = a + np.argsort(lengths[a:b], kind="stable")
         ranked = lengths[order]
         start = 0
@@ -673,35 +603,16 @@ def _windows(xs, queries, radius):
     return lo, np.searchsorted(xs, queries + reach, side="right") - lo
 
 
-def _blocks(counts, runs) -> list[tuple[slice, bool]]:
-    """Slices of consecutive queries holding about _BLOCK_PAIRS pairs each,
-    of queries in ``runs`` (start, stop) of one fold each. A block holds
-    whole runs whose pairs together fit in one run's share of _BLOCK_PAIRS
-    (flagged True: their pairs are filtered by fold), or part of one run, at
-    most half of _BLOCK_PAIRS: a block's temporaries live until the next
-    block's replace them, so two blocks of a fold stay within the one block
-    a call on that fold alone would make."""
+def _blocks(counts) -> list[slice]:
+    """Slices of consecutive queries holding at most about _BLOCK_PAIRS // 2
+    pairs each, or one query: a block's temporaries live until the next
+    block's replace them, so two blocks stay within _BLOCK_PAIRS."""
     ends = np.cumsum(counts)
-    share, limit = _BLOCK_PAIRS // len(runs), max(1, _BLOCK_PAIRS // 2)
-    blocks, start, held = [], 0, 0  # the whole runs gathered: first query, pairs
-    for a, b in runs:
-        before = int(ends[a - 1]) if a else 0
-        total = int(ends[b - 1]) - before if b > a else 0
-        if total <= share:
-            if held + total > share:
-                blocks.append((slice(start, a), True))
-                start, held = a, 0
-            held += total
-            continue
-        if a > start:
-            blocks.append((slice(start, a), True))
-        cuts = np.searchsorted(ends, before + np.arange(limit, total, limit))
-        bounds = [a, *cuts.tolist(), b]
-        blocks += [(slice(c, d), False) for c, d in zip(bounds, bounds[1:]) if d > c]
-        start, held = b, 0
-    if len(counts) > start:
-        blocks.append((slice(start, len(counts)), True))
-    return blocks
+    limit = max(1, _BLOCK_PAIRS // 2)
+    bounds = [0, len(counts)]
+    if len(counts) and ends[-1] > limit:
+        bounds[1:1] = np.searchsorted(ends, np.arange(limit, ends[-1], limit)).tolist()
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 def _pair_columns(lo, counts) -> np.ndarray:
@@ -711,14 +622,21 @@ def _pair_columns(lo, counts) -> np.ndarray:
     return cols
 
 
-def _nearest_sorted_1d(xs, ranks, queries, leave) -> np.ndarray:
-    """Positions in sorted ``xs`` of each query's nearest kept training point
-    by rounded squared distance, ties going to the lowest rank: the point
-    that ``argmin`` over the dense row picks."""
-    left, right = leave.neighbours(np.searchsorted(xs, queries), len(xs))
-    near = np.minimum(np.abs(queries - xs[left]), np.abs(queries - xs[right]))
+def _nearest_sorted_1d(xs, ranks, fmap, queries, run) -> np.ndarray:
+    """Sorted positions of each query's nearest point in its run of the map
+    ``fmap`` by rounded squared distance, ties going to the lowest rank:
+    the point that ``argmin`` over the dense row of a call on the run's
+    points picks."""
+    # the run's points below and at or above the query; a side without one
+    # takes the other's
+    right = np.minimum(fmap.place(run, np.searchsorted(xs, queries)),
+                       fmap.place(run, len(xs)) - 1)
+    left = np.maximum(right - 1, fmap.place(run, 0))
+    near = np.minimum(np.abs(queries - xs[fmap.read(left)]),
+                      np.abs(queries - xs[fmap.read(right)]))
     # every point whose rounded squared distance equals the nearest one's
-    cols, counts = leave.columns(*_windows(xs, queries, near))
+    lo, counts = fmap.window(run, *_windows(xs, queries, near))
+    cols = fmap.read(_pair_columns(lo, counts))
     rows = np.repeat(np.arange(len(queries)), counts)
     diff = queries[rows] - xs[cols]
     by_distance = np.lexsort((ranks[cols], diff * diff, rows))

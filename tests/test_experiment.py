@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -687,6 +688,27 @@ class TestGridSearchCv:
             else:
                 pair_parities |= {np.count_nonzero(pdist(X)) % 2 for X in X_trains}
         assert pair_parities == {0, 1}
+
+    def test_many_folds_keep_the_memory_of_few(self):
+        # a grid CV builds the position maps of its folds a group at a time,
+        # so 1,000 folds of 5,000 points trace no more than twice 10 folds'
+        # peak; one map of every fold at once would hold 5 million points
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0, 1, 5000)
+        data = Dataset(features=x.reshape(-1, 1),
+                       labels=np.sin(6 * x) + 0.1 * rng.normal(size=len(x)))
+        data.sorted_1d  # cached before either call is traced
+        grid = [KSSpec(SmoothingKernel.EPANECHNIKOV, bandwidth=h)
+                for h in (0.01, 0.05, 0.2)]
+        peaks = []
+        for folds in (10, 1000):
+            tracemalloc.start()
+            try:
+                grid_search_cv(data, grid, folds=folds, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
 
     def test_windowed_grid_predicts_every_fold_in_one_pass(self, monkeypatch):
         # a 1-D compact-kernel bandwidth grid fits no fold on its own: one

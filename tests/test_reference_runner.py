@@ -13,10 +13,13 @@ tolerance is needed.
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from htlreg import experiment
+from htlreg import experiment, smoothing
 from htlreg.cli import main as cli_main
 from htlreg.experiment import parse_config
 
@@ -91,3 +94,81 @@ def test_csv_transfer_runs_as_algorithm_1(tmp_path):
     raw["data"]["n_ta"] = [10, 20, 40]
     rows, errors, _ = assert_same_run(parse_config(raw, base_dir=tmp_path))
     assert len(rows) == 2 * 3 * 5 and not errors
+
+
+KS_KERNELS = ("boxcar", "epanechnikov", "truncated_gaussian", "gaussian")
+FAMILIES = (
+    {"family": "offset", "alpha": 1.0},
+    {"family": "offset", "alpha": 0.5, "aux_bound_B": 25.0},
+    {"family": "scale", "alpha": 0.5, "aux_bound_B": 25.0},
+    {"family": "non_transfer"},
+    {"family": "loglinear", "beta": 1.0, "sigma2": 0.01},
+)
+
+
+@st.composite
+def subroutine(draw, smallest):
+    """A KS or KRR stage: a fixed value, a rule, or a grid cross-validated
+    with 2 to ``smallest`` folds."""
+    if draw(st.booleans()):
+        raw = {"method": "ks", "kernel": draw(st.sampled_from(KS_KERNELS))}
+        keys, values = ("bandwidth", "bandwidth_grid", "bandwidth_rule"), [0.02, 0.05, 0.2]
+        rule = {"alpha": draw(st.sampled_from([0.5, 1.0])), "c": 0.5}
+    else:
+        raw = {"method": "krr", "kernel": draw(st.sampled_from([
+            {"shape": "rbf"}, {"shape": "rbf", "lengthscale": 0.2}, {"shape": "linear"},
+            {"shape": "polynomial", "degree": 2, "offset": 1.0}]))}
+        keys, values = ("lambda", "lambda_grid", "lambda_rule"), [1e-3, 0.01, 0.1]
+        rule = {"beta": 1.0, "p": 0.5, "c": 0.1}
+    fixed, grid, rule_key = keys
+    form = draw(st.sampled_from(keys))
+    if form == fixed:
+        raw[fixed] = draw(st.sampled_from(values))
+    elif form == rule_key:
+        raw[rule_key] = rule
+    else:
+        raw[grid] = draw(st.lists(st.sampled_from(values), min_size=2, max_size=3,
+                                  unique=True))
+        raw["cv_folds"] = draw(st.integers(2, smallest))
+    return raw
+
+
+@st.composite
+def small_config(draw):
+    """A one-seed config of any synthetic kind, at small sizes."""
+    kind = draw(st.sampled_from(["synthetic_offset", "synthetic_scale", "rate_sweep",
+                                 "selection"]))
+    n_so = draw(st.integers(12, 60))
+    # a rate sweep draws three or more target sizes, any other kind one
+    n_ta = draw(st.lists(st.integers(6, 30), min_size=3, max_size=3, unique=True))
+    raw = {"experiment_kind": kind, "seeds": [draw(st.integers(0, 99))],
+           "data": {"noise_variance": 0.01}, "sizes": {"n_so": n_so}}
+    if kind == "rate_sweep":
+        raw["data"]["n_ta_grid"] = n_ta
+    else:
+        n_ta = n_ta[:1]
+        raw["sizes"]["n_ta"] = n_ta[0]
+        raw["sizes"]["n_test" if kind != "selection" else "n_val"] = 40
+    raw["methods"] = {"source": draw(subroutine(n_so)),
+                      "target": draw(subroutine(min(n_ta)))}
+    if kind == "selection":
+        raw["selection_family"] = {"L_alpha": 2.0, "K": draw(st.integers(1, 2))}
+        return raw
+    raw["methods"]["baselines"] = draw(st.lists(
+        st.sampled_from(["only_target", "only_source", "combined"]), unique=True))
+    raw["transformations"] = draw(st.lists(
+        st.sampled_from(FAMILIES), unique_by=lambda t: (t["family"], t.get("alpha")),
+        min_size=0 if raw["methods"]["baselines"] else 1, max_size=3))
+    return raw
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(raw=small_config(), block_pairs=st.sampled_from([smoothing._BLOCK_PAIRS, 64]),
+       moment_floor=st.sampled_from([smoothing._MOMENT_MIN_PAIRS, 0]))
+def test_a_small_drawn_config_runs_as_algorithm_1(raw, block_pairs, moment_floor):
+    # 64 block pairs put each fold's map of a few dozen points in a group of
+    # its own or of two; a moment floor of 0 sends every boxcar and
+    # epanechnikov window through the prefix moments
+    with mock.patch.object(smoothing, "_BLOCK_PAIRS", block_pairs), \
+            mock.patch.object(smoothing, "_MOMENT_MIN_PAIRS", moment_floor):
+        assert_same_run(parse_config(raw))

@@ -202,10 +202,10 @@ class TestWindowPath:
         paired = []  # queries whose whole window was summed pair by pair
         pair_sums = smoothing._pair_sums
 
-        def spy(xs, labels, queries, kernel, h, lo, counts, leave=None):
+        def spy(xs, labels, fmap, queries, kernel, h, lo, counts):
             whole = counts == smoothing._windows(xs, queries, h)[1]
             paired.extend(queries[whole & (counts > 0)])
-            return pair_sums(xs, labels, queries, kernel, h, lo, counts, leave)
+            return pair_sums(xs, labels, fmap, queries, kernel, h, lo, counts)
 
         monkeypatch.setattr(smoothing, "_pair_sums", spy)
         monkeypatch.setattr(smoothing, "_MOMENT_MIN_PAIRS", 0)
@@ -257,14 +257,26 @@ class TestWindowPath:
         for got, want in zip(ks_predict(train, Q[perm], kernel, bandwidths), whole):
             assert got.tobytes() == want[perm].tobytes()
 
+    @pytest.mark.parametrize("block_pairs", [smoothing._BLOCK_PAIRS, 600])
     @pytest.mark.parametrize("moment_floor", [smoothing._MOMENT_MIN_PAIRS, 0])
     @pytest.mark.parametrize("kernel", COMPACT)
     def test_cv_predict_gives_each_row_its_fold_fit_bit_for_bit(
-            self, monkeypatch, kernel, moment_floor):
+            self, monkeypatch, kernel, moment_floor, block_pairs):
         # one label far above the rest: its own fold's queries, which leave
         # it out, bound their moment error by a smaller max|y| than the
-        # sample's; repeated dyadic points fall on both sides of fold lines
+        # sample's; repeated dyadic points fall on both sides of fold lines.
+        # At 600 block pairs each fold's map is a group of its own.
         monkeypatch.setattr(smoothing, "_MOMENT_MIN_PAIRS", moment_floor)
+        monkeypatch.setattr(smoothing, "_BLOCK_PAIRS", block_pairs)
+        groups = []
+        fold_maps = smoothing._fold_maps
+
+        def counted(*args):
+            for group in fold_maps(*args):
+                groups.append(group)
+                yield group
+
+        monkeypatch.setattr(smoothing, "_fold_maps", counted)
         rng = np.random.default_rng(13)
         xs = np.r_[rng.integers(0, 64, 600) / 64, rng.uniform(0, 1, 600)]
         ys = rng.normal(size=len(xs))
@@ -272,6 +284,7 @@ class TestWindowPath:
         parts = np.array_split(rng.permutation(len(xs)), 7)
         bandwidths = [1 / 128, 0.05, 0.2]
         got = smoothing.ks_cv_predict(make(xs, ys), parts, kernel, bandwidths)
+        assert len(groups) == (len(parts) if block_pairs == 600 else 1)
         for rows in parts:
             fits = ks_predict(make(np.delete(xs, rows), np.delete(ys, rows)),
                               xs[rows].reshape(-1, 1), kernel, bandwidths)
@@ -280,22 +293,53 @@ class TestWindowPath:
 
     def test_a_block_of_several_folds_keeps_each_querys_own_points(self):
         # queries of folds 2, 5, 2, as the left and right rims of two folds'
-        # queries come, share a block: each sums the points outside its fold
+        # queries come, share a block: each sums the points of its fold's run
         rng = np.random.default_rng(14)
         xs, ys = np.sort(rng.uniform(0, 1, 200)), rng.normal(size=200)
         fold = rng.integers(0, 6, 200).astype(np.uint8)
         queries, query_fold = np.array([0.3, 0.6, 0.31]), np.array([2, 5, 2], np.uint8)
         kernel, h = SmoothingKernel.EPANECHNIKOV, 0.05
-        lo, counts = smoothing._windows(xs, queries, h)
-        got = smoothing._pair_sums(xs, ys[None], queries, kernel, h, lo, counts,
-                                   smoothing._LeaveOut.of(fold, query_fold, ys[None]))
+        [(_, fmap, _, _)] = smoothing._fold_maps(fold, np.arange(6), ys[None])
+        run = query_fold.astype(np.intp)  # one group: each fold's run is its own
+        lo, counts = fmap.window(run, *smoothing._windows(xs, queries, h))
+        assert len(smoothing._blocks(counts)) == 1
+        got = smoothing._pair_sums(xs, ys[None], fmap, queries, kernel, h, lo, counts)
         for i, f in enumerate(query_fold):
             kept = fold != f
             q = queries[i:i + 1]
-            want = smoothing._pair_sums(xs[kept], ys[None, kept], q, kernel, h,
-                                        *smoothing._windows(xs[kept], q, h),
-                                        smoothing._KEEP_ALL)
+            want = smoothing._pair_sums(xs[kept], ys[None, kept], smoothing._Map(None, None, 0),
+                                        q, kernel, h, *smoothing._windows(xs[kept], q, h))
             assert got[0][i] == want[0][0] and got[1][0, i] == want[1][0, 0]
+
+    @pytest.mark.parametrize("block_pairs", [smoothing._BLOCK_PAIRS, 600])
+    def test_each_folds_run_is_its_fold_samples_sort(self, monkeypatch, block_pairs):
+        # repeated values, 0.0 and -0.0 among them: a fold's run, read
+        # through the map, is the stable sort of the fold's own sample
+        monkeypatch.setattr(smoothing, "_BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(15)
+        xs = rng.integers(-8, 9, 1000) / 8
+        zeros = np.flatnonzero(xs == 0)
+        xs[zeros[::2]] = -0.0
+        data = make(xs, rng.normal(size=len(xs)))
+        parts = np.array_split(rng.permutation(len(xs)), 5)
+        fold = np.empty(len(xs), np.uint8)
+        for f, rows in enumerate(parts):
+            fold[rows] = f
+        sorted_x, labels, order = data.sorted_1d
+        runs = []
+        for _, fmap, _, y_max in smoothing._fold_maps(fold[order], np.arange(5),
+                                                      labels[None]):
+            run = np.arange(y_max.shape[1])
+            runs += [fmap.at[start:stop] for start, stop in
+                     zip(fmap.place(run, 0), fmap.place(run, len(xs)))]
+        assert len(runs) == len(parts)
+        for at, rows in zip(runs, parts):
+            fold_x, fold_y, fold_order = data.without(rows).sorted_1d
+            assert sorted_x[at].tobytes() == fold_x.tobytes()
+            assert labels[at].tobytes() == fold_y.tobytes()
+            # the fold sample's rows are the others, in row order
+            kept = np.delete(np.arange(len(xs)), rows)
+            assert np.array_equal(np.searchsorted(kept, order[at]), fold_order)
 
     @PROPERTY
     @given(st.integers(1, 2), st.integers(1, 20), st.sampled_from(list(SmoothingKernel)),
