@@ -51,7 +51,7 @@ from .pipeline import (
     score_candidates,
 )
 from .ridge import ConditioningError, KernelShape, RKHSKernel, krr_path, predict_path
-from .smoothing import SmoothingKernel, ks_cv_predict
+from .smoothing import SmoothingKernel, ks_cv_predict, ks_predict
 from .transform import (
     AuxiliaryEstimator,
     QuantizedFamily,
@@ -530,17 +530,19 @@ def grid_search_cv(
     Ties go to the first candidate in declared order. Returns the winner
     and the per-candidate mean CV errors.
 
-    A grid that varies only one kernel's bandwidth predicts every fold
-    through ``ks_cv_predict``. For a 1-D sample and a compact-support kernel
-    that is one pass per bandwidth over the sample's cached sort, each row
-    predicted from the rows outside its fold. Whatever a fit on one fold
-    computes once per call is computed per fold there, so every prediction,
-    and so every score, has the bits of fitting the fold alone. A grid that
-    varies only one kernel's lambda is fit once per fold (``krr_path``), with
-    the same predictions, bit for bit, as fitting each candidate; any other
-    grid fits each candidate on each fold. A fold fit trains on
-    ``data.without(test_idx)``; a 1-D fold that is fit on its own sorts its
-    own sample (``Dataset.sorted_1d``).
+    ``_fold_predictions`` picks each grid's CV path in one place. A grid
+    that varies only the bandwidth of one compact-support kernel, on a 1-D
+    sample, predicts every fold through ``ks_cv_predict``: one pass per
+    bandwidth over the sample's cached sort, each row predicted from the
+    rows outside its fold. Whatever a fit on one fold computes once per
+    call is computed per fold there, so every prediction, and so every
+    score, has the bits of fitting the fold alone. Every other grid fits
+    each fold on ``data.without(test_idx)`` in one loop: a bandwidth grid
+    through ``ks_predict`` with every bandwidth, a grid that varies only
+    one kernel's lambda through ``krr_path`` (the same predictions, bit for
+    bit, as fitting each candidate), and any other grid by fitting each
+    candidate. A 1-D fold that is fit on its own sorts its own sample
+    (``Dataset.sorted_1d``).
     """
     candidates = list(candidates)
     if not candidates:
@@ -559,24 +561,22 @@ def grid_search_cv(
 def _fold_predictions(data: Dataset, candidates,
                       parts) -> Iterable[list[np.ndarray]]:
     """Per part, every candidate's predictions at its rows when fit on the
-    other rows."""
+    other rows: the one place that picks a grid's CV path."""
     kernel = candidates[0].kernel
-    if all(isinstance(c, KSSpec) and c.kernel == kernel and c.bandwidth is not None
-           for c in candidates):
-        preds = ks_cv_predict(data, parts, kernel, [c.bandwidth for c in candidates])
+    one_kernel = all(c.kernel == kernel for c in candidates)
+    bandwidths = [c.bandwidth if isinstance(c, KSSpec) else None for c in candidates]
+    lams = [c.lam if isinstance(c, KRRSpec) else None for c in candidates]
+    if one_kernel and None not in bandwidths and data.dim == 1 and kernel.compact:
+        preds = ks_cv_predict(data, parts, kernel, bandwidths)
         return ([pred[rows] for pred in preds] for rows in parts)
-    predict = _grid_predictor(candidates)
-    return (predict(data.without(rows), data.features[rows]) for rows in parts)
 
-
-def _grid_predictor(candidates) -> Callable[[Dataset, np.ndarray], list]:
-    """(train, X) -> every candidate's predictions at X when fit on train."""
-    kernel = candidates[0].kernel
-    if all(isinstance(c, KRRSpec) and c.kernel == kernel and c.lam is not None
-           for c in candidates):
-        lams = [c.lam for c in candidates]
-        return lambda train, X: predict_path(krr_path(train, kernel, lams), X)
-    return lambda train, X: [c.fit(train).predict(X) for c in candidates]
+    def fit(train: Dataset, X: np.ndarray) -> list[np.ndarray]:
+        if one_kernel and None not in bandwidths:
+            return ks_predict(train, X, kernel, bandwidths)
+        if one_kernel and None not in lams:
+            return predict_path(krr_path(train, kernel, lams), X)
+        return [c.fit(train).predict(X) for c in candidates]
+    return (fit(data.without(rows), data.features[rows]) for rows in parts)
 
 
 # ---------------------------------------------------------------------------

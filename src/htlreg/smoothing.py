@@ -43,9 +43,11 @@ and y d^2 prefix rows and the rim's weighted sums; and the moment error
 bound, which reads the labels, with its pair-path redo. So row i has the
 bits of a call on row i alone.
 
-``ks_cv_predict`` predicts every fold of a cross-validation at once. A 1-D
-compact-kernel call predicts each query from the training points outside
-its own fold, and one pass per bandwidth serves all folds. The points each
+``ks_cv_predict`` predicts every fold of a cross-validation of a 1-D sample
+with a compact-support kernel at once, and raises ``ValueError`` for any
+other sample or kernel, whose folds ``experiment.grid_search_cv`` fits one
+by one. Each query is predicted from the training points outside its own
+fold, and one pass per bandwidth serves all folds. The points each
 fold keeps, in the sample's cached sort, are laid end to end in a position
 map, one run per fold, for a group of consecutive folds at a time; a window
 found by one search in the whole sorted sample is placed in its query's
@@ -213,28 +215,23 @@ def ks_cv_predict(
 ) -> list[np.ndarray]:
     """Each row's prediction, one array per bandwidth, from the smoother fit
     on ``data`` less the row's part: every fold of a cross-validation whose
-    folds ``parts`` partition the rows.
+    folds ``parts`` partition the rows, of a 1-D sample with a
+    compact-support kernel.
 
-    A 1-D sample with a compact-support kernel is predicted in one
-    ``predict_sorted_1d`` pass per bandwidth, each row from the points
-    outside its part; anything else fits ``ks_predict`` on
-    ``data.without(part)`` part by part. Either way a row gets the bits that
-    ``ks_predict`` fit on the sample less its part gives it.
+    One ``predict_sorted_1d`` pass per bandwidth predicts each row from the
+    points outside its part, with the bits that ``ks_predict`` fit on the
+    sample less its part gives it. Any other sample or kernel raises
+    ``ValueError``: its folds are fit one by one (``grid_search_cv``).
     """
-    if data.dim == 1 and kernel.compact:
-        fold = np.empty(data.n, dtype=np.min_scalar_type(len(parts) - 1))
-        for f, rows in enumerate(parts):
-            fold[rows] = f
-        xs, labels, order = data.sorted_1d
-        return [pred[0] for pred in predict_sorted_1d(
-            xs, labels[None], order, data.features[:, 0], kernel, bandwidths,
-            (fold[order], fold))]
-    preds = [np.empty(data.n) for _ in bandwidths]
-    for rows in parts:
-        fits = ks_predict(data.without(rows), data.features[rows], kernel, bandwidths)
-        for pred, fit in zip(preds, fits):
-            pred[rows] = fit
-    return preds
+    if data.dim != 1 or not kernel.compact:
+        raise ValueError(f"no one-pass CV for {data.dim}-D data with {kernel.value}")
+    fold = np.empty(data.n, dtype=np.min_scalar_type(len(parts) - 1))
+    for f, rows in enumerate(parts):
+        fold[rows] = f
+    xs, labels, order = data.sorted_1d
+    return [pred[0] for pred in predict_sorted_1d(
+        xs, labels[None], order, data.features[:, 0], kernel, bandwidths,
+        (fold[order], fold))]
 
 
 def predict_sorted_1d(

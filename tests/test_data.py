@@ -48,6 +48,10 @@ class TestDataset:
         with pytest.raises(ValueError, match="rows"):
             Dataset(features=np.zeros((3, 1)), labels=np.zeros(2))
 
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            Dataset(features=np.zeros((0, 1)), labels=np.zeros(0))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):

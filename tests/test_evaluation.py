@@ -107,6 +107,10 @@ class TestExcessRisk:
         se = np.sqrt(np.var(np.random.default_rng(3).uniform(size=n) ** 2) / n)
         assert abs(risk - 1.0 / 3.0) < 3 * se
 
+    def test_mc_sample_needs_a_point(self):
+        with pytest.raises(ValueError, match="n_mc must be >= 1"):
+            mc_sample(lambda X: X[:, 0], uniform_sampler(1), 0, seed=0)
+
     def test_deterministic(self):
         truth = lambda X: X[:, 0]
         pred = Exact(lambda X: X[:, 0] * 0.5)
@@ -205,6 +209,10 @@ class TestQueryGrid:
         assert grid[0, 0] == 0.0 and grid[-1, 0] == 1.0
         steps = np.diff(grid[:, 0])
         np.testing.assert_allclose(steps, steps[0])
+
+    def test_bounds_of_different_shapes_rejected(self):
+        with pytest.raises(ValueError, match="same shape"):
+            default_query_grid(np.zeros(2), np.ones(3))
 
     def test_multidimensional_seeded(self):
         a = default_query_grid(np.zeros(3), np.ones(3), seed=5, size=64)

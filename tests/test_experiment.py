@@ -515,6 +515,10 @@ class TestCvFolds:
         with pytest.raises(ValueError, match="folds"):
             cv_folds_indices(3, 5, seed=0)
 
+    def test_fewer_than_two_folds(self):
+        with pytest.raises(ValueError, match="folds must be >= 2"):
+            cv_folds_indices(10, 1, seed=0)
+
 
 def _noisy_linear_data(n=60, seed=0, noise=0.0):
     rng = np.random.default_rng(seed)
@@ -561,6 +565,10 @@ def _has_tied_empty_window(data, parts, h):
 
 
 class TestGridSearchCv:
+    def test_empty_grid(self):
+        with pytest.raises(ValueError, match="empty candidate grid"):
+            grid_search_cv(_noisy_linear_data(), [], folds=5, seed=0)
+
     def test_single_candidate(self):
         data = _noisy_linear_data()
         spec = KSSpec(bandwidth=0.1)
@@ -729,6 +737,7 @@ class TestGridSearchCv:
 
         monkeypatch.setattr(smoothing, "predict_sorted_1d", counted)
         monkeypatch.setattr(smoothing, "ks_predict", fold_fit)
+        monkeypatch.setattr(experiment, "ks_predict", fold_fit)
         monkeypatch.setattr(Dataset, "without", fold_fit)
         for grid, want in zip(grids, generic):
             passes.clear()
@@ -747,6 +756,7 @@ class TestGridSearchCv:
             raise AssertionError("a grid over more than one value was shared")
 
         monkeypatch.setattr(experiment, "ks_cv_predict", shared_fit)
+        monkeypatch.setattr(experiment, "ks_predict", shared_fit)
         monkeypatch.setattr(experiment, "krr_path", shared_fit)
         data = _noisy_linear_data(n=30)
         best, scores = grid_search_cv(data, candidates, folds=3, seed=5)
@@ -914,6 +924,36 @@ class TestRunExperiment:
             "method": "only_target", "stage": "rate_fit",
             "error": "risks must be positive for a log-log fit",
             "type": "ValueError"}]
+
+    def test_a_method_scored_at_fewer_than_three_sizes_gets_no_rate_fit(
+            self, tmp_path, monkeypatch):
+        excess_risk = experiment.excess_risk_mc
+        failed = []
+
+        def first_only_target_fails(pred, *args, **kwargs):
+            if not isinstance(pred, HTLPredictor) and not failed:
+                failed.append(pred)
+                raise ValueError("risk failed")
+            return excess_risk(pred, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "excess_risk_mc", first_only_target_fails)
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        _kind(cfg, "rate_sweep", noise_variance=0.01, slope=1.0,
+              n_ta_grid=[20, 40, 80])
+        report = run_experiment(parse_config(cfg))
+        assert list(report["rate_fits"]) == ["htl_offset(alpha=1)"]
+        assert [e["error"] for e in report["errors"]] == ["risk failed"]
+
+    def test_a_non_finite_metric_is_an_error(self):
+        test = Dataset(features=[[0.0], [1.0]], labels=[0.0, 1.0])
+
+        class Infinite:
+            def predict(self, X):
+                return np.full(len(X), np.inf)
+
+        data = experiment.SeedData(source=test, target=test, test=test, validation=None)
+        with pytest.raises(ValueError, match="non-finite metric"):
+            experiment._score(Infinite(), data, None)
 
     @pytest.mark.parametrize("kind", ["rate_sweep", "selection"])
     def test_a_seed_draws_its_monte_carlo_sample_once(self, tmp_path, monkeypatch,

@@ -16,6 +16,7 @@ from htlreg.pipeline import (
     MemoPredictor,
     construct_auxiliary,
     htl_fit,
+    score_candidates,
     select_transformation,
 )
 from htlreg.ridge import (
@@ -386,6 +387,11 @@ class TestSelectTransformation:
         assert abs(result.chosen.alpha) == min(tied)
         if zero_source:
             assert result.chosen.alpha == 0.0
+
+    def test_no_candidates_rejected(self):
+        source, _, validation = _selection_setup(3)
+        with pytest.raises(ValueError, match="no candidate transformations"):
+            score_candidates(KSSpec(bandwidth=0.1).fit(source), validation, [], [])
 
     def test_validation_tag_enforced(self):
         source, target, _ = _selection_setup(3)

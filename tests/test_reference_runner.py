@@ -2,7 +2,8 @@
 (``reference_runner.py``).
 
 Every fast path the runner takes for these configs claims the bits of the
-literal fit: the one-pass fold CV of a bandwidth grid, the ridge path of a
+literal fit: the one-pass fold CV of a 1-D compact-kernel bandwidth grid,
+the per-fold ``ks_predict`` of any other bandwidth grid, the ridge path of a
 lambda grid, a cell's shared target-stage fits over label rows, and the
 memoized source stage. So rows, errors and every selection candidate's
 validation MSE are compared by exact equality. No compared path claims only
@@ -83,8 +84,9 @@ def test_an_overflowing_selection_fails_as_algorithm_1():
     assert not rows and "non-finite validation MSE" in errors[0]["error"]
 
 
-def test_csv_transfer_runs_as_algorithm_1(tmp_path):
-    # the shipped methods and transformations over small kin_analog CSVs
+def small_csv_transfer(tmp_path) -> dict:
+    """csv_transfer.json at two seeds over small kin_analog CSVs written to
+    ``tmp_path``."""
     for domain, n, seed in (("source", 150, 0), ("target", 120, 1)):
         assert cli_main(["synth", "--dataset", "kin_analog", "--n", str(n),
                          "--domain", domain, "--seed", str(seed),
@@ -92,6 +94,33 @@ def test_csv_transfer_runs_as_algorithm_1(tmp_path):
     raw = shipped("csv_transfer.json", [0, 1])
     raw["sizes"]["n_so"] = 100
     raw["data"]["n_ta"] = [10, 20, 40]
+    return raw
+
+
+def test_csv_transfer_runs_as_algorithm_1(tmp_path):
+    # the shipped methods and transformations
+    raw = small_csv_transfer(tmp_path)
+    rows, errors, _ = assert_same_run(parse_config(raw, base_dir=tmp_path))
+    assert len(rows) == 2 * 3 * 5 and not errors
+
+
+def test_a_gaussian_bandwidth_grid_runs_as_algorithm_1():
+    # 1-D data with a kernel that is not compact: each fold is fit on its own
+    raw = shipped("offset_doppler.json", [0, 1])
+    raw["sizes"] = {"n_so": 400, "n_ta": 60, "n_test": 200}
+    for stage in ("source", "target"):
+        raw["methods"][stage]["kernel"] = "gaussian"
+    rows, errors, _ = assert_same_run(parse_config(raw))
+    assert len(rows) == 2 * 4 and not errors
+
+
+def test_an_8d_bandwidth_grid_runs_as_algorithm_1(tmp_path):
+    # a KS bandwidth grid at both stages: 8-D data, so each fold is fit on
+    # its own
+    raw = small_csv_transfer(tmp_path)
+    for stage in ("source", "target"):
+        raw["methods"][stage] = {"method": "ks", "kernel": "epanechnikov",
+                                 "bandwidth_grid": [0.5, 1.0, 2.0], "cv_folds": 5}
     rows, errors, _ = assert_same_run(parse_config(raw, base_dir=tmp_path))
     assert len(rows) == 2 * 3 * 5 and not errors
 

@@ -55,6 +55,14 @@ class TestGram:
         with pytest.raises(ValueError, match="dims"):
             gram(linear_kernel(), np.zeros((2, 2)), np.zeros((2, 3)))
 
+    def test_unresolved_rbf_lengthscale(self):
+        with pytest.raises(ValueError, match="lengthscale unresolved"):
+            gram(rbf_kernel(None), np.zeros((2, 1)), np.zeros((3, 1)))
+
+    def test_ridge_path_rejects_a_gram_matrix_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match 4"):
+            ridge_path(np.eye(3), np.ones(4), (0.1,))
+
 
 class TestFitPredict:
     def test_single_point_hand_solve(self):

@@ -291,6 +291,15 @@ class TestWindowPath:
             for pred, fit in zip(got, fits):
                 assert pred[rows].tobytes() == fit.tobytes()
 
+    @pytest.mark.parametrize("dim, kernel", [(2, SmoothingKernel.EPANECHNIKOV),
+                                             (1, SmoothingKernel.GAUSSIAN)])
+    def test_cv_predict_takes_only_1d_compact_kernel_samples(self, dim, kernel):
+        # a d > 1 sample would otherwise be predicted from column 0 alone
+        rng = np.random.default_rng(15)
+        data = Dataset(features=rng.uniform(size=(20, dim)), labels=rng.normal(size=20))
+        with pytest.raises(ValueError, match=f"no one-pass CV for {dim}-D data"):
+            smoothing.ks_cv_predict(data, np.array_split(np.arange(20), 4), kernel, [0.2])
+
     def test_a_block_of_several_folds_keeps_each_querys_own_points(self):
         # queries of folds 2, 5, 2, as the left and right rims of two folds'
         # queries come, share a block: each sums the points of its fold's run

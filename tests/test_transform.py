@@ -123,6 +123,11 @@ class TestApplyH:
         est = AuxiliaryEstimator(loglinear(1.0), sigma2=0.04)
         assert apply_H(est, 1.0, 0.0) == pytest.approx(math.exp(0.04), rel=1e-14)
 
+    def test_calibration_with_zero_beta_a_names_the_value(self):
+        est = AuxiliaryEstimator(loglinear(1.0), sigma2=0.04)
+        with pytest.raises(SingularityError, match=r"beta \* a = 0 at a = 0$"):
+            apply_H(est, np.array([0.5, 0.0, 2.0]), np.zeros(3))
+
     def test_loglinear_requires_sigma2(self):
         with pytest.raises(ValueError, match="sigma2 is required by loglinear"):
             AuxiliaryEstimator(loglinear(1.0))
@@ -208,6 +213,11 @@ class TestQuantizedFamily:
             QuantizedFamily(0.0, 2)
         with pytest.raises(ValueError):
             QuantizedFamily(1.0, 0)
+
+
+def test_tie_break_key_is_the_distance_from_non_transfer():
+    members = (non_transfer(), offset(-0.5), scale(2.0), loglinear(-1.5))
+    assert [tf.tie_break_key for tf in members] == [0.0, 0.5, 2.0, 1.5]
 
 
 def test_transformation_metadata_validation():
