@@ -254,7 +254,7 @@ def load_csv(path, label_column: str) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such CSV file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

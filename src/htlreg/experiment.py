@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -37,6 +37,7 @@ from .data import (
 )
 from .evaluation import excess_risk_mc, mc_sample, metric_report, rate_slope
 from .pipeline import (
+    FIT_ERRORS,
     BandwidthRule,
     FailedFit,
     HTLPredictor,
@@ -48,9 +49,10 @@ from .pipeline import (
     SelectionResult,
     SubroutineSpec,
     construct_auxiliary,
+    fit_or_fail,
     score_candidates,
 )
-from .ridge import ConditioningError, KernelShape, RKHSKernel, krr_path, predict_path
+from .ridge import KernelShape, RKHSKernel, krr_path, predict_path
 from .smoothing import SmoothingKernel, ks_cv_predict, ks_predict
 from .transform import (
     AuxiliaryEstimator,
@@ -489,7 +491,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        # a byte-order mark is dropped after decoding: an error's offset counts it
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:  # no such file, a directory, or no read permission
         raise ConfigError(f"{path}: cannot read the config: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -667,32 +670,14 @@ def _score(pred: Predictor, data: SeedData,
     return scores
 
 
-# What a method's fit or scoring may raise on bad data or a bad setting; the
-# run records it and goes on. Anything else is a defect and propagates.
-_METHOD_ERRORS = (ValueError, ConditioningError)
-
-
 def _error(where: dict, exc: Exception) -> dict:
     """An ``errors`` entry: where it happened, the message and its type."""
     return {**where, "error": str(exc), "type": type(exc).__name__}
 
 
-def _once(fn: Callable[[], object]) -> Callable[[], object]:
-    """``fn`` called on first use only; later calls return its value or
-    raise its method error again."""
-    @cache
-    def outcome():
-        try:
-            return fn(), None
-        except _METHOD_ERRORS as exc:
-            return None, exc
-
-    def call():
-        value, exc = outcome()
-        if exc is not None:
-            raise exc
-        return value
-    return call
+def _source_stage(method: MethodConfig, source: Dataset, seed: int) -> MemoPredictor:
+    """f_so_hat: ``method`` resolved on ``source`` and fit, memoized."""
+    return MemoPredictor(method.resolve(source, seed).fit(source))
 
 
 def _run_cells(config: ExperimentConfig,
@@ -705,14 +690,15 @@ def _run_cells(config: ExperimentConfig,
     its predictions once per distinct query array of the seed (the Monte
     Carlo sample, test, validation and target rows, the plot grid). A
     synthetic seed draws its Monte Carlo sample and the truth on it once,
-    for every scored row of every cell. Each is computed on first use
-    inside the per-method ``try``, so its failure is recorded against every
-    method that needs it. The target stages of ``only_target``, each HTL
-    method and each selection member are fit before any method is scored
-    (``_target_stages``); an HTL method or member builds its auxiliary
-    sample once, for both the target-stage CV and the fit. Returns the
-    rows, the failures, the first cell's predictors, and the selection
-    results in row order.
+    for every scored row of every cell. Each is computed on first use, so
+    a seed whose methods never read the source never fits it. A source
+    stage that fails is a ``FailedFit``, so its error is recorded against
+    every method that predicts through it. The target stages of
+    ``only_target``, each HTL method and each selection member are fit
+    before any method is scored (``_target_stages``); an HTL method or
+    member builds its auxiliary sample once, for both the target-stage CV
+    and the fit. Returns the rows, the failures, the first cell's
+    predictors, and the selection results in row order.
     """
     rows: list[dict] = []
     errors: list[dict] = []
@@ -723,12 +709,12 @@ def _run_cells(config: ExperimentConfig,
     for seed in config.seeds:
         cells = make_cells(config, seed)
         source = cells[0][1].source
-        so_seed = child_seed(seed, _CV_SOURCE)
-        f_so_hat = _once(lambda: MemoPredictor(
-            config.source_method.resolve(source, so_seed).fit(source)))
+        f_so_hat = cache(partial(fit_or_fail, partial(
+            _source_stage, config.source_method, source, child_seed(seed, _CV_SOURCE))))
         cv_seed = child_seed(seed, _CV_TARGET)
-        sample = None if truth is None else _once(lambda: mc_sample(
-            truth.target_fn, truth.input_sampler, 2000, child_seed(seed, _EXCESS)))
+        sample = None if truth is None else cache(partial(
+            mc_sample, truth.target_fn, truth.input_sampler, 2000,
+            child_seed(seed, _EXCESS)))
         for n_ta, data in cells:
             stages = _target_stages(config, data, roster, f_so_hat, cv_seed)
             predictors: dict[str, Predictor] = {}
@@ -759,7 +745,7 @@ def _run_cells(config: ExperimentConfig,
                         pred = config.target_method.resolve(pooled, cv_seed).fit(pooled)
                     rows.append({**cell, **_score(pred, data, sample)})
                     predictors[name] = pred  # plotted only once it has scored
-                except _METHOD_ERRORS as exc:  # recorded, run continues
+                except FIT_ERRORS as exc:  # recorded, run continues
                     errors.append(_error(cell, exc))
             if first is None:
                 first = predictors
@@ -792,7 +778,7 @@ def _target_stages(config: ExperimentConfig, data: SeedData, roster, f_so_hat,
             train = (data.target if name == "only_target"
                      else construct_auxiliary(data.target, f_so_hat(), est)[0])
             spec = config.target_method.resolve(train, cv_seed)
-        except _METHOD_ERRORS as exc:
+        except FIT_ERRORS as exc:
             stages[name] = FailedFit(exc)
             continue
         groups.setdefault(spec, []).append((name, train.labels))

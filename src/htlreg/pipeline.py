@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence, Union
+from functools import partial
+from typing import Callable, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -215,16 +216,14 @@ class KRRSpec:
 
     def fit_rows(self, train: Dataset, rows) -> list[Predictor]:
         """One fit per label row of ``rows`` on ``train``'s features, in row
-        order. A row whose fit raises ValueError or ConditioningError gets a
-        ``FailedFit`` that raises that error when it predicts; no other row
-        fails."""
-        fits: list[Predictor] = []
-        for labels in _label_rows(train, rows):
-            try:
-                fits.append(self.fit(train.with_labels(labels)))
-            except (ValueError, ConditioningError) as exc:
-                fits.append(FailedFit(exc))
-        return fits
+        order; a row whose fit fails fails alone (``fit_or_fail``)."""
+        return [fit_or_fail(partial(self.fit, train.with_labels(labels)))
+                for labels in _label_rows(train, rows)]
+
+
+# What a fit or a score may raise on bad data or a bad setting; the run
+# records it and goes on. Anything else is a defect and propagates.
+FIT_ERRORS = (ValueError, ConditioningError)
 
 
 @dataclass(frozen=True)
@@ -235,6 +234,14 @@ class FailedFit:
 
     def predict(self, X) -> np.ndarray:
         raise self.error
+
+
+def fit_or_fail(fit: Callable[[], Predictor]) -> Predictor:
+    """``fit()``, or a ``FailedFit`` of the ``FIT_ERRORS`` error it raises."""
+    try:
+        return fit()
+    except FIT_ERRORS as exc:
+        return FailedFit(exc)
 
 
 def _label_rows(train: Dataset, rows) -> np.ndarray:
@@ -334,7 +341,7 @@ def score_candidates(
     f_so_hat: Predictor,
     validation: Dataset,
     candidates: Sequence[TransformationFunction],
-    w_hats: Iterable[Predictor],
+    w_hats: Sequence[Predictor],
 ) -> SelectionResult:
     """Pick the candidate whose pipeline has the lowest validation MSE.
 
@@ -344,11 +351,11 @@ def score_candidates(
     validation rows through it again. Ties go to the candidate closest to
     non-transfer (smallest |alpha|), then to the lowest index.
 
-    Candidates are scored in order, each w_hat taken as it is reached, so
-    the first error raised, a fit's or a score's, is the one a loop of
-    ``htl_fit`` calls would hit. A candidate whose validation MSE is not
-    finite raises ``ValueError`` naming it, and numpy warns of no overflow
-    on the way.
+    Candidates are scored in order, a ``FailedFit`` w_hat raising when its
+    candidate is reached, so the first error raised, a fit's or a score's,
+    is the one a loop of ``htl_fit`` calls would hit. A candidate whose
+    validation MSE is not finite raises ``ValueError`` naming it, and numpy
+    warns of no overflow on the way.
     """
     if validation.domain_tag is not DomainTag.VALIDATION:
         raise ValueError(
@@ -388,11 +395,11 @@ def select_transformation(
     Every candidate shares the prefit source stage ``f_so_hat`` (it does not
     depend on G), memoized, so it predicts the target and validation rows
     once, and relabels through its plain inverse, so a loglinear candidate,
-    whose estimator needs sigma2, is rejected.
+    whose estimator needs sigma2, is rejected when it is scored.
     """
     candidates = list(family.members if isinstance(family, QuantizedFamily) else family)
     if not isinstance(f_so_hat, MemoPredictor):
         f_so_hat = MemoPredictor(f_so_hat)
-    w_hats = (htl_fit(f_so_hat, target, AuxiliaryEstimator(tf), w_spec).w_hat
-              for tf in candidates)
+    w_hats = [fit_or_fail(lambda: htl_fit(f_so_hat, target, AuxiliaryEstimator(tf),
+                                          w_spec).w_hat) for tf in candidates]
     return score_candidates(f_so_hat, validation, candidates, w_hats)

@@ -106,8 +106,13 @@ def median_heuristic_sq(sq: np.ndarray) -> float:
 
 
 def rbf_from_sq(sq: np.ndarray, lengthscale: float) -> np.ndarray:
-    """exp(-sq / (2 l^2)), computed in place in ``sq``, which it returns."""
-    np.divide(sq, -(2.0 * lengthscale**2), out=sq)
+    """exp(-sq / (2 l^2)), computed in place in ``sq``, which it returns; an
+    l whose square passes the float range acts as an infinite one."""
+    try:
+        square = lengthscale**2
+    except OverflowError:
+        square = np.inf
+    np.divide(sq, -(2.0 * square), out=sq)
     return np.exp(sq, out=sq)
 
 

@@ -211,6 +211,17 @@ class TestLoadCsv:
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "absent.csv", "y")
 
+    def test_a_byte_order_mark_is_not_part_of_the_first_header(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports begin with the mark; the label
+        # column comes first, so the mark would otherwise prefix its name
+        text = "y,x0\n1,0\n3,0.5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        want, got = load_csv(plain, "y"), load_csv(marked, "y")
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.labels, want.labels)
+
     def test_ragged_rows(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x,y\n0,1\n1,2,3\n")

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -112,6 +113,22 @@ class TestConfigParsing:
         path = tmp_path / "bad.json"
         path.write_text('{\n  "experiment_kind": oops\n}\n')
         with pytest.raises(ConfigError, match="line 2"):
+            load_config(path)
+
+    def test_a_byte_order_mark_is_read_past(self, tmp_path):
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        text = (CONFIGS / "selection.json").read_text(encoding="utf-8")
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        want, got = load_config(plain), load_config(marked)
+        # the parsed truth's functions are built afresh by each parse
+        assert got.synthetic is not None
+        assert replace(got, synthetic=None) == replace(want, synthetic=None)
+
+    def test_a_decode_error_after_a_byte_order_mark_counts_the_mark(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xef\xbb\xbf{\xff}")
+        with pytest.raises(ConfigError, match="invalid start byte at byte 4$"):
             load_config(path)
 
     @pytest.mark.parametrize("literal, got", [("NaN", "nan"), ("1e999", "inf")])
@@ -887,13 +904,14 @@ class TestRunExperiment:
         assert report["rows"] == []
         assert "Warning" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [ValueError, ConditioningError])
     def test_failed_source_cv_runs_once_and_fails_each_user(self, tmp_path,
-                                                            monkeypatch):
+                                                            monkeypatch, error):
         calls = []
 
         def failing_cv(data, *args):
             calls.append(data.domain_tag)
-            raise ValueError("cv failed")
+            raise error("cv failed")
 
         monkeypatch.setattr(experiment, "grid_search_cv", failing_cv)
         cfg = base_config(output_dir=str(tmp_path / "out"))
@@ -905,6 +923,32 @@ class TestRunExperiment:
         assert [r["method"] for r in report["rows"]] == ["only_target"]
         assert [e["method"] for e in report["errors"]] == [
             "only_source", "htl_offset(alpha=1)"]
+
+    def test_a_run_whose_methods_never_read_the_source_never_fits_it(
+            self, tmp_path, monkeypatch):
+        cv_tags, fit_tags = [], []
+        search, fit = experiment.grid_search_cv, KSSpec.fit
+
+        def recording_cv(data, *args):
+            cv_tags.append(data.domain_tag)
+            return search(data, *args)
+
+        def recording_fit(spec, train):
+            fit_tags.append(train.domain_tag)
+            return fit(spec, train)
+
+        monkeypatch.setattr(experiment, "grid_search_cv", recording_cv)
+        monkeypatch.setattr(KSSpec, "fit", recording_fit)
+        cfg = base_config(output_dir=str(tmp_path / "out"), seeds=[0, 1])
+        cfg["methods"]["baselines"] = ["only_target", "combined"]
+        cfg["methods"]["source"] = {"method": "ks", "kernel": "epanechnikov",
+                                    "bandwidth_grid": [0.1, 0.3], "cv_folds": 3}
+        cfg["transformations"] = []
+        report = run_experiment(parse_config(cfg))
+        assert not report["errors"]
+        assert [r["method"] for r in report["rows"]] == ["only_target", "combined"] * 2
+        assert cv_tags == []
+        assert fit_tags and DomainTag.SOURCE not in fit_tags
 
     def test_zero_risk_rejects_the_rate_fit(self, tmp_path, monkeypatch):
         excess_risk = experiment.excess_risk_mc

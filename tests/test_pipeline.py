@@ -500,6 +500,24 @@ class TestSelectionMatchesPerCandidateFits:
         with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
             select_transformation(f_so_hat, target, validation, family, w_spec)
 
+    @pytest.mark.parametrize("loglinear_first", [True, False])
+    def test_a_loglinear_candidate_is_rejected_in_roster_order(
+            self, loglinear_first):
+        # loglinear(1) has no sigma2 for its estimator, and offset(1e308)'s
+        # validation MSE overflows: the error raised is the first candidate's
+        target = target_data([0.0, 0.01, 0.02], [0.0, 0.0, 0.0])
+        validation = Dataset(features=[[0.01]], labels=[0.0],
+                             domain_tag=DomainTag.VALIDATION)
+        f_so_hat = Lookup([1.0, 1.0, 0.0])
+        failing = [loglinear(1.0), offset(1e308)]
+        family = [non_transfer(), *failing[::1 if loglinear_first else -1]]
+        w_spec = KSSpec(SmoothingKernel.BOXCAR, bandwidth=0.1)
+        with pytest.raises(ValueError) as want:
+            htl_loop_selection(f_so_hat, target, validation, family, w_spec)
+        assert ("sigma2 is required" in str(want.value)) == loglinear_first
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            select_transformation(f_so_hat, target, validation, family, w_spec)
+
     @pytest.mark.parametrize("w_spec", [
         KSSpec(SmoothingKernel.GAUSSIAN, bandwidth=0.1),
         KSSpec(SmoothingKernel.EPANECHNIKOV, rule=BandwidthRule()),

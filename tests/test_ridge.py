@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -169,6 +171,15 @@ class TestFitPredict:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             krr_fit(make([1.0], [1.0]), rbf_kernel(1.0), -0.1)
+
+    def test_a_lengthscale_whose_square_overflows_fits_as_an_infinite_one(self):
+        # 1e300 ** 2 passes the float range: the Gram matrix is all ones, as
+        # an infinite lengthscale's is
+        train = make([[0.0, 1.0], [2.0, 0.5], [3.0, -1.0]], [1.0, -2.0, 0.5])
+        queries = [[0.0, 0.0], [1.0, 2.0]]
+        huge = krr_fit(train, rbf_kernel(1e300), 0.1).predict(queries)
+        infinite = krr_fit(train, rbf_kernel(math.inf), 0.1).predict(queries)
+        assert huge.tobytes() == infinite.tobytes()
 
 
 def reference_ridge_solve(K, y, lam):
