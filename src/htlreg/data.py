@@ -10,6 +10,7 @@ platform.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -91,21 +92,40 @@ class Dataset:
         labels = np.asarray(labels, dtype=float).ravel()
         if labels.shape != (self.n,) or not np.isfinite(labels).all():
             raise ValueError(f"labels must be {self.n} finite values, one per row")
-        labels.setflags(write=False)
-        relabeled = object.__new__(Dataset)
-        for name, value in (("features", self.features), ("labels", labels),
-                            ("domain_tag", self.domain_tag)):
-            object.__setattr__(relabeled, name, value)
-        return relabeled
+        return self._checked(self.features, labels)
+
+    def take(self, rows) -> Dataset:
+        """The sample's ``rows``, one or more, in that order, with this
+        sample's domain tag; their values are not checked again."""
+        features, labels = self.features[rows], self.labels[rows]
+        if labels.ndim != 1 or len(labels) < 1:
+            raise ValueError("take needs one or more row indices")
+        return self._checked(features, labels)
 
     def without(self, rows: np.ndarray) -> Dataset:
         """The sample less ``rows``, the rest in row order, with this
         sample's domain tag: a CV fold's training sample."""
-        keep = np.ones(self.n, dtype=bool)
-        keep[rows] = False
-        idx = np.flatnonzero(keep)
-        return Dataset(features=self.features[idx], labels=self.labels[idx],
-                       domain_tag=self.domain_tag)
+        return self.take(np.delete(np.arange(self.n), rows))
+
+    def _checked(self, features: np.ndarray, labels: np.ndarray) -> Dataset:
+        """This sample's domain tag on arrays that have passed its checks,
+        made read-only and not checked again."""
+        features.setflags(write=False)
+        labels.setflags(write=False)
+        sample = object.__new__(Dataset)  # its frozen fields set in its __dict__
+        vars(sample).update(features=features, labels=labels, domain_tag=self.domain_tag)
+        return sample
+
+
+def as_queries(X, dim: int) -> np.ndarray:
+    """``X`` as a 2-D float array of finite queries of ``dim`` features: the
+    one query check of every fitted predictor."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != dim:
+        raise ValueError(f"query dim {X.shape[1]} != training dim {dim}")
+    if not np.isfinite(X).all():
+        raise ValueError("queries must be finite")
+    return X
 
 
 def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -248,49 +268,49 @@ def load_csv(path, label_column: str) -> Dataset:
 
     ``label_column`` names the label's header; the remaining columns become
     features in file order. Blank rows are skipped. Raises
-    FileNotFoundError for a missing file and CsvError (naming the offending
-    row/column) for structural problems.
+    FileNotFoundError for a missing file and CsvError for a file that is not
+    UTF-8 text (naming the byte) or for structural problems (naming the
+    offending row/column).
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such CSV file: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvError(f"{path}: empty file, expected a header row")
-        header = [h.strip() for h in header]
-        if label_column not in header:
+    try:  # a byte-order mark is dropped after decoding: an error's offset counts it
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise CsvError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                       f"{exc.start}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise CsvError(f"{path}: empty file, expected a header row")
+    header = [h.strip() for h in header]
+    if label_column not in header:
+        raise CsvError(f"{path}: label column {label_column!r} not in header {header}")
+    label_idx = header.index(label_column)
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
             raise CsvError(
-                f"{path}: label column {label_column!r} not in header {header}"
+                f"{path}: row at line {lineno} has {len(row)} cells, "
+                f"expected {len(header)}"
             )
-        label_idx = header.index(label_column)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+        parsed = []
+        for col, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
                 raise CsvError(
-                    f"{path}: row at line {lineno} has {len(row)} cells, "
-                    f"expected {len(header)}"
+                    f"{path}: non-numeric cell {cell!r} at line {lineno}, "
+                    f"column {header[col]!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise CsvError(
+                    f"{path}: non-finite value {cell!r} at line {lineno}, "
+                    f"column {header[col]!r}"
                 )
-            parsed = []
-            for col, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvError(
-                        f"{path}: non-numeric cell {cell!r} at line {lineno}, "
-                        f"column {header[col]!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise CsvError(
-                        f"{path}: non-finite value {cell!r} at line {lineno}, "
-                        f"column {header[col]!r}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+            parsed.append(value)
+        rows.append(parsed)
     if not rows:
         raise CsvError(f"{path}: no data rows")
     table = np.asarray(rows, dtype=float)
@@ -316,6 +336,4 @@ def subsample(data: Dataset, n: int, seed: int) -> Dataset:
     if not 1 <= n <= data.n:
         raise ValueError(f"cannot take {n} rows from {data.n}")
     rng = np.random.default_rng(seed)
-    idx = rng.choice(data.n, size=n, replace=False)
-    return Dataset(features=data.features[idx], labels=data.labels[idx],
-                   domain_tag=data.domain_tag)
+    return data.take(rng.choice(data.n, size=n, replace=False))

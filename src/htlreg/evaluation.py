@@ -109,11 +109,7 @@ def stability_probe(
     if perturbation.shape != (base.n,):
         raise ValueError(f"perturbation must have shape ({base.n},)")
     query_grid = np.atleast_2d(np.asarray(query_grid, dtype=float))
-    perturbed = Dataset(
-        features=base.features,
-        labels=base.labels + perturbation,
-        domain_tag=base.domain_tag,
-    )
+    perturbed = base.with_labels(base.labels + perturbation)
     f_base = fit_fn(base)
     f_pert = fit_fn(perturbed)
     gaps = np.abs(np.asarray(f_base.predict(query_grid)) -

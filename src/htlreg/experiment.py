@@ -627,12 +627,8 @@ def _csv_cells(config: ExperimentConfig, seed: int) -> list[tuple]:
         source = subsample(source, config.n_so, child_seed(seed, _SOURCE))
     perm = np.random.default_rng(child_seed(seed, _TARGET)).permutation(target.n)
 
-    def rows(idx: np.ndarray) -> Dataset:
-        return Dataset(features=target.features[idx], labels=target.labels[idx],
-                       domain_tag=DomainTag.TARGET)
-
-    test = rows(perm[max(config.n_ta_sizes):])
-    return [(n_ta, SeedData(source, rows(perm[:n_ta]), test, None))
+    test = target.take(perm[max(config.n_ta_sizes):])
+    return [(n_ta, SeedData(source, target.take(perm[:n_ta]), test, None))
             for n_ta in config.n_ta_sizes]
 
 
@@ -761,18 +757,18 @@ def _target_stages(config: ExperimentConfig, data: SeedData, roster, f_so_hat,
     ``only_target``'s on the target sample, the others' on their auxiliary
     samples, which relabel the same target features. So each member is the
     pipeline that an HTL method of its transformation fits. The methods
-    whose specs are equal share one ``spec.fit_rows`` over the target
-    features and their label rows: each predicts with the bits of its own
-    fit, a smoother's rows in one pass per distinct query array. A method
-    whose sample or spec cannot be built, or whose row fails to fit, gets a
-    fit that raises that error when it predicts.
+    whose specs are equal share one ``spec.fit_samples`` over their samples:
+    each predicts with the bits of its own fit, a smoother's samples in one
+    pass per distinct query array. A method whose sample or spec cannot be
+    built, or whose sample fails to fit, gets a fit that raises that error
+    when it predicts.
     """
     methods = [(name, item) for name, item in roster
                if name == "only_target" or isinstance(item, AuxiliaryEstimator)]
     methods += [(tf.label, AuxiliaryEstimator(tf)) for _, item in roster
                 if isinstance(item, QuantizedFamily) for tf in item.members]
     stages: dict[str, Predictor] = {}
-    groups: dict[SubroutineSpec, list[tuple[str, np.ndarray]]] = {}
+    groups: dict[SubroutineSpec, list[tuple[str, Dataset]]] = {}
     for name, est in methods:
         try:
             train = (data.target if name == "only_target"
@@ -781,10 +777,10 @@ def _target_stages(config: ExperimentConfig, data: SeedData, roster, f_so_hat,
         except FIT_ERRORS as exc:
             stages[name] = FailedFit(exc)
             continue
-        groups.setdefault(spec, []).append((name, train.labels))
+        groups.setdefault(spec, []).append((name, train))
     for spec, members in groups.items():
-        names, rows = zip(*members)
-        stages.update(zip(names, spec.fit_rows(data.target, rows)))
+        names, samples = zip(*members)
+        stages.update(zip(names, spec.fit_samples(samples)))
     return stages
 
 

@@ -14,16 +14,16 @@ source stage. Selection over a finite roster of candidate transformations
 fits each candidate's pipeline and keeps the one with the lowest validation
 MSE (``score_candidates``).
 
-Auxiliary fits relabel the same target features: only their labels differ.
-Each subroutine spec's ``fit_rows`` fits a stack of label rows over one
-sample and returns one predictor per row, with the bits of a fit on that
-row alone. Kernel smoothing computes the query sort, windows and kernel
-values once per distinct query array for every row and only the
-label-weighted sums per row (``smoothing.ks_predict_rows``); kernel ridge
-fits row by row, and a row whose solve fails fails alone. The experiment
-runner fits a cell's target stages whose specs are equal this way:
-only-target's on the target labels, and each HTL method's and selection
-member's on its auxiliary labels.
+Auxiliary samples relabel the same target features: only their labels
+differ. Each subroutine spec's ``fit_samples`` fits samples that share one
+feature array and returns one predictor per sample, with the bits of a fit
+on that sample alone. Kernel smoothing computes the query sort, windows and
+kernel values once per distinct query array for every sample and only the
+label-weighted sums per sample (``smoothing.ks_predict_rows``); kernel
+ridge fits sample by sample, and a sample whose solve fails fails alone.
+The experiment runner fits a cell's target stages whose specs are equal
+this way: only-target's on the target sample, and each HTL method's and
+selection member's on its auxiliary sample.
 
 f_so_hat(x) does not depend on G, the target sample or the method, so a
 ``MemoPredictor`` around the source stage computes it once per distinct
@@ -154,12 +154,13 @@ class KSSpec:
     def fit(self, train: Dataset) -> KSPredictor:
         return KSPredictor(train, self.kernel, self.resolve_bandwidth(train))
 
-    def fit_rows(self, train: Dataset, rows) -> list[Predictor]:
-        """One smoother per label row of ``rows`` on ``train``'s features;
-        row i predicts with the bits of ``self.fit(train.with_labels(rows[i]))``.
-        The rows share one smoother pass per distinct query array
+    def fit_samples(self, samples: Sequence[Dataset]) -> list[Predictor]:
+        """One smoother per sample of ``samples``, one or more on one feature
+        array: predictor i predicts with the bits of ``self.fit(samples[i])``.
+        The samples share one smoother pass per distinct query array
         (``smoothing.ks_predict_rows``)."""
-        rows = _label_rows(train, rows)
+        train = _one_feature_array(samples)[0]
+        rows = np.array([s.labels for s in samples])
         shared = MemoPredictor(_KSRows(train, rows, self.kernel,
                                        self.resolve_bandwidth(train)))
         return [_RowView(shared, i) for i in range(len(rows))]
@@ -214,11 +215,11 @@ class KRRSpec:
     def fit(self, train: Dataset) -> KRRPredictor:
         return krr_fit(train, self.kernel, self.resolve_lambda(train))
 
-    def fit_rows(self, train: Dataset, rows) -> list[Predictor]:
-        """One fit per label row of ``rows`` on ``train``'s features, in row
-        order; a row whose fit fails fails alone (``fit_or_fail``)."""
-        return [fit_or_fail(partial(self.fit, train.with_labels(labels)))
-                for labels in _label_rows(train, rows)]
+    def fit_samples(self, samples: Sequence[Dataset]) -> list[Predictor]:
+        """``self.fit`` of each sample of ``samples``, one or more on one
+        feature array, in order; a sample whose fit fails fails alone
+        (``fit_or_fail``)."""
+        return [fit_or_fail(partial(self.fit, s)) for s in _one_feature_array(samples)]
 
 
 # What a fit or a score may raise on bad data or a bad setting; the run
@@ -244,16 +245,11 @@ def fit_or_fail(fit: Callable[[], Predictor]) -> Predictor:
         return FailedFit(exc)
 
 
-def _label_rows(train: Dataset, rows) -> np.ndarray:
-    """``rows`` as a C-ordered (k, n) float array of finite label rows, k >= 1,
-    one label per row of ``train``."""
-    rows = np.ascontiguousarray(rows, dtype=float)
-    if rows.ndim != 2 or len(rows) < 1 or rows.shape[1] != train.n:
-        raise ValueError(f"expected label rows of shape (k >= 1, {train.n}), "
-                         f"got {rows.shape}")
-    if not np.isfinite(rows).all():
-        raise ValueError("labels must be finite")
-    return rows
+def _one_feature_array(samples: Sequence[Dataset]) -> Sequence[Dataset]:
+    """``samples``, checked to be one or more that share one feature array."""
+    if not samples or any(s.features is not samples[0].features for s in samples):
+        raise ValueError("expected one or more samples sharing one feature array")
+    return samples
 
 
 SubroutineSpec = Union[KSSpec, KRRSpec]

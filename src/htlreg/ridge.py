@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, sq_distances
+from .data import Dataset, as_queries, sq_distances
 
 
 class ConditioningError(RuntimeError):
@@ -147,7 +147,7 @@ class KRRPredictor:
     k_bound: float
 
     def predict(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = as_queries(X, self.train_features.shape[1])
         return gram(self.kernel, X, self.train_features) @ self.coefficients
 
     def predict_one(self, x) -> float:

@@ -26,10 +26,11 @@ distances from ``data.sq_distances``, which imports scipy on first use, so a
 1-D compact-kernel run never loads scipy.
 
 ``ks_predict_rows`` predicts k label rows over one sample's features at
-once, as a cell's equal target-stage fits need (``KSSpec.fit_rows``):
-only-target's, the HTL methods' and the selection members' share the target
-features and differ only in their labels. ``ks_predict`` is its one-row
-call, on the same code, and reads the sample's labels in its cached sort.
+once, as a cell's equal target-stage fits need (``KSSpec.fit_samples``):
+only-target's, the HTL methods' and the selection members' samples share
+the target features and differ only in their labels. ``ks_predict`` is its
+one-row call, on the same code, and reads the sample's labels in its cached
+sort.
 Whatever does not read the labels is computed once for all rows: the query
 sort, the windows, the fold maps, the window pairs' columns and kernel
 values, and the nearest-neighbour fallback's points; on the dense path the
@@ -90,7 +91,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, sq_distances
+from .data import Dataset, as_queries, sq_distances
 
 
 class SmoothingKernel(Enum):
@@ -149,7 +150,7 @@ def ks_predict_rows(
     (``predict_sorted_1d``); anything else evaluates the dense kernel matrix
     from one (m, n) squared-distance matrix (``predict_from_kernel``).
     """
-    X = _queries(train, X)
+    X = as_queries(X, train.dim)
     if train.dim == 1 and kernel.compact:
         xs, labels, order = train.sorted_1d
         rows = labels[None] if rows is None else rows.take(order, axis=1)
@@ -159,16 +160,6 @@ def ks_predict_rows(
     sq = sq_distances(X, train.features)
     return [predict_from_kernel(kernel.profile_sq(sq / (h * h)), sq, rows)
             for h in bandwidths]
-
-
-def _queries(train: Dataset, X) -> np.ndarray:
-    """``X`` as a 2-D float array of finite queries in the sample's dimension."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != train.dim:
-        raise ValueError(f"query dim {X.shape[1]} != training dim {train.dim}")
-    if not np.isfinite(X).all():
-        raise ValueError("queries must be finite")
-    return X
 
 
 def predict_from_kernel(
@@ -453,8 +444,10 @@ def _moment_sums(xs, rows, fmap, queries, kernel, h, lo, counts, run, y_max):
     # the rim between the inner window and the padded one, pair by pair
     left, right = lo_in - lo, lo + counts - hi_in
     rim = np.flatnonzero(left + right)
-    shared, weighted, span = _inner_moments(xs, rows, fmap, queries, kernel, h, lo_in,
-                                            hi_in - lo_in, run)
+    # a huge h overflows the moments quietly: the error bound below redoes them
+    with np.errstate(over="ignore", invalid="ignore"):
+        shared, weighted, span = _inner_moments(xs, rows, fmap, queries, kernel, h,
+                                                lo_in, hi_in - lo_in, run)
     if len(rim):
         both = np.r_[rim, rim]
         rim_sums, rim_weighted = _pair_sums(
@@ -657,7 +650,7 @@ class KSPredictor:
 
     def _raw(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unnormalized kernel values and squared query-train distances."""
-        sq = sq_distances(_queries(self.train, X), self.train.features)
+        sq = sq_distances(as_queries(X, self.train.dim), self.train.features)
         raw = self.kernel.profile_sq(sq / (self.bandwidth * self.bandwidth))
         return raw, sq
 

@@ -105,6 +105,32 @@ class TestDataset:
         with pytest.raises(ValueError, match="labels must be 3 finite values"):
             data.with_labels(labels)
 
+    def test_take_keeps_the_order_and_the_tag_in_read_only_arrays(self):
+        # a shuffled dyadic grid with repeats, so the taken sample's stable
+        # sort must break ties by its own row order
+        rng = np.random.default_rng(9)
+        xs = rng.permutation(np.r_[np.arange(17), np.arange(0, 17, 2)]) / 16
+        data = Dataset(features=xs.reshape(-1, 1), labels=rng.normal(size=len(xs)),
+                       domain_tag=DomainTag.SOURCE)
+        data.sorted_1d  # cached before taking
+        rows = rng.permutation(data.n)[:15]
+        taken = data.take(rows)
+        fresh = Dataset(features=data.features[rows], labels=data.labels[rows])
+        assert taken.domain_tag is DomainTag.SOURCE
+        assert taken.features.tobytes() == fresh.features.tobytes()
+        assert taken.labels.tobytes() == fresh.labels.tobytes()
+        assert not (taken.features.flags.writeable or taken.labels.flags.writeable)
+        for derived, sort in zip(taken.sorted_1d, fresh.sorted_1d):
+            assert derived.dtype == sort.dtype
+            assert np.array_equal(derived, sort)
+
+    @pytest.mark.parametrize("rows", [[], np.array([], dtype=int), 1],
+                             ids=["empty_list", "empty_array", "scalar"])
+    def test_take_needs_one_or_more_rows(self, rows):
+        data = Dataset(features=[[0.3], [0.1], [0.2]], labels=[1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="one or more row indices"):
+            data.take(rows)
+
     @pytest.mark.parametrize("ties", ["none", "many", "signed_zeros"])
     def test_sorted_1d_is_the_stable_sort_bit_for_bit(self, ties):
         # samples large enough for numpy's default sort to reorder equal
@@ -221,6 +247,18 @@ class TestLoadCsv:
         want, got = load_csv(plain, "y"), load_csv(marked, "y")
         np.testing.assert_array_equal(got.features, want.features)
         np.testing.assert_array_equal(got.labels, want.labels)
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "marked"])
+    def test_a_file_that_is_not_utf8_names_the_file_and_the_byte(self, tmp_path, mark):
+        # the bad byte lies past the first 8 KB a text stream decodes at once,
+        # so its offset must count from the start of the file, mark included
+        head = mark + b"x,y\n" + b"0.25,1.5\n" * 1500
+        path = tmp_path / "t.csv"
+        path.write_bytes(head + b"\xff,2\n")
+        with pytest.raises(CsvError) as info:
+            load_csv(path, "y")
+        assert str(info.value) == (f"{path}: not UTF-8 text: invalid start byte "
+                                   f"at byte {len(head)}")
 
     def test_ragged_rows(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -195,6 +195,15 @@ class TestStabilityProbe:
         with pytest.raises(StabilityBoundViolation):
             stability_probe(Unstable, base, delta, np.full(base.n, 1e-6), grid)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_perturbation_is_rejected(self, bad):
+        base = self._base()
+        delta = np.zeros(base.n)
+        delta[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            stability_probe(lambda ds: KSPredictor(ds), base, delta,
+                            np.zeros(base.n), default_query_grid([0.0], [1.0]))
+
     def test_perturbation_shape_checked(self):
         base = self._base()
         with pytest.raises(ValueError, match="shape"):

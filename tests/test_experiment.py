@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -205,6 +206,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"^config\.data\.target_csv: 1 "
                                               r"feature columns differ from the "
                                               r"source CSV's 2$"):
+            parse_config(cfg)
+
+    def test_a_csv_that_is_not_utf8_names_the_key_and_the_byte(self, tmp_path):
+        cfg = _csv_transfer_config(tmp_path)
+        path = tmp_path / "ta.csv"
+        text = path.read_bytes()
+        cut = text.index(b"\n", len(text) // 2) + 1
+        path.write_bytes(text[:cut] + b"\xff" + text[cut:])
+        with pytest.raises(ConfigError, match=(
+                rf"^config\.data\.target_csv: {re.escape(str(path))}: not UTF-8 "
+                rf"text: invalid start byte at byte {cut}$")):
             parse_config(cfg)
 
     def test_csv_n_so_beyond_the_source_rows_fails_at_parse_time(self, tmp_path):
@@ -1195,18 +1207,18 @@ class TestRunExperiment:
         target = experiment._synthetic_cells(config, 0)[0][1].target
         healthy = {r["method"]: r for r in run_experiment(config)["rows"]}
         shared = []
-        fit_rows, solve = KRRSpec.fit_rows, ridge.ridge_path
+        fit_samples, solve = KRRSpec.fit_samples, ridge.ridge_path
 
-        def counting_fit_rows(spec, train, rows):
-            shared.append(len(rows))
-            return fit_rows(spec, train, rows)
+        def counting_fit_samples(spec, samples):
+            shared.append(len(samples))
+            return fit_samples(spec, samples)
 
         def failing_solve(K, y, lams):
             if np.array_equal(y, target.labels) == (failing == "only_target"):
                 raise ConditioningError("synthetic failure")
             return solve(K, y, lams)
 
-        monkeypatch.setattr(KRRSpec, "fit_rows", counting_fit_rows)
+        monkeypatch.setattr(KRRSpec, "fit_samples", counting_fit_samples)
         monkeypatch.setattr(ridge, "ridge_path", failing_solve)
         report = run_experiment(config)
         assert shared == [2]

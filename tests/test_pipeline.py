@@ -541,38 +541,37 @@ class TestSelectionMatchesPerCandidateFits:
         assert rows[0] == rows[3] and best != 3  # a tie goes to the lower index
 
 
-class TestFitRows:
+class TestFitSamples:
     @pytest.mark.parametrize("spec", [
         KSSpec(SmoothingKernel.EPANECHNIKOV, bandwidth=0.1),
         KSSpec(SmoothingKernel.GAUSSIAN, rule=BandwidthRule()),
         KRRSpec(rbf_kernel(), lam=0.01),
         KRRSpec(linear_kernel(), rule=LambdaRule()),
     ], ids=["ks_window", "ks_dense_rule", "krr_rbf", "krr_linear_rule"])
-    def test_each_row_is_a_fit_on_its_labels(self, spec):
+    def test_each_sample_is_its_own_fit(self, spec):
         rng = np.random.default_rng(6)
         train = target_data(rng.uniform(size=60), np.zeros(60))
         rows = rng.normal(size=(4, 60))
         X = rng.uniform(-0.2, 1.2, size=(30, 1))
-        fits = spec.fit_rows(train, rows)
+        fits = spec.fit_samples([train.with_labels(labels) for labels in rows])
         assert len(fits) == 4
         for fit, labels in zip(fits, rows):
             want = spec.fit(target_data(train.features, labels)).predict(X)
             assert fit.predict(X).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("spec", [KSSpec(bandwidth=0.1),
-                                      KRRSpec(rbf_kernel(), lam=0.01)])
-    @pytest.mark.parametrize("rows, message", [
-        (np.zeros(5), r"label rows of shape \(k >= 1, 5\), got \(5,\)"),
-        (np.zeros((0, 5)), r"label rows of shape \(k >= 1, 5\), got \(0, 5\)"),
-        (np.zeros((2, 4)), r"label rows of shape \(k >= 1, 5\), got \(2, 4\)"),
-        (np.array([[0.0] * 4 + [math.nan]]), "labels must be finite"),
-    ])
-    def test_bad_rows_rejected(self, spec, rows, message):
+                                      KRRSpec(rbf_kernel(), lam=0.01)],
+                             ids=["ks", "krr"])
+    @pytest.mark.parametrize("equal_copy", [False, True], ids=["none", "equal_copy"])
+    def test_samples_must_share_one_feature_array(self, spec, equal_copy):
+        # equal feature values in another array are not the one array
         train = target_data(np.linspace(0, 1, 5), np.zeros(5))
-        with pytest.raises(ValueError, match=message):
-            spec.fit_rows(train, rows)
+        samples = [train, target_data(train.features, np.ones(5))] if equal_copy else []
+        with pytest.raises(ValueError, match="one or more samples sharing one "
+                                             "feature array"):
+            spec.fit_samples(samples)
 
-    def test_a_ridge_row_that_fails_raises_when_it_predicts_and_alone(
+    def test_a_ridge_sample_that_fails_raises_when_it_predicts_and_alone(
             self, monkeypatch):
         rng = np.random.default_rng(7)
         train = target_data(rng.uniform(size=20), np.zeros(20))
@@ -586,7 +585,7 @@ class TestFitRows:
             return fit(self, data)
 
         monkeypatch.setattr(KRRSpec, "fit", failing_fit)
-        fits = spec.fit_rows(train, rows)
+        fits = spec.fit_samples([train.with_labels(labels) for labels in rows])
         X = rng.uniform(size=(5, 1))
         with pytest.raises(ConditioningError, match="row 1 failed"):
             fits[1].predict(X)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from htlreg.ridge import (
     rbf_kernel,
     ridge_path,
 )
+from htlreg.smoothing import KSPredictor
 
 
 def make(xs, ys):
@@ -180,6 +182,16 @@ class TestFitPredict:
         huge = krr_fit(train, rbf_kernel(1e300), 0.1).predict(queries)
         infinite = krr_fit(train, rbf_kernel(math.inf), 0.1).predict(queries)
         assert huge.tobytes() == infinite.tobytes()
+
+    @pytest.mark.parametrize("query", [[[math.nan, 0.5]], [[0.5, -math.inf]],
+                                       [[0.1, 0.2, 0.3]]],
+                             ids=["nan", "inf", "wrong_dim"])
+    def test_a_bad_query_raises_as_a_smoother_does(self, query):
+        train = make([[0.0, 1.0], [2.0, 0.5], [3.0, -1.0]], [1.0, -2.0, 0.5])
+        with pytest.raises(ValueError) as smoother:
+            KSPredictor(train, bandwidth=0.5).predict(query)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(smoother.value))}$"):
+            krr_fit(train, rbf_kernel(1.0), 0.1).predict(query)
 
 
 def reference_ridge_solve(K, y, lam):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -185,6 +186,20 @@ class TestWindowPath:
         [whole] = smoothing.predict_sorted_1d(*args)
         [one_fold] = smoothing.predict_sorted_1d(*args, folds)
         assert whole.tobytes() == one_fold.tobytes()
+
+    def test_a_bandwidth_near_the_float_range_warns_of_nothing(self, monkeypatch):
+        # h = 1e300 overflows the moments' squares; every query is redone
+        # pair by pair, with the bits of a pair-path call
+        rng = np.random.default_rng(2)
+        train = make(rng.uniform(size=10_000), rng.normal(size=10_000))
+        Q = rng.uniform(size=(2000, 1))
+        kernel = SmoothingKernel.EPANECHNIKOV
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [moment] = ks_predict(train, Q, kernel, (1e300,))
+        monkeypatch.setattr(smoothing, "_MOMENT_MIN_PAIRS", train.n * len(Q) + 1)
+        [paired] = ks_predict(train, Q, kernel, (1e300,))
+        assert moment.tobytes() == paired.tobytes()
 
     @pytest.mark.parametrize("kernel", [SmoothingKernel.EPANECHNIKOV,
                                         SmoothingKernel.BOXCAR])
