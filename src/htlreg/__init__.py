@@ -17,10 +17,9 @@ from .data import (
     SyntheticSpec,
     doppler,
     doppler_fn,
-    doppler_offset_spec,
-    doppler_scale_spec,
     generate_synthetic,
     kin_analog_spec,
+    linear_w,
     load_csv,
     save_csv,
     subsample,
@@ -79,7 +78,6 @@ from .transform import (
     SingularityError,
     TransformationFunction,
     apply_H,
-    auxiliary_truth,
     estimate_sigma2,
     eval_G,
     inverse_G,

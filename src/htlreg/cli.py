@@ -19,20 +19,21 @@ from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
-from .data import (
-    DomainTag,
-    doppler_offset_spec,
-    doppler_scale_spec,
-    generate_synthetic,
-    kin_analog_spec,
-    save_csv,
+from .data import DomainTag, generate_synthetic, kin_analog_spec, save_csv
+from .experiment import (
+    ConfigError,
+    load_config,
+    parse_seeds,
+    run_experiment,
+    synthetic_spec,
 )
-from .experiment import ConfigError, load_config, parse_seeds, run_experiment
 
-_SYNTH_SPECS = {
-    "doppler_offset": doppler_offset_spec,
-    "doppler_scale": doppler_scale_spec,
-    "kin_analog": lambda noise: kin_analog_spec(noise_variance_target=noise),
+# the doppler datasets of ``synth``, each the ``data.truth`` of a config
+_DOPPLER_TRUTHS = {
+    "doppler_offset": {"transformation": {"family": "offset", "alpha": 1.0},
+                       "w": {"slope": 1.0}},
+    "doppler_scale": {"transformation": {"family": "scale", "alpha": 0.0},
+                      "w": {"intercept": 5.0}},
 }
 
 
@@ -49,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     synth = sub.add_parser("synth", help="emit a synthetic dataset CSV")
-    synth.add_argument("--dataset", choices=sorted(_SYNTH_SPECS), required=True)
+    synth.add_argument("--dataset", choices=[*_DOPPLER_TRUTHS, "kin_analog"],
+                       required=True)
     synth.add_argument("--domain", choices=[t.value for t in DomainTag],
                        default="target")
     synth.add_argument("--n", type=int, required=True)
@@ -105,7 +107,11 @@ def _cmd_synth(args) -> int:
     if out.is_dir():
         raise ConfigError(f"--out: {out} is a directory, expected a file path")
     _check_output_dir(out.parent, "--out")
-    spec = _SYNTH_SPECS[args.dataset](args.noise)
+    if args.dataset == "kin_analog":
+        spec = kin_analog_spec(noise_variance_target=args.noise)
+    else:
+        spec = synthetic_spec({"noise_variance": args.noise,
+                               "truth": _DOPPLER_TRUTHS[args.dataset]})
     data = generate_synthetic(spec, args.n, DomainTag(args.domain), args.seed)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(data, out)

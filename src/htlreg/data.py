@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .transform import TransformationFunction, eval_G, offset
+
 
 class DomainTag(Enum):
     SOURCE = "source"
@@ -156,10 +158,13 @@ def uniform_sampler(dim: int, low: float = 0.0, high: float = 1.0) -> InputSampl
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """A source/target pair of regression truths with Gaussian label noise."""
+    """A source truth f_so and a target truth G(f_so, w), for a
+    transformation G and a true auxiliary function w, with Gaussian label
+    noise."""
 
     source_fn: TruthFn
-    target_fn: TruthFn
+    transformation: TransformationFunction
+    w: TruthFn
     input_sampler: InputSampler = field(default_factory=lambda: uniform_sampler(1))
     noise_variance_source: float = 0.0
     noise_variance_target: float = 0.0
@@ -167,6 +172,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if not (self.noise_variance_source >= 0 and self.noise_variance_target >= 0):
             raise ValueError("noise variances must be nonnegative")
+
+    def target_fn(self, X: np.ndarray) -> np.ndarray:
+        """f_ta(X) = G(f_so(X), w(X))."""
+        return eval_G(self.transformation, self.source_fn(X), self.w(X))
 
     def truth(self, tag: DomainTag) -> TruthFn:
         return self.source_fn if tag is DomainTag.SOURCE else self.target_fn
@@ -195,52 +204,29 @@ def doppler_fn(X: np.ndarray) -> np.ndarray:
     return doppler(np.asarray(X)[:, 0])
 
 
-def doppler_offset_spec(noise_variance: float = 0.01, slope: float = 1.0,
-                        alpha: float = 1.0) -> SyntheticSpec:
-    """Doppler source with target = alpha * source + slope * x (the offset
-    benchmark at alpha 1, the selection benchmark's truth otherwise)."""
-    return SyntheticSpec(
-        source_fn=doppler_fn,
-        target_fn=lambda X: alpha * doppler_fn(X) + slope * np.asarray(X)[:, 0],
-        input_sampler=uniform_sampler(1),
-        noise_variance_source=noise_variance,
-        noise_variance_target=noise_variance,
-    )
-
-
-def doppler_scale_spec(noise_variance: float = 0.01, factor: float = 5.0) -> SyntheticSpec:
-    """Doppler source with target = factor * source (scale benchmark)."""
-    return SyntheticSpec(
-        source_fn=doppler_fn,
-        target_fn=lambda X: factor * doppler_fn(X),
-        input_sampler=uniform_sampler(1),
-        noise_variance_source=noise_variance,
-        noise_variance_target=noise_variance,
-    )
+def linear_w(slope: float = 0.0, intercept: float = 0.0) -> TruthFn:
+    """w(x) = slope * x + intercept on the first feature."""
+    return lambda X: slope * np.asarray(X)[:, 0] + intercept
 
 
 def kin_analog_spec(
     noise_variance_source: float = 0.001, noise_variance_target: float = 0.01
 ) -> SyntheticSpec:
-    """An 8-dimensional stand-in for the robot-arm transfer benchmarks:
-    a smooth, low-noise source and a rougher, noisier target offset from it."""
-    w = np.array([0.35, -0.2, 0.15, 0.1, -0.25, 0.2, 0.05, -0.1])
+    """An 8-dimensional stand-in for the robot-arm transfer benchmarks: a
+    smooth, low-noise source and a rougher, noisier target, offset(1) from it
+    by w(x) = 0.5 sin(4 pi x_1) x_2."""
+    weights = np.array([0.35, -0.2, 0.15, 0.1, -0.25, 0.2, 0.05, -0.1])
 
     def f_so(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return X @ w + 0.25 * np.sin(2.0 * np.pi * X[:, 0])
+        return X @ weights + 0.25 * np.sin(2.0 * np.pi * X[:, 0])
 
-    def f_ta(X: np.ndarray) -> np.ndarray:
+    def w(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return f_so(X) + 0.5 * np.sin(4.0 * np.pi * X[:, 1]) * X[:, 2]
+        return 0.5 * np.sin(4.0 * np.pi * X[:, 1]) * X[:, 2]
 
-    return SyntheticSpec(
-        source_fn=f_so,
-        target_fn=f_ta,
-        input_sampler=uniform_sampler(8),
-        noise_variance_source=noise_variance_source,
-        noise_variance_target=noise_variance_target,
-    )
+    return SyntheticSpec(f_so, offset(1.0), w, uniform_sampler(8),
+                         noise_variance_source, noise_variance_target)
 
 
 def generate_synthetic(

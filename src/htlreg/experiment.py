@@ -29,9 +29,9 @@ from .data import (
     Dataset,
     DomainTag,
     SyntheticSpec,
-    doppler_offset_spec,
-    doppler_scale_spec,
+    doppler_fn,
     generate_synthetic,
+    linear_w,
     load_csv,
     subsample,
 )
@@ -221,17 +221,15 @@ def parse_seeds(values: list, where: str) -> tuple[int, ...]:
 _TOP_KEYS = ("experiment_kind", "data", "sizes", "methods", "seeds", "output_dir")
 # experiment kind -> keys of its data section
 _DATA_KEYS = {
-    "synthetic_offset": ("noise_variance", "slope"),
-    "synthetic_scale": ("noise_variance", "factor"),
+    "synthetic": ("noise_variance", "truth"),
     "csv_transfer": ("source_csv", "target_csv", "label_column", "n_ta"),
-    "rate_sweep": ("noise_variance", "slope", "n_ta_grid"),
-    "selection": ("noise_variance", "true_alpha"),
+    "rate_sweep": ("noise_variance", "truth", "n_ta_grid"),
+    "selection": ("noise_variance", "truth"),
 }
 EXPERIMENT_KINDS = tuple(_DATA_KEYS)
 # experiment kind -> the sample sizes its seeds draw
 _SIZE_KEYS = {
-    "synthetic_offset": ("n_so", "n_ta", "n_test"),
-    "synthetic_scale": ("n_so", "n_ta", "n_test"),
+    "synthetic": ("n_so", "n_ta", "n_test"),
     "csv_transfer": ("n_so",),
     "rate_sweep": ("n_so",),
     "selection": ("n_so", "n_ta", "n_val"),
@@ -319,18 +317,28 @@ def parse_transformation(raw: dict, where: str) -> AuxiliaryEstimator:
         return AuxiliaryEstimator(make(**params), sigma2)
 
 
-def _synthetic_spec(kind: str, data: dict) -> SyntheticSpec | None:
-    def number(key: str, default: float) -> float:
-        return _read(data, key, f"config.data.{key}", float, default)
-
-    noise = number("noise_variance", 0.01)
-    if kind in ("synthetic_offset", "rate_sweep"):
-        return doppler_offset_spec(noise, slope=number("slope", 1.0))
-    if kind == "synthetic_scale":
-        return doppler_scale_spec(noise, factor=number("factor", 5.0))
-    if kind == "selection":
-        return doppler_offset_spec(noise, alpha=number("true_alpha", 1.0))
-    return None
+def synthetic_spec(data: dict) -> SyntheticSpec:
+    """The truth of a synthetic data section: a doppler source f_so and the
+    target G(f_so, w) that ``data.truth`` names, an offset or scale
+    transformation G and the line w(x) = slope * x + intercept, both 0
+    unless given. Both domains' labels have the noise variance
+    ``data.noise_variance``."""
+    where = "config.data.truth"
+    truth = _read(data, "truth", where, dict)
+    _check_keys(truth, ("transformation", "w"), where)
+    section = _read(truth, "transformation", f"{where}.transformation", dict)
+    family = _read(section, "family", f"{where}.transformation.family", str)
+    if family not in ("offset", "scale"):
+        raise ConfigError(f"{where}.transformation.family: expected 'offset' or "
+                          f"'scale', got {family!r}")
+    _check_keys(section, ("family", "alpha"), f"{where}.transformation",
+                f"a truth's {family!r} family")
+    alpha = _read(section, "alpha", f"{where}.transformation.alpha", float)
+    w = _numbers(_read(truth, "w", f"{where}.w", dict), ("slope", "intercept"),
+                 f"{where}.w")
+    noise = _read(data, "noise_variance", "config.data.noise_variance", float, 0.01)
+    return SyntheticSpec(doppler_fn, _FAMILIES[family][0](alpha), linear_w(**w),
+                         noise_variance_source=noise, noise_variance_target=noise)
 
 
 def _size(n: int, where: str) -> int:
@@ -414,9 +422,12 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     for key, n in size.items():
         if n is not None:
             _size(n, f"config.sizes.{key}")
+    if size.get("n_test") == 1:
+        raise ConfigError("config.sizes.n_test: r_squared needs 2 or more test "
+                          "rows, got 1")
     n_so = size["n_so"]
     with _section("config.data"):
-        synthetic = _synthetic_spec(kind, data)
+        synthetic = None if kind == "csv_transfer" else synthetic_spec(data)
         ta_key, n_ta_values = _target_sizes(kind, data, size.get("n_ta"))
     methods = _read(raw, "methods", "config.methods", dict)
     _check_keys(methods, ("source", "target") + (() if selection else ("baselines",)),
@@ -464,9 +475,11 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         if n_so > source.n:
             raise ConfigError(f"config.sizes.n_so: {n_so} rows exceed the "
                               f"{source.n} of the source CSV")
-        if max(n_ta_values) >= target.n:
-            raise ConfigError(f"{ta_key}: largest size {max(n_ta_values)} leaves "
-                              f"no test rows out of {target.n}")
+        largest = max(n_ta_values)
+        if target.n - largest < 2:
+            raise ConfigError(f"{ta_key}: largest size {largest} leaves "
+                              f"{max(target.n - largest, 0)} of the {target.n} "
+                              f"target rows to test, and r_squared needs 2 or more")
     _check_fold_sizes(source_method, n_so, "config.methods.source")
     return ExperimentConfig(
         experiment_kind=kind,
@@ -818,7 +831,7 @@ def _run_report(config: ExperimentConfig) -> dict:
                                for k, v in sorted(counts.items())],
                 "candidate_alphas": [float(a) for a in family.alphas]}
     metrics = ("mse", "r_squared", "excess_risk")
-    if kind in ("synthetic_offset", "synthetic_scale"):
+    if kind == "synthetic":
         return {"rows": rows, "aggregates": _aggregate(rows, ("method",), metrics),
                 "errors": errors,
                 "plot_series": _prediction_series(config.synthetic, first)}

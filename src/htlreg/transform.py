@@ -159,16 +159,6 @@ def _first_offender(a: np.ndarray, mask: np.ndarray) -> float:
     return float(np.atleast_1d(a)[np.atleast_1d(mask)][0])
 
 
-def auxiliary_truth(tf: TransformationFunction, f_so, f_ta, x) -> np.ndarray:
-    """True auxiliary values w(x) = G^{-1}_{f_so(x)}(f_ta(x)).
-
-    ``f_so`` and ``f_ta`` are truth functions of a feature matrix; used by
-    synthetic evaluation, where the truths are known.
-    """
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    return inverse_G(tf, np.asarray(f_so(X)), np.asarray(f_ta(X)))
-
-
 @dataclass(frozen=True)
 class AuxiliaryEstimator:
     """Maps (source prediction, noisy target label) to an auxiliary label.

@@ -49,12 +49,17 @@ def report_line(number, passed, detail):
     assert passed, f"criterion {number} failed: {detail}"
 
 
-def _doppler_cv_config(kind, tf_section, out_dir):
+# the shipped truths: doppler + x, and 5 * doppler
+OFFSET_TRUTH = {"transformation": {"family": "offset", "alpha": 1.0},
+                "w": {"slope": 1.0}}
+SCALE_TRUTH = {"transformation": {"family": "scale", "alpha": 0.0},
+               "w": {"intercept": 5.0}}
+
+
+def _doppler_cv_config(truth, tf_section, out_dir):
     return parse_config({
-        "experiment_kind": kind,
-        "data": {"noise_variance": 0.01,
-                 **({"slope": 1.0} if kind == "synthetic_offset"
-                    else {"factor": 5.0})},
+        "experiment_kind": "synthetic",
+        "data": {"noise_variance": 0.01, "truth": truth},
         "sizes": {"n_so": 5000, "n_ta": 100, "n_test": 1000},
         "methods": {
             "source": {"method": "ks", "kernel": "epanechnikov",
@@ -75,7 +80,7 @@ def _doppler_cv_config(kind, tf_section, out_dir):
 def test_criterion_01_offset_doppler_transfer_wins(tmp_path):
     start = time.perf_counter()
     config = _doppler_cv_config(
-        "synthetic_offset", {"family": "offset", "alpha": 1.0}, tmp_path
+        OFFSET_TRUTH, {"family": "offset", "alpha": 1.0}, tmp_path
     )
     result = run_experiment(config)
     elapsed = time.perf_counter() - start
@@ -91,7 +96,7 @@ def test_criterion_01_offset_doppler_transfer_wins(tmp_path):
 def test_criterion_02_scale_doppler_transfer_wins(tmp_path):
     start = time.perf_counter()
     config = _doppler_cv_config(
-        "synthetic_scale",
+        SCALE_TRUTH,
         {"family": "scale", "alpha": 0.0, "aux_bound_B": 25.0},
         tmp_path,
     )
@@ -109,7 +114,7 @@ def test_criterion_02_scale_doppler_transfer_wins(tmp_path):
 def test_criterion_03_rate_improvement(tmp_path):
     config = parse_config({
         "experiment_kind": "rate_sweep",
-        "data": {"noise_variance": 0.01, "slope": 1.0,
+        "data": {"noise_variance": 0.01, "truth": OFFSET_TRUTH,
                  "n_ta_grid": [25, 50, 100, 200, 400, 800]},
         "sizes": {"n_so": 10000},
         "methods": {
@@ -214,7 +219,9 @@ def test_criterion_06_selection_correctness():
     for seed in range(runs):
         config = parse_config({
             "experiment_kind": "selection",
-            "data": {"noise_variance": 0.01, "true_alpha": true_alpha},
+            "data": {"noise_variance": 0.01, "truth": {
+                "transformation": {"family": "offset", "alpha": true_alpha},
+                "w": {"slope": 1.0}}},
             "sizes": {"n_so": 2000, "n_ta": 100, "n_val": 50},
             "methods": {
                 "source": {"method": "ks", "kernel": "epanechnikov",

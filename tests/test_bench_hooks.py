@@ -1,32 +1,43 @@
-"""The benchmark's hooks into the package (``bench/tracer.py``).
+"""The benchmark's hooks into the package (``bench/tracer.py`` and
+``bench/run.py``).
 
 ``bench/run.py --trace 1`` wraps each ``(module, qualname)`` of the tracer's
 ``LAYERS`` and binds each call's arguments to read its work counts by name.
 A refactor that renames a traced function, moves a traced method off its
 class or renames an argument a work function reads would break the traced
-run; these tests catch it without running the benchmark.
+run; these tests catch it without running the benchmark. So does a config or
+CLI change that breaks a workload's verb, the config keys ``bench/run.py``
+reads, or the rows ``bench/reference.json`` records: one op per workload is
+run and checked as the benchmark checks it.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+def load_bench_module(name: str):
+    """``bench/<name>.py`` as a module; ``run.py`` pins the BLAS threads in
+    ``os.environ`` when loaded, and the environment is put back after."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
     return module
 
 
-LAYERS = load_tracer().LAYERS
+LAYERS = load_bench_module("tracer").LAYERS
+RUN = load_bench_module("run")
 
 
 def traced(module: str, qualname: str):
@@ -56,3 +67,15 @@ def test_each_traced_name_resolves_and_takes_the_arguments_its_work_reads(
     if work is not None:
         names = read_arguments(work)
         assert names and names <= set(inspect.signature(fn).parameters)
+
+
+@pytest.mark.parametrize("name", list(RUN.WORKLOADS))
+def test_one_op_of_each_workload_matches_its_recorded_rows(name, tmp_path,
+                                                           monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # prepare puts src/ first
+    prep = RUN.prepare(name, 0, tmp_path)
+    seed = RUN.exp_seed_of(prep, 0, 0)
+    result = RUN.run_op(prep, RUN.WORKLOADS[name].verb, seed, tmp_path / "op")
+    reference = RUN.reference_rows(name, 0)
+    assert str(seed) in reference
+    assert RUN.op_problems(result, prep, seed, reference) == []

@@ -3,23 +3,33 @@ import math
 import numpy as np
 import pytest
 
+from htlreg.cli import main as cli_main
 from htlreg.data import (
     CsvError,
     Dataset,
     DomainTag,
     SyntheticSpec,
     doppler,
-    doppler_offset_spec,
+    doppler_fn,
     generate_synthetic,
+    linear_w,
     load_csv,
     save_csv,
     subsample,
     uniform_sampler,
 )
+from htlreg.transform import non_transfer, offset
 
 # frozen from an independent high-precision evaluation of
 # sqrt(0.25) * sin(2.1*pi / 0.55)
 DOPPLER_HALF = -0.2703204087
+
+
+def doppler_offset_spec(noise_variance: float = 0.01) -> SyntheticSpec:
+    """The offset benchmark's truth: doppler, and doppler + x on the target."""
+    return SyntheticSpec(doppler_fn, offset(1.0), linear_w(slope=1.0),
+                         noise_variance_source=noise_variance,
+                         noise_variance_target=noise_variance)
 
 
 class TestDoppler:
@@ -157,7 +167,8 @@ class TestGenerateSynthetic:
     def test_zero_noise_identity_labels(self):
         spec = SyntheticSpec(
             source_fn=lambda X: X[:, 0],
-            target_fn=lambda X: X[:, 0],
+            transformation=offset(0.0),
+            w=lambda X: X[:, 0],
             input_sampler=uniform_sampler(1),
         )
         ds = generate_synthetic(spec, 3, DomainTag.SOURCE, seed=7)
@@ -190,7 +201,8 @@ class TestGenerateSynthetic:
     def test_validation_uses_target_law(self):
         spec = SyntheticSpec(
             source_fn=lambda X: np.zeros(len(X)),
-            target_fn=lambda X: np.ones(len(X)),
+            transformation=non_transfer(),
+            w=lambda X: np.ones(len(X)),
             input_sampler=uniform_sampler(1),
         )
         ds = generate_synthetic(spec, 5, DomainTag.VALIDATION, seed=0)
@@ -289,3 +301,42 @@ def test_subsample_deterministic():
     assert a.n == 10
     with pytest.raises(ValueError):
         subsample(ds, 31, seed=0)
+
+
+def _doppler_literal(X):
+    x = X[:, 0]
+    return np.sqrt(x * (1.0 - x)) * np.sin(2.1 * np.pi / (x + 0.05))
+
+
+def _kin_source_literal(X):
+    weights = np.array([0.35, -0.2, 0.15, 0.1, -0.25, 0.2, 0.05, -0.1])
+    return X @ weights + 0.25 * np.sin(2.0 * np.pi * X[:, 0])
+
+
+# synth dataset -> (features, source truth, target truth, source noise variance)
+SYNTH_FORMULAS = {
+    "doppler_offset": (1, _doppler_literal,
+                       lambda X: _doppler_literal(X) + X[:, 0], 0.01),
+    "doppler_scale": (1, _doppler_literal, lambda X: 5.0 * _doppler_literal(X), 0.01),
+    "kin_analog": (8, _kin_source_literal,
+                   lambda X: (_kin_source_literal(X)
+                              + 0.5 * np.sin(4.0 * np.pi * X[:, 1]) * X[:, 2]), 0.001),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+@pytest.mark.parametrize("domain", ["source", "target"])
+@pytest.mark.parametrize("dataset", sorted(SYNTH_FORMULAS))
+def test_synth_writes_its_draws_labelled_by_the_benchmark_formulas(
+        tmp_path, capsys, dataset, domain, seed):
+    # the bytes of the kin CSVs fix the benchmark's recorded krr_cv_csv rows
+    dim, f_so, f_ta, source_noise = SYNTH_FORMULAS[dataset]
+    n, path = 60, tmp_path / "synth.csv"
+    assert cli_main(["synth", "--dataset", dataset, "--domain", domain, "--n", str(n),
+                     "--seed", str(seed), "--out", str(path)]) == 0
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0, size=(n, dim))
+    truth, noise = (f_so, source_noise) if domain == "source" else (f_ta, 0.01)
+    save_csv(Dataset(X, truth(X) + rng.normal(0.0, math.sqrt(noise), size=n)),
+             tmp_path / "literal.csv")
+    assert path.read_bytes() == (tmp_path / "literal.csv").read_bytes()

@@ -42,10 +42,16 @@ from htlreg.transform import AuxiliaryEstimator, loglinear, non_transfer, offset
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def offset_truth():
+    """A fresh copy of the offset benchmark's truth: doppler + x."""
+    return {"transformation": {"family": "offset", "alpha": 1.0},
+            "w": {"slope": 1.0}}
+
+
 def base_config(**overrides):
     cfg = {
-        "experiment_kind": "synthetic_offset",
-        "data": {"noise_variance": 0.01, "slope": 1.0},
+        "experiment_kind": "synthetic",
+        "data": {"noise_variance": 0.01, "truth": offset_truth()},
         "sizes": {"n_so": 200, "n_ta": 40, "n_test": 100},
         "methods": {
             "source": {"method": "ks", "kernel": "epanechnikov",
@@ -66,8 +72,7 @@ def _selection(cfg, **family):
     """Turn a base config into a selection run over the given family section,
     without the transformations, baselines and test sample a selection run
     rejects."""
-    cfg.update(experiment_kind="selection", data={"noise_variance": 0.01},
-               selection_family=family)
+    cfg.update(experiment_kind="selection", selection_family=family)
     del cfg["transformations"], cfg["methods"]["baselines"], cfg["sizes"]["n_test"]
     cfg["sizes"]["n_val"] = 20
 
@@ -77,8 +82,11 @@ def _target(cfg, section):
 
 
 def _kind(cfg, kind, **data):
-    """Turn a base config into a rate_sweep or csv_transfer run, whose only
-    size is n_so."""
+    """Turn a base config into a rate_sweep run, which keeps its truth, or a
+    csv_transfer run, whose only data is ``data``; n_so is the only size of
+    either."""
+    if kind == "rate_sweep":
+        data = {**cfg["data"], **data}
     cfg.update(experiment_kind=kind, data=data, sizes={"n_so": cfg["sizes"]["n_so"]})
 
 
@@ -318,7 +326,8 @@ class TestConfigParsing:
         (lambda c: c["sizes"].update(n_val=30), [], "config.sizes.n_val"),
         (lambda c: c["data"].update(noise_variance=math.nan), [],
          "config.data.noise_variance: expected a finite number, got nan"),
-        (lambda c: c["data"].update(slope=math.nan), [], "config.data.slope"),
+        (lambda c: c["data"]["truth"]["w"].update(slope=math.nan), [],
+         "config.data.truth.w.slope: expected a finite number, got nan"),
         (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": {
             "shape": "rbf", "lengthscale": math.nan}}), [],
          "config.methods.target.kernel.lengthscale"),
@@ -330,10 +339,10 @@ class TestConfigParsing:
          "config.methods.source.bandwidth: expected a finite number, got inf"),
         (lambda c: _target(c, {"method": "ks", "bandwidth_grid": [0.1, -math.inf]}),
          [], "config.methods.target.bandwidth_grid[1]"),
-        (lambda c: c["data"].update(slope="nan"), [],
-         "config.data.slope: expected a number, got 'nan'"),
-        (lambda c: c["data"].update(slope=10 ** 400), [],
-         "config.data.slope: expected a number"),
+        (lambda c: c["data"]["truth"]["w"].update(slope="nan"), [],
+         "config.data.truth.w.slope: expected a number, got 'nan'"),
+        (lambda c: c["data"]["truth"]["w"].update(slope=10 ** 400), [],
+         "config.data.truth.w.slope: expected a number"),
         (lambda c: c["transformations"][0].update(alpha="nan"), [],
          "config.transformations[0].alpha: expected a number, got 'nan'"),
         (lambda c: _target(c, {"method": "ks", "bandwidth_grid": ["inf", 0.1]}),
@@ -456,7 +465,7 @@ class TestConfigParsing:
                           n_ta=[10]), c["sizes"].update(n_so=20, n_ta=10)), [],
          "config.sizes.n_ta: not a key of a 'csv_transfer' run"),
         (lambda c: c["sizes"].update(n_val=0), [],
-         "config.sizes.n_val: not a key of a 'synthetic_offset' run"),
+         "config.sizes.n_val: not a key of a 'synthetic' run"),
         (lambda c: c["methods"]["target"].update(cv_folds=500), [],
          "config.methods.target.cv_folds: only a bandwidth_grid is cross-validated"),
         (lambda c: _target(c, {"method": "krr", "lambda_rule": {"p": 0.5},
@@ -510,6 +519,43 @@ class TestConfigParsing:
         (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": {"shape": 5}}),
          [], "config.methods.target.kernel.shape: expected 'rbf', 'linear' or "
          "'polynomial', got 5"),
+        (lambda c: c["data"].pop("truth"), [], "missing required key config.data.truth"),
+        (lambda c: (_kind(c, "rate_sweep", n_ta_grid=[25, 50, 100]),
+                    c["data"].pop("truth")), [],
+         "missing required key config.data.truth"),
+        (lambda c: (_selection(c, L_alpha=2.0, K=2), c["data"].pop("truth")), [],
+         "missing required key config.data.truth"),
+        (lambda c: c["data"].update(truth=[1]), [],
+         "config.data.truth: expected an object, got [1]"),
+        (lambda c: c["data"]["truth"].update(source="doppler"), [],
+         "config.data.truth: unknown key 'source'"),
+        (lambda c: c["data"]["truth"].pop("w"), [],
+         "missing required key config.data.truth.w"),
+        (lambda c: c["data"]["truth"]["w"].update(frequency=2.0), [],
+         "config.data.truth.w: unknown key 'frequency'"),
+        (lambda c: c["data"]["truth"]["transformation"].update(aux_bound_B=3.0), [],
+         "config.data.truth.transformation.aux_bound_B: not a key of a truth's "
+         "'offset' family"),
+        (lambda c: c["data"]["truth"]["transformation"].pop("alpha"), [],
+         "missing required key config.data.truth.transformation.alpha"),
+        (lambda c: c["data"]["truth"]["transformation"].update(family="loglinear"),
+         [], "config.data.truth.transformation.family: expected 'offset' or "
+         "'scale', got 'loglinear'"),
+        (lambda c: c["data"]["truth"]["transformation"].update(family="non_transfer"),
+         [], "config.data.truth.transformation.family: expected 'offset' or "
+         "'scale', got 'non_transfer'"),
+        (lambda c: c["data"]["truth"]["transformation"].update(alpha="1"), [],
+         "config.data.truth.transformation.alpha: expected a number, got '1'"),
+        (lambda c: c["data"]["truth"]["w"].update(intercept=math.inf), [],
+         "config.data.truth.w.intercept: expected a finite number, got inf"),
+        (lambda c: c["data"].update(slope=1.0), [],
+         "config.data.slope: not a key of a 'synthetic' run"),
+        (lambda c: c.update(experiment_kind="synthetic_offset"), [],
+         "config.experiment_kind: 'synthetic_offset' not one of"),
+        (lambda c: (_selection(c, L_alpha=2.0, K=2), c["data"].update(true_alpha=1.0)),
+         [], "config.data.true_alpha: not a key of a 'selection' run"),
+        (lambda c: c["sizes"].update(n_test=1), [],
+         "config.sizes.n_test: r_squared needs 2 or more test rows, got 1"),
     ])
     def test_invalid_config_fails_at_parse_time_naming_the_key(
         self, tmp_path, capsys, edit, argv, key
@@ -972,8 +1018,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment, "excess_risk_mc", exact_only_target)
         cfg = base_config(output_dir=str(tmp_path / "out"))
-        _kind(cfg, "rate_sweep", noise_variance=0.01, slope=1.0,
-              n_ta_grid=[20, 40, 80])
+        _kind(cfg, "rate_sweep", n_ta_grid=[20, 40, 80])
         report = run_experiment(parse_config(cfg))
         assert list(report["rate_fits"]) == ["htl_offset(alpha=1)"]
         assert report["errors"] == [{
@@ -994,8 +1039,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment, "excess_risk_mc", first_only_target_fails)
         cfg = base_config(output_dir=str(tmp_path / "out"))
-        _kind(cfg, "rate_sweep", noise_variance=0.01, slope=1.0,
-              n_ta_grid=[20, 40, 80])
+        _kind(cfg, "rate_sweep", n_ta_grid=[20, 40, 80])
         report = run_experiment(parse_config(cfg))
         assert list(report["rate_fits"]) == ["htl_offset(alpha=1)"]
         assert [e["error"] for e in report["errors"]] == ["risk failed"]
@@ -1024,8 +1068,7 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "mc_sample", counting)
         cfg = base_config(output_dir=str(tmp_path / "out"), seeds=[0, 1])
         if kind == "rate_sweep":  # only_target and one HTL method, 3 sizes
-            _kind(cfg, "rate_sweep", noise_variance=0.01, slope=1.0,
-                  n_ta_grid=[20, 40, 80])
+            _kind(cfg, "rate_sweep", n_ta_grid=[20, 40, 80])
             draws = [experiment.child_seed(s, experiment._EXCESS) for s in (0, 1)]
         else:  # no selection row is scored by excess risk
             _selection(cfg, L_alpha=2.0, K=2)
@@ -1077,9 +1120,31 @@ class TestRunExperiment:
         cfg = _csv_transfer_config(tmp_path)
         cfg["data"]["n_ta"] = [20, 80]
         with pytest.raises(ConfigError, match=r"^config\.data\.n_ta: largest size 80 "
-                                              r"leaves no test rows out of 80$"):
+                                              r"leaves 0 of the 80 target rows to "
+                                              r"test, and r_squared needs 2 or more$"):
             run_experiment(parse_config(cfg))
         assert not (tmp_path / "out").exists()
+
+    def test_a_one_row_test_set_fails_at_parse_time(self):
+        # R² of one row is undefined, so every method would fail at scoring
+        cfg = base_config()
+        cfg["sizes"]["n_test"] = 2
+        assert parse_config(cfg).n_test == 2
+        cfg["sizes"]["n_test"] = 1
+        with pytest.raises(ConfigError, match=r"^config\.sizes\.n_test: r_squared "
+                                              r"needs 2 or more test rows, got 1$"):
+            parse_config(cfg)
+
+    def test_a_csv_target_that_leaves_one_test_row_fails_at_parse_time(
+            self, tmp_path):
+        cfg = _csv_transfer_config(tmp_path)  # an 80-row target CSV
+        cfg["data"]["n_ta"] = [20, 78]
+        assert parse_config(cfg).n_ta_sizes == (20, 78)
+        cfg["data"]["n_ta"] = [20, 79]
+        with pytest.raises(ConfigError, match=r"^config\.data\.n_ta: largest size 79 "
+                                              r"leaves 1 of the 80 target rows to "
+                                              r"test, and r_squared needs 2 or more$"):
+            parse_config(cfg)
 
     def test_csv_transfer_shape(self, tmp_path):
         report = run_experiment(parse_config(_csv_transfer_config(tmp_path)))
@@ -1138,8 +1203,7 @@ class TestRunExperiment:
     ):
         cfg = base_config(output_dir=str(tmp_path / "out"), seeds=[0, 1])
         if kind == "rate_sweep":
-            _kind(cfg, "rate_sweep", noise_variance=0.01, slope=1.0,
-                  n_ta_grid=[20, 40, 80])
+            _kind(cfg, "rate_sweep", n_ta_grid=[20, 40, 80])
             cfg["methods"]["baselines"] = ["only_target", "only_source"]
             cfg["transformations"] = [{"family": "offset", "alpha": 1.0},
                                       {"family": "offset", "alpha": 0.5}]
@@ -1170,8 +1234,7 @@ class TestRunExperiment:
         # only_target and two HTL methods resolve to the one bandwidth rule:
         # each cell predicts all three at the Monte Carlo sample in one call
         cfg = base_config(output_dir=str(tmp_path / "out"), seeds=[0, 1])
-        _kind(cfg, "rate_sweep", noise_variance=0.01, slope=1.0,
-              n_ta_grid=[20, 40, 80])
+        _kind(cfg, "rate_sweep", n_ta_grid=[20, 40, 80])
         _target(cfg, {"method": "ks", "kernel": "epanechnikov",
                       "bandwidth_rule": {"alpha": 1.0}})
         cfg["transformations"] = [{"family": "offset", "alpha": 1.0},
@@ -1374,7 +1437,7 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["experiment_kind"] == "synthetic_offset"
+        assert report["experiment_kind"] == "synthetic"
 
     def test_seeds_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

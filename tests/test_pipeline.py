@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htlreg.data import Dataset, DomainTag, SyntheticSpec, generate_synthetic, uniform_sampler
+from htlreg.data import (
+    Dataset,
+    DomainTag,
+    SyntheticSpec,
+    generate_synthetic,
+    linear_w,
+    uniform_sampler,
+)
 from htlreg.pipeline import (
     BandwidthRule,
     KRRSpec,
@@ -180,9 +187,9 @@ class TestSubroutineSpecs:
         (lambda v: RKHSKernel(KernelShape.RBF, lengthscale=v), True),
         (lambda v: RKHSKernel(KernelShape.POLYNOMIAL, offset=v), True),
         (lambda v: offset(1.0, aux_bound_B=v), True),
-        (lambda v: SyntheticSpec(lambda X: X[:, 0], lambda X: X[:, 0],
+        (lambda v: SyntheticSpec(lambda X: X[:, 0], offset(1.0), lambda X: X[:, 0],
                                  noise_variance_source=v), True),
-        (lambda v: SyntheticSpec(lambda X: X[:, 0], lambda X: X[:, 0],
+        (lambda v: SyntheticSpec(lambda X: X[:, 0], offset(1.0), lambda X: X[:, 0],
                                  noise_variance_target=v), True),
         (lambda v: AuxiliaryEstimator(loglinear(1.0), sigma2=v), True),
         # an infinite grid step L_alpha / (2K) made the alpha = 0 member NaN
@@ -202,7 +209,8 @@ class TestSubroutineSpecs:
 def _noiseless_linear_pair(n_so=200, n_ta=200):
     spec = SyntheticSpec(
         source_fn=lambda X: X[:, 0],
-        target_fn=lambda X: X[:, 0] + 1.0,
+        transformation=offset(1.0),
+        w=linear_w(intercept=1.0),
         input_sampler=uniform_sampler(1),
     )
     source = generate_synthetic(spec, n_so, DomainTag.SOURCE, seed=0)
@@ -275,7 +283,8 @@ class TestHtlFit:
 def _selection_setup(seed, noise=0.0, true_alpha=1.0):
     spec = SyntheticSpec(
         source_fn=lambda X: np.sin(6 * X[:, 0]),
-        target_fn=lambda X: true_alpha * np.sin(6 * X[:, 0]) + X[:, 0],
+        transformation=offset(true_alpha),
+        w=linear_w(slope=1.0),
         input_sampler=uniform_sampler(1),
         noise_variance_source=noise,
         noise_variance_target=noise,
@@ -325,7 +334,8 @@ class TestSelectTransformation:
         rng = np.random.default_rng(9)
         spec = SyntheticSpec(
             source_fn=lambda X: np.sin(37.0 * X[:, 0] ** 2),  # unrelated
-            target_fn=lambda X: X[:, 0],
+            transformation=non_transfer(),
+            w=linear_w(slope=1.0),
             input_sampler=uniform_sampler(1),
             noise_variance_target=0.01,
         )
@@ -344,7 +354,7 @@ class TestSelectTransformation:
     def test_tie_breaks_toward_non_transfer(self):
         # constant-zero truths make every offset candidate identical
         zero = lambda X: np.zeros(len(X))
-        spec = SyntheticSpec(source_fn=zero, target_fn=zero,
+        spec = SyntheticSpec(source_fn=zero, transformation=offset(1.0), w=zero,
                              input_sampler=uniform_sampler(1))
         source = generate_synthetic(spec, 50, DomainTag.SOURCE, seed=1)
         target = generate_synthetic(spec, 20, DomainTag.TARGET, seed=2)
@@ -684,7 +694,8 @@ class TestErrorPropagation:
         for seed in range(20):
             spec = SyntheticSpec(
                 source_fn=lambda X: np.sin(5 * X[:, 0]),
-                target_fn=lambda X: np.sin(5 * X[:, 0]) + X[:, 0],
+                transformation=offset(1.0),
+                w=linear_w(slope=1.0),
                 input_sampler=uniform_sampler(1),
             )
             source = generate_synthetic(spec, 150, DomainTag.SOURCE, seed=seed)

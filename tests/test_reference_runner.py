@@ -133,6 +133,11 @@ FAMILIES = (
     {"family": "non_transfer"},
     {"family": "loglinear", "beta": 1.0, "sigma2": 0.01},
 )
+# the shipped truths: doppler + x, and 5 * doppler
+TRUTHS = (
+    {"transformation": {"family": "offset", "alpha": 1.0}, "w": {"slope": 1.0}},
+    {"transformation": {"family": "scale", "alpha": 0.0}, "w": {"intercept": 5.0}},
+)
 
 
 @st.composite
@@ -164,14 +169,15 @@ def subroutine(draw, smallest):
 
 @st.composite
 def small_config(draw):
-    """A one-seed config of any synthetic kind, at small sizes."""
-    kind = draw(st.sampled_from(["synthetic_offset", "synthetic_scale", "rate_sweep",
-                                 "selection"]))
+    """A one-seed config of any synthetic kind and either shipped truth, at
+    small sizes."""
+    kind = draw(st.sampled_from(["synthetic", "rate_sweep", "selection"]))
     n_so = draw(st.integers(12, 60))
     # a rate sweep draws three or more target sizes, any other kind one
     n_ta = draw(st.lists(st.integers(6, 30), min_size=3, max_size=3, unique=True))
     raw = {"experiment_kind": kind, "seeds": [draw(st.integers(0, 99))],
-           "data": {"noise_variance": 0.01}, "sizes": {"n_so": n_so}}
+           "data": {"noise_variance": 0.01, "truth": draw(st.sampled_from(TRUTHS))},
+           "sizes": {"n_so": n_so}}
     if kind == "rate_sweep":
         raw["data"]["n_ta_grid"] = n_ta
     else:

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from htlreg.data import doppler_fn
+from htlreg.data import SyntheticSpec, doppler_fn, kin_analog_spec, linear_w
 from htlreg.transform import (
     AuxiliaryEstimator,
     InsufficientReplicatesError,
     QuantizedFamily,
     SingularityError,
     apply_H,
-    auxiliary_truth,
     estimate_sigma2,
     eval_G,
     inverse_G,
@@ -73,27 +72,22 @@ class TestInverseG:
                 )
 
 
-class TestAuxiliaryTruth:
-    def test_offset_doppler_pair(self):
-        tf = offset(1.0)
-        f_ta = lambda X: doppler_fn(X) + np.asarray(X)[:, 0]
-        w = auxiliary_truth(tf, doppler_fn, f_ta, [[0.5]])
-        assert w[0] == pytest.approx(0.5, abs=1e-12)
+class TestTrueAuxiliary:
+    """A synthetic truth's ``w`` is the auxiliary function of its pair:
+    w(x) = G^{-1}_{f_so(x)}(f_ta(x))."""
 
-    def test_scale_constant_auxiliary(self):
-        tf = scale(0.0)
-        f_ta = lambda X: 5.0 * doppler_fn(X)
-        for x in (0.2, 0.5, 0.9):
-            w = auxiliary_truth(tf, doppler_fn, f_ta, [[x]])
-            assert w[0] == pytest.approx(5.0, abs=1e-9)
-
-    def test_non_transfer_gives_target(self):
-        tf = non_transfer()
-        f_ta = lambda X: 5.0 * doppler_fn(X)
-        x = np.array([[0.37]])
-        assert auxiliary_truth(tf, doppler_fn, f_ta, x)[0] == pytest.approx(
-            float(f_ta(x)[0])
-        )
+    @pytest.mark.parametrize("spec, dim, anchor", [
+        (SyntheticSpec(doppler_fn, offset(1.0), linear_w(slope=1.0)), 1, 0.5),
+        (SyntheticSpec(doppler_fn, scale(0.0), linear_w(intercept=5.0)), 1, 5.0),
+        (SyntheticSpec(doppler_fn, non_transfer(), linear_w(-2.0, 0.5)), 1, -0.5),
+        (kin_analog_spec(), 8, None),
+    ], ids=["offset_doppler", "scale_doppler", "non_transfer", "kin_analog"])
+    def test_w_is_the_inverse_of_G_at_the_truths(self, spec, dim, anchor):
+        X = np.random.default_rng(4).uniform(0.05, 0.95, size=(50, dim))
+        w = inverse_G(spec.transformation, spec.source_fn(X), spec.target_fn(X))
+        np.testing.assert_allclose(w, spec.w(X), rtol=0, atol=1e-9)
+        if anchor is not None:
+            assert spec.w(np.array([[0.5]]))[0] == anchor
 
 
 class TestApplyH:
