@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -106,6 +106,10 @@ class MethodConfig:
             return self.candidates[0]
         best, _ = grid_search_cv(train, self.candidates, self.cv_folds, seed)
         return best
+
+    def fit(self, train: Dataset, seed: int) -> Predictor:
+        """The resolved candidate fit on ``train``."""
+        return self.resolve(train, seed).fit(train)
 
 
 @dataclass(frozen=True)
@@ -317,12 +321,13 @@ def parse_transformation(raw: dict, where: str) -> AuxiliaryEstimator:
         return AuxiliaryEstimator(make(**params), sigma2)
 
 
-def synthetic_spec(data: dict) -> SyntheticSpec:
+def synthetic_spec(data: dict, tested: bool = False) -> SyntheticSpec:
     """The truth of a synthetic data section: a doppler source f_so and the
     target G(f_so, w) that ``data.truth`` names, an offset or scale
     transformation G and the line w(x) = slope * x + intercept, both 0
     unless given. Both domains' labels have the noise variance
-    ``data.noise_variance``."""
+    ``data.noise_variance``. A ``tested`` run scores r_squared on a test
+    sample, so it rejects a constant target with no noise."""
     where = "config.data.truth"
     truth = _read(data, "truth", where, dict)
     _check_keys(truth, ("transformation", "w"), where)
@@ -337,6 +342,10 @@ def synthetic_spec(data: dict) -> SyntheticSpec:
     w = _numbers(_read(truth, "w", f"{where}.w", dict), ("slope", "intercept"),
                  f"{where}.w")
     noise = _read(data, "noise_variance", "config.data.noise_variance", float, 0.01)
+    if tested and noise == 0 and w.get("slope", 0) == 0 and (
+            alpha == 0 if family == "offset" else w.get("intercept", 0) == 0):
+        raise ConfigError(f"{where}: a constant target with noise_variance 0 gives "
+                          f"every test row one label, and r_squared needs 2 or more")
     return SyntheticSpec(doppler_fn, _FAMILIES[family][0](alpha), linear_w(**w),
                          noise_variance_source=noise, noise_variance_target=noise)
 
@@ -427,7 +436,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
                           "rows, got 1")
     n_so = size["n_so"]
     with _section("config.data"):
-        synthetic = None if kind == "csv_transfer" else synthetic_spec(data)
+        synthetic = None if kind == "csv_transfer" else synthetic_spec(
+            data, tested=size.get("n_test") is not None)
         ta_key, n_ta_values = _target_sizes(kind, data, size.get("n_ta"))
     methods = _read(raw, "methods", "config.methods", dict)
     _check_keys(methods, ("source", "target") + (() if selection else ("baselines",)),
@@ -653,15 +663,11 @@ def _pooled(data: SeedData) -> Dataset:
     )
 
 
-def _method_roster(config: ExperimentConfig) -> list[tuple[str | None, object]]:
-    """(name, item) per method: baselines by name, HTL methods by estimator,
-    and the selection family, whose rows carry no method name."""
-    roster: list[tuple[str | None, object]] = [(b, b) for b in config.baselines]
-    for est in config.transformations:
-        roster.append((f"htl_{est.transformation.label}", est))
-    if config.selection_family is not None:
-        roster.append((None, config.selection_family))
-    return roster
+def _method_names(config: ExperimentConfig) -> list[str]:
+    """A cell's method rows in order: the baselines, then an HTL method per
+    transformation. A selection run has none: its rows carry no method."""
+    return [*config.baselines,
+            *(f"htl_{est.transformation.label}" for est in config.transformations)]
 
 
 def _score(pred: Predictor, data: SeedData,
@@ -684,117 +690,120 @@ def _error(where: dict, exc: Exception) -> dict:
     return {**where, "error": str(exc), "type": type(exc).__name__}
 
 
-def _source_stage(method: MethodConfig, source: Dataset, seed: int) -> MemoPredictor:
-    """f_so_hat: ``method`` resolved on ``source`` and fit, memoized."""
-    return MemoPredictor(method.resolve(source, seed).fit(source))
+@dataclass(eq=False)
+class _FitOnUse:
+    """``fit()``, made on the first predict; a fit that raises is a
+    ``FailedFit`` (``fit_or_fail``), so each predict raises its error."""
+
+    fit: Callable[[], Predictor]
+
+    @cached_property
+    def fitted(self) -> Predictor:
+        return fit_or_fail(self.fit)
+
+    def predict(self, X) -> np.ndarray:
+        return self.fitted.predict(X)
 
 
 def _run_cells(config: ExperimentConfig,
                make_cells: Callable[[ExperimentConfig, int], list[tuple]]):
-    """Fit and score every method on each (n_ta, SeedData) cell of each seed.
+    """Score every method on each (n_ta, SeedData) cell of each seed.
 
-    A seed's cells share one source sample, so the source stage is resolved
-    at most once per seed and f_so_hat fit at most once, for only_source,
-    every HTL method and selection. A ``MemoPredictor`` around it computes
-    its predictions once per distinct query array of the seed (the Monte
-    Carlo sample, test, validation and target rows, the plot grid). A
+    A cell's predictors come from one table (``_cell_predictors``): a
+    method row scores its entry, and a selection row the members' entries.
+    A seed's cells share one source stage f_so_hat, fit on its first
+    predict, so a seed whose methods never read the source never fits it,
+    and a ``MemoPredictor`` around it predicts once per distinct query
+    array of the seed. A source fit that fails is a ``FailedFit``, so its
+    error is recorded against every method that predicts through it. A
     synthetic seed draws its Monte Carlo sample and the truth on it once,
-    for every scored row of every cell. Each is computed on first use, so
-    a seed whose methods never read the source never fits it. A source
-    stage that fails is a ``FailedFit``, so its error is recorded against
-    every method that predicts through it. The target stages of
-    ``only_target``, each HTL method and each selection member are fit
-    before any method is scored (``_target_stages``); an HTL method or
-    member builds its auxiliary sample once, for both the target-stage CV
-    and the fit. Returns the rows, the failures, the first cell's
+    on first use. Returns the rows, the failures, the first cell's scored
     predictors, and the selection results in row order.
     """
     rows: list[dict] = []
     errors: list[dict] = []
     selections: list[SelectionResult] = []
     first = None
-    roster = _method_roster(config)
+    names = _method_names(config)
+    family = config.selection_family
     truth = config.synthetic
     for seed in config.seeds:
         cells = make_cells(config, seed)
-        source = cells[0][1].source
-        f_so_hat = cache(partial(fit_or_fail, partial(
-            _source_stage, config.source_method, source, child_seed(seed, _CV_SOURCE))))
+        f_so_hat = MemoPredictor(_FitOnUse(partial(
+            config.source_method.fit, cells[0][1].source, child_seed(seed, _CV_SOURCE))))
         cv_seed = child_seed(seed, _CV_TARGET)
         sample = None if truth is None else cache(partial(
             mc_sample, truth.target_fn, truth.input_sampler, 2000,
             child_seed(seed, _EXCESS)))
         for n_ta, data in cells:
-            stages = _target_stages(config, data, roster, f_so_hat, cv_seed)
-            predictors: dict[str, Predictor] = {}
-            for name, item in roster:
-                cell = {"method": name, "n_ta": n_ta, "seed": seed}
-                cell = {k: v for k, v in cell.items() if v is not None}
+            preds = _cell_predictors(config, data, f_so_hat, cv_seed)
+            cell = {"n_ta": n_ta, "seed": seed} if n_ta is not None else {"seed": seed}
+            scored: dict[str, Predictor] = {}
+            for name in names:
                 try:
-                    if isinstance(item, QuantizedFamily):
-                        result = score_candidates(
-                            f_so_hat(), data.validation, item.members,
-                            [stages[tf.label] for tf in item.members])
-                        selections.append(result)
-                        _, chosen_mse = result.per_candidate_validation_mse[
-                            result.chosen_index]
-                        rows.append({**cell, "chosen": result.chosen.label,
-                                     "chosen_alpha": result.chosen.alpha,
-                                     "chosen_validation_mse": chosen_mse})
-                        continue
-                    if isinstance(item, AuxiliaryEstimator):
-                        pred = HTLPredictor(f_so_hat(), stages[name],
-                                            item.transformation)
-                    elif name == "only_source":
-                        pred = f_so_hat()
-                    elif name == "only_target":
-                        pred = stages[name]
-                    else:  # combined: the target method on the pooled sample
-                        pooled = _pooled(data)
-                        pred = config.target_method.resolve(pooled, cv_seed).fit(pooled)
-                    rows.append({**cell, **_score(pred, data, sample)})
-                    predictors[name] = pred  # plotted only once it has scored
+                    rows.append({"method": name, **cell,
+                                 **_score(preds[name], data, sample)})
+                    scored[name] = preds[name]  # plotted only once it has scored
                 except FIT_ERRORS as exc:  # recorded, run continues
+                    errors.append(_error({"method": name, **cell}, exc))
+            if family is not None:
+                try:
+                    result = score_candidates(data.validation, family.members,
+                                              [preds[tf.label] for tf in family.members])
+                except FIT_ERRORS as exc:
                     errors.append(_error(cell, exc))
+                else:
+                    selections.append(result)
+                    _, chosen_mse = result.per_candidate_validation_mse[
+                        result.chosen_index]
+                    rows.append({**cell, "chosen": result.chosen.label,
+                                 "chosen_alpha": result.chosen.alpha,
+                                 "chosen_validation_mse": chosen_mse})
             if first is None:
-                first = predictors
+                first = scored
     return rows, errors, first, selections
 
 
-def _target_stages(config: ExperimentConfig, data: SeedData, roster, f_so_hat,
-                   cv_seed: int) -> dict[str, Predictor]:
-    """The target-stage fit of a cell's ``only_target``, of each HTL method
-    and of each selection member, which is named by its label.
+def _cell_predictors(config: ExperimentConfig, data: SeedData, f_so_hat: Predictor,
+                     cv_seed: int) -> dict[str, Predictor]:
+    """A cell's predictor per method, by name, and per selection member,
+    by its label.
 
-    Every spec is resolved, with its sample, before any method is scored:
-    ``only_target``'s on the target sample, the others' on their auxiliary
-    samples, which relabel the same target features. So each member is the
-    pipeline that an HTL method of its transformation fits. The methods
-    whose specs are equal share one ``spec.fit_samples`` over their samples:
-    each predicts with the bits of its own fit, a smoother's samples in one
-    pass per distinct query array. A method whose sample or spec cannot be
-    built, or whose sample fails to fit, gets a fit that raises that error
-    when it predicts.
+    ``only_source`` is ``f_so_hat``; ``combined`` is fit on the pooled
+    sample on its first predict, at its own row. The other target stages
+    are resolved here: ``only_target``'s on the target sample, and each HTL
+    method's and member's on its auxiliary sample, composed with
+    ``f_so_hat`` as ``HTLPredictor``, so a member is the pipeline an HTL
+    method of its transformation fits. Stages whose specs are equal share
+    one ``spec.fit_samples``: each predicts with the bits of its own fit. A
+    stage whose sample or spec cannot be built, or whose fit fails, raises
+    that error when it predicts.
     """
-    methods = [(name, item) for name, item in roster
-               if name == "only_target" or isinstance(item, AuxiliaryEstimator)]
-    methods += [(tf.label, AuxiliaryEstimator(tf)) for _, item in roster
-                if isinstance(item, QuantizedFamily) for tf in item.members]
-    stages: dict[str, Predictor] = {}
+    preds: dict[str, Predictor] = {"only_source": f_so_hat, "combined": _FitOnUse(
+        lambda: config.target_method.fit(_pooled(data), cv_seed))}
+    estimators = {"only_target": None} if "only_target" in config.baselines else {}
+    estimators.update((f"htl_{est.transformation.label}", est)
+                      for est in config.transformations)
+    if config.selection_family is not None:
+        estimators.update((tf.label, AuxiliaryEstimator(tf))
+                          for tf in config.selection_family.members)
     groups: dict[SubroutineSpec, list[tuple[str, Dataset]]] = {}
-    for name, est in methods:
+    for name, est in estimators.items():
         try:
-            train = (data.target if name == "only_target"
-                     else construct_auxiliary(data.target, f_so_hat(), est)[0])
+            train = (data.target if est is None
+                     else construct_auxiliary(data.target, f_so_hat, est)[0])
             spec = config.target_method.resolve(train, cv_seed)
         except FIT_ERRORS as exc:
-            stages[name] = FailedFit(exc)
+            preds[name] = FailedFit(exc)
             continue
         groups.setdefault(spec, []).append((name, train))
     for spec, members in groups.items():
         names, samples = zip(*members)
-        stages.update(zip(names, spec.fit_samples(samples)))
-    return stages
+        preds.update(zip(names, spec.fit_samples(samples)))
+    for name, est in estimators.items():
+        if est is not None:
+            preds[name] = HTLPredictor(f_so_hat, preds[name], est.transformation)
+    return preds
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -842,7 +851,7 @@ def _run_report(config: ExperimentConfig) -> dict:
                                plotted: a.get(plotted)} for a in agg]}
     if kind == "rate_sweep":
         report["rate_fits"] = {}
-        for name, _ in _method_roster(config):
+        for name in _method_names(config):
             points = [(a["n_ta"], a["mean_excess_risk"]) for a in agg
                       if a["method"] == name
                       and a.get("mean_excess_risk") is not None]
@@ -918,18 +927,10 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
         if not rows:
             fh.write("\n")
             return
-        fields: list[str] = []
-        for row in rows:
-            for key in row:
-                if key not in fields:
-                    fields.append(key)
+        fields = list(dict.fromkeys(key for row in rows for key in row))
         writer = _csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
+            # a float as repr, the shortest string that reads back to its bits
+            writer.writerow({k: repr(v) if isinstance(v, float) else v
+                             for k, v in row.items()})

@@ -11,8 +11,8 @@ Given source data, target data, and a transformation G:
 With the non-transfer G this reduces bit-for-bit to fitting the target
 stage directly on the target sample. ``htl_fit`` runs steps 2-4 on a prefit
 source stage. Selection over a finite roster of candidate transformations
-fits each candidate's pipeline and keeps the one with the lowest validation
-MSE (``score_candidates``).
+scores each candidate's composed pipeline on the validation sample and
+keeps the one with the lowest MSE (``score_candidates``).
 
 Auxiliary samples relabel the same target features: only their labels
 differ. Each subroutine spec's ``fit_samples`` fits samples that share one
@@ -21,9 +21,9 @@ on that sample alone. Kernel smoothing computes the query sort, windows and
 kernel values once per distinct query array for every sample and only the
 label-weighted sums per sample (``smoothing.ks_predict_rows``); kernel
 ridge fits sample by sample, and a sample whose solve fails fails alone.
-The experiment runner fits a cell's target stages whose specs are equal
-this way: only-target's on the target sample, and each HTL method's and
-selection member's on its auxiliary sample.
+The experiment runner fits a cell's target stages with equal specs this
+way and composes each HTL method and selection member from them, so a
+selection row scores the pipelines that ``select_transformation`` would.
 
 f_so_hat(x) does not depend on G, the target sample or the method, so a
 ``MemoPredictor`` around the source stage computes it once per distinct
@@ -334,20 +334,18 @@ class SelectionResult:
 
 
 def score_candidates(
-    f_so_hat: Predictor,
     validation: Dataset,
     candidates: Sequence[TransformationFunction],
-    w_hats: Sequence[Predictor],
+    pipelines: Sequence[Predictor],
 ) -> SelectionResult:
     """Pick the candidate whose pipeline has the lowest validation MSE.
 
-    Candidate i composes the source stage ``f_so_hat`` with its fitted
-    auxiliary stage, the i-th of ``w_hats``, as ``HTLPredictor``; pass a
-    ``MemoPredictor`` source stage, or each candidate predicts the
-    validation rows through it again. Ties go to the candidate closest to
-    non-transfer (smallest |alpha|), then to the lowest index.
+    Pipeline i is candidate i's composed predictor, such as its
+    ``htl_fit``; pipelines that share a ``MemoPredictor`` source stage
+    predict the validation rows through it once. Ties go to the candidate
+    closest to non-transfer (smallest |alpha|), then to the lowest index.
 
-    Candidates are scored in order, a ``FailedFit`` w_hat raising when its
+    Pipelines are scored in order, a ``FailedFit`` raising when its
     candidate is reached, so the first error raised, a fit's or a score's,
     is the one a loop of ``htl_fit`` calls would hit. A candidate whose
     validation MSE is not finite raises ``ValueError`` naming it, and numpy
@@ -361,8 +359,8 @@ def score_candidates(
         raise ValueError("no candidate transformations")
     rows: list[tuple[str, float]] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for tf, w_hat in zip(candidates, w_hats):
-            pred = HTLPredictor(f_so_hat, w_hat, tf).predict(validation.features)
+        for tf, pipeline in zip(candidates, pipelines, strict=True):
+            pred = pipeline.predict(validation.features)
             mse = float(np.mean((validation.labels - pred) ** 2))
             if not math.isfinite(mse):
                 raise ValueError(f"candidate {tf.label}: non-finite validation MSE {mse}")
@@ -396,6 +394,6 @@ def select_transformation(
     candidates = list(family.members if isinstance(family, QuantizedFamily) else family)
     if not isinstance(f_so_hat, MemoPredictor):
         f_so_hat = MemoPredictor(f_so_hat)
-    w_hats = [fit_or_fail(lambda: htl_fit(f_so_hat, target, AuxiliaryEstimator(tf),
-                                          w_spec).w_hat) for tf in candidates]
-    return score_candidates(f_so_hat, validation, candidates, w_hats)
+    pipelines = [fit_or_fail(lambda: htl_fit(f_so_hat, target, AuxiliaryEstimator(tf),
+                                             w_spec)) for tf in candidates]
+    return score_candidates(validation, candidates, pipelines)

@@ -556,6 +556,15 @@ class TestConfigParsing:
          [], "config.data.true_alpha: not a key of a 'selection' run"),
         (lambda c: c["sizes"].update(n_test=1), [],
          "config.sizes.n_test: r_squared needs 2 or more test rows, got 1"),
+        (lambda c: c["data"].update(noise_variance=0.0, truth={
+            "transformation": {"family": "offset", "alpha": 0.0},
+            "w": {"intercept": 2.0}}), [],
+         "config.data.truth: a constant target with noise_variance 0 gives every "
+         "test row one label"),
+        (lambda c: c["data"].update(noise_variance=0.0, truth={
+            "transformation": {"family": "scale", "alpha": 1.0}, "w": {}}), [],
+         "config.data.truth: a constant target with noise_variance 0 gives every "
+         "test row one label"),
     ])
     def test_invalid_config_fails_at_parse_time_naming_the_key(
         self, tmp_path, capsys, edit, argv, key
@@ -1135,6 +1144,25 @@ class TestRunExperiment:
                                               r"needs 2 or more test rows, got 1$"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("noise, truth", [
+        (0.0, {"transformation": {"family": "offset", "alpha": 0.0},
+               "w": {"slope": 1.0}}),
+        (0.0, {"transformation": {"family": "scale", "alpha": 0.0},
+               "w": {"intercept": 5.0}}),
+        (0.01, {"transformation": {"family": "offset", "alpha": 0.0}, "w": {}}),
+        (0.01, {"transformation": {"family": "scale", "alpha": 1.0}, "w": {}}),
+    ])
+    def test_noise_or_a_truth_that_varies_gives_distinct_test_labels(self, noise,
+                                                                     truth):
+        # only a constant truth with no noise is rejected, as
+        # test_invalid_config_fails_at_parse_time_naming_the_key checks
+        cfg = base_config()
+        cfg["data"].update(noise_variance=noise, truth=truth)
+        config = parse_config(cfg)
+        test = experiment._synthetic_cells(config, 0)[0][1].test
+        assert config.synthetic.noise_variance_target == noise
+        assert len(np.unique(test.labels)) > 1
+
     def test_a_csv_target_that_leaves_one_test_row_fails_at_parse_time(
             self, tmp_path):
         cfg = _csv_transfer_config(tmp_path)  # an 80-row target CSV
@@ -1290,6 +1318,42 @@ class TestRunExperiment:
                                      "type": "ConditioningError"}]
         [row] = report["rows"]
         assert row == healthy[row["method"]] and row["method"] != failing
+
+    @pytest.mark.parametrize("source_fails", [False, True])
+    def test_a_combined_resolve_that_raises_fails_at_its_own_row(
+            self, tmp_path, monkeypatch, source_fails):
+        # combined is resolved and fit when its row is scored, after
+        # only_source's and before the HTL method's, so its error sits there
+        cfg = base_config(output_dir=str(tmp_path / "out"), seeds=[0, 1])
+        cfg["methods"]["baselines"] = ["only_target", "only_source", "combined"]
+        healthy = run_experiment(parse_config(cfg))["rows"]
+        resolve, report = experiment.MethodConfig.resolve, experiment.metric_report
+        events = []
+
+        def failing_resolve(method, train, seed):
+            if train.n == 200 + 40:
+                events.append("pooled")
+                raise ValueError("pooled resolve failed")
+            if source_fails and train.domain_tag is DomainTag.SOURCE:
+                raise ValueError("source resolve failed")
+            return resolve(method, train, seed)
+
+        def recording_report(pred, test):
+            events.append("score")
+            return report(pred, test)
+
+        monkeypatch.setattr(experiment.MethodConfig, "resolve", failing_resolve)
+        monkeypatch.setattr(experiment, "metric_report", recording_report)
+        got = run_experiment(parse_config(cfg))
+        # the pooled resolve runs inside the third row's score, combined's
+        assert events == ["score", "score", "score", "pooled", "score"] * 2
+        failed = (["only_source", "combined", "htl_offset(alpha=1)"] if source_fails
+                  else ["combined"])
+        assert [(e["method"], e["seed"], e["error"]) for e in got["errors"]] == [
+            (name, seed, f"{name_error} resolve failed") for seed in (0, 1)
+            for name, name_error in zip(failed, ("source", "pooled", "source")
+                                        if source_fails else ("pooled",))]
+        assert got["rows"] == [r for r in healthy if r["method"] not in failed]
 
     def test_a_grid_cv_selection_member_scores_as_its_htl_method(self):
         # selection.json with offset_doppler.json's bandwidth grid: each member

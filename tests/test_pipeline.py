@@ -17,6 +17,7 @@ from htlreg.data import (
 )
 from htlreg.pipeline import (
     BandwidthRule,
+    FailedFit,
     KRRSpec,
     KSSpec,
     LambdaRule,
@@ -399,15 +400,65 @@ class TestSelectTransformation:
             assert result.chosen.alpha == 0.0
 
     def test_no_candidates_rejected(self):
-        source, _, validation = _selection_setup(3)
+        _, _, validation = _selection_setup(3)
         with pytest.raises(ValueError, match="no candidate transformations"):
-            score_candidates(KSSpec(bandwidth=0.1).fit(source), validation, [], [])
+            score_candidates(validation, [], [])
 
     def test_validation_tag_enforced(self):
         source, target, _ = _selection_setup(3)
         with pytest.raises(ValueError, match="validation"):
             select_transformation(KSSpec(bandwidth=0.1).fit(source), target,
                                   target, [offset(1.0)], KSSpec(bandwidth=0.1))
+
+
+def validation_data(ys):
+    return Dataset(features=np.linspace(0.0, 1.0, len(ys)).reshape(-1, 1),
+                   labels=np.asarray(ys, float), domain_tag=DomainTag.VALIDATION)
+
+
+class TestScoreCandidates:
+    """``score_candidates`` scores each candidate's pipeline as given."""
+
+    def test_ties_break_by_tie_break_key_then_by_index(self):
+        # labels 0 and 2: a Constant(1) pipeline scores 1, a Constant(5) 17
+        validation = validation_data([0.0, 2.0])
+        candidates = [offset(2.0), offset(-0.5), offset(0.5), offset(0.0)]
+        result = score_candidates(validation, candidates, [
+            Constant(1.0), Constant(1.0), Constant(1.0), Constant(5.0)])
+        assert result.per_candidate_validation_mse == (
+            ("offset(alpha=2)", 1.0), ("offset(alpha=-0.5)", 1.0),
+            ("offset(alpha=0.5)", 1.0), ("offset(alpha=0)", 17.0))
+        assert result.chosen_index == 1 and result.chosen == offset(-0.5)
+        # a lower MSE beats a smaller tie-break key
+        result = score_candidates(validation, [offset(0.0), offset(2.0)],
+                                  [Constant(3.0), Constant(1.0)])
+        assert result.chosen_index == 1
+
+    def test_a_failed_fit_raises_when_its_candidate_is_reached(self):
+        reached = []
+
+        class Recording(Constant):
+            def predict(self, X):
+                reached.append(self.value)
+                return super().predict(X)
+
+        validation = validation_data([0.0, 2.0])
+        with pytest.raises(ConditioningError, match="the second fit"):
+            score_candidates(
+                validation, [offset(0.0), offset(1.0), offset(2.0), offset(3.0)],
+                [Recording(0.0), FailedFit(ConditioningError("the second fit")),
+                 Recording(2.0), FailedFit(ValueError("the fourth fit"))])
+        assert reached == [0.0]
+
+    def test_validation_tag_enforced(self):
+        target = target_data([0.0, 1.0], [0.0, 2.0])
+        with pytest.raises(ValueError, match="expected validation-domain data"):
+            score_candidates(target, [offset(0.0)], [Constant(1.0)])
+
+    def test_one_pipeline_per_candidate(self):
+        with pytest.raises(ValueError):
+            score_candidates(validation_data([0.0, 2.0]), [offset(0.0), offset(1.0)],
+                             [Constant(1.0)])
 
 
 def htl_loop_selection(f_so_hat, target, validation, candidates, w_spec):
