@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -147,13 +147,15 @@ TruthFn = Callable[[np.ndarray], np.ndarray]
 InputSampler = Callable[[np.random.Generator, int], np.ndarray]
 
 
-def uniform_sampler(dim: int, low: float = 0.0, high: float = 1.0) -> InputSampler:
-    """I.i.d. uniform draws on [low, high]^dim (the default input law)."""
+@dataclass(frozen=True)
+class uniform_sampler:
+    """I.i.d. uniform draws on [0, 1]^dim (the default input law). A value,
+    so two samplers of one dim compare equal."""
 
-    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(low, high, size=(n, dim))
+    dim: int
 
-    return sample
+    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.uniform(0.0, 1.0, size=(n, self.dim))
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ class SyntheticSpec:
     source_fn: TruthFn
     transformation: TransformationFunction
     w: TruthFn
-    input_sampler: InputSampler = field(default_factory=lambda: uniform_sampler(1))
+    input_sampler: InputSampler = uniform_sampler(1)
     noise_variance_source: float = 0.0
     noise_variance_target: float = 0.0
 
@@ -204,9 +206,16 @@ def doppler_fn(X: np.ndarray) -> np.ndarray:
     return doppler(np.asarray(X)[:, 0])
 
 
-def linear_w(slope: float = 0.0, intercept: float = 0.0) -> TruthFn:
-    """w(x) = slope * x + intercept on the first feature."""
-    return lambda X: slope * np.asarray(X)[:, 0] + intercept
+@dataclass(frozen=True)
+class linear_w:
+    """w(x) = slope * x + intercept on the first feature. A value, so two
+    lines of one slope and intercept compare equal."""
+
+    slope: float = 0.0
+    intercept: float = 0.0
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        return self.slope * np.asarray(X)[:, 0] + self.intercept
 
 
 def kin_analog_spec(

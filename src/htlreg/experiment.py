@@ -39,8 +39,6 @@ from .evaluation import excess_risk_mc, mc_sample, metric_report, rate_slope
 from .pipeline import (
     FIT_ERRORS,
     BandwidthRule,
-    FailedFit,
-    HTLPredictor,
     KRRSpec,
     KSSpec,
     LambdaRule,
@@ -48,8 +46,8 @@ from .pipeline import (
     Predictor,
     SelectionResult,
     SubroutineSpec,
-    construct_auxiliary,
     fit_or_fail,
+    fit_target_stages,
     score_candidates,
 )
 from .ridge import KernelShape, RKHSKernel, krr_path, predict_path
@@ -771,13 +769,11 @@ def _cell_predictors(config: ExperimentConfig, data: SeedData, f_so_hat: Predict
 
     ``only_source`` is ``f_so_hat``; ``combined`` is fit on the pooled
     sample on its first predict, at its own row. The other target stages
-    are resolved here: ``only_target``'s on the target sample, and each HTL
-    method's and member's on its auxiliary sample, composed with
-    ``f_so_hat`` as ``HTLPredictor``, so a member is the pipeline an HTL
+    come from one ``fit_target_stages`` call: ``only_target``'s fit on the
+    target sample, and each HTL method's and member's on its auxiliary
+    sample, composed with ``f_so_hat``, so a member is the pipeline an HTL
     method of its transformation fits. Stages whose specs are equal share
-    one ``spec.fit_samples``: each predicts with the bits of its own fit. A
-    stage whose sample or spec cannot be built, or whose fit fails, raises
-    that error when it predicts.
+    one fit, and a stage that fails raises its error when it predicts.
     """
     preds: dict[str, Predictor] = {"only_source": f_so_hat, "combined": _FitOnUse(
         lambda: config.target_method.fit(_pooled(data), cv_seed))}
@@ -787,22 +783,9 @@ def _cell_predictors(config: ExperimentConfig, data: SeedData, f_so_hat: Predict
     if config.selection_family is not None:
         estimators.update((tf.label, AuxiliaryEstimator(tf))
                           for tf in config.selection_family.members)
-    groups: dict[SubroutineSpec, list[tuple[str, Dataset]]] = {}
-    for name, est in estimators.items():
-        try:
-            train = (data.target if est is None
-                     else construct_auxiliary(data.target, f_so_hat, est)[0])
-            spec = config.target_method.resolve(train, cv_seed)
-        except FIT_ERRORS as exc:
-            preds[name] = FailedFit(exc)
-            continue
-        groups.setdefault(spec, []).append((name, train))
-    for spec, members in groups.items():
-        names, samples = zip(*members)
-        preds.update(zip(names, spec.fit_samples(samples)))
-    for name, est in estimators.items():
-        if est is not None:
-            preds[name] = HTLPredictor(f_so_hat, preds[name], est.transformation)
+    preds.update(zip(estimators, fit_target_stages(
+        f_so_hat, data.target, list(estimators.values()),
+        partial(config.target_method.resolve, seed=cv_seed))))
     return preds
 
 

@@ -21,9 +21,10 @@ on that sample alone. Kernel smoothing computes the query sort, windows and
 kernel values once per distinct query array for every sample and only the
 label-weighted sums per sample (``smoothing.ks_predict_rows``); kernel
 ridge fits sample by sample, and a sample whose solve fails fails alone.
-The experiment runner fits a cell's target stages with equal specs this
-way and composes each HTL method and selection member from them, so a
-selection row scores the pipelines that ``select_transformation`` would.
+``fit_target_stages`` fits target stages of equal specs this way and
+composes the auxiliary ones with the source stage; the experiment runner
+and ``select_transformation`` both call it, so a selection row scores the
+pipelines that ``select_transformation`` would.
 
 f_so_hat(x) does not depend on G, the target sample or the method, so a
 ``MemoPredictor`` around the source stage computes it once per distinct
@@ -324,6 +325,43 @@ def htl_fit(
     return HTLPredictor(f_so_hat, w_spec.fit(aux), est.transformation)
 
 
+def fit_target_stages(
+    f_so_hat: Predictor,
+    target: Dataset,
+    estimators: Sequence[AuxiliaryEstimator | FailedFit | None],
+    resolve: Callable[[Dataset], SubroutineSpec],
+) -> list[Predictor]:
+    """One fitted target stage per estimator, in order.
+
+    ``None`` fits ``target`` itself and reads no source stage. An
+    ``AuxiliaryEstimator`` fits its auxiliary sample with the spec
+    ``resolve(aux)``, composed with ``f_so_hat`` as ``htl_fit`` composes it.
+    Stages whose specs are equal share one ``spec.fit_samples``, each with
+    the bits of its own fit. A stage whose sample, spec or fit fails is a
+    ``FailedFit`` at its place; a ``FailedFit`` estimator is kept there.
+    """
+    stages = list(estimators)  # every place but a given FailedFit's is refit
+    groups: dict[SubroutineSpec, list[tuple[int, Dataset]]] = {}
+    for i, est in enumerate(estimators):
+        if isinstance(est, FailedFit):
+            continue
+        try:
+            train = (target if est is None
+                     else construct_auxiliary(target, f_so_hat, est)[0])
+            spec = resolve(train)
+        except FIT_ERRORS as exc:
+            stages[i] = FailedFit(exc)
+            continue
+        groups.setdefault(spec, []).append((i, train))
+    for spec, members in groups.items():
+        places, samples = zip(*members)
+        for i, fit in zip(places, spec.fit_samples(samples)):
+            stages[i] = fit
+    return [stage if est is None or isinstance(stage, FailedFit)
+            else HTLPredictor(f_so_hat, stage, est.transformation)
+            for est, stage in zip(estimators, stages)]
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     """Outcome of validation-risk selection over candidate transformations."""
@@ -386,14 +424,15 @@ def select_transformation(
     """Pick the candidate whose ``htl_fit`` pipeline with ``w_spec`` has the
     lowest validation MSE (``score_candidates``).
 
-    Every candidate shares the prefit source stage ``f_so_hat`` (it does not
-    depend on G), memoized, so it predicts the target and validation rows
-    once, and relabels through its plain inverse, so a loglinear candidate,
-    whose estimator needs sigma2, is rejected when it is scored.
+    The pipelines come from one ``fit_target_stages`` call. Every candidate
+    shares the prefit source stage ``f_so_hat`` (it does not depend on G),
+    memoized, so it predicts the target and validation rows once, and
+    relabels through its plain inverse, so a loglinear candidate, whose
+    estimator needs sigma2, is rejected when it is scored.
     """
     candidates = list(family.members if isinstance(family, QuantizedFamily) else family)
     if not isinstance(f_so_hat, MemoPredictor):
         f_so_hat = MemoPredictor(f_so_hat)
-    pipelines = [fit_or_fail(lambda: htl_fit(f_so_hat, target, AuxiliaryEstimator(tf),
-                                             w_spec)) for tf in candidates]
+    estimators = [fit_or_fail(partial(AuxiliaryEstimator, tf)) for tf in candidates]
+    pipelines = fit_target_stages(f_so_hat, target, estimators, lambda _: w_spec)
     return score_candidates(validation, candidates, pipelines)

@@ -2,7 +2,6 @@ import json
 import math
 import re
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -129,10 +128,15 @@ class TestConfigParsing:
         text = (CONFIGS / "selection.json").read_text(encoding="utf-8")
         plain.write_text(text, encoding="utf-8")
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-        want, got = load_config(plain), load_config(marked)
-        # the parsed truth's functions are built afresh by each parse
-        assert got.synthetic is not None
-        assert replace(got, synthetic=None) == replace(want, synthetic=None)
+        assert load_config(marked) == load_config(plain)
+
+    @pytest.mark.parametrize("name", ["offset_doppler", "scale_doppler",
+                                      "rate_sweep", "selection"])
+    def test_two_parses_of_one_config_compare_equal(self, name):
+        # the truth's w and input sampler are values, not closures
+        first, second = (load_config(CONFIGS / f"{name}.json") for _ in range(2))
+        assert first.synthetic is not None
+        assert first == second
 
     def test_a_decode_error_after_a_byte_order_mark_counts_the_mark(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -906,7 +910,7 @@ class TestRunExperiment:
         def exploding(*args):
             raise error("synthetic failure")
 
-        monkeypatch.setattr(experiment, "construct_auxiliary", exploding)
+        monkeypatch.setattr(pipeline, "construct_auxiliary", exploding)
         cfg = base_config(output_dir=str(tmp_path / "out"))
         report = run_experiment(parse_config(cfg))
         assert report["errors"] == [{"method": "htl_offset(alpha=1)", "seed": 0,
@@ -1216,8 +1220,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment, "grid_search_cv", counting_cv)
         monkeypatch.setattr(KSSpec, "fit", counting_fit)
-        for module in (experiment, pipeline):
-            monkeypatch.setattr(module, "construct_auxiliary", counting_aux)
+        monkeypatch.setattr(pipeline, "construct_auxiliary", counting_aux)
         report = run_experiment(parse_config(cfg))
         assert not report["errors"]
         seeds = 2
@@ -1597,11 +1600,46 @@ class TestCli:
         code = cli_main(["rate", "--config", str(cfg_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("target", ["ks_rule", "krr"])
+    def test_a_constant_noiseless_rate_sweep_runs(self, tmp_path, target):
+        # f_ta = 1 with no noise: a smoother of constant labels predicts the
+        # constant exactly, so only_target's risks are all 0 and its rate fit
+        # alone fails; a KRR target stage has positive risks and fits both.
+        # The config runs either way, so parsing does not reject it
+        cfg = json.loads((CONFIGS / "rate_sweep.json").read_text())
+        cfg["data"].update(noise_variance=0.0, n_ta_grid=[25, 50, 100], truth={
+            "transformation": {"family": "offset", "alpha": 0.0},
+            "w": {"intercept": 1.0}})
+        cfg.update(sizes={"n_so": 2000}, seeds=[0, 1])
+        if target == "krr":
+            _target(cfg, {"method": "krr", "kernel": {"shape": "rbf",
+                                                      "lengthscale": 0.1},
+                          "lambda": 1e-3})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(report["rows"]) == 12
+        only_target = [r["excess_risk"] for r in report["rows"]
+                       if r["method"] == "only_target"]
+        if target == "krr":
+            assert code == 0 and not report["errors"]
+            assert sorted(report["rate_fits"]) == ["htl_offset(alpha=1)", "only_target"]
+            assert all(risk > 0 for risk in only_target)
+        else:
+            assert code == 2
+            assert only_target == [0.0] * 6
+            assert report["errors"] == [{
+                "method": "only_target", "stage": "rate_fit",
+                "error": "risks must be positive for a log-log fit",
+                "type": "ValueError"}]
+            assert list(report["rate_fits"]) == ["htl_offset(alpha=1)"]
+
     def test_partial_failure_exit_code(self, tmp_path, monkeypatch):
         def exploding(*args):
             raise ValueError("boom")
 
-        monkeypatch.setattr(experiment, "construct_auxiliary", exploding)
+        monkeypatch.setattr(pipeline, "construct_auxiliary", exploding)
         cfg = base_config(seeds=[0])
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from htlreg import smoothing
 from htlreg.data import (
     Dataset,
     DomainTag,
@@ -398,6 +399,27 @@ class TestSelectTransformation:
         assert abs(result.chosen.alpha) == min(tied)
         if zero_source:
             assert result.chosen.alpha == 0.0
+
+    def test_candidates_share_one_smoother_pass(self, monkeypatch):
+        # every member relabels the one target feature array with one spec,
+        # so the 9 auxiliary stages predict the validation rows in one pass
+        _, target, validation = _selection_setup(2)
+        calls = []
+        sorted_1d = smoothing.predict_sorted_1d
+
+        def counting(xs, rows, ranks, queries, *args):
+            calls.append((len(rows), queries.copy()))
+            return sorted_1d(xs, rows, ranks, queries, *args)
+
+        monkeypatch.setattr(smoothing, "predict_sorted_1d", counting)
+        family = QuantizedFamily(2.0, 4)
+        result = select_transformation(
+            Constant(0.5), target, validation, family,
+            KSSpec(SmoothingKernel.EPANECHNIKOV, bandwidth=0.1))
+        assert len(result.per_candidate_validation_mse) == 9
+        [(n_rows, queries)] = calls
+        assert n_rows == 9
+        assert queries.tobytes() == validation.features[:, 0].tobytes()
 
     def test_no_candidates_rejected(self):
         _, _, validation = _selection_setup(3)
