@@ -236,12 +236,9 @@ _SIZE_KEYS = {
     "rate_sweep": ("n_so",),
     "selection": ("n_so", "n_ta", "n_val"),
 }
-# method -> (spec type, hyperparameter field, rule type, (fixed, grid, rule) keys)
-_SUBROUTINES = {
-    "ks": (KSSpec, "bandwidth", BandwidthRule,
-           ("bandwidth", "bandwidth_grid", "bandwidth_rule")),
-    "krr": (KRRSpec, "lam", LambdaRule, ("lambda", "lambda_grid", "lambda_rule")),
-}
+# method -> (spec type, hyperparameter key, its spec field, rule type)
+_SUBROUTINES = {"ks": (KSSpec, "bandwidth", "bandwidth", BandwidthRule),
+                "krr": (KRRSpec, "lambda", "lam", LambdaRule)}
 # KRR kernel shape -> the keys its section may set besides "shape"
 _RKHS_KEYS = {KernelShape.RBF: ("lengthscale",), KernelShape.LINEAR: (),
               KernelShape.POLYNOMIAL: ("degree", "offset")}
@@ -273,33 +270,35 @@ def _parse_kernel(method: str, raw: dict, where: str):
 
 
 def parse_method(raw: dict, where: str) -> MethodConfig:
+    """A subroutine section. Its one hyperparameter key, ``bandwidth`` for
+    ``ks`` and ``lambda`` for ``krr``, says by its JSON shape how the value
+    is chosen: a number is fixed, a list of numbers is a grid that
+    ``cv_folds``-fold CV resolves (a one-number list is that number), and an
+    object is the rate rule's parameters."""
     method = _read(raw, "method", f"{where}.method", str)
     if method not in _SUBROUTINES:
         raise ConfigError(f"{where}.method: expected 'ks' or 'krr', got {method!r}")
-    spec_type, field_name, rule_type, keys = _SUBROUTINES[method]
-    _check_keys(raw, ("method", "kernel", "cv_folds") + keys, where)
-    choices = [k for k in keys if k in raw]
-    if len(choices) != 1:
-        raise ConfigError(f"{where}: exactly one of {', '.join(keys)} required, "
-                          f"got {choices or 'none'}")
-    key = choices[0]
-    _, grid_key, rule_key = keys
-    if "cv_folds" in raw and key != grid_key:
-        raise ConfigError(f"{where}.cv_folds: only a {grid_key} is "
-                          f"cross-validated, not a {key}")
+    spec_type, key, field_name, rule_type = _SUBROUTINES[method]
+    _check_keys(raw, ("method", "kernel", "cv_folds", key), where)
+    name = f"{where}.{key}"
+    value = _read(raw, key, name, object)  # its JSON shape picks the form
+    if isinstance(value, (bool, str)) or value is None:
+        raise ConfigError(f"{name}: expected a number, a list of numbers or a "
+                          f"rule object, got {value!r}")
+    if "cv_folds" in raw and not isinstance(value, list):
+        raise ConfigError(f"{where}.cv_folds: only a list of {key} values is "
+                          f"cross-validated, got {value!r}")
     with _section(f"{where}.kernel"):
         kernel = _parse_kernel(method, raw, f"{where}.kernel")
-    with _section(f"{where}.{key}"):
-        if key == rule_key:
-            rule = _numbers(_read(raw, key, f"{where}.{key}", dict),
-                            [f.name for f in fields(rule_type)], f"{where}.{key}")
+    with _section(name):
+        if isinstance(value, dict):
+            rule = _numbers(value, [f.name for f in fields(rule_type)], name)
             candidates = (spec_type(kernel, rule=rule_type(**rule)),)
         else:
-            values = (_items(_read(raw, key, f"{where}.{key}", list),
-                             f"{where}.{key}", float)
-                      if key == grid_key else [_read(raw, key, f"{where}.{key}", float)])
+            values = (_items(value, name, float) if isinstance(value, list)
+                      else [_read(raw, key, name, float)])
             if not values:
-                raise ConfigError(f"{where}.{key}: expected at least one value")
+                raise ConfigError(f"{name}: expected at least one value")
             candidates = tuple(spec_type(kernel, **{field_name: v}) for v in values)
     with _section(where):
         return MethodConfig(candidates,

@@ -63,11 +63,11 @@ def _doppler_cv_config(truth, tf_section, out_dir):
         "sizes": {"n_so": 5000, "n_ta": 100, "n_test": 1000},
         "methods": {
             "source": {"method": "ks", "kernel": "epanechnikov",
-                       "bandwidth_grid": [0.001, 0.002, 0.005, 0.01, 0.02,
-                                          0.05, 0.1],
+                       "bandwidth": [0.001, 0.002, 0.005, 0.01, 0.02,
+                                     0.05, 0.1],
                        "cv_folds": 10},
             "target": {"method": "ks", "kernel": "epanechnikov",
-                       "bandwidth_grid": [0.01, 0.02, 0.05, 0.1, 0.2, 0.4],
+                       "bandwidth": [0.01, 0.02, 0.05, 0.1, 0.2, 0.4],
                        "cv_folds": 10},
             "baselines": ["only_target"],
         },
@@ -123,7 +123,7 @@ def test_criterion_03_rate_improvement(tmp_path):
             "source": {"method": "ks", "kernel": "epanechnikov",
                        "bandwidth": 0.002},
             "target": {"method": "ks", "kernel": "epanechnikov",
-                       "bandwidth_rule": {"alpha": 1.0, "c": 1.0}},
+                       "bandwidth": {"alpha": 1.0, "c": 1.0}},
             "baselines": ["only_target"],
         },
         "transformations": [{"family": "offset", "alpha": 1.0}],
@@ -227,7 +227,7 @@ def test_criterion_06_selection_correctness():
                 "source": {"method": "ks", "kernel": "epanechnikov",
                            "bandwidth": 0.005},
                 "target": {"method": "ks", "kernel": "epanechnikov",
-                           "bandwidth_rule": {"alpha": 1.0}},
+                           "bandwidth": {"alpha": 1.0}},
             },
             "selection_family": {"L_alpha": 2.0, "K": 4},
             "seeds": [seed],
@@ -403,9 +403,9 @@ def test_criterion_10_csv_transfer_table_shaped_report(tmp_path):
         "sizes": {"n_so": 300},
         "methods": {
             "source": {"method": "krr", "kernel": {"shape": "rbf"},
-                       "lambda_grid": [0.001, 0.01, 0.1], "cv_folds": 5},
+                       "lambda": [0.001, 0.01, 0.1], "cv_folds": 5},
             "target": {"method": "krr", "kernel": {"shape": "rbf"},
-                       "lambda_grid": [0.001, 0.01, 0.1], "cv_folds": 5},
+                       "lambda": [0.001, 0.01, 0.1], "cv_folds": 5},
             "baselines": ["only_target", "only_source", "combined"],
         },
         "transformations": [{"family": "offset", "alpha": 1.0}],

@@ -25,6 +25,7 @@ from htlreg.pipeline import (
     KRRSpec,
     KSSpec,
     HTLPredictor,
+    LambdaRule,
     construct_auxiliary,
 )
 from htlreg.ridge import (
@@ -39,6 +40,8 @@ from htlreg.smoothing import KSPredictor, SmoothingKernel
 from htlreg.transform import AuxiliaryEstimator, loglinear, non_transfer, offset, scale
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BOXCAR = SmoothingKernel.BOXCAR
+LINEAR = ridge.RKHSKernel(ridge.KernelShape.LINEAR)
 
 
 def offset_truth():
@@ -110,12 +113,38 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown baseline"):
             parse_config(cfg)
 
-    def test_method_requires_exactly_one_hyperparameter(self):
+    @pytest.mark.parametrize("method", ["ks", "krr"])
+    def test_a_method_without_its_hyperparameter_names_the_key(self, method):
+        key = "bandwidth" if method == "ks" else "lambda"
         cfg = base_config()
-        cfg["methods"]["source"] = {"method": "ks", "bandwidth": 0.1,
-                                    "bandwidth_grid": [0.1, 0.2]}
-        with pytest.raises(ConfigError, match="exactly one"):
+        _target(cfg, {"method": method})
+        with pytest.raises(ConfigError, match=rf"^missing required key "
+                                              rf"config\.methods\.target\.{key}$"):
             parse_config(cfg)
+
+    @pytest.mark.parametrize("section, candidates, folds", [
+        ({"bandwidth": 0.1}, [KSSpec(BOXCAR, bandwidth=0.1)], 10),
+        ({"bandwidth": [0.1]}, [KSSpec(BOXCAR, bandwidth=0.1)], 10),
+        ({"bandwidth": [0.1, 0.3, 0.2], "cv_folds": 4},
+         [KSSpec(BOXCAR, bandwidth=h) for h in (0.1, 0.3, 0.2)], 4),
+        ({"bandwidth": {"alpha": 0.5}}, [KSSpec(BOXCAR, rule=BandwidthRule(alpha=0.5))],
+         10),
+        ({"lambda": 0.01}, [KRRSpec(LINEAR, lam=0.01)], 10),
+        ({"lambda": [0.01]}, [KRRSpec(LINEAR, lam=0.01)], 10),
+        ({"lambda": [0.01, 1, 0.1], "cv_folds": 3},
+         [KRRSpec(LINEAR, lam=lam) for lam in (0.01, 1.0, 0.1)], 3),
+        ({"lambda": {"beta": 2.0, "c": 0.1}},
+         [KRRSpec(LINEAR, rule=LambdaRule(beta=2.0, c=0.1))], 10),
+    ])
+    def test_each_hyperparameter_shape_parses_to_its_specs(self, section, candidates,
+                                                           folds):
+        # a number, a list of one or more numbers, or a rule object
+        method, kernel = (("ks", "boxcar") if "bandwidth" in section
+                          else ("krr", {"shape": "linear"}))
+        cfg = base_config()
+        _target(cfg, {"method": method, "kernel": kernel, **section})
+        assert parse_config(cfg).target_method == experiment.MethodConfig(
+            tuple(candidates), folds)
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -170,7 +199,7 @@ class TestConfigParsing:
     def test_integral_floats_parse_as_ints(self):
         cfg = base_config(seeds=[1.0])
         cfg["sizes"]["n_ta"] = 40.0
-        _target(cfg, {"method": "ks", "bandwidth_grid": [0.1, 0.2],
+        _target(cfg, {"method": "ks", "bandwidth": [0.1, 0.2],
                       "cv_folds": 5.0})
         parsed = parse_config(cfg)
         assert (parsed.n_ta_sizes, parsed.target_method.cv_folds, parsed.seeds) == (
@@ -197,7 +226,7 @@ class TestConfigParsing:
     def test_one_candidate_grid_needs_no_folds(self):
         cfg = base_config()
         cfg["sizes"]["n_ta"] = 5
-        _target(cfg, {"method": "ks", "bandwidth_grid": [0.1], "cv_folds": 10})
+        _target(cfg, {"method": "ks", "bandwidth": [0.1], "cv_folds": 10})
         assert parse_config(cfg).target_method.candidates == (KSSpec(
             SmoothingKernel.TRUNCATED_GAUSSIAN, bandwidth=0.1),)
 
@@ -251,17 +280,18 @@ class TestConfigParsing:
         (lambda c: c["transformations"][0].update(aux_bound=3.0), [],
          "aux_bound"),
         (lambda c: c["methods"].update(target={
-            "method": "ks", "bandwidth_grid": [0.1, 0.2], "cv_folds": 1}),
+            "method": "ks", "bandwidth": [0.1, 0.2], "cv_folds": 1}),
          [], "cv_folds"),
         (lambda c: c["methods"]["target"].update(bandwidth=0.0), [],
          "bandwidth"),
         (lambda c: c["methods"].update(target={
-            "method": "ks", "bandwidth_grid": [0.1, -0.2]}), [],
-         "bandwidth_grid"),
+            "method": "ks", "bandwidth": [0.1, -0.2]}), [],
+         "config.methods.target.bandwidth"),
         (lambda c: c["methods"].update(target={
             "method": "krr", "lambda": -1.0}), [], "lambda"),
         (lambda c: c["methods"].update(target={
-            "method": "krr", "lambda_grid": [0.1, -0.1]}), [], "lambda_grid"),
+            "method": "krr", "lambda": [0.1, -0.1]}), [],
+         "config.methods.target.lambda"),
         (lambda c: c.update(seeds=[0, -1]), [], "seeds"),
         (lambda c: None, ["--seeds", "-1"], "--seeds"),
         (lambda c: c.update(transformations=[{"family": "loglinear", "beta": 1.0}]),
@@ -272,10 +302,10 @@ class TestConfigParsing:
         (lambda c: c.update(transformations=[{
             "family": "loglinear", "beta": 1.0, "sigma2": -1}]), [],
          "config.transformations[0]: sigma2 must be >= 0"),
-        (lambda c: _target(c, {"method": "ks", "bandwidth_rule": {"alpha": 2.0}}),
-         [], "bandwidth_rule"),
-        (lambda c: _target(c, {"method": "krr", "lambda_rule": {"p": 1.5}}),
-         [], "lambda_rule"),
+        (lambda c: _target(c, {"method": "ks", "bandwidth": {"alpha": 2.0}}),
+         [], "config.methods.target.bandwidth"),
+        (lambda c: _target(c, {"method": "krr", "lambda": {"p": 1.5}}),
+         [], "config.methods.target.lambda"),
         (lambda c: c["transformations"][0].update(aux_bound_B=0), [],
          "aux_bound_B"),
         (lambda c: c["transformations"][0].update(lipschitz_L=-1), [],
@@ -288,18 +318,18 @@ class TestConfigParsing:
         (lambda c: _selection(c, L_alpha=2.0, K=0), [], "selection_family"),
         (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": {
             "shape": "rbf", "lenghtscale": 0.5}}), [], "lenghtscale"),
-        (lambda c: _target(c, {"method": "ks", "bandwidth_rule": {"alpah": 0.5}}),
+        (lambda c: _target(c, {"method": "ks", "bandwidth": {"alpah": 0.5}}),
          [], "alpah"),
         (lambda c: _selection(c, L_alpha=2.0, Kk=3), [], "Kk"),
         (lambda c: (c["sizes"].update(n_ta=5), _target(
-            c, {"method": "ks", "bandwidth_grid": [0.1, 0.2], "cv_folds": 10})), [],
+            c, {"method": "ks", "bandwidth": [0.1, 0.2], "cv_folds": 10})), [],
          "cv_folds"),
         (lambda c: c["data"].update(slop=3), [], "slop"),
         (lambda c: c["data"].update(noise_variance=-1), [], "config.data"),
         (lambda c: None, ["--seeds", "-1,2"], "--seeds"),
         (lambda c: c["sizes"].update(n_ta=40.9), [], "config.sizes.n_ta"),
         (lambda c: c["sizes"].update(n_test=True), [], "config.sizes.n_test"),
-        (lambda c: _target(c, {"method": "ks", "bandwidth_grid": [0.1, 0.2],
+        (lambda c: _target(c, {"method": "ks", "bandwidth": [0.1, 0.2],
                                "cv_folds": 3.9}), [], "target.cv_folds"),
         (lambda c: c.update(seeds=[1.7]), [], "config.seeds"),
         (lambda c: c.update(seeds=[0, True]), [], "config.seeds"),
@@ -341,33 +371,34 @@ class TestConfigParsing:
          "config.selection_family.L_alpha"),
         (lambda c: c["methods"]["source"].update(bandwidth=math.inf), [],
          "config.methods.source.bandwidth: expected a finite number, got inf"),
-        (lambda c: _target(c, {"method": "ks", "bandwidth_grid": [0.1, -math.inf]}),
-         [], "config.methods.target.bandwidth_grid[1]"),
+        (lambda c: _target(c, {"method": "ks", "bandwidth": [0.1, -math.inf]}),
+         [], "config.methods.target.bandwidth[1]"),
         (lambda c: c["data"]["truth"]["w"].update(slope="nan"), [],
          "config.data.truth.w.slope: expected a number, got 'nan'"),
         (lambda c: c["data"]["truth"]["w"].update(slope=10 ** 400), [],
          "config.data.truth.w.slope: expected a number"),
         (lambda c: c["transformations"][0].update(alpha="nan"), [],
          "config.transformations[0].alpha: expected a number, got 'nan'"),
-        (lambda c: _target(c, {"method": "ks", "bandwidth_grid": ["inf", 0.1]}),
-         [], "config.methods.target.bandwidth_grid[0]: expected a number, got 'inf'"),
-        (lambda c: _target(c, {"method": "ks", "bandwidth_grid": [True, 0.1]}),
-         [], "config.methods.target.bandwidth_grid[0]: expected a number, got True"),
+        (lambda c: _target(c, {"method": "ks", "bandwidth": ["inf", 0.1]}),
+         [], "config.methods.target.bandwidth[0]: expected a number, got 'inf'"),
+        (lambda c: _target(c, {"method": "ks", "bandwidth": [True, 0.1]}),
+         [], "config.methods.target.bandwidth[0]: expected a number, got True"),
         (lambda c: c["methods"]["source"].update(bandwidth="0.02"), [],
-         "config.methods.source.bandwidth: expected a number, got '0.02'"),
+         "config.methods.source.bandwidth: expected a number, a list of numbers or a "
+         "rule object, got '0.02'"),
         (lambda c: c.update(transformations=[{
             "family": "loglinear", "beta": 1.0, "sigma2": "0.01"}]), [],
          "config.transformations[0].sigma2: expected a number, got '0.01'"),
         (lambda c: c["transformations"][0].update(assume_noiseless=False), [],
          "config.transformations[0].assume_noiseless: not a key of the "
          "'offset' family"),
-        (lambda c: _target(c, {"method": "ks", "bandwidth_rule": {"alpha": "1"}}),
-         [], "config.methods.target.bandwidth_rule.alpha: expected a number, "
+        (lambda c: _target(c, {"method": "ks", "bandwidth": {"alpha": "1"}}),
+         [], "config.methods.target.bandwidth.alpha: expected a number, "
          "got '1'"),
-        (lambda c: _target(c, {"method": "ks", "bandwidth_rule": {"c": True}}),
-         [], "config.methods.target.bandwidth_rule.c: expected a number, got True"),
-        (lambda c: _target(c, {"method": "krr", "lambda_rule": {"beta": "1"}}),
-         [], "config.methods.target.lambda_rule.beta: expected a number"),
+        (lambda c: _target(c, {"method": "ks", "bandwidth": {"c": True}}),
+         [], "config.methods.target.bandwidth.c: expected a number, got True"),
+        (lambda c: _target(c, {"method": "krr", "lambda": {"beta": "1"}}),
+         [], "config.methods.target.lambda.beta: expected a number"),
         (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": {
             "shape": "rbf", "lengthscale": True}}), [],
          "config.methods.target.kernel.lengthscale: expected a number, got True"),
@@ -438,10 +469,10 @@ class TestConfigParsing:
         (lambda c: _target(c, {"method": "krr", "lambda": 0.1, "kernel": {
             "shape": "rbf", "lengthscale": None}}), [],
          "config.methods.target.kernel.lengthscale: expected a number, got None"),
-        (lambda c: _target(c, {"method": "ks", "bandwidth_grid": []}), [],
-         "config.methods.target.bandwidth_grid: expected at least one value"),
-        (lambda c: _target(c, {"method": "krr", "lambda_grid": []}), [],
-         "config.methods.target.lambda_grid: expected at least one value"),
+        (lambda c: _target(c, {"method": "ks", "bandwidth": []}), [],
+         "config.methods.target.bandwidth: expected at least one value"),
+        (lambda c: _target(c, {"method": "krr", "lambda": []}), [],
+         "config.methods.target.lambda: expected at least one value"),
         (lambda c: c["methods"]["source"].update(method="knn"), [],
          "config.methods.source.method: expected 'ks' or 'krr', got 'knn'"),
         (lambda c: c["transformations"][0].update(family="affine"), [],
@@ -471,10 +502,12 @@ class TestConfigParsing:
         (lambda c: c["sizes"].update(n_val=0), [],
          "config.sizes.n_val: not a key of a 'synthetic' run"),
         (lambda c: c["methods"]["target"].update(cv_folds=500), [],
-         "config.methods.target.cv_folds: only a bandwidth_grid is cross-validated"),
-        (lambda c: _target(c, {"method": "krr", "lambda_rule": {"p": 0.5},
+         "config.methods.target.cv_folds: only a list of bandwidth values is "
+         "cross-validated, got 0.15"),
+        (lambda c: _target(c, {"method": "krr", "lambda": {"p": 0.5},
                                "cv_folds": 5}), [],
-         "config.methods.target.cv_folds: only a lambda_grid is cross-validated"),
+         "config.methods.target.cv_folds: only a list of lambda values is "
+         "cross-validated, got {'p': 0.5}"),
         (lambda c: (_selection(c, L_alpha=2.0, K=2), c["methods"].update(
             baselines=[])), [],
          "config.methods.baselines: not a key of a 'selection' run"),
@@ -569,6 +602,26 @@ class TestConfigParsing:
             "transformation": {"family": "scale", "alpha": 1.0}, "w": {}}), [],
          "config.data.truth: a constant target with noise_variance 0 gives every "
          "test row one label"),
+        (lambda c: _target(c, {"method": "ks", "bandwidth_grid": [0.1, 0.2]}), [],
+         "config.methods.target: unknown key 'bandwidth_grid'"),
+        (lambda c: _target(c, {"method": "ks", "bandwidth_rule": {"alpha": 1.0}}), [],
+         "config.methods.target: unknown key 'bandwidth_rule'"),
+        (lambda c: _target(c, {"method": "krr", "lambda_grid": [0.1, 1.0]}), [],
+         "config.methods.target: unknown key 'lambda_grid'"),
+        (lambda c: _target(c, {"method": "krr", "lambda_rule": {"p": 0.5}}), [],
+         "config.methods.target: unknown key 'lambda_rule'"),
+        (lambda c: c["methods"]["target"].update(bandwidth="0.1"), [],
+         "config.methods.target.bandwidth: expected a number, a list of numbers or "
+         "a rule object, got '0.1'"),
+        (lambda c: c["methods"]["target"].update(bandwidth=True), [],
+         "config.methods.target.bandwidth: expected a number, a list of numbers or "
+         "a rule object, got True"),
+        (lambda c: c["methods"]["target"].update(bandwidth=None), [],
+         "config.methods.target.bandwidth: expected a number, a list of numbers or "
+         "a rule object, got None"),
+        (lambda c: _target(c, {"method": "krr", "lambda": False}), [],
+         "config.methods.target.lambda: expected a number, a list of numbers or "
+         "a rule object, got False"),
     ])
     def test_invalid_config_fails_at_parse_time_naming_the_key(
         self, tmp_path, capsys, edit, argv, key
@@ -951,7 +1004,7 @@ class TestRunExperiment:
         cfg = base_config(output_dir=str(tmp_path / "out"))
         _selection(cfg, L_alpha=2.0, K=2)
         cfg["methods"]["source"] = {"method": "ks", "kernel": "epanechnikov",
-                                    "bandwidth_grid": [0.1, 0.3], "cv_folds": 3}
+                                    "bandwidth": [0.1, 0.3], "cv_folds": 3}
         report = run_experiment(parse_config(cfg))
         assert report["errors"] == [{"seed": 0, "error": "cv failed",
                                      "type": "ValueError"}]
@@ -988,7 +1041,7 @@ class TestRunExperiment:
         cfg = base_config(output_dir=str(tmp_path / "out"))
         cfg["methods"]["baselines"] = ["only_target", "only_source"]
         cfg["methods"]["source"] = {"method": "ks", "kernel": "epanechnikov",
-                                    "bandwidth_grid": [0.1, 0.3], "cv_folds": 3}
+                                    "bandwidth": [0.1, 0.3], "cv_folds": 3}
         report = run_experiment(parse_config(cfg))
         assert calls == [DomainTag.SOURCE]
         assert [r["method"] for r in report["rows"]] == ["only_target"]
@@ -1013,7 +1066,7 @@ class TestRunExperiment:
         cfg = base_config(output_dir=str(tmp_path / "out"), seeds=[0, 1])
         cfg["methods"]["baselines"] = ["only_target", "combined"]
         cfg["methods"]["source"] = {"method": "ks", "kernel": "epanechnikov",
-                                    "bandwidth_grid": [0.1, 0.3], "cv_folds": 3}
+                                    "bandwidth": [0.1, 0.3], "cv_folds": 3}
         cfg["transformations"] = []
         report = run_experiment(parse_config(cfg))
         assert not report["errors"]
@@ -1107,7 +1160,7 @@ class TestRunExperiment:
             for stage in ("source", "target"):
                 section = cfg["methods"][stage]
                 if grid:
-                    section["bandwidth_grid"] = [section.pop("bandwidth")]
+                    section["bandwidth"] = [section["bandwidth"]]
             reports.append(run_experiment(parse_config(cfg)))
         assert calls == []
         assert reports[0]["rows"] == reports[1]["rows"]
@@ -1202,7 +1255,7 @@ class TestRunExperiment:
             _selection(cfg, L_alpha=2.0, K=2)
             aux_per_seed = 5  # family members
         cfg["methods"]["source"] = {"method": "ks", "kernel": "epanechnikov",
-                                    "bandwidth_grid": [0.1, 0.3], "cv_folds": 3}
+                                    "bandwidth": [0.1, 0.3], "cv_folds": 3}
         source_cvs, aux_builds, source_fits = [], [], []
         fit = KSSpec.fit
 
@@ -1267,7 +1320,7 @@ class TestRunExperiment:
         cfg = base_config(output_dir=str(tmp_path / "out"), seeds=[0, 1])
         _kind(cfg, "rate_sweep", n_ta_grid=[20, 40, 80])
         _target(cfg, {"method": "ks", "kernel": "epanechnikov",
-                      "bandwidth_rule": {"alpha": 1.0}})
+                      "bandwidth": {"alpha": 1.0}})
         cfg["transformations"] = [{"family": "offset", "alpha": 1.0},
                                   {"family": "non_transfer"}]
         calls = []

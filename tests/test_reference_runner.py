@@ -120,7 +120,7 @@ def test_an_8d_bandwidth_grid_runs_as_algorithm_1(tmp_path):
     raw = small_csv_transfer(tmp_path)
     for stage in ("source", "target"):
         raw["methods"][stage] = {"method": "ks", "kernel": "epanechnikov",
-                                 "bandwidth_grid": [0.5, 1.0, 2.0], "cv_folds": 5}
+                                 "bandwidth": [0.5, 1.0, 2.0], "cv_folds": 5}
     rows, errors, _ = assert_same_run(parse_config(raw, base_dir=tmp_path))
     assert len(rows) == 2 * 3 * 5 and not errors
 
@@ -146,23 +146,22 @@ def subroutine(draw, smallest):
     with 2 to ``smallest`` folds."""
     if draw(st.booleans()):
         raw = {"method": "ks", "kernel": draw(st.sampled_from(KS_KERNELS))}
-        keys, values = ("bandwidth", "bandwidth_grid", "bandwidth_rule"), [0.02, 0.05, 0.2]
+        key, values = "bandwidth", [0.02, 0.05, 0.2]
         rule = {"alpha": draw(st.sampled_from([0.5, 1.0])), "c": 0.5}
     else:
         raw = {"method": "krr", "kernel": draw(st.sampled_from([
             {"shape": "rbf"}, {"shape": "rbf", "lengthscale": 0.2}, {"shape": "linear"},
             {"shape": "polynomial", "degree": 2, "offset": 1.0}]))}
-        keys, values = ("lambda", "lambda_grid", "lambda_rule"), [1e-3, 0.01, 0.1]
+        key, values = "lambda", [1e-3, 0.01, 0.1]
         rule = {"beta": 1.0, "p": 0.5, "c": 0.1}
-    fixed, grid, rule_key = keys
-    form = draw(st.sampled_from(keys))
-    if form == fixed:
-        raw[fixed] = draw(st.sampled_from(values))
-    elif form == rule_key:
-        raw[rule_key] = rule
+    form = draw(st.sampled_from(["fixed", "grid", "rule"]))
+    if form == "fixed":
+        raw[key] = draw(st.sampled_from(values))
+    elif form == "rule":
+        raw[key] = rule
     else:
-        raw[grid] = draw(st.lists(st.sampled_from(values), min_size=2, max_size=3,
-                                  unique=True))
+        raw[key] = draw(st.lists(st.sampled_from(values), min_size=2, max_size=3,
+                                 unique=True))
         raw["cv_folds"] = draw(st.integers(2, smallest))
     return raw
 
