@@ -56,8 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="target")
     synth.add_argument("--n", type=int, required=True)
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--noise", type=float, default=0.01,
-                       help="label noise variance")
+    synth.add_argument("--noise", type=float,
+                       help="label noise variance of the domain drawn")
     synth.add_argument("--out", required=True, help="output CSV path")
 
     for verb, kind in (("run", None), ("select", "selection"),
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
 def _cmd_synth(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n: expected a positive row count, got {args.n}")
-    if not 0 <= args.noise < math.inf:
+    if args.noise is not None and not 0 <= args.noise < math.inf:
         raise ConfigError(f"--noise: expected a finite nonnegative variance, "
                           f"got {args.noise}")
     if args.seed < 0:
@@ -108,10 +108,12 @@ def _cmd_synth(args) -> int:
         raise ConfigError(f"--out: {out} is a directory, expected a file path")
     _check_output_dir(out.parent, "--out")
     if args.dataset == "kin_analog":
-        spec = kin_analog_spec(noise_variance_target=args.noise)
+        spec = kin_analog_spec()
     else:
-        spec = synthetic_spec({"noise_variance": args.noise,
-                               "truth": _DOPPLER_TRUTHS[args.dataset]})
+        spec = synthetic_spec({"truth": _DOPPLER_TRUTHS[args.dataset]})
+    if args.noise is not None:
+        spec = replace(spec, noise_variance_source=args.noise,
+                       noise_variance_target=args.noise)
     data = generate_synthetic(spec, args.n, DomainTag(args.domain), args.seed)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(data, out)

@@ -113,7 +113,7 @@ class MethodConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment_kind: str
-    data: dict  # CSV paths resolved against the config's directory
+    data: dict  # the config's data section as written
     synthetic: SyntheticSpec | None  # the truth; None for CSV data
     # the loaded (source, target) CSV samples; None for synthetic data
     samples: tuple[Dataset, Dataset] | None = field(repr=False, compare=False)
@@ -236,9 +236,9 @@ _SIZE_KEYS = {
     "rate_sweep": ("n_so",),
     "selection": ("n_so", "n_ta", "n_val"),
 }
-# method -> (spec type, hyperparameter key, its spec field, rule type)
-_SUBROUTINES = {"ks": (KSSpec, "bandwidth", "bandwidth", BandwidthRule),
-                "krr": (KRRSpec, "lambda", "lam", LambdaRule)}
+# method -> (spec type, hyperparameter key, rule type)
+_SUBROUTINES = {"ks": (KSSpec, "bandwidth", BandwidthRule),
+                "krr": (KRRSpec, "lambda", LambdaRule)}
 # KRR kernel shape -> the keys its section may set besides "shape"
 _RKHS_KEYS = {KernelShape.RBF: ("lengthscale",), KernelShape.LINEAR: (),
               KernelShape.POLYNOMIAL: ("degree", "offset")}
@@ -274,11 +274,12 @@ def parse_method(raw: dict, where: str) -> MethodConfig:
     ``ks`` and ``lambda`` for ``krr``, says by its JSON shape how the value
     is chosen: a number is fixed, a list of numbers is a grid that
     ``cv_folds``-fold CV resolves (a one-number list is that number), and an
-    object is the rate rule's parameters."""
+    object is the rate rule with those parameters. Each value is one
+    candidate's hyperparameter."""
     method = _read(raw, "method", f"{where}.method", str)
     if method not in _SUBROUTINES:
         raise ConfigError(f"{where}.method: expected 'ks' or 'krr', got {method!r}")
-    spec_type, key, field_name, rule_type = _SUBROUTINES[method]
+    spec_type, key, rule_type = _SUBROUTINES[method]
     _check_keys(raw, ("method", "kernel", "cv_folds", key), where)
     name = f"{where}.{key}"
     value = _read(raw, key, name, object)  # its JSON shape picks the form
@@ -292,14 +293,14 @@ def parse_method(raw: dict, where: str) -> MethodConfig:
         kernel = _parse_kernel(method, raw, f"{where}.kernel")
     with _section(name):
         if isinstance(value, dict):
-            rule = _numbers(value, [f.name for f in fields(rule_type)], name)
-            candidates = (spec_type(kernel, rule=rule_type(**rule)),)
+            params = _numbers(value, [f.name for f in fields(rule_type)], name)
+            values = [rule_type(**params)]
         else:
             values = (_items(value, name, float) if isinstance(value, list)
                       else [_read(raw, key, name, float)])
             if not values:
                 raise ConfigError(f"{name}: expected at least one value")
-            candidates = tuple(spec_type(kernel, **{field_name: v}) for v in values)
+        candidates = tuple(spec_type(kernel, v) for v in values)
     with _section(where):
         return MethodConfig(candidates,
                             _read(raw, "cv_folds", f"{where}.cv_folds", int, 10))
@@ -373,14 +374,13 @@ def _target_sizes(kind: str, data: dict, n_ta: int | None) -> tuple[str, list[in
 
 def _load_csvs(data: dict, base_dir: Path | None) -> tuple[Dataset, Dataset]:
     """The (source, target) samples of a CSV run's data section, whose
-    relative paths it resolves against ``base_dir`` in place."""
+    relative paths resolve against ``base_dir``."""
     label = _read(data, "label_column", "config.data.label_column", str, "y")
     samples = []
     for key in ("source_csv", "target_csv"):
         path = Path(_read(data, key, f"config.data.{key}", str))
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-            data[key] = str(path)
         if not path.exists():
             raise ConfigError(f"config.data.{key}: no such file: {path}")
         try:
@@ -586,18 +586,20 @@ def _fold_predictions(data: Dataset, candidates,
     """Per part, every candidate's predictions at its rows when fit on the
     other rows: the one place that picks a grid's CV path."""
     kernel = candidates[0].kernel
-    one_kernel = all(c.kernel == kernel for c in candidates)
-    bandwidths = [c.bandwidth if isinstance(c, KSSpec) else None for c in candidates]
-    lams = [c.lam if isinstance(c, KRRSpec) else None for c in candidates]
-    if one_kernel and None not in bandwidths and data.dim == 1 and kernel.compact:
-        preds = ks_cv_predict(data, parts, kernel, bandwidths)
+    ks = isinstance(candidates[0], KSSpec)
+    values = [c.bandwidth if isinstance(c, KSSpec) else c.lam for c in candidates]
+    # one kernel is one spec type, and a rule resolves on each fold's own size
+    shared = all(c.kernel == kernel and not isinstance(v, (BandwidthRule, LambdaRule))
+                 for c, v in zip(candidates, values))
+    if shared and ks and data.dim == 1 and kernel.compact:
+        preds = ks_cv_predict(data, parts, kernel, values)
         return ([pred[rows] for pred in preds] for rows in parts)
 
     def fit(train: Dataset, X: np.ndarray) -> list[np.ndarray]:
-        if one_kernel and None not in bandwidths:
-            return ks_predict(train, X, kernel, bandwidths)
-        if one_kernel and None not in lams:
-            return predict_path(krr_path(train, kernel, lams), X)
+        if shared and ks:
+            return ks_predict(train, X, kernel, values)
+        if shared:
+            return predict_path(krr_path(train, kernel, values), X)
         return [c.fit(train).predict(X) for c in candidates]
     return (fit(data.without(rows), data.features[rows]) for rows in parts)
 

@@ -135,22 +135,19 @@ class LambdaRule:
 
 @dataclass(frozen=True)
 class KSSpec:
-    """Kernel smoothing subroutine: fixed bandwidth xor a bandwidth rule."""
+    """Kernel smoothing subroutine: a fixed bandwidth or a rate rule (default)."""
 
     kernel: SmoothingKernel = SmoothingKernel.TRUNCATED_GAUSSIAN
-    bandwidth: float | None = None
-    rule: BandwidthRule | None = None
+    bandwidth: float | BandwidthRule = BandwidthRule()
 
     def __post_init__(self):
-        if (self.bandwidth is None) == (self.rule is None):
-            raise ValueError("exactly one of bandwidth or rule must be given")
-        if self.bandwidth is not None and not self.bandwidth > 0:
+        if not isinstance(self.bandwidth, BandwidthRule) and not self.bandwidth > 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth:g}")
 
     def resolve_bandwidth(self, train: Dataset) -> float:
-        if self.bandwidth is not None:
-            return self.bandwidth
-        return self.rule.value(train)
+        if isinstance(self.bandwidth, BandwidthRule):
+            return self.bandwidth.value(train)
+        return self.bandwidth
 
     def fit(self, train: Dataset) -> KSPredictor:
         return KSPredictor(train, self.kernel, self.resolve_bandwidth(train))
@@ -196,22 +193,19 @@ class _RowView:
 
 @dataclass(frozen=True)
 class KRRSpec:
-    """Kernel ridge subroutine: fixed lambda xor a lambda rule."""
+    """Kernel ridge subroutine: a fixed lambda or a rate rule (default)."""
 
     kernel: RKHSKernel
-    lam: float | None = None
-    rule: LambdaRule | None = None
+    lam: float | LambdaRule = LambdaRule()
 
     def __post_init__(self):
-        if (self.lam is None) == (self.rule is None):
-            raise ValueError("exactly one of lam or rule must be given")
-        if self.lam is not None and not self.lam >= 0:
+        if not isinstance(self.lam, LambdaRule) and not self.lam >= 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam:g}")
 
     def resolve_lambda(self, train: Dataset) -> float:
-        if self.lam is not None:
-            return self.lam
-        return self.rule.value(train)
+        if isinstance(self.lam, LambdaRule):
+            return self.lam.value(train)
+        return self.lam
 
     def fit(self, train: Dataset) -> KRRPredictor:
         return krr_fit(train, self.kernel, self.resolve_lambda(train))

@@ -340,3 +340,19 @@ def test_synth_writes_its_draws_labelled_by_the_benchmark_formulas(
     save_csv(Dataset(X, truth(X) + rng.normal(0.0, math.sqrt(noise), size=n)),
              tmp_path / "literal.csv")
     assert path.read_bytes() == (tmp_path / "literal.csv").read_bytes()
+
+
+@pytest.mark.parametrize("domain", ["source", "target"])
+@pytest.mark.parametrize("dataset", sorted(SYNTH_FORMULAS))
+def test_synth_noise_sets_the_variance_of_the_domain_drawn(tmp_path, capsys, dataset,
+                                                           domain):
+    dim, f_so, f_ta, _ = SYNTH_FORMULAS[dataset]
+    n, path = 60, tmp_path / "synth.csv"
+    assert cli_main(["synth", "--dataset", dataset, "--domain", domain, "--n", str(n),
+                     "--noise", "0.5", "--out", str(path)]) == 0
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0.0, 1.0, size=(n, dim))
+    truth = f_so if domain == "source" else f_ta
+    save_csv(Dataset(X, truth(X) + rng.normal(0.0, math.sqrt(0.5), size=n)),
+             tmp_path / "literal.csv")
+    assert path.read_bytes() == (tmp_path / "literal.csv").read_bytes()

@@ -127,14 +127,13 @@ class TestConfigParsing:
         ({"bandwidth": [0.1]}, [KSSpec(BOXCAR, bandwidth=0.1)], 10),
         ({"bandwidth": [0.1, 0.3, 0.2], "cv_folds": 4},
          [KSSpec(BOXCAR, bandwidth=h) for h in (0.1, 0.3, 0.2)], 4),
-        ({"bandwidth": {"alpha": 0.5}}, [KSSpec(BOXCAR, rule=BandwidthRule(alpha=0.5))],
-         10),
+        ({"bandwidth": {"alpha": 0.5}}, [KSSpec(BOXCAR, BandwidthRule(alpha=0.5))], 10),
         ({"lambda": 0.01}, [KRRSpec(LINEAR, lam=0.01)], 10),
         ({"lambda": [0.01]}, [KRRSpec(LINEAR, lam=0.01)], 10),
         ({"lambda": [0.01, 1, 0.1], "cv_folds": 3},
          [KRRSpec(LINEAR, lam=lam) for lam in (0.01, 1.0, 0.1)], 3),
         ({"lambda": {"beta": 2.0, "c": 0.1}},
-         [KRRSpec(LINEAR, rule=LambdaRule(beta=2.0, c=0.1))], 10),
+         [KRRSpec(LINEAR, LambdaRule(beta=2.0, c=0.1))], 10),
     ])
     def test_each_hyperparameter_shape_parses_to_its_specs(self, section, candidates,
                                                            folds):
@@ -193,8 +192,8 @@ class TestConfigParsing:
         del cfg["sizes"]  # n_so: every row of the 3-row source
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        parsed = load_config(path)
-        assert parsed.data["source_csv"] == str(tmp_path / "src.csv")
+        source, target = load_config(path).samples
+        assert (source.n, target.n) == (3, 4)
 
     def test_integral_floats_parse_as_ints(self):
         cfg = base_config(seeds=[1.0])
@@ -887,7 +886,7 @@ class TestGridSearchCv:
 
     @pytest.mark.parametrize("candidates", [
         [KSSpec(bandwidth=0.1), KRRSpec(rbf_kernel(0.4), lam=0.1)],
-        [KSSpec(bandwidth=0.1), KSSpec(rule=BandwidthRule())],
+        [KSSpec(bandwidth=0.1), KSSpec(bandwidth=BandwidthRule())],
         [KSSpec(SmoothingKernel.BOXCAR, bandwidth=0.1),
          KSSpec(SmoothingKernel.EPANECHNIKOV, bandwidth=0.1)],
         [KRRSpec(rbf_kernel(0.4), lam=0.1), KRRSpec(rbf_kernel(0.5), lam=0.1)],

@@ -162,22 +162,37 @@ class TestConstructAuxiliary:
 
 
 class TestSubroutineSpecs:
-    def test_exactly_one_hyperparameter(self):
-        with pytest.raises(ValueError):
-            KSSpec(bandwidth=0.1, rule=BandwidthRule())
-        with pytest.raises(ValueError):
-            KSSpec()
-        with pytest.raises(ValueError):
-            KRRSpec(rbf_kernel(1.0), lam=0.1, rule=LambdaRule())
-        with pytest.raises(ValueError):
-            KRRSpec(rbf_kernel(1.0))
+    def test_the_hyperparameter_defaults_to_its_rate_rule(self):
+        ds = Dataset(features=np.linspace(0, 1, 50).reshape(-1, 1),
+                     labels=np.zeros(50))
+        assert KSSpec().resolve_bandwidth(ds) == BandwidthRule().value(ds)
+        assert KRRSpec(rbf_kernel(1.0)).resolve_lambda(ds) == LambdaRule().value(ds)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_a_bandwidth_must_be_positive(self, value):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            KSSpec(bandwidth=value)
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_a_lambda_must_be_nonnegative(self, value):
+        with pytest.raises(ValueError, match="lambda must be nonnegative"):
+            KRRSpec(rbf_kernel(1.0), lam=value)
+        assert KRRSpec(rbf_kernel(1.0), lam=0.0).lam == 0.0
+
+    @given(h=st.builds(BandwidthRule, st.floats(1e-6, 1.0), st.floats(1e-6, 1e6)),
+           lam=st.builds(LambdaRule, st.floats(1e-6, 1e6), st.floats(1e-6, 0.999),
+                         st.floats(1e-6, 1e6)))
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    def test_any_rule_is_accepted(self, h, lam):
+        assert KSSpec(bandwidth=h).bandwidth is h
+        assert KRRSpec(linear_kernel(), lam=lam).lam is lam
 
     def test_rules_resolve_against_training_size(self):
         ds = Dataset(features=np.linspace(0, 1, 1000).reshape(-1, 1),
                      labels=np.zeros(1000))
-        spec = KSSpec(rule=BandwidthRule(alpha=1.0))
+        spec = KSSpec(bandwidth=BandwidthRule(alpha=1.0))
         assert spec.resolve_bandwidth(ds) == pytest.approx(0.1, rel=1e-12)
-        kspec = KRRSpec(rbf_kernel(1.0), rule=LambdaRule(beta=1.5, p=0.5))
+        kspec = KRRSpec(rbf_kernel(1.0), lam=LambdaRule(beta=1.5, p=0.5))
         ds256 = Dataset(features=np.linspace(0, 1, 256).reshape(-1, 1),
                         labels=np.zeros(256))
         assert kspec.resolve_lambda(ds256) == pytest.approx(0.0625, rel=1e-12)
@@ -504,12 +519,12 @@ W_SPECS = st.one_of(
     st.builds(KSSpec, kernel=st.sampled_from(list(SmoothingKernel)),
               bandwidth=st.floats(0.02, 1.0)),
     st.builds(KSSpec, kernel=st.sampled_from(list(SmoothingKernel)),
-              rule=st.builds(BandwidthRule, c=st.floats(0.05, 2.0))),
+              bandwidth=st.builds(BandwidthRule, c=st.floats(0.05, 2.0))),
     st.builds(KRRSpec, kernel=st.sampled_from([rbf_kernel(), rbf_kernel(0.3),
                                                linear_kernel()]),
               lam=st.floats(1e-3, 1.0)),
     st.builds(KRRSpec, kernel=st.just(rbf_kernel()),
-              rule=st.builds(LambdaRule, c=st.floats(0.01, 1.0))),
+              lam=st.builds(LambdaRule, c=st.floats(0.01, 1.0))),
 )
 ALPHAS = st.sampled_from([0.0, 0.5, -1.0]) | st.floats(-3.0, 3.0)
 MEMBERS = st.one_of(
@@ -603,7 +618,7 @@ class TestSelectionMatchesPerCandidateFits:
 
     @pytest.mark.parametrize("w_spec", [
         KSSpec(SmoothingKernel.GAUSSIAN, bandwidth=0.1),
-        KSSpec(SmoothingKernel.EPANECHNIKOV, rule=BandwidthRule()),
+        KSSpec(SmoothingKernel.EPANECHNIKOV, BandwidthRule()),
         KRRSpec(rbf_kernel(), lam=0.01),
     ], ids=["ks_dense", "ks_rule", "krr"])
     def test_two_dimensional_features(self, w_spec):
@@ -627,9 +642,9 @@ class TestSelectionMatchesPerCandidateFits:
 class TestFitSamples:
     @pytest.mark.parametrize("spec", [
         KSSpec(SmoothingKernel.EPANECHNIKOV, bandwidth=0.1),
-        KSSpec(SmoothingKernel.GAUSSIAN, rule=BandwidthRule()),
+        KSSpec(SmoothingKernel.GAUSSIAN, BandwidthRule()),
         KRRSpec(rbf_kernel(), lam=0.01),
-        KRRSpec(linear_kernel(), rule=LambdaRule()),
+        KRRSpec(linear_kernel(), LambdaRule()),
     ], ids=["ks_window", "ks_dense_rule", "krr_rbf", "krr_linear_rule"])
     def test_each_sample_is_its_own_fit(self, spec):
         rng = np.random.default_rng(6)
